@@ -44,15 +44,15 @@ space, family, sample, x, y, _ = generate_dataset(config, 0)
 basis = bspline_tensor_basis(space, 3, 7)
 model = fit_subspace_pca(space, basis, sample)
 m = select_pve(model, 0.95).m
-scores = component_scores(model, space, sample)[:, :m]
+scores = component_scores(model)[:, :m]
 design = RegressionDesign(y=y, x=x, scores=scores)
 fit = fit_pcr(design)
 
-se_plugin = np.sqrt(np.diag(plugin_cov(fit, model, space, sample, design)))
+se_plugin = np.sqrt(np.diag(plugin_cov(fit, model, design)))
 boot = bootstrap_theta(
-    space, basis, sample, y, x, m, BootstrapSpec(kind="wild", b_reps=300, base_seed=1)
+    model, y, x, m, BootstrapSpec(kind="wild", b_reps=300, base_seed=1)
 )
-jack = block_jackknife(space, basis, sample, y, x, m, JackknifeSpec(r=20))
+jack = block_jackknife(model, y, x, m, JackknifeSpec(r=20))
 
 # sign-align the estimated components to the construction before comparing
 flips = [

@@ -30,7 +30,7 @@ sample = kl_sample(family, lambdas, n, rng)
 # rich enough to carry the six bumps
 basis = bspline_tensor_basis(space, 3, 7)
 model = fit_subspace_pca(space, basis, sample)
-ses = eigenvalue_se(model, space, sample)
+ses = eigenvalue_se(model)
 
 print(f"n={n}, grid=20x24, basis rank={model.whitener.rank}")
 print(f"retained components: {model.n_components}")

@@ -24,12 +24,10 @@ from .bases import (
 from .decomp import (
     DiagnosticReport,
     EigenModel,
-    EigenfunctionCov,
     PveSelection,
     component_scores,
     centered_scores,
     diagnose_projection,
-    eigenfunction_cov,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
@@ -56,7 +54,6 @@ from .regression import (
     fit_pcr,
     fit_precision,
     plugin_cov,
-    predict,
     sandwich_cov,
 )
 from .resampling import (
@@ -93,7 +90,6 @@ from .space import (
     as_element,
     as_sample,
     gram,
-    mean_element,
     project_scores,
     whiten,
 )

@@ -333,6 +333,13 @@ def _build_basis(args, space, knots_override=None):
     return bspline_tensor_basis(space, args.degree, knots)
 
 
+def _fit_model(args):
+    """Read the sample, build the basis, and fit the PCA once for this run."""
+    space, sample = _load_space_sample(args)
+    basis = _build_basis(args, space)
+    return space, fit_subspace_pca(space, basis, sample, args.drop_tol)
+
+
 def _config_echo(args) -> dict:
     skip = {"func"}
     out = {}
@@ -361,10 +368,8 @@ def _outdir(args) -> None:
 def cmd_fit(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
-    model = fit_subspace_pca(space, basis, sample, args.drop_tol)
-    ses = eigenvalue_se(model, space, sample)
+    space, model = _fit_model(args)
+    ses = eigenvalue_se(model)
     cum = (
         np.cumsum(model.eigenvalues) / model.total_variance
         if model.total_variance > 0
@@ -410,7 +415,9 @@ def cmd_diagnose(args) -> int:
     rows = []
     for step in range(MAX_KNOT_REFINEMENTS + 1):
         basis = _build_basis(args, space, knots_override=knots)
-        report = diagnose_projection(space, basis, sample, args.alpha)
+        report = diagnose_projection(
+            space, basis, sample, args.alpha, drop_tol=args.drop_tol
+        )
         label = ",".join(map(str, knots)) if knots is not None else "mesh"
         rows.append(
             [
@@ -445,9 +452,7 @@ def cmd_diagnose(args) -> int:
 def cmd_pve(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
-    model = fit_subspace_pca(space, basis, sample, args.drop_tol)
+    _, model = _fit_model(args)
     selection = select_pve(model, args.tau)
     rows = [
         [j + 1, model.eigenvalues[j], selection.cumulative[j]]
@@ -460,7 +465,7 @@ def cmd_pve(args) -> int:
     return 0
 
 
-def _load_design(args, space, sample, model):
+def _load_design(args, model):
     header, rows = read_table(args.table)
     if args.response not in header:
         raise FormatError(f"response column {args.response!r} not in {header}")
@@ -487,18 +492,18 @@ def _load_design(args, space, sample, model):
                 f"treatment column {args.treatment!r} must be binary"
             )
         treatment = col.astype(bool)
-    if y.size != sample.shape[0]:
+    if y.size != model.n:
         raise ConformanceError(
-            f"table has {y.size} rows but the data file has {sample.shape[0]}"
+            f"table has {y.size} rows but the data file has {model.n}"
         )
     m = args.m if args.m is not None else select_pve(model, args.tau).m
     if not 1 <= m <= model.n_components:
         raise ConformanceError(
             f"m={m} outside the retained range 1..{model.n_components}"
         )
-    scores = component_scores(model, space, sample)[:, :m]
+    scores = component_scores(model)[:, :m]
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
-    return design, names, m
+    return design, m
 
 
 def _write_ci_table(path, names, point, lower, upper, se):
@@ -508,42 +513,38 @@ def _write_ci_table(path, names, point, lower, upper, se):
     write_table(path, ["term", "estimate", "lower", "upper", "se"], rows)
 
 
+def _jackknife(args, model, design, m):
+    """Block jackknife with --blocks, or p + 2 blocks for p coefficients."""
+    p = (2 if design.treatment is not None else 1) * (1 + design.d + design.m)
+    r = args.blocks if args.blocks is not None else p + 2
+    return block_jackknife(
+        model,
+        design.y,
+        design.x,
+        m,
+        JackknifeSpec(r=r, level=args.level),
+        treatment=design.treatment,
+    )
+
+
 def cmd_regress(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
-    model = fit_subspace_pca(space, basis, sample, args.drop_tol)
-    design, _, m = _load_design(args, space, sample, model)
+    _, model = _fit_model(args)
+    design, m = _load_design(args, model)
     if design.treatment is None:
         fit = fit_pcr(design)
-        cov = plugin_cov(fit, model, space, sample, design)
-        se = np.sqrt(np.diag(cov))
+        se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
         z = norm_ppf(0.5 * (1.0 + args.level))
         point, lower, upper = fit.theta, fit.theta - z * se, fit.theta + z * se
         method = "plugin"
         names = coefficient_names(design.d, m)
     else:
-        p = 2 * (1 + design.d + design.m)
-        r = args.blocks if args.blocks is not None else p + 2
-        res = block_jackknife(
-            space,
-            basis,
-            sample,
-            design.y,
-            design.x,
-            m,
-            JackknifeSpec(r=r, level=args.level),
-            treatment=design.treatment,
+        table = _jackknife(args, model, design, m).table
+        names, point, lower, upper, se = (
+            table.names, table.point, table.lower, table.upper, table.se
         )
-        point, lower, upper, se = (
-            res.table.point,
-            res.table.lower,
-            res.table.upper,
-            res.table.se,
-        )
-        method = res.table.method
-        names = res.table.names
+        method = table.method
     path = os.path.join(args.out, "coefficients.csv")
     _write_ci_table(path, names, point, lower, upper, se)
     _finish(args, None, {"coefficients.csv": path}, started)
@@ -554,27 +555,19 @@ def cmd_regress(args) -> int:
 def cmd_bootstrap(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
+    if args.target == "coefficients" and (args.table is None or args.response is None):
+        raise ConfigurationError("--target coefficients needs --table and --response")
+    _, model = _fit_model(args)
     spec = BootstrapSpec(
         kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
     )
     if args.target == "eigenvalues":
-        res = bootstrap_eigenvalues(
-            space, basis, sample, spec, threads=_threads(args)
-        )
+        res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
         out_name = "eigenvalues.csv"
     else:
-        if args.table is None or args.response is None:
-            raise ConfigurationError(
-                "--target coefficients needs --table and --response"
-            )
-        model = fit_subspace_pca(space, basis, sample, args.drop_tol)
-        design, _, m = _load_design(args, space, sample, model)
+        design, m = _load_design(args, model)
         res = bootstrap_theta(
-            space,
-            basis,
-            sample,
+            model,
             design.y,
             design.x,
             m,
@@ -597,27 +590,14 @@ def cmd_bootstrap(args) -> int:
 def cmd_jackknife(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
-    model = fit_subspace_pca(space, basis, sample, args.drop_tol)
-    design, _, m = _load_design(args, space, sample, model)
-    p = (2 if design.treatment is not None else 1) * (1 + design.d + design.m)
-    r = args.blocks if args.blocks is not None else p + 2
-    res = block_jackknife(
-        space,
-        basis,
-        sample,
-        design.y,
-        design.x,
-        m,
-        JackknifeSpec(r=r, level=args.level),
-        treatment=design.treatment,
-    )
+    _, model = _fit_model(args)
+    design, m = _load_design(args, model)
+    res = _jackknife(args, model, design, m)
     table = res.table
     path = os.path.join(args.out, "coefficients.csv")
     _write_ci_table(path, table.names, table.point, table.lower, table.upper, table.se)
     _finish(args, None, {"coefficients.csv": path}, started)
-    print(f"jackknife: r={r}, kept {res.kept} of {design.n} observations")
+    print(f"jackknife: r={table.completed}, kept {res.kept} of {design.n} observations")
     return 0
 
 

@@ -50,6 +50,10 @@ class EigenModel:
         Retained variances, strictly positive and nonincreasing.
     coords : ndarray, shape (J, rank)
         Coordinates of each eigenfunction in the whitened frame.
+    white : ndarray, shape (n, rank)
+        Uncentered whitened projection scores of the fitted sample rows.
+        Component scores, plug-in covariances and every resampling
+        replicate derive from these and ``coords`` without the grid.
     eigenfunctions : ndarray, shape (J, V)
         Eigenfunctions sampled on the grid, orthonormal in the space inner
         product. Signs follow the largest-|entry|-positive convention.
@@ -66,6 +70,7 @@ class EigenModel:
 
     eigenvalues: np.ndarray
     coords: np.ndarray
+    white: np.ndarray
     eigenfunctions: np.ndarray
     mean: np.ndarray
     whitener: Whitener
@@ -110,22 +115,6 @@ class PveSelection:
     cumulative: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigenfunctionCov:
-    """Plug-in covariance of one estimated eigenfunction.
-
-    The deviation of eigenfunction ``j`` lives (to first order) in the span
-    of the other retained eigenfunctions; ``cov[a, b]`` estimates the
-    covariance of its coefficients along ``others[a]`` and ``others[b]``,
-    built from empirical score-product covariances weighted by inverse
-    spectral gaps, already scaled by 1/n.
-    """
-
-    j: int
-    others: np.ndarray
-    cov: np.ndarray
-
-
 def fit_subspace_pca(
     space: AmbientSpace, basis, sample, drop_tol: float = DEFAULT_DROP_TOL
 ) -> EigenModel:
@@ -155,6 +144,7 @@ def fit_subspace_pca(
     return EigenModel(
         eigenvalues=lams,
         coords=coords,
+        white=white,
         eigenfunctions=phis,
         mean=mean,
         whitener=whitener,
@@ -195,10 +185,14 @@ def _fix_phi_signs(phis: np.ndarray, coords: np.ndarray):
     return phis * signs[:, None], coords * signs[:, None]
 
 
-def component_scores(model: EigenModel, space: AmbientSpace, sample) -> np.ndarray:
-    """Uncentered component scores <phi_j, Z_i> for every retained j."""
-    data = as_sample(space, sample)
-    return (data * space.weights) @ model.eigenfunctions.T
+def component_scores(model: EigenModel) -> np.ndarray:
+    """Uncentered component scores <phi_j, Z_i> of the fitted rows, every j.
+
+    Equal to ``(sample * weights) @ eigenfunctions.T`` because each
+    eigenfunction is ``coords @ frame`` and the whitened scores are the
+    sample's inner products with the frame.
+    """
+    return model.white @ model.coords.T
 
 
 def select_pve(model: EigenModel, tau: float = 0.95) -> PveSelection:
@@ -226,7 +220,11 @@ def select_pve(model: EigenModel, tau: float = 0.95) -> PveSelection:
 
 
 def diagnose_projection(
-    space: AmbientSpace, basis, sample, alpha: float = 0.05
+    space: AmbientSpace,
+    basis,
+    sample,
+    alpha: float = 0.05,
+    drop_tol: float = DEFAULT_DROP_TOL,
 ) -> DiagnosticReport:
     """Test whether the basis span captures the sample's variation.
 
@@ -236,6 +234,8 @@ def diagnose_projection(
     sqrt(n) * delta_hat / sqrt(s2_hat + 1/n) is compared against the normal
     quantile at 1 - alpha. Levels are restricted to (0, 0.05] because the
     statistic is one-sided and only small levels are meaningful for it.
+    The basis is whitened at ``drop_tol`` exactly as ``fit_subspace_pca``
+    whitens it, so both report the same basis rank.
     """
     if not 0.0 < alpha <= 0.05:
         raise ConfigurationError(f"alpha must lie in (0, 0.05], got {alpha}")
@@ -243,7 +243,7 @@ def diagnose_projection(
     n = data.shape[0]
     if n < 2:
         raise ConformanceError("projection diagnostic needs at least two rows")
-    whitener = whiten(gram(space, basis))
+    whitener = whiten(gram(space, basis), drop_tol)
     frame = whitener.factor @ basis_rows(basis)
     dev = data - data.mean(axis=0)
     white = (dev * space.weights) @ frame.T
@@ -272,20 +272,19 @@ def diagnose_projection(
     )
 
 
-def centered_scores(model: EigenModel, space: AmbientSpace, sample) -> np.ndarray:
-    """Scores of sample rows against eigenfunctions after centering at the mean."""
-    data = as_sample(space, sample)
-    return ((data - model.mean) * space.weights) @ model.eigenfunctions.T
+def centered_scores(model: EigenModel) -> np.ndarray:
+    """Scores of the fitted rows against eigenfunctions after centering."""
+    return (model.white - model.white.mean(axis=0)) @ model.coords.T
 
 
-def eigenvalue_se(model: EigenModel, space: AmbientSpace, sample) -> np.ndarray:
+def eigenvalue_se(model: EigenModel) -> np.ndarray:
     """Plug-in standard errors of the retained eigenvalues.
 
     The asymptotic variance of eigenvalue j is the variance of its squared
     centered score, so the estimate is sd(score_j^2) / sqrt(n) with the
     plug-in (population-style) standard deviation.
     """
-    xi = centered_scores(model, space, sample)
+    xi = centered_scores(model)
     return np.std(xi**2, axis=0, ddof=0) / np.sqrt(xi.shape[0])
 
 
@@ -314,31 +313,3 @@ def check_gaps(model: EigenModel, m: int, gap_tol=None) -> None:
                     f"{abs(lams[j] - lams[k]):.3e} <= gap tolerance {tol:.3e}; "
                     "the spectral-gap expansion is unstable"
                 )
-
-
-def eigenfunction_cov(
-    model: EigenModel, space: AmbientSpace, sample, j: int, gap_tol=None
-) -> EigenfunctionCov:
-    """Plug-in covariance of eigenfunction ``j`` across the other components.
-
-    First-order theory writes the estimation error of eigenfunction j as a
-    combination of the other eigenfunctions with coefficients
-    (score_k * score_j averaged) / (lambda_j - lambda_k); the returned matrix
-    is the empirical covariance of those products, weighted by the inverse
-    gaps and divided by n. Requires all retained gaps around j to clear the
-    tolerance.
-    """
-    if not 0 <= j < model.n_components:
-        raise ConformanceError(
-            f"component index {j} outside retained range 0..{model.n_components - 1}"
-        )
-    check_gaps(model, model.n_components, gap_tol)
-    xi = centered_scores(model, space, sample)
-    n = xi.shape[0]
-    others = np.array([k for k in range(model.n_components) if k != j], dtype=int)
-    products = xi[:, others] * xi[:, [j]]
-    centered = products - products.mean(axis=0)
-    cov = centered.T @ centered / n
-    gaps = model.eigenvalues[j] - model.eigenvalues[others]
-    scale = np.outer(1.0 / gaps, 1.0 / gaps)
-    return EigenfunctionCov(j=int(j), others=others, cov=cov * scale / n)

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import EigenModel, centered_scores, check_gaps
+from .decomp import EigenModel, centered_scores, check_gaps, component_scores
 from .errors import ConformanceError, DegenerateDesignError
-from .space import AmbientSpace, as_sample
 
 CONDITION_LIMIT = 1e12
 
@@ -164,7 +163,9 @@ def _solve_ls(u: np.ndarray, y: np.ndarray, weights=None):
     """Weighted least squares with the nondegeneracy check.
 
     Returns (theta, sigma_hat, condition); raises when the second-moment
-    matrix of the (weighted) design is numerically singular.
+    matrix of the (weighted) design is numerically singular. One SVD of the
+    weighted design gives both the solution and the condition of sigma_hat,
+    which is the squared ratio of its extreme singular values.
     """
     n = u.shape[0]
     if weights is None:
@@ -179,13 +180,15 @@ def _solve_ls(u: np.ndarray, y: np.ndarray, weights=None):
         yw = y * root
         sigma = uw.T @ uw / n
     sigma = 0.5 * (sigma + sigma.T)
-    condition = float(np.linalg.cond(sigma))
+    left, sv, right = np.linalg.svd(uw, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = float((sv[0] / sv[-1]) ** 2)
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise DegenerateDesignError(
             f"design second-moment matrix has condition {condition:.3e} "
             f"(limit {CONDITION_LIMIT:.0e}); the nondegeneracy assumption fails"
         )
-    theta = np.linalg.lstsq(uw, yw, rcond=None)[0]
+    theta = right.T @ ((left.T @ yw) / sv)
     return theta, sigma, condition
 
 
@@ -247,28 +250,6 @@ def fit_precision(design: RegressionDesign, weights=None) -> InteractionFit:
     )
 
 
-def predict(fit: RegressionFit, x, scores) -> np.ndarray:
-    """Evaluate the fitted regression at new covariates and scores."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        x = x.reshape(-1, 0)
-    if x.ndim == 1:
-        x = x[:, None]
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        scores = scores.reshape(x.shape[0], 0)
-    if scores.ndim == 1:
-        scores = scores[:, None]
-    if x.shape[1] != fit.d or scores.shape[1] != fit.m:
-        raise ConformanceError(
-            f"expected {fit.d} covariates and {fit.m} scores, "
-            f"got {x.shape[1]} and {scores.shape[1]}"
-        )
-    if x.shape[0] != scores.shape[0]:
-        raise ConformanceError("x and scores must have the same number of rows")
-    return fit.alpha + x @ fit.beta + scores @ fit.gamma
-
-
 def coefficient_element(fit: RegressionFit, model: EigenModel) -> np.ndarray:
     """Reconstruct the functional coefficient sum_j gamma_j phi_j on the grid."""
     if fit.m > model.n_components:
@@ -282,8 +263,6 @@ def coefficient_element(fit: RegressionFit, model: EigenModel) -> np.ndarray:
 def plugin_cov(
     fit: RegressionFit,
     model: EigenModel,
-    space: AmbientSpace,
-    sample,
     design: RegressionDesign,
     gap_tol=None,
 ) -> np.ndarray:
@@ -296,11 +275,10 @@ def plugin_cov(
     replaced by empirical plug-ins. The result is the sample covariance of
     the influence vectors divided by n; with exact eigenfunctions and zero
     residual noise the correction vanishes and the classical sandwich is
-    recovered.
+    recovered. The design's rows must be the rows ``model`` was fitted on.
     """
-    data = as_sample(space, sample)
-    if data.shape[0] != design.n:
-        raise ConformanceError("sample and design have different row counts")
+    if model.n != design.n:
+        raise ConformanceError("model and design have different row counts")
     m = design.m
     n = design.n
     n_comp = model.n_components
@@ -311,8 +289,8 @@ def plugin_cov(
     check_gaps(model, m, gap_tol)
     u = design_matrix(design)
     eps = fit.residuals
-    xi = centered_scores(model, space, sample)
-    raw = (data * space.weights) @ model.eigenfunctions.T
+    xi = centered_scores(model)
+    raw = component_scores(model)
     lams = model.eigenvalues
     # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
     gaps = np.zeros((m, n_comp))

@@ -1,11 +1,11 @@
 """Resampling inference for the subspace-PCA regression pipeline.
 
-Every replicate reruns the whole estimation chain -- eigenfunctions,
+Every replicate reruns the estimation chain after the basis -- eigenfunctions,
 component scores, regression -- under a reweighted or resampled empirical
 measure, so the intervals account for eigenfunction estimation, not just
 regression noise. The basis Gram matrix and whitener do not depend on
-observation weights, so replicates reuse them and work in whitened
-coordinates; this is an exact algebraic shortcut, not an approximation.
+observation weights, so replicates start from the fitted model's whitened
+scores; this is an exact algebraic shortcut, not an approximation.
 
 Replicate randomness is keyed by (base_seed, replicate index), making every
 study reproducible for any worker count and any execution order.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _eig_from_scores, fit_subspace_pca
+from .decomp import EigenModel, _eig_from_scores, component_scores
 from .errors import (
     ConformanceError,
     ConfigurationError,
@@ -30,7 +30,6 @@ from .regression import (
     fit_pcr,
     fit_precision,
 )
-from .space import AmbientSpace, as_sample, basis_rows, project_scores
 from .util import norm_ppf, replicate_rng, run_indexed
 
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
@@ -154,22 +153,17 @@ def _indices_from_counts(counts: np.ndarray) -> np.ndarray:
 
 
 class _PreparedPipeline:
-    """Cached quantities shared by every replicate of one dataset.
+    """Point estimate and replicate refits of one fitted dataset.
 
-    Holds the whitened raw scores and the point estimate; a replicate only
-    has to re-center, re-eigendecompose, and re-solve the regression under
-    its weights.
+    Everything a replicate needs is the fitted model's whitened scores: it
+    re-centers them under its rows or weights, re-eigendecomposes, and
+    re-solves the regression; the grid is never read again.
     """
 
-    def __init__(self, space, basis, sample, y=None, x=None, m=None, treatment=None):
-        self.space = space
-        self.data = as_sample(space, sample)
-        self.n = self.data.shape[0]
-        self.model = fit_subspace_pca(space, basis, self.data)
-        rows = basis_rows(basis)
-        raw = project_scores(space, basis, self.data)
-        self.white = raw @ self.model.whitener.factor.T
-        self.frame = self.model.whitener.factor @ rows
+    def __init__(self, model, y=None, x=None, m=None, treatment=None):
+        self.model = model
+        self.white = model.white
+        self.n = model.n
         self.y = None if y is None else np.asarray(y, dtype=float).ravel()
         arr = np.zeros((self.n, 0)) if x is None else np.asarray(x, dtype=float)
         self.x = arr.reshape(self.n, -1) if arr.size else arr.reshape(self.n, 0)
@@ -179,32 +173,37 @@ class _PreparedPipeline:
         self.m = m
         self.point_fit = None
         if y is not None:
-            if m is None or not 1 <= m <= self.model.n_components:
+            if m is None or not 1 <= m <= model.n_components:
                 raise ConformanceError(
-                    f"score count m={m} outside 1..{self.model.n_components}"
+                    f"score count m={m} outside 1..{model.n_components}"
                 )
-            scores = self.white @ self.model.coords[:m].T
-            design = RegressionDesign(
-                y=self.y, x=self.x, scores=scores, treatment=self.treatment
-            )
-            self.point_fit = (
-                fit_precision(design)
-                if self.treatment is not None
-                else fit_pcr(design)
-            )
+            self.point_fit = self.fit(None, None, component_scores(model)[:, :m])
 
-    def replicate_eigs(self, spec: BootstrapSpec, b: int):
-        """Re-estimated (eigenvalues, coords, weights, indices) for replicate b."""
+    def fit(self, idx, weights, scores):
+        """Regression on the rows ``idx`` (all when None) under ``weights``."""
+        rows = slice(None) if idx is None else idx
+        design = RegressionDesign(
+            y=self.y[rows],
+            x=self.x[rows],
+            scores=scores,
+            treatment=None if self.treatment is None else self.treatment[rows],
+        )
+        if self.treatment is not None:
+            return fit_precision(design, weights=weights)
+        return fit_pcr(design, weights=weights)
+
+    def draw(self, spec: BootstrapSpec, b: int):
+        """(indices, weights) of bootstrap replicate b; one of them is None."""
         weights = gen_weights(spec, self.n, b)
         if spec.kind == "nonparametric":
-            idx = _indices_from_counts(weights)
-            white = self.white[idx]
-            centered = white - white.mean(axis=0)
-            lams, coords = _eig_from_scores(centered)
-            return lams, coords, None, idx
-        centered = self.white - np.average(self.white, axis=0, weights=weights)
-        lams, coords = _eig_from_scores(centered, weights=weights)
-        return lams, coords, weights, None
+            return _indices_from_counts(weights), None
+        return None, weights
+
+    def eigs(self, idx, weights):
+        """Eigenvalues and coords refitted on the rows ``idx`` or under weights."""
+        white = self.white if idx is None else self.white[idx]
+        centered = white - np.average(white, axis=0, weights=weights)
+        return _eig_from_scores(centered, weights=weights)
 
     def align(self, coords: np.ndarray, m: int) -> np.ndarray:
         """Flip replicate eigenvector signs to match the point estimate."""
@@ -215,38 +214,17 @@ class _PreparedPipeline:
         out = coords[:k] * signs[:, None]
         return out
 
-    def replicate_theta(self, spec: BootstrapSpec, b: int) -> np.ndarray:
-        lams, coords, weights, idx = self.replicate_eigs(spec, b)
+    def theta(self, idx, weights, label: str) -> np.ndarray:
+        """Coefficients of one replicate: refitted eigenfunctions, then regression."""
+        coords = self.eigs(idx, weights)[1]
         if coords.shape[0] < self.m:
             raise GridPcrError(
-                f"replicate {b} retained {coords.shape[0]} components, "
+                f"{label} retained {coords.shape[0]} components, "
                 f"fewer than the {self.m} the design needs"
             )
         coords = self.align(coords, self.m)
-        if idx is not None:
-            scores = self.white[idx] @ coords.T
-            design = RegressionDesign(
-                y=self.y[idx],
-                x=self.x[idx],
-                scores=scores,
-                treatment=None if self.treatment is None else self.treatment[idx],
-            )
-            fit = (
-                fit_precision(design)
-                if self.treatment is not None
-                else fit_pcr(design)
-            )
-        else:
-            scores = self.white @ coords.T
-            design = RegressionDesign(
-                y=self.y, x=self.x, scores=scores, treatment=self.treatment
-            )
-            fit = (
-                fit_precision(design, weights=weights)
-                if self.treatment is not None
-                else fit_pcr(design, weights=weights)
-            )
-        return fit.theta
+        white = self.white if idx is None else self.white[idx]
+        return self.fit(idx, weights, white @ coords.T).theta
 
 
 def percentile_ci(draws, level: float):
@@ -269,36 +247,43 @@ def percentile_ci(draws, level: float):
     return lower, upper
 
 
-def _run_study(spec, draw_fn, width, threads):
-    """Run all replicates, collecting draws and tolerated failures."""
+def run_tolerant(fn, count: int, threads: int, what: str):
+    """Evaluate ``fn(i)`` for every i < count, tolerating a few failures.
 
-    def one(b):
+    A replicate raising ``GridPcrError`` is recorded as (i, message).
+    Returns the results in index order and the failures; more than
+    ``MAX_FAILURE_FRACTION`` of ``count`` failing raises ``StudyError``.
+    """
+
+    def one(i):
         try:
-            return draw_fn(b)
+            return fn(i)
         except GridPcrError as exc:
-            return (b, str(exc))
+            return (i, str(exc))
 
-    results = run_indexed(one, spec.b_reps, threads)
-    draws, failures = [], []
-    for res in results:
+    done, failures = [], []
+    for res in run_indexed(one, count, threads):
         if isinstance(res, tuple):
             failures.append(res)
         else:
-            draws.append(res)
-    if len(failures) > MAX_FAILURE_FRACTION * spec.b_reps:
-        detail = "; ".join(f"replicate {b}: {msg}" for b, msg in failures[:5])
+            done.append(res)
+    if len(failures) > MAX_FAILURE_FRACTION * count:
+        detail = "; ".join(f"replicate {i}: {msg}" for i, msg in failures[:5])
         raise StudyError(
-            f"{len(failures)} of {spec.b_reps} bootstrap replicates failed "
+            f"{len(failures)} of {count} {what} replicates failed "
             f"(tolerance {MAX_FAILURE_FRACTION:.0%}); first failures: {detail}",
             failures=failures,
         )
+    return done, failures
+
+
+def _bootstrap_draws(spec: BootstrapSpec, fn, width: int, threads: int):
+    draws, failures = run_tolerant(fn, spec.b_reps, threads, "bootstrap")
     return np.array(draws).reshape(len(draws), width), failures
 
 
 def bootstrap_theta(
-    space: AmbientSpace,
-    basis,
-    sample,
+    model: EigenModel,
     y,
     x,
     m: int,
@@ -308,18 +293,20 @@ def bootstrap_theta(
 ) -> BootstrapResult:
     """Bootstrap the full pipeline and return percentile intervals for theta.
 
-    Each replicate re-estimates the eigenfunctions under its weights (signs
-    aligned to the point estimate), rebuilds the scores, and refits the
-    regression; ``m`` stays fixed at the point estimate's choice. Failed
-    replicates are tolerated up to 5% of the study and reported; beyond that
-    the study errors out.
+    ``model`` is the point fit of the sample whose rows ``y``, ``x`` and
+    ``treatment`` describe. Each replicate re-estimates the eigenfunctions
+    under its weights (signs aligned to the point estimate), rebuilds the
+    scores, and refits the regression; ``m`` stays fixed at the point
+    estimate's choice. Failed replicates are tolerated up to 5% of the study
+    and reported; beyond that the study errors out.
     """
-    prep = _PreparedPipeline(
-        space, basis, sample, y=y, x=x, m=m, treatment=treatment
-    )
+    prep = _PreparedPipeline(model, y=y, x=x, m=m, treatment=treatment)
     width = prep.point_fit.theta.size
-    draws, failures = _run_study(
-        spec, lambda b: prep.replicate_theta(spec, b), width, threads
+    draws, failures = _bootstrap_draws(
+        spec,
+        lambda b: prep.theta(*prep.draw(spec, b), label=f"replicate {b}"),
+        width,
+        threads,
     )
     lower, upper = percentile_ci(draws, spec.level)
     names = coefficient_names(prep.x.shape[1], m, treatment is not None)
@@ -337,9 +324,7 @@ def bootstrap_theta(
 
 
 def bootstrap_eigenvalues(
-    space: AmbientSpace,
-    basis,
-    sample,
+    model: EigenModel,
     spec: BootstrapSpec,
     threads: int = 1,
 ) -> BootstrapResult:
@@ -348,23 +333,23 @@ def bootstrap_eigenvalues(
     Replicate spectra are truncated or zero-padded to the point estimate's
     component count, so draw j always refers to the j-th largest variance.
     """
-    prep = _PreparedPipeline(space, basis, sample)
-    j = prep.model.n_components
+    prep = _PreparedPipeline(model)
+    j = model.n_components
     if j == 0:
         raise ConformanceError("point estimate retains no components")
 
     def one(b):
-        lams = prep.replicate_eigs(spec, b)[0]
+        lams = prep.eigs(*prep.draw(spec, b))[0]
         out = np.zeros(j)
         take = min(j, lams.size)
         out[:take] = lams[:take]
         return out
 
-    draws, failures = _run_study(spec, one, j, threads)
+    draws, failures = _bootstrap_draws(spec, one, j, threads)
     lower, upper = percentile_ci(draws, spec.level)
     table = CiTable(
         names=[f"lambda{k + 1}" for k in range(j)],
-        point=prep.model.eigenvalues.copy(),
+        point=model.eigenvalues.copy(),
         lower=lower,
         upper=upper,
         se=draws.std(axis=0, ddof=1),
@@ -376,9 +361,7 @@ def bootstrap_eigenvalues(
 
 
 def block_jackknife(
-    space: AmbientSpace,
-    basis,
-    sample,
+    model: EigenModel,
     y,
     x,
     m: int,
@@ -389,14 +372,13 @@ def block_jackknife(
 
     With k = floor(n / r), block l removes observations {l, l + r, l + 2r,
     ...} (k of them) from the first r * k rows; trailing rows beyond r * k
-    are excluded from every replicate. Each replicate reruns the full
-    pipeline on the kept rows. The covariance is ((r - 1) / r) times the
-    replicate scatter around the replicate mean, and intervals are normal
-    around the full-sample point estimate.
+    are excluded from every replicate. Each replicate reruns the
+    eigendecomposition and regression on the kept rows, as a nonparametric
+    bootstrap draw does; a failing block raises. The covariance is
+    ((r - 1) / r) times the replicate scatter around the replicate mean, and
+    intervals are normal around the full-sample point estimate.
     """
-    prep = _PreparedPipeline(
-        space, basis, sample, y=y, x=x, m=m, treatment=treatment
-    )
+    prep = _PreparedPipeline(model, y=y, x=x, m=m, treatment=treatment)
     width = prep.point_fit.theta.size
     if spec.r <= width + 1:
         raise ConfigurationError(
@@ -414,24 +396,9 @@ def block_jackknife(
     for block in range(spec.r):
         keep = np.ones(used, dtype=bool)
         keep[block::spec.r] = False
-        idx = np.flatnonzero(keep)
-        white = prep.white[idx]
-        centered = white - white.mean(axis=0)
-        lams, coords = _eig_from_scores(centered)
-        if coords.shape[0] < m:
-            raise GridPcrError(
-                f"jackknife block {block} retained {coords.shape[0]} components, "
-                f"fewer than the {m} the design needs"
-            )
-        coords = prep.align(coords, m)
-        design = RegressionDesign(
-            y=prep.y[idx],
-            x=prep.x[idx],
-            scores=white @ coords.T,
-            treatment=None if treatment is None else prep.treatment[idx],
+        reps[block] = prep.theta(
+            np.flatnonzero(keep), None, label=f"jackknife block {block}"
         )
-        fit = fit_precision(design) if treatment is not None else fit_pcr(design)
-        reps[block] = fit.theta
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)

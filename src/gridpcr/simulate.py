@@ -21,7 +21,7 @@ import numpy as np
 
 from .bases import bspline_tensor_basis
 from .decomp import component_scores, fit_subspace_pca, select_pve
-from .errors import ConformanceError, ConfigurationError, GridPcrError, StudyError
+from .errors import ConformanceError, ConfigurationError
 from .regression import (
     RegressionDesign,
     coefficient_names,
@@ -34,12 +34,12 @@ from .resampling import (
     JackknifeSpec,
     block_jackknife,
     bootstrap_theta,
+    run_tolerant,
 )
 from .space import AmbientSpace, as_sample
-from .util import mix_seed, norm_ppf, replicate_rng, run_indexed
+from .util import mix_seed, norm_ppf, replicate_rng
 
 FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
-MAX_MC_FAILURE_FRACTION = 0.05
 
 # Gaussian bumps (center, width) on the unit square; the 2D family takes the
 # first J of these and orthonormalizes them in order. Widths stay >= 0.14 so
@@ -398,7 +398,7 @@ def run_replicate(
     else:
         m = select_pve(model, options.tau).m
     j_true = config.n_components
-    scores = component_scores(model, space, sample)[:, :m]
+    scores = component_scores(model)[:, :m]
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
     fit = fit_precision(design) if treatment is not None else fit_pcr(design)
 
@@ -436,8 +436,7 @@ def run_replicate(
     covered = np.full(truth.size, np.nan)
     if options.inference is not None:
         lower, upper = _interval_bounds(
-            config, options, space, basis, sample, y, x, m, treatment,
-            model, fit, design, scores, replicate,
+            config, options, model, fit, design, m, replicate
         )
         covered = _coverage_from_bounds(
             config, truth, lower, upper, signs, m, treatment is not None
@@ -450,11 +449,9 @@ def run_replicate(
     }
 
 
-def _interval_bounds(
-    config, options, space, basis, sample, y, x, m, treatment,
-    model, fit, design, scores, replicate,
-):
+def _interval_bounds(config, options, model, fit, design, m, replicate):
     """Lower/upper interval bounds in the fit's own coordinate layout."""
+    y, x, treatment = design.y, design.x, design.treatment
     if options.inference == "bootstrap":
         spec = BootstrapSpec(
             kind=options.boot_kind,
@@ -462,16 +459,14 @@ def _interval_bounds(
             base_seed=mix_seed(config.seed, replicate),
             level=options.level,
         )
-        res = bootstrap_theta(
-            space, basis, sample, y, x, m, spec, treatment=treatment
-        )
+        res = bootstrap_theta(model, y, x, m, spec, treatment=treatment)
         return res.table.lower, res.table.upper
     if options.inference == "jackknife":
         p = fit.theta.size
         r = options.r_blocks if options.r_blocks is not None else p + 2
         res = block_jackknife(
-            space, basis, sample, y, x, m,
-            JackknifeSpec(r=r, level=options.level), treatment=treatment,
+            model, y, x, m, JackknifeSpec(r=r, level=options.level),
+            treatment=treatment,
         )
         return res.table.lower, res.table.upper
     if treatment is not None:
@@ -479,7 +474,7 @@ def _interval_bounds(
             "plugin intervals cover the single-arm fit; use bootstrap or "
             "jackknife for two-arm designs"
         )
-    cov = plugin_cov(fit, model, space, sample, design)
+    cov = plugin_cov(fit, model, design)
     se = np.sqrt(np.diag(cov))
     z = norm_ppf(0.5 * (1.0 + options.level))
     return fit.theta - z * se, fit.theta + z * se
@@ -526,27 +521,9 @@ def run_monte_carlo(
     if reps < 1:
         raise ConfigurationError("need at least one replicate")
     options = options or PipelineOptions()
-
-    def one(b):
-        try:
-            return run_replicate(config, options, b)
-        except GridPcrError as exc:
-            return (b, str(exc))
-
-    results = run_indexed(one, reps, threads)
-    metrics, failures = [], []
-    for res in results:
-        if isinstance(res, tuple):
-            failures.append(res)
-        else:
-            metrics.append(res)
-    if len(failures) > MAX_MC_FAILURE_FRACTION * reps:
-        detail = "; ".join(f"replicate {b}: {msg}" for b, msg in failures[:5])
-        raise StudyError(
-            f"{len(failures)} of {reps} Monte Carlo replicates failed; "
-            f"first failures: {detail}",
-            failures=failures,
-        )
+    metrics, failures = run_tolerant(
+        lambda b: run_replicate(config, options, b), reps, threads, "Monte Carlo"
+    )
     j_true = config.n_components
     names = _metric_names(config)
     truth = np.concatenate([config.lambdas, _true_theta(config)])

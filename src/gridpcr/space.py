@@ -149,11 +149,6 @@ def basis_rows(basis) -> np.ndarray:
     return rows
 
 
-def mean_element(space: AmbientSpace, sample) -> np.ndarray:
-    """Pointwise sample mean, an element of the same space."""
-    return as_sample(space, sample).mean(axis=0)
-
-
 def gram(space: AmbientSpace, basis) -> np.ndarray:
     """Gram matrix of basis rows under the space inner product.
 

@@ -293,7 +293,7 @@ def test_oracle_regression_recovery():
         fit = fit_pcr(RegressionDesign(y=y, x=x, scores=xi))
         worst_oracle = max(worst_oracle, np.abs(fit.theta - theta0).max())
         model = fit_subspace_pca(space, basis, sample)
-        scores = component_scores(model, space, sample)[:, :4]
+        scores = component_scores(model)[:, :4]
         flips = np.sign(
             np.sum(model.eigenfunctions[:4] * space.weights * phis, axis=1)
         )
@@ -385,18 +385,18 @@ def test_se_methods_cross_validate():
         _, _, sample, x, y, _ = generate_dataset(config, rep)
         model = fit_subspace_pca(space, basis, sample)
         m = select_pve(model, 0.95).m
-        scores = component_scores(model, space, sample)[:, :m]
+        scores = component_scores(model)[:, :m]
         design = RegressionDesign(y=y, x=x, scores=scores)
         fit = fit_pcr(design)
-        plug.append(np.sqrt(np.diag(plugin_cov(fit, model, space, sample, design)))[1:5])
+        plug.append(np.sqrt(np.diag(plugin_cov(fit, model, design)))[1:5])
         res = bootstrap_theta(
-            space, basis, sample, y, x, m,
+            model, y, x, m,
             BootstrapSpec(kind="wild", b_reps=200, base_seed=mix_seed(31, rep)),
             threads=THREADS,
         )
         boot.append(res.table.se[1:5])
         jack.append(
-            block_jackknife(space, basis, sample, y, x, m, JackknifeSpec(r=40)).table.se[1:5]
+            block_jackknife(model, y, x, m, JackknifeSpec(r=40)).table.se[1:5]
         )
     means = np.vstack(
         [np.mean(plug, axis=0), np.mean(boot, axis=0), np.mean(jack, axis=0)]

@@ -106,7 +106,7 @@ def test_fit_matches_library(tmp_path):
     assert got.shape[0] == model.n_components
     np.testing.assert_array_equal(got[:, 0], np.arange(1, model.n_components + 1))
     np.testing.assert_array_equal(got[:, 1], model.eigenvalues)
-    np.testing.assert_array_equal(got[:, 2], eigenvalue_se(model, space, sample))
+    np.testing.assert_array_equal(got[:, 2], eigenvalue_se(model))
     np.testing.assert_array_equal(
         got[:, 3], np.cumsum(model.eigenvalues) / model.total_variance
     )
@@ -160,7 +160,7 @@ def test_regress_matches_library(tmp_path):
     ])
     assert rc == 0
     model = fit_subspace_pca(space, bspline_tensor_basis(space, 2, 2), sample)
-    scores = component_scores(model, space, sample)[:, :2]
+    scores = component_scores(model)[:, :2]
     fit = fit_pcr(RegressionDesign(y=y, x=x, scores=scores))
     header, rows = read_table(out / "coefficients.csv")
     assert header == ["term", "estimate", "lower", "upper", "se"]
@@ -276,3 +276,48 @@ def test_diagnose_auto_knots_refines_until_accept(tmp_path):
     assert [r[7] for r in rows[:-1]] == ["True"] * (len(rows) - 1)
     assert rows[-1][7] == "False"
     assert rows[0][1] == "1,1" and rows[1][1] == "3,3"
+
+
+@pytest.mark.parametrize("drop_tol", ["1e-10", "1e-2"])
+def test_point_estimates_agree_across_commands(tmp_path, drop_tol):
+    # regress, bootstrap and jackknife fit once at the given --drop-tol and
+    # compute the point-estimate scores the same way, so their estimate
+    # columns must be byte-identical
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data, n=60)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    common = [
+        "--data", str(data), "--degree", "2", "--knots", "2",
+        "--drop-tol", drop_tol, "--table", str(table), "--response", "y",
+        "--m", "2",
+    ]
+    estimates = []
+    for command, extra in (
+        ("regress", []),
+        ("bootstrap", ["--reps", "4", "--seed", "1"]),
+        ("jackknife", []),
+    ):
+        out = tmp_path / command
+        assert main([command, *common, *extra, "--out", str(out)]) == 0
+        _, rows = read_table(out / "coefficients.csv")
+        estimates.append([row[1] for row in rows])
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
+def test_diagnose_rank_follows_drop_tol(tmp_path, capsys):
+    data = tmp_path / "s.hsg"
+    make_dataset(data)
+    basis = ["--data", str(data), "--degree", "2", "--knots", "2"]
+    ranks = {}
+    for tol in ("1e-10", "1e-2"):
+        rc = main(["fit", *basis, "--drop-tol", tol, "--out", str(tmp_path / "f")])
+        assert rc == 0
+        fit_rank = int(capsys.readouterr().out.split("basis rank=")[1].split(",")[0])
+        out = tmp_path / "d"
+        rc = main(["diagnose", *basis, "--drop-tol", tol, "--out", str(out)])
+        assert rc == 0
+        _, rows = read_table(out / "diagnostic.csv")
+        assert int(rows[0][2]) == fit_rank
+        ranks[tol] = fit_rank
+    assert ranks["1e-2"] < ranks["1e-10"]

@@ -13,7 +13,6 @@ from gridpcr import (
     bspline_tensor_basis,
     component_scores,
     diagnose_projection,
-    eigenfunction_cov,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
@@ -128,26 +127,30 @@ def test_invariant_to_basis_reparameterization():
 
 
 def test_component_scores_orthonormal_rows():
-    space, basis, sample = spanning_case(5)
-    model = fit_subspace_pca(space, basis, sample)
-    scores = component_scores(model, space, model.eigenfunctions)
-    np.testing.assert_allclose(scores, np.eye(model.n_components), atol=1e-9)
-    assert np.all(component_scores(model, space, np.zeros((2, space.size))) == 0)
+    # scores come from the fitted whitened scores, never the grid; they must
+    # equal the grid inner products whether the basis keeps every Gram
+    # direction (case 1) or loses some to the drop tolerance (case 5)
+    for seed, dropped in ((1, 0), (5, 2)):
+        space, basis, sample = spanning_case(seed)
+        model = fit_subspace_pca(space, basis, sample)
+        assert model.whitener.dropped == dropped
+        want = (sample * space.weights) @ model.eigenfunctions.T
+        got = component_scores(model)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(centered_scores(model).mean(axis=0)).max() <= 1e-12
     manual = np.array(
         [
             [space.inner(z, phi) for phi in model.eigenfunctions]
             for z in sample[:4]
         ]
     )
-    np.testing.assert_allclose(
-        component_scores(model, space, sample[:4]), manual, atol=1e-10
-    )
+    np.testing.assert_allclose(component_scores(model)[:4], manual, atol=1e-10)
 
 
 def test_centered_scores_mean_zero_variance_lambda():
     space, basis, sample = spanning_case(6)
     model = fit_subspace_pca(space, basis, sample)
-    xi = centered_scores(model, space, sample)
+    xi = centered_scores(model)
     np.testing.assert_allclose(xi.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(
         (xi**2).mean(axis=0), model.eigenvalues, rtol=1e-8
@@ -160,6 +163,7 @@ def test_select_pve_worked_examples():
         return EigenModel(
             eigenvalues=lams,
             coords=np.zeros((lams.size, lams.size)),
+            white=np.zeros((10, lams.size)),
             eigenfunctions=np.zeros((lams.size, 4)),
             mean=np.zeros(4),
             whitener=None,
@@ -266,42 +270,15 @@ def test_eigenvalue_se_matches_formula_and_scale():
     sample = xi @ phis
     basis = BasisSet(functions=phis, provenance={})
     model = fit_subspace_pca(space, basis, sample)
-    se = eigenvalue_se(model, space, sample)
+    se = eigenvalue_se(model)
     # definition: sd of squared centered scores over sqrt(n)
-    xi_hat = centered_scores(model, space, sample)
+    xi_hat = centered_scores(model)
     manual = (xi_hat**2).std(axis=0, ddof=0) / np.sqrt(n)
     np.testing.assert_allclose(se, manual, rtol=1e-10)
     # Gaussian scores: sd(xi^2) = lambda * sqrt(2)
     np.testing.assert_allclose(
         se, lambdas * np.sqrt(2.0 / n), rtol=0.15
     )
-
-
-def test_eigenfunction_cov_against_loop_formula():
-    rng = replicate_rng(7600, 0)
-    space = AmbientSpace.unit_domain((9, 7))
-    raw = rng.standard_normal((4, space.size))
-    q = np.linalg.qr((raw * np.sqrt(space.weights)).T)[0].T
-    phis = q / np.sqrt(space.weights)
-    lambdas = np.array([6.0, 3.0, 1.5, 0.75])
-    n = 800
-    xi = rng.standard_normal((n, 4)) * np.sqrt(lambdas)
-    sample = xi @ phis
-    model = fit_subspace_pca(
-        space, BasisSet(functions=phis, provenance={}), sample
-    )
-    out = eigenfunction_cov(model, space, sample, j=2)
-    others = [0, 1, 3]
-    assert list(out.others) == others
-    xi_hat = centered_scores(model, space, sample)
-    lam = model.eigenvalues
-    for a, jp in enumerate(others):
-        for b, jpp in enumerate(others):
-            prod1 = xi_hat[:, jp] * xi_hat[:, 2]
-            prod2 = xi_hat[:, jpp] * xi_hat[:, 2]
-            emp = np.mean((prod1 - prod1.mean()) * (prod2 - prod2.mean()))
-            want = emp / (n * (lam[2] - lam[jp]) * (lam[2] - lam[jpp]))
-            assert out.cov[a, b] == pytest.approx(want, rel=1e-9)
 
 
 def test_eigenfunction_cov_guards_near_multiplicity():

@@ -16,7 +16,6 @@ from gridpcr import (
     fit_precision,
     fit_subspace_pca,
     plugin_cov,
-    predict,
     sandwich_cov,
 )
 from gridpcr.regression import design_matrix
@@ -79,14 +78,6 @@ def test_exact_recovery_with_oracle_scores():
     np.testing.assert_allclose(fit.theta, theta0, atol=1e-10)
     assert fit.sigma_hat.shape == (1 + d + m, 1 + d + m)
     np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-10)
-
-
-def test_predict_linearity():
-    design = toy_design(1)
-    fit = fit_pcr(design)
-    got = predict(fit, design.x, design.scores)
-    u = umat(design.x, design.scores)
-    np.testing.assert_allclose(got, u @ fit.theta, atol=1e-12)
 
 
 def test_degenerate_design_rejected():
@@ -154,7 +145,7 @@ def fitted_pipeline(seed, n=300):
     y = umat(x, xi) @ theta0 + eps
     basis = BasisSet(functions=phis, provenance={})
     model = fit_subspace_pca(space, basis, sample)
-    scores = component_scores(model, space, sample)[:, :3]
+    scores = component_scores(model)[:, :3]
     design = RegressionDesign(y=y, x=x, scores=scores)
     return space, sample, model, design
 
@@ -166,7 +157,7 @@ def test_plugin_cov_reduces_to_sandwich_when_noiseless_null():
     y = umat(design.x, design.scores)[:, :3] @ np.array([1.0, 0.8, -0.6])
     design0 = RegressionDesign(y=y, x=design.x, scores=design.scores)
     fit = fit_pcr(design0)
-    plug = plugin_cov(fit, model, space, sample, design0)
+    plug = plugin_cov(fit, model, design0)
     sand = sandwich_cov(fit, design0)
     np.testing.assert_allclose(plug, sand, atol=1e-18)
     np.testing.assert_allclose(plug, 0.0, atol=1e-18)
@@ -193,12 +184,12 @@ def test_plugin_cov_tracks_monte_carlo_truth():
         x = rng.standard_normal((n, 2))
         y = umat(x, xi) @ theta0 + rng.standard_normal(n)
         model = fit_subspace_pca(space, basis, sample)
-        scores = component_scores(model, space, sample)[:, :3]
+        scores = component_scores(model)[:, :3]
         flips = np.sign(model.eigenfunctions * space.weights @ phis.T).diagonal()
         scores = scores * flips
         design = RegressionDesign(y=y, x=x, scores=scores)
         fit = fit_pcr(design)
-        plug = plugin_cov(fit, model, space, sample, design)
+        plug = plugin_cov(fit, model, design)
         np.testing.assert_allclose(plug, plug.T, atol=1e-15)
         assert np.all(np.linalg.eigvalsh(plug) > -1e-12)
         thetas.append(fit.theta)
@@ -215,8 +206,8 @@ def test_plugin_cov_tracks_monte_carlo_truth():
 def test_plugin_cov_shrinks_like_one_over_n():
     space_a, sample_a, model_a, design_a = fitted_pipeline(2, n=400)
     space_b, sample_b, model_b, design_b = fitted_pipeline(2, n=3600)
-    va = np.diag(plugin_cov(fit_pcr(design_a), model_a, space_a, sample_a, design_a))
-    vb = np.diag(plugin_cov(fit_pcr(design_b), model_b, space_b, sample_b, design_b))
+    va = np.diag(plugin_cov(fit_pcr(design_a), model_a, design_a))
+    vb = np.diag(plugin_cov(fit_pcr(design_b), model_b, design_b))
     ratio = va / vb
     assert np.all(ratio > 3.0) and np.all(ratio < 27.0)  # nominal 9
 

@@ -140,9 +140,10 @@ def test_citable_validation():
 def test_bootstrap_theta_reproducible_across_threads():
     space, basis, sample, y, x, _ = small_problem(1)
     spec = BootstrapSpec(kind="wild", b_reps=16, base_seed=42)
-    one = bootstrap_theta(space, basis, sample, y, x, 2, spec, threads=1)
-    again = bootstrap_theta(space, basis, sample, y, x, 2, spec, threads=1)
-    multi = bootstrap_theta(space, basis, sample, y, x, 2, spec, threads=3)
+    model = fit_subspace_pca(space, basis, sample)
+    one = bootstrap_theta(model, y, x, 2, spec, threads=1)
+    again = bootstrap_theta(model, y, x, 2, spec, threads=1)
+    multi = bootstrap_theta(model, y, x, 2, spec, threads=3)
     np.testing.assert_array_equal(one.draws, again.draws)
     np.testing.assert_array_equal(one.draws, multi.draws)
     np.testing.assert_array_equal(one.table.lower, multi.table.lower)
@@ -153,12 +154,9 @@ def test_bootstrap_theta_reproducible_across_threads():
 
 def test_bootstrap_seed_changes_draws():
     space, basis, sample, y, x, _ = small_problem(2)
-    a = bootstrap_theta(
-        space, basis, sample, y, x, 2, BootstrapSpec(b_reps=8, base_seed=0)
-    )
-    b = bootstrap_theta(
-        space, basis, sample, y, x, 2, BootstrapSpec(b_reps=8, base_seed=1)
-    )
+    model = fit_subspace_pca(space, basis, sample)
+    a = bootstrap_theta(model, y, x, 2, BootstrapSpec(b_reps=8, base_seed=0))
+    b = bootstrap_theta(model, y, x, 2, BootstrapSpec(b_reps=8, base_seed=1))
     assert not np.array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.table.point, b.table.point)
 
@@ -167,9 +165,10 @@ def test_bootstrap_sign_alignment_keeps_draws_near_point():
     # replicate eigenvectors come out of eigh with arbitrary signs; without
     # alignment the score-coefficient draws would split between +-|theta|
     space, basis, sample, y, x, _ = small_problem(3, n=80, noise=0.1)
+    model = fit_subspace_pca(space, basis, sample)
     for kind in ("wild", "nonparametric"):
         res = bootstrap_theta(
-            space, basis, sample, y, x, 2,
+            model, y, x, 2,
             BootstrapSpec(kind=kind, b_reps=40, base_seed=7),
         )
         for name in ("z1", "z2"):
@@ -183,7 +182,7 @@ def test_bootstrap_sign_alignment_keeps_draws_near_point():
 def test_bootstrap_eigenvalues_pads_short_replicates():
     space, basis, data, _ = rank_starved_problem()
     spec = BootstrapSpec(kind="nonparametric", b_reps=20, base_seed=3)
-    res = bootstrap_eigenvalues(space, basis, data, spec)
+    res = bootstrap_eigenvalues(fit_subspace_pca(space, basis, data), spec)
     assert res.draws.shape == (20, 3)
     assert np.all(res.draws[:, 0] > 0)
     # rank-deficient resamples keep fewer components; missing ones read zero
@@ -196,7 +195,7 @@ def test_bootstrap_failure_budget():
     space, basis, data, y = rank_starved_problem()
     spec = BootstrapSpec(kind="nonparametric", b_reps=20, base_seed=3)
     with pytest.raises(StudyError) as excinfo:
-        bootstrap_theta(space, basis, data, y, None, 3, spec)
+        bootstrap_theta(fit_subspace_pca(space, basis, data), y, None, 3, spec)
     assert len(excinfo.value.failures) > 1
     b, msg = excinfo.value.failures[0]
     assert isinstance(b, int) and msg
@@ -205,8 +204,8 @@ def test_bootstrap_failure_budget():
 def test_jackknife_blocks_match_manual_refit():
     space, basis, sample, y, x, _ = small_problem(4)
     n, r = 50, 8
-    res = block_jackknife(space, basis, sample, y, x, 2, JackknifeSpec(r=r))
     full = fit_subspace_pca(space, basis, sample)
+    res = block_jackknife(full, y, x, 2, JackknifeSpec(r=r))
     k = n // r
     used = r * k
     assert res.kept == used - k
@@ -218,7 +217,7 @@ def test_jackknife_blocks_match_manual_refit():
         flips = np.sign(
             np.sum(sub.eigenfunctions[:2] * space.weights * full.eigenfunctions[:2], axis=1)
         )
-        scores = component_scores(sub, space, sample[idx])[:, :2] * flips
+        scores = component_scores(sub)[:, :2] * flips
         fit = fit_pcr(RegressionDesign(y=y[idx], x=x[idx], scores=scores))
         np.testing.assert_allclose(res.replicates[block], fit.theta, atol=1e-8)
 
@@ -226,7 +225,8 @@ def test_jackknife_blocks_match_manual_refit():
 def test_jackknife_covariance_formula():
     space, basis, sample, y, x, _ = small_problem(5)
     r = 10
-    res = block_jackknife(space, basis, sample, y, x, 2, JackknifeSpec(r=r))
+    model = fit_subspace_pca(space, basis, sample)
+    res = block_jackknife(model, y, x, 2, JackknifeSpec(r=r))
     dev = res.replicates - res.replicates.mean(axis=0)
     np.testing.assert_allclose(res.cov, (r - 1) / r * dev.T @ dev, atol=1e-14)
     np.testing.assert_allclose(res.table.se, np.sqrt(np.diag(res.cov)), atol=1e-14)
@@ -238,11 +238,12 @@ def test_jackknife_covariance_formula():
 def test_jackknife_ignores_trailing_rows():
     space, basis, sample, y, x, _ = small_problem(6)
     spec = JackknifeSpec(r=8)
-    base = block_jackknife(space, basis, sample, y, x, 2, spec)
+    model = fit_subspace_pca(space, basis, sample)
+    base = block_jackknife(model, y, x, 2, spec)
     # rows past r * floor(n / r) never enter a replicate, only the point fit
     y2 = y.copy()
     y2[-2:] += 100.0
-    bumped = block_jackknife(space, basis, sample, y2, x, 2, spec)
+    bumped = block_jackknife(model, y2, x, 2, spec)
     np.testing.assert_array_equal(base.replicates, bumped.replicates)
     np.testing.assert_array_equal(base.cov, bumped.cov)
     assert not np.array_equal(base.table.point, bumped.table.point)
@@ -250,8 +251,9 @@ def test_jackknife_ignores_trailing_rows():
 
 def test_jackknife_needs_enough_blocks():
     space, basis, sample, y, x, _ = small_problem(7)
+    model = fit_subspace_pca(space, basis, sample)
     # width = 1 + d + m = 4 coefficients, so r must exceed 5
     with pytest.raises(ConfigurationError):
-        block_jackknife(space, basis, sample, y, x, 2, JackknifeSpec(r=5))
+        block_jackknife(model, y, x, 2, JackknifeSpec(r=5))
     with pytest.raises(ConfigurationError):
-        block_jackknife(space, basis, sample, y, x, 2, JackknifeSpec(r=30))
+        block_jackknife(model, y, x, 2, JackknifeSpec(r=30))

@@ -8,7 +8,6 @@ from gridpcr.space import (
     as_element,
     as_sample,
     gram,
-    mean_element,
     project_scores,
     whiten,
 )
@@ -141,9 +140,3 @@ def test_project_scores_matches_loop():
         for k in range(3):
             want = sp.inner(sample[i] - center, funcs[k])
             assert raw[i, k] == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_mean_element():
-    sp = AmbientSpace.regular((4,))
-    sample = np.array([[1.0, 2.0, 3.0, 4.0], [3.0, 2.0, 1.0, 0.0]])
-    np.testing.assert_allclose(mean_element(sp, sample), [2.0, 2.0, 2.0, 2.0])
