@@ -56,7 +56,7 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     spline = bspline_tensor_basis(space, 3, 7)
 dropped = spline.provenance.get("dropped_rows", [])
-print(f"spline basis: {spline.functions.shape[0]} functions, {len(dropped)} dropped")
+print(f"spline basis: {spline.n_functions} functions, {len(dropped)} dropped")
 model = fit_subspace_pca(space, spline, sample)
 print(f"spline eigenvalues: {np.round(model.eigenvalues[:3], 3)} (truth {lambdas})")
 

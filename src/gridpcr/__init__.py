@@ -12,6 +12,7 @@ jackknife. A Monte Carlo harness and a small CLI wrap the same pipeline.
 from .bases import (
     BasisSet,
     KnotVector,
+    TensorBasis,
     Triangulation,
     bspline_tensor_basis,
     bspline_values,
@@ -89,8 +90,10 @@ from .space import (
     Whitener,
     as_element,
     as_sample,
+    basis_rows,
     gram,
     project_scores,
+    synthesize,
     whiten,
 )
 from .storage import (

@@ -2,9 +2,11 @@
 
 Two constructions are provided: tensor-product B-splines on the full
 rectangular grid, and continuous piecewise-linear hat functions on a simplex
-mesh for irregular (masked) domains. Both return a ``BasisSet`` whose rows
-are basis functions sampled at grid cell centers; all downstream fitting is
-agnostic to where the rows came from.
+mesh for irregular (masked) domains. The mesh basis is a ``BasisSet`` whose
+rows are basis functions sampled at grid cell centers; the B-spline basis is
+a ``TensorBasis`` that keeps only its per-axis factors. Downstream fitting
+goes through ``space.gram``, ``space.project_scores`` and
+``space.synthesize`` and is agnostic to which of the two it gets.
 
 Coordinates: basis constructions and mesh vertices live in unit-cube
 coordinates, with grid cell i of an axis of extent d at (i + 0.5) / d (see
@@ -26,7 +28,7 @@ from .errors import (
     EmptyBasisError,
     FormatError,
 )
-from .space import AmbientSpace
+from .space import ROW_CHUNK_VALUES, AmbientSpace, kron_rows
 from .util import atomic_write_text
 
 NEGLIGIBLE_ROW_TOL = 1e-12
@@ -55,6 +57,37 @@ class BasisSet:
     @property
     def n_functions(self) -> int:
         return self.functions.shape[0]
+
+
+@dataclass(frozen=True)
+class TensorBasis:
+    """Tensor-product basis kept as its per-axis factors.
+
+    Row l of the basis, with l the row-major index of per-axis indices
+    (l_0, ..., l_{K-1}), is the product over axes a of ``factors[a][l_a]``
+    sampled on the grid, set to 0 outside ``support``. ``factors[a]`` is
+    (N_a, d_a) for an axis of d_a cells; ``kept`` lists the rows kept, in
+    order (None when none is dropped); ``support`` marks the cells with
+    positive weight (None when every cell has). The dense (N, V) rows are
+    never stored: ``space.basis_rows`` builds them on request, while
+    ``space.gram``, ``space.project_scores`` and ``space.synthesize``
+    contract the factors one axis at a time.
+    """
+
+    factors: tuple
+    kept: np.ndarray | None = None
+    support: np.ndarray | None = None
+    provenance: dict = field(default_factory=dict)
+
+    @property
+    def n_functions(self) -> int:
+        if self.kept is not None:
+            return int(self.kept.size)
+        return int(np.prod([f.shape[0] for f in self.factors]))
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n_functions, int(np.prod([f.shape[1] for f in self.factors])))
 
 
 @dataclass(frozen=True)
@@ -138,13 +171,15 @@ def bspline_values(kv: KnotVector, x) -> np.ndarray:
     return values
 
 
-def bspline_tensor_basis(space: AmbientSpace, degrees, interior_knots) -> BasisSet:
+def bspline_tensor_basis(space: AmbientSpace, degrees, interior_knots) -> TensorBasis:
     """Tensor-product B-spline basis sampled at the grid cell centers.
 
     ``degrees`` and ``interior_knots`` are scalars or per-axis sequences.
     Each axis gets interior_knots + degree + 1 functions on uniform clamped
     knots over [0, 1]; rows are all products across axes, in row-major order
     of the per-axis indices. Rows sum to one at every cell inside the domain.
+    The basis is kept factored (see ``TensorBasis``); ``basis_rows`` builds
+    the dense rows when they are wanted.
     """
     degrees = _per_axis(space, degrees, "degrees")
     interior = _per_axis(space, interior_knots, "interior_knots")
@@ -157,23 +192,68 @@ def bspline_tensor_basis(space: AmbientSpace, degrees, interior_knots) -> BasisS
             raise ConfigurationError(
                 f"axis {axis} has {extent} cells, fewer than degree + 1 = {degree + 1}"
             )
-    rows = None
-    for centers, degree, inside in zip(space.centers(), degrees, interior):
-        kv = KnotVector.uniform(degree, inside)
-        axis_rows = bspline_values(kv, centers)
-        if rows is None:
-            rows = axis_rows
-        else:
-            rows = (rows[:, None, :, None] * axis_rows[None, :, None, :]).reshape(
-                rows.shape[0] * axis_rows.shape[0], rows.shape[1] * axis_rows.shape[1]
-            )
+    factors = tuple(
+        bspline_values(KnotVector.uniform(degree, inside), centers)
+        for centers, degree, inside in zip(space.centers(), degrees, interior)
+    )
     provenance = {
         "kind": "bspline",
         "degrees": list(degrees),
         "interior_knots": list(interior),
     }
-    rows = _apply_mask(space, rows, provenance)
-    return BasisSet(functions=rows, provenance=provenance)
+    support = space.weights > 0
+    support = None if np.all(support) else support
+    keep = _tensor_keep(factors, support)
+    kept = None
+    if not np.all(keep):
+        _warn_dropped(keep, provenance, stacklevel=3)
+        kept = np.flatnonzero(keep)
+    return TensorBasis(
+        factors=factors, kept=kept, support=support, provenance=provenance
+    )
+
+
+def _tensor_keep(factors, support) -> np.ndarray:
+    """Rows of a factored basis whose peak |value| on the domain is not negligible.
+
+    The peaks equal those of the dense rows bit for bit. Without a mask a
+    row's peak is the product of its per-axis peaks, because rounding is
+    monotone; with a mask the dense rows are built one slab of the first
+    axis at a time, at most ``ROW_CHUNK_VALUES`` values per slab.
+    """
+    if support is None:
+        peak = None
+        for rows in factors:
+            axis_peak = np.max(np.abs(rows), axis=1, initial=0.0)
+            peak = axis_peak if peak is None else np.outer(peak, axis_peak).ravel()
+    else:
+        first, rest = factors[0], factors[1:]
+        n_rows = int(np.prod([f.shape[0] for f in factors]))
+        width = int(np.prod([f.shape[1] for f in rest]))
+        step = max(1, ROW_CHUNK_VALUES // (n_rows * width))
+        inside = support.reshape(first.shape[1], width)
+        peak = np.zeros(n_rows)
+        for lo in range(0, first.shape[1], step):
+            slab = kron_rows((first[:, lo : lo + step],) + rest)
+            slab = np.where(inside[lo : lo + step].ravel(), slab, 0.0)
+            np.maximum(peak, np.max(np.abs(slab), axis=1, initial=0.0), out=peak)
+    return peak >= NEGLIGIBLE_ROW_TOL
+
+
+def _warn_dropped(keep: np.ndarray, provenance: dict, stacklevel: int) -> None:
+    """Warn about rows without support on the domain and record them.
+
+    ``stacklevel`` counts from this function to the caller of the public
+    basis constructor, so the warning points at user code.
+    """
+    if not np.any(keep):
+        raise EmptyBasisError("every basis row vanishes on the domain")
+    dropped = int(np.count_nonzero(~keep))
+    warnings.warn(
+        f"dropped {dropped} basis row(s) with no support on the domain",
+        stacklevel=stacklevel,
+    )
+    provenance["dropped_rows"] = np.flatnonzero(~keep).tolist()
 
 
 def refine_knots(interior_knots) -> list:
@@ -196,20 +276,11 @@ def _per_axis(space: AmbientSpace, value, name: str) -> list:
 
 def _apply_mask(space: AmbientSpace, rows: np.ndarray, provenance: dict) -> np.ndarray:
     """Zero rows outside the domain and drop rows with no support inside it."""
-    support = space.weights > 0
-    rows = np.where(support, rows, 0.0)
-    peak = np.max(np.abs(rows), axis=1, initial=0.0)
-    keep = peak >= NEGLIGIBLE_ROW_TOL
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        if not np.any(keep):
-            raise EmptyBasisError("every basis row vanishes on the domain")
-        warnings.warn(
-            f"dropped {dropped} basis row(s) with no support on the domain",
-            stacklevel=3,
-        )
+    rows = np.where(space.weights > 0, rows, 0.0)
+    keep = np.max(np.abs(rows), axis=1, initial=0.0) >= NEGLIGIBLE_ROW_TOL
+    if not np.all(keep):
+        _warn_dropped(keep, provenance, stacklevel=4)
         rows = rows[keep]
-        provenance["dropped_rows"] = np.flatnonzero(~keep).tolist()
     return rows
 
 

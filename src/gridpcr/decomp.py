@@ -28,9 +28,10 @@ from .space import (
     AmbientSpace,
     Whitener,
     as_sample,
-    basis_rows,
     gram,
     project_scores,
+    row_chunks,
+    synthesize,
     whiten,
 )
 from .util import norm_ppf
@@ -124,23 +125,22 @@ def fit_subspace_pca(
     directions), form the projected empirical covariance in whitened
     coordinates, eigendecompose, and map retained eigenvectors back to grid
     elements. Components with eigenvalue <= 1e-12 * largest are discarded,
-    so a constant sample yields zero components.
+    so a constant sample yields zero components. The sample is read in row
+    chunks, and only the J eigenfunctions are formed on the grid.
     """
     data = as_sample(space, sample)
     if data.shape[0] < 2:
         raise ConformanceError("subspace fit needs at least two sample rows")
-    rows = basis_rows(basis)
     whitener = whiten(gram(space, basis), drop_tol)
-    raw = project_scores(space, basis, data)
-    white = raw @ whitener.factor.T
+    white = project_scores(space, basis, data) @ whitener.factor.T
     centered = white - white.mean(axis=0)
     lams, coords = _eig_from_scores(centered)
-    frame = whitener.factor @ rows
-    phis = coords @ frame
+    phis = synthesize(space, basis, coords @ whitener.factor)
     phis, coords = _fix_phi_signs(phis, coords)
     mean = data.mean(axis=0)
-    dev = data - mean
-    total = float(np.mean(np.sum(dev * dev * space.weights, axis=1)))
+    dev_sq = np.empty(data.shape[0])
+    for chunk in row_chunks(space, data.shape[0]):
+        dev_sq[chunk] = _sq_norms(space, data[chunk] - mean)
     return EigenModel(
         eigenvalues=lams,
         coords=coords,
@@ -148,7 +148,7 @@ def fit_subspace_pca(
         eigenfunctions=phis,
         mean=mean,
         whitener=whitener,
-        total_variance=total,
+        total_variance=float(dev_sq.mean()),
         n=data.shape[0],
     )
 
@@ -175,14 +175,21 @@ def _eig_from_scores(centered, weights=None, retain_rel: float = RETAIN_REL_TOL)
     return vals[:j].copy(), vecs[:, :j].T.copy()
 
 
+def _sq_norms(space: AmbientSpace, rows: np.ndarray) -> np.ndarray:
+    """Squared norms of grid rows under the space inner product."""
+    return np.einsum("ij,ij,j->i", rows, rows, space.weights)
+
+
 def _fix_phi_signs(phis: np.ndarray, coords: np.ndarray):
-    """Flip each eigenfunction so its largest-|value| grid entry is positive."""
-    if phis.shape[0] == 0:
-        return phis, coords
-    idx = np.argmax(np.abs(phis), axis=1)
-    signs = np.sign(phis[np.arange(phis.shape[0]), idx])
-    signs[signs == 0] = 1.0
-    return phis * signs[:, None], coords * signs[:, None]
+    """Flip each eigenfunction so its largest-|value| grid entry is positive.
+
+    Works in place, one row at a time; the first of tied maxima decides.
+    """
+    for phi, coord in zip(phis, coords):
+        if phi[np.argmax(np.abs(phi))] < 0:
+            np.negative(phi, out=phi)
+            np.negative(coord, out=coord)
+    return phis, coords
 
 
 def component_scores(model: EigenModel) -> np.ndarray:
@@ -244,13 +251,18 @@ def diagnose_projection(
     if n < 2:
         raise ConformanceError("projection diagnostic needs at least two rows")
     whitener = whiten(gram(space, basis), drop_tol)
-    frame = whitener.factor @ basis_rows(basis)
-    dev = data - data.mean(axis=0)
-    white = (dev * space.weights) @ frame.T
-    resid = dev - white @ frame
-    resid_sq = np.sum(resid * resid * space.weights, axis=1)
+    factor = whitener.factor
+    mean = data.mean(axis=0)
+    white = project_scores(space, basis, data, center=mean) @ factor.T
+    resid_sq = np.empty(n)
+    dev_sq = np.empty(n)
+    for chunk in row_chunks(space, n):
+        dev = data[chunk] - mean
+        dev_sq[chunk] = _sq_norms(space, dev)
+        dev -= synthesize(space, basis, white[chunk] @ factor)
+        resid_sq[chunk] = _sq_norms(space, dev)
     delta_resid = float(resid_sq.mean())
-    total = float(np.mean(np.sum(dev * dev * space.weights, axis=1)))
+    total = float(dev_sq.mean())
     delta_var = total - float(np.mean(np.sum(white * white, axis=1)))
     if abs(delta_resid - delta_var) > 1e-8 * max(1.0, total):
         raise GridPcrError(

@@ -152,6 +152,15 @@ def _indices_from_counts(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts.astype(int))
 
 
+def _model_rows(name: str, arr: np.ndarray, n: int) -> np.ndarray:
+    """Require one row of ``arr`` per fitted sample row."""
+    if arr.shape[0] != n:
+        raise ConformanceError(
+            f"{name} has {arr.shape[0]} rows, but the model was fitted on {n}"
+        )
+    return arr
+
+
 class _PreparedPipeline:
     """Point estimate and replicate refits of one fitted dataset.
 
@@ -164,12 +173,19 @@ class _PreparedPipeline:
         self.model = model
         self.white = model.white
         self.n = model.n
-        self.y = None if y is None else np.asarray(y, dtype=float).ravel()
+        self.y = None
+        if y is not None:
+            self.y = _model_rows("y", np.asarray(y, dtype=float).ravel(), self.n)
         arr = np.zeros((self.n, 0)) if x is None else np.asarray(x, dtype=float)
-        self.x = arr.reshape(self.n, -1) if arr.size else arr.reshape(self.n, 0)
-        self.treatment = (
-            None if treatment is None else np.asarray(treatment).astype(bool)
-        )
+        if arr.size:
+            self.x = _model_rows("x", np.atleast_1d(arr), self.n).reshape(self.n, -1)
+        else:
+            self.x = arr.reshape(self.n, 0)
+        self.treatment = None
+        if treatment is not None:
+            self.treatment = _model_rows(
+                "treatment", np.atleast_1d(np.asarray(treatment).astype(bool)), self.n
+            )
         self.m = m
         self.point_fit = None
         if y is not None:

@@ -6,6 +6,14 @@ product is the weighted dot product ``<a, b> = sum_v w_v a_v b_v`` with
 nonnegative cell weights, typically the product of grid spacings. Cells can
 be masked out of the domain by zeroing their weight, so irregular regions of
 a bounding grid are ordinary elements of a smaller space.
+
+A basis reaches the grid through three maps: ``gram``, ``project_scores``
+(grid rows to basis coordinates) and ``synthesize`` (basis coordinates to
+grid rows). Each accepts a dense basis (a ``BasisSet`` or a raw (N, V)
+array) or a factored tensor-product basis (``bases.TensorBasis``), which
+they contract one axis at a time without forming its (N, V) rows. Passes
+over a sample go through it in row chunks of at most ``ROW_CHUNK_VALUES``
+grid values.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ import numpy as np
 from .errors import ConformanceError, ConfigurationError, EmptyBasisError
 
 DEFAULT_DROP_TOL = 1e-10
+# Grid values per row chunk of a pass over a sample: 8 MiB of float64. On a
+# 2-vCPU x86 VM, fit and diagnose on the 79x95x66 grid ran about 10% faster
+# than with 32 MiB chunks.
+ROW_CHUNK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -138,8 +150,48 @@ def as_sample(space: AmbientSpace, x) -> np.ndarray:
     return arr
 
 
+def _chunk_rows(space: AmbientSpace) -> int:
+    return max(1, ROW_CHUNK_VALUES // space.size)
+
+
+def row_chunks(space: AmbientSpace, n: int):
+    """Slices covering n sample rows, at most ``ROW_CHUNK_VALUES`` values each."""
+    step = _chunk_rows(space)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+def kron_rows(factors) -> np.ndarray:
+    """Dense rows of a tensor product: all products of per-axis rows.
+
+    Rows and columns are in row-major order of the per-axis indices.
+    """
+    rows = factors[0]
+    for axis_rows in factors[1:]:
+        rows = (rows[:, None, :, None] * axis_rows[None, :, None, :]).reshape(
+            rows.shape[0] * axis_rows.shape[0], rows.shape[1] * axis_rows.shape[1]
+        )
+    return rows
+
+
+def _factored(basis) -> bool:
+    """True for a ``bases.TensorBasis`` (tested by attribute: bases imports
+    this module)."""
+    return hasattr(basis, "factors")
+
+
 def basis_rows(basis) -> np.ndarray:
-    """Accept a BasisSet or a raw (N, V) array of sampled basis functions."""
+    """Dense (N, V) rows of a BasisSet, a TensorBasis or a raw array.
+
+    A TensorBasis is expanded with the outer-product construction, zeroed
+    outside its support and cut to its kept rows; this costs N x V memory
+    and serves dense callers and tests, not the fitting code.
+    """
+    if _factored(basis):
+        rows = kron_rows(basis.factors)
+        if basis.support is not None:
+            rows = np.where(basis.support, rows, 0.0)
+        return rows if basis.kept is None else rows[basis.kept]
     rows = getattr(basis, "functions", basis)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -149,19 +201,59 @@ def basis_rows(basis) -> np.ndarray:
     return rows
 
 
+def _dense(space: AmbientSpace, basis):
+    """Dense rows of a dense basis, or None for a TensorBasis; either way
+    the basis width must match the grid."""
+    rows = None if _factored(basis) else basis_rows(basis)
+    width = basis.shape[1] if rows is None else rows.shape[1]
+    if width != space.size:
+        raise ConformanceError(
+            f"basis width {width} does not conform to grid {space.dims}"
+        )
+    return rows
+
+
+def _mode_products(x: np.ndarray, mats) -> np.ndarray:
+    """Multiply every trailing axis of x by a matrix, the last axis first.
+
+    x is (k, n_0, ..., n_{K-1}) and ``mats[a]`` is (m_a, n_a); returns the
+    (k, m_0 * ... * m_{K-1}) array of sum over i_a of
+    prod_a mats[a][j_a, i_a] x[:, i_0, ..., i_{K-1}] (Kolda & Bader's
+    mode-n products), each axis as one (batched) matrix product.
+    """
+    shape = list(x.shape)
+    out = x.reshape(int(np.prod(shape[:-1])), shape[-1]) @ mats[-1].T
+    shape[-1] = mats[-1].shape[0]
+    for a in range(len(mats) - 2, -1, -1):
+        lead = int(np.prod(shape[: a + 1]))
+        out = mats[a] @ out.reshape(lead, shape[a + 1], int(np.prod(shape[a + 2 :])))
+        shape[a + 1] = mats[a].shape[0]
+    return out.reshape(shape[0], int(np.prod(shape[1:])))
+
+
 def gram(space: AmbientSpace, basis) -> np.ndarray:
     """Gram matrix of basis rows under the space inner product.
 
     Returns the symmetric PSD matrix G[l, l'] = <psi_l, psi_l'>. Symmetry is
     enforced exactly by averaging the product with its transpose, which only
-    removes floating-point asymmetry.
+    removes floating-point asymmetry. For a TensorBasis the weight tensor is
+    contracted with each axis's row products B_a[l] * B_a[l'] in turn, which
+    is exact for any weights (masks and non-uniform spacing included).
     """
-    rows = basis_rows(basis)
-    if rows.shape[1] != space.size:
-        raise ConformanceError(
-            f"basis width {rows.shape[1]} does not conform to grid {space.dims}"
-        )
-    g = (rows * space.weights) @ rows.T
+    rows = _dense(space, basis)
+    if rows is not None:
+        g = (rows * space.weights) @ rows.T
+        return 0.5 * (g + g.T)
+    g = space.weights.reshape(space.dims)
+    for rows in basis.factors:
+        g = np.tensordot(g, rows[:, None, :] * rows[None, :, :], axes=([0], [2]))
+    # g's axes are now (l_0, l'_0, l_1, l'_1, ...).
+    twice = 2 * len(basis.factors)
+    g = g.transpose(list(range(0, twice, 2)) + list(range(1, twice, 2)))
+    side = int(np.prod([f.shape[0] for f in basis.factors]))
+    g = g.reshape(side, side)
+    if basis.kept is not None:
+        g = g[np.ix_(basis.kept, basis.kept)]
     return 0.5 * (g + g.T)
 
 
@@ -238,14 +330,54 @@ def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarra
     """Inner products of (optionally centered) sample rows with basis rows.
 
     Returns the (n, N) matrix S[i, l] = <psi_l, Z_i - center>. With
-    ``center=None`` the rows are used as they are.
+    ``center=None`` the rows are used as they are. The sample is validated
+    once and then passed through in row chunks; a TensorBasis is applied by
+    mode-n products with its factors, the last axis first.
     """
-    rows = basis_rows(basis)
-    if rows.shape[1] != space.size:
-        raise ConformanceError(
-            f"basis width {rows.shape[1]} does not conform to grid {space.dims}"
-        )
     data = as_sample(space, sample)
     if center is not None:
-        data = data - as_element(space, center)
-    return (data * space.weights) @ rows.T
+        center = as_element(space, center)
+    rows = _dense(space, basis)
+    out = np.empty((data.shape[0], basis.n_functions if rows is None else rows.shape[0]))
+    buf = np.empty((min(data.shape[0], _chunk_rows(space)), space.size))
+    for chunk in row_chunks(space, data.shape[0]):
+        x = buf[: chunk.stop - chunk.start]
+        if center is None:
+            np.multiply(data[chunk], space.weights, out=x)
+        else:
+            np.multiply(np.subtract(data[chunk], center, out=x), space.weights, out=x)
+        if rows is not None:
+            out[chunk] = x @ rows.T
+            continue
+        scores = _mode_products(x.reshape(x.shape[0], *space.dims), basis.factors)
+        out[chunk] = scores if basis.kept is None else scores[:, basis.kept]
+    return out
+
+
+def synthesize(space: AmbientSpace, basis, coef) -> np.ndarray:
+    """Grid elements from basis coordinates: (k, N) -> (k, V).
+
+    Row i of the result is sum_l coef[i, l] psi_l, i.e. ``coef @
+    basis_rows(basis)``; a TensorBasis computes it by mode-n products with
+    its factors and zeroes the cells outside its support.
+    """
+    coef = np.asarray(coef, dtype=float)
+    rows = _dense(space, basis)
+    n_rows = basis.n_functions if rows is None else rows.shape[0]
+    if coef.ndim != 2 or coef.shape[1] != n_rows:
+        raise ConformanceError(
+            f"coefficients {coef.shape} do not match {n_rows} basis rows"
+        )
+    if rows is not None:
+        return coef @ rows
+    sizes = [f.shape[0] for f in basis.factors]
+    full = coef
+    if basis.kept is not None:
+        full = np.zeros((coef.shape[0], int(np.prod(sizes))))
+        full[:, basis.kept] = coef
+    out = _mode_products(
+        full.reshape(coef.shape[0], *sizes), [f.T for f in basis.factors]
+    )
+    if basis.support is not None:
+        out[:, ~basis.support] = 0.0
+    return out

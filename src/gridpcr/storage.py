@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -45,40 +46,54 @@ def write_grid(path, values) -> None:
 
 
 def read_grid(path) -> np.ndarray:
-    """Read a grid file back into the array shape it was written with."""
+    """Read a grid file back into the array shape it was written with.
+
+    The payload is read once, straight into the returned array.
+    """
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < 6:
-        raise FormatError("grid file shorter than its fixed header", offset=len(blob))
-    if blob[:4] != GRID_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {GRID_MAGIC!r}", offset=0)
-    if blob[4] != GRID_VERSION:
-        raise FormatError(f"unsupported grid version {blob[4]}", offset=4)
-    ndim = blob[5]
-    if ndim == 0:
-        raise FormatError("grid rank must be positive", offset=5)
-    dims_end = 6 + 8 * ndim
-    if len(blob) < dims_end:
-        raise FormatError("grid file truncated inside its extents", offset=len(blob))
-    dims = struct.unpack(f"<{ndim}Q", blob[6:dims_end])
-    count = 1
-    for d in dims:
-        if d == 0:
-            raise FormatError(f"zero extent in dims {dims}", offset=6)
-        count *= d
-    expected_end = dims_end + 8 * count
-    if len(blob) < expected_end:
-        raise FormatError(
-            f"grid file truncated: expected {expected_end} bytes, found {len(blob)}",
-            offset=len(blob),
-        )
-    if len(blob) > expected_end:
-        raise FormatError(
-            f"{len(blob) - expected_end} trailing byte(s) after the payload",
-            offset=expected_end,
-        )
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=dims_end)
-    return flat.reshape(dims).astype(float)
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(6)
+        if len(head) < 6:
+            raise FormatError("grid file shorter than its fixed header", offset=len(head))
+        if head[:4] != GRID_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {GRID_MAGIC!r}", offset=0)
+        if head[4] != GRID_VERSION:
+            raise FormatError(f"unsupported grid version {head[4]}", offset=4)
+        ndim = head[5]
+        if ndim == 0:
+            raise FormatError("grid rank must be positive", offset=5)
+        dims_end = 6 + 8 * ndim
+        extents = handle.read(8 * ndim)
+        if len(extents) < 8 * ndim:
+            raise FormatError(
+                "grid file truncated inside its extents", offset=6 + len(extents)
+            )
+        dims = struct.unpack(f"<{ndim}Q", extents)
+        count = 1
+        for d in dims:
+            if d == 0:
+                raise FormatError(f"zero extent in dims {dims}", offset=6)
+            count *= d
+        expected_end = dims_end + 8 * count
+        if size < expected_end:
+            raise FormatError(
+                f"grid file truncated: expected {expected_end} bytes, found {size}",
+                offset=size,
+            )
+        if size > expected_end:
+            raise FormatError(
+                f"{size - expected_end} trailing byte(s) after the payload",
+                offset=expected_end,
+            )
+        values = np.empty(dims, dtype="<f8")
+        got = handle.readinto(memoryview(values).cast("B"))
+        if got != 8 * count:
+            raise FormatError(
+                f"grid file truncated: expected {expected_end} bytes, "
+                f"found {dims_end + got}",
+                offset=dims_end + got,
+            )
+    return values.astype(float, copy=False)
 
 
 def format_cell(value) -> str:

@@ -257,3 +257,21 @@ def test_jackknife_needs_enough_blocks():
         block_jackknife(model, y, x, 2, JackknifeSpec(r=5))
     with pytest.raises(ConfigurationError):
         block_jackknife(model, y, x, 2, JackknifeSpec(r=30))
+
+
+def test_design_rows_must_match_model():
+    space, basis, sample, y, x, _ = small_problem(8, n=30)
+    model = fit_subspace_pca(space, basis, sample)
+    treatment = np.arange(30) % 2 == 0
+    spec = BootstrapSpec(b_reps=20)
+    jack = JackknifeSpec(r=8)
+    with pytest.raises(ConformanceError, match="x has 29 rows"):
+        bootstrap_theta(model, y, x[:29], 2, spec)
+    with pytest.raises(ConformanceError, match="y has 29 rows"):
+        bootstrap_theta(model, y[:29], x, 2, spec)
+    with pytest.raises(ConformanceError, match="treatment has 29 rows"):
+        bootstrap_theta(model, y, x, 2, spec, treatment=treatment[:29])
+    with pytest.raises(ConformanceError, match="x has 29 rows"):
+        block_jackknife(model, y, x[:29], 2, jack)
+    with pytest.raises(ConformanceError, match="y has 31 rows"):
+        block_jackknife(model, np.append(y, 0.0), x, 2, jack)
