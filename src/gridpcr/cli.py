@@ -48,10 +48,11 @@ from .regression import (
 )
 from .resampling import (
     BootstrapSpec,
-    JackknifeSpec,
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
+    jackknife_spec,
+    normal_ci,
 )
 from .simulate import (
     PipelineOptions,
@@ -71,7 +72,7 @@ from .storage import (
     write_manifest,
     write_table,
 )
-from .util import default_threads, mix_seed, norm_ppf
+from .util import default_threads, mix_seed
 
 MAX_KNOT_REFINEMENTS = 4
 
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--blocks",
                 type=int,
                 default=None,
-                help="jackknife blocks for two-arm intervals (default: p + 2)",
+                help="jackknife blocks for two-arm intervals (default: fewest allowed)",
             )
             p.set_defaults(func=cmd_regress)
         elif name == "bootstrap":
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--blocks",
                 type=int,
                 default=None,
-                help="number of jackknife blocks (default: p + 2)",
+                help="number of jackknife blocks (default: fewest allowed)",
             )
             p.set_defaults(func=cmd_jackknife)
 
@@ -265,28 +266,32 @@ def _threads(args) -> int:
     return args.threads if args.threads is not None else default_threads()
 
 
-def _parse_dims(text: str) -> tuple:
+def _parse_dims(text) -> tuple:
+    """Grid extents from text such as 20x24 or 20,24, or from a list."""
+    toks = text if isinstance(text, list) else text.lower().replace("x", ",").split(",")
     try:
-        dims = tuple(int(tok) for tok in text.lower().replace("x", ",").split(","))
-    except ValueError:
+        dims = tuple(int(tok) for tok in toks)
+    except (TypeError, ValueError):
         raise ConfigurationError(f"cannot parse dims {text!r}") from None
     if not dims:
         raise ConfigurationError("dims must name at least one axis")
     return dims
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_floats(text) -> tuple:
+    """Floats from comma-separated text or from a list."""
+    toks = text if isinstance(text, list) else str(text).split(",")
     try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok != "")
-    except ValueError:
+        return tuple(float(tok) for tok in toks if tok != "")
+    except (TypeError, ValueError):
         raise ConfigurationError(f"cannot parse float list {text!r}") from None
 
 
 def _parse_knots(text, n_axes: int):
-    toks = str(text).split(",")
+    toks = text if isinstance(text, list) else str(text).split(",")
     try:
         values = [int(tok) for tok in toks]
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigurationError(f"cannot parse knot counts {text!r}") from None
     if len(values) == 1:
         return values[0]
@@ -514,15 +519,13 @@ def _write_ci_table(path, names, point, lower, upper, se):
 
 
 def _jackknife(args, model, design, m):
-    """Block jackknife with --blocks, or p + 2 blocks for p coefficients."""
-    p = (2 if design.treatment is not None else 1) * (1 + design.d + design.m)
-    r = args.blocks if args.blocks is not None else p + 2
+    """Block jackknife with --blocks blocks, or the default count."""
     return block_jackknife(
         model,
         design.y,
         design.x,
         m,
-        JackknifeSpec(r=r, level=args.level),
+        jackknife_spec(design, args.blocks, args.level),
         treatment=design.treatment,
     )
 
@@ -535,8 +538,8 @@ def cmd_regress(args) -> int:
     if design.treatment is None:
         fit = fit_pcr(design)
         se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
-        z = norm_ppf(0.5 * (1.0 + args.level))
-        point, lower, upper = fit.theta, fit.theta - z * se, fit.theta + z * se
+        point = fit.theta
+        lower, upper = normal_ci(point, se, args.level)
         method = "plugin"
         names = coefficient_names(design.d, m)
     else:
@@ -601,17 +604,27 @@ def cmd_jackknife(args) -> int:
     return 0
 
 
+# JSON types each simulate --config key accepts: its flag's type, or, for
+# list-valued keys, a list or the flag's text, both parsed like the flag.
+_CONFIG_TYPES = {
+    "family": str, "inference": str, "kind": str, "knots": (int, str, list),
+    "n": int, "reps": int, "seed": int, "degree": int, "boot_reps": int,
+    "blocks": int, "corr": (int, float), "noise_sd": (int, float),
+    "alpha0": (int, float), "tau": (int, float), "level": (int, float),
+    "dims": (str, list), "lambdas": (str, list), "beta0": (str, list),
+    "gamma0": (str, list),
+}
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
     if args.config is not None:
-        doc = read_config(args.config)
-        known = {
-            "family", "dims", "n", "reps", "corr", "noise_sd", "seed", "lambdas",
-            "alpha0", "beta0", "gamma0", "tau", "degree", "knots", "inference",
-            "boot_reps", "kind", "level", "blocks",
-        }
-        for key, value in doc.items():
-            if key not in known:
+        for key, value in read_config(args.config).items():
+            if key not in _CONFIG_TYPES:
                 raise ConfigurationError(f"unknown configuration key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+                raise ConfigurationError(
+                    f"configuration key {key!r} has the wrong type: {value!r}"
+                )
             setattr(args, key, value)
     if args.family == "synthetic2d":
         dims = DESK_DIMS_2D
@@ -622,26 +635,14 @@ def _scenario_from_args(args) -> ScenarioConfig:
         lambdas = LAMBDAS_3D
         gamma = GAMMA_3D
     if args.dims is not None:
-        dims = args.dims if isinstance(args.dims, (list, tuple)) else _parse_dims(args.dims)
+        dims = _parse_dims(args.dims)
     if args.lambdas is not None:
-        lambdas = (
-            tuple(args.lambdas)
-            if isinstance(args.lambdas, (list, tuple))
-            else _parse_floats(args.lambdas)
-        )
+        lambdas = _parse_floats(args.lambdas)
         if args.gamma0 is None:
             raise ConfigurationError("custom lambdas need matching --gamma0 scores")
     if args.gamma0 is not None:
-        gamma = (
-            tuple(args.gamma0)
-            if isinstance(args.gamma0, (list, tuple))
-            else _parse_floats(args.gamma0)
-        )
-    beta = (
-        tuple(args.beta0)
-        if isinstance(args.beta0, (list, tuple))
-        else _parse_floats(args.beta0)
-    )
+        gamma = _parse_floats(args.gamma0)
+    beta = _parse_floats(args.beta0)
     return ScenarioConfig(
         family=args.family,
         dims=dims,
@@ -663,7 +664,7 @@ def _pipeline_from_args(args, config: ScenarioConfig) -> PipelineOptions:
         degree = 3 if config.family == "synthetic2d" else 2
     if knots is None:
         knots = 7 if config.family == "synthetic2d" else 2
-    elif isinstance(knots, str):
+    else:
         knots = _parse_knots(knots, len(config.dims))
     inference = None if args.inference == "none" else args.inference
     return PipelineOptions(

@@ -153,7 +153,7 @@ def fit_subspace_pca(
     )
 
 
-def _eig_from_scores(centered, weights=None, retain_rel: float = RETAIN_REL_TOL):
+def _eig_from_scores(centered, weights=None):
     """Eigendecompose the (optionally weighted) covariance of whitened scores.
 
     ``centered`` is (n, rank), already centered under the same weights.
@@ -170,7 +170,7 @@ def _eig_from_scores(centered, weights=None, retain_rel: float = RETAIN_REL_TOL)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     top = vals[0] if vals.size else 0.0
-    keep = (vals > 0.0) & (vals > retain_rel * max(top, 0.0))
+    keep = (vals > 0.0) & (vals > RETAIN_REL_TOL * max(top, 0.0))
     j = int(np.count_nonzero(keep))
     return vals[:j].copy(), vecs[:, :j].T.copy()
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import EigenModel, centered_scores, check_gaps, component_scores
-from .errors import ConformanceError, DegenerateDesignError
+from .errors import ConfigurationError, ConformanceError, DegenerateDesignError
 
 CONDITION_LIMIT = 1e12
 
@@ -219,16 +219,20 @@ def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
 def fit_precision(design: RegressionDesign, weights=None) -> InteractionFit:
     """Two-arm least squares: y on (U, A * U) with U = (1, X, scores).
 
-    Both treatment arms must be populated, otherwise the modifier block is
-    inestimable.
+    Both treatment arms must carry positive weight, otherwise the modifier
+    block is inestimable; arm sizes are weight totals (row counts when
+    ``weights`` is None).
     """
     if design.treatment is None:
         raise ConformanceError("two-arm fit needs a treatment indicator")
     a = design.treatment.astype(float)
-    n_treat = int(a.sum())
-    if n_treat == 0 or n_treat == design.n:
+    w = np.ones(design.n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (design.n,):
+        raise ConformanceError("weights must be one nonnegative value per row")
+    n_treat, n_control = float(w @ a), float(w @ (1.0 - a))
+    if n_treat == 0 or n_control == 0:
         raise DegenerateDesignError(
-            f"treatment arm sizes are {design.n - n_treat} and {n_treat}; "
+            f"treatment arm sizes are {n_control:.15g} and {n_treat:.15g}; "
             "both arms must be populated for the modifier block"
         )
     u = design_matrix(design)
@@ -275,8 +279,14 @@ def plugin_cov(
     replaced by empirical plug-ins. The result is the sample covariance of
     the influence vectors divided by n; with exact eigenfunctions and zero
     residual noise the correction vanishes and the classical sandwich is
-    recovered. The design's rows must be the rows ``model`` was fitted on.
+    recovered. The design's rows must be the rows ``model`` was fitted on,
+    and the fit single-arm: two-arm fits raise ``ConfigurationError``.
     """
+    if design.treatment is not None or isinstance(fit, InteractionFit):
+        raise ConfigurationError(
+            "plugin intervals cover the single-arm fit; use bootstrap or "
+            "jackknife for two-arm designs"
+        )
     if model.n != design.n:
         raise ConformanceError("model and design have different row counts")
     m = design.m

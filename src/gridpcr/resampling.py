@@ -1,10 +1,12 @@
 """Resampling inference for the subspace-PCA regression pipeline.
 
 Every replicate reruns the estimation chain after the basis -- eigenfunctions,
-component scores, regression -- under a reweighted or resampled empirical
-measure, so the intervals account for eigenfunction estimation, not just
-regression noise. The basis Gram matrix and whitener do not depend on
-observation weights, so replicates start from the fitted model's whitened
+component scores, regression -- under a reweighted empirical measure, so the
+intervals account for eigenfunction estimation, not just regression noise.
+Each replicate is one vector of observation weights: multinomial counts for a
+nonparametric bootstrap draw, positive multipliers for a wild draw, and a 0/1
+mask for a jackknife block. The basis Gram matrix and whitener do not depend
+on observation weights, so replicates start from the fitted model's whitened
 scores; this is an exact algebraic shortcut, not an approximation.
 
 Replicate randomness is keyed by (base_seed, replicate index), making every
@@ -33,7 +35,6 @@ from .regression import (
 from .util import norm_ppf, replicate_rng, run_indexed
 
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
-WILD_LAWS = ("exponential_unit",)
 MAX_FAILURE_FRACTION = 0.05
 
 
@@ -42,24 +43,19 @@ class BootstrapSpec:
     """Configuration of a bootstrap study.
 
     ``kind`` chooses multinomial resampling or positive multiplier (wild)
-    weights; the only wild law offered is unit-mean, unit-variance
-    exponential, which satisfies the positivity the theory requires.
+    weights; wild multipliers are unit-mean, unit-variance exponential,
+    which satisfies the positivity the theory requires.
     """
 
     kind: str = "wild"
     b_reps: int = 300
     base_seed: int = 0
-    wild_law: str = "exponential_unit"
     level: float = 0.95
 
     def __post_init__(self):
         if self.kind not in BOOTSTRAP_KINDS:
             raise ConfigurationError(
                 f"bootstrap kind must be one of {BOOTSTRAP_KINDS}, got {self.kind!r}"
-            )
-        if self.wild_law not in WILD_LAWS:
-            raise ConfigurationError(
-                f"wild law must be one of {WILD_LAWS}, got {self.wild_law!r}"
             )
         if int(self.b_reps) < 2:
             raise ConfigurationError("bootstrap needs at least two replicates")
@@ -147,11 +143,6 @@ def gen_weights(spec: BootstrapSpec, n: int, replicate: int) -> np.ndarray:
     return draws / draws.mean()
 
 
-def _indices_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Expand multinomial counts into the equivalent resampled index vector."""
-    return np.repeat(np.arange(counts.size), counts.astype(int))
-
-
 def _model_rows(name: str, arr: np.ndarray, n: int) -> np.ndarray:
     """Require one row of ``arr`` per fitted sample row."""
     if arr.shape[0] != n:
@@ -165,7 +156,7 @@ class _PreparedPipeline:
     """Point estimate and replicate refits of one fitted dataset.
 
     Everything a replicate needs is the fitted model's whitened scores: it
-    re-centers them under its rows or weights, re-eigendecomposes, and
+    re-centers them under its observation weights, re-eigendecomposes, and
     re-solves the regression; the grid is never read again.
     """
 
@@ -193,32 +184,25 @@ class _PreparedPipeline:
                 raise ConformanceError(
                     f"score count m={m} outside 1..{model.n_components}"
                 )
-            self.point_fit = self.fit(None, None, component_scores(model)[:, :m])
+            self.point_fit = self.fit(None, component_scores(model)[:, :m])
 
-    def fit(self, idx, weights, scores):
-        """Regression on the rows ``idx`` (all when None) under ``weights``."""
-        rows = slice(None) if idx is None else idx
+    def fit(self, weights, scores):
+        """Regression of every row under ``weights`` (uniform when None)."""
         design = RegressionDesign(
-            y=self.y[rows],
-            x=self.x[rows],
-            scores=scores,
-            treatment=None if self.treatment is None else self.treatment[rows],
+            y=self.y, x=self.x, scores=scores, treatment=self.treatment
         )
         if self.treatment is not None:
             return fit_precision(design, weights=weights)
         return fit_pcr(design, weights=weights)
 
-    def draw(self, spec: BootstrapSpec, b: int):
-        """(indices, weights) of bootstrap replicate b; one of them is None."""
-        weights = gen_weights(spec, self.n, b)
-        if spec.kind == "nonparametric":
-            return _indices_from_counts(weights), None
-        return None, weights
+    def eigs(self, weights):
+        """Eigenvalues and coords refitted under the observation weights.
 
-    def eigs(self, idx, weights):
-        """Eigenvalues and coords refitted on the rows ``idx`` or under weights."""
-        white = self.white if idx is None else self.white[idx]
-        centered = white - np.average(white, axis=0, weights=weights)
+        The weighted covariance is divided by n, not by the weight total:
+        bootstrap weights sum to n, and a jackknife replicate's eigenvalues
+        only feed its coords, which the scale does not change.
+        """
+        centered = self.white - np.average(self.white, axis=0, weights=weights)
         return _eig_from_scores(centered, weights=weights)
 
     def align(self, coords: np.ndarray, m: int) -> np.ndarray:
@@ -230,17 +214,16 @@ class _PreparedPipeline:
         out = coords[:k] * signs[:, None]
         return out
 
-    def theta(self, idx, weights, label: str) -> np.ndarray:
+    def theta(self, weights, label: str) -> np.ndarray:
         """Coefficients of one replicate: refitted eigenfunctions, then regression."""
-        coords = self.eigs(idx, weights)[1]
+        coords = self.eigs(weights)[1]
         if coords.shape[0] < self.m:
             raise GridPcrError(
                 f"{label} retained {coords.shape[0]} components, "
                 f"fewer than the {self.m} the design needs"
             )
         coords = self.align(coords, self.m)
-        white = self.white if idx is None else self.white[idx]
-        return self.fit(idx, weights, white @ coords.T).theta
+        return self.fit(weights, self.white @ coords.T).theta
 
 
 def percentile_ci(draws, level: float):
@@ -293,9 +276,28 @@ def run_tolerant(fn, count: int, threads: int, what: str):
     return done, failures
 
 
-def _bootstrap_draws(spec: BootstrapSpec, fn, width: int, threads: int):
+def normal_ci(point, se, level: float):
+    """Normal interval bounds point -/+ z se, z the (1 + level) / 2 quantile."""
+    z = norm_ppf(0.5 * (1.0 + level))
+    return point - z * se, point + z * se
+
+
+def _bootstrap(spec: BootstrapSpec, fn, names: list, point, threads: int):
+    """Run ``fn(b)`` for every replicate b and tabulate percentile intervals."""
     draws, failures = run_tolerant(fn, spec.b_reps, threads, "bootstrap")
-    return np.array(draws).reshape(len(draws), width), failures
+    draws = np.array(draws).reshape(len(draws), len(names))
+    lower, upper = percentile_ci(draws, spec.level)
+    table = CiTable(
+        names=names,
+        point=point.copy(),
+        lower=lower,
+        upper=upper,
+        se=draws.std(axis=0, ddof=1),
+        level=spec.level,
+        method=f"bootstrap-{spec.kind}",
+        completed=draws.shape[0],
+    )
+    return BootstrapResult(draws=draws, table=table, failures=failures)
 
 
 def bootstrap_theta(
@@ -317,26 +319,13 @@ def bootstrap_theta(
     and reported; beyond that the study errors out.
     """
     prep = _PreparedPipeline(model, y=y, x=x, m=m, treatment=treatment)
-    width = prep.point_fit.theta.size
-    draws, failures = _bootstrap_draws(
+    return _bootstrap(
         spec,
-        lambda b: prep.theta(*prep.draw(spec, b), label=f"replicate {b}"),
-        width,
+        lambda b: prep.theta(gen_weights(spec, prep.n, b), label=f"replicate {b}"),
+        coefficient_names(prep.x.shape[1], m, treatment is not None),
+        prep.point_fit.theta,
         threads,
     )
-    lower, upper = percentile_ci(draws, spec.level)
-    names = coefficient_names(prep.x.shape[1], m, treatment is not None)
-    table = CiTable(
-        names=names,
-        point=prep.point_fit.theta.copy(),
-        lower=lower,
-        upper=upper,
-        se=draws.std(axis=0, ddof=1),
-        level=spec.level,
-        method=f"bootstrap-{spec.kind}",
-        completed=draws.shape[0],
-    )
-    return BootstrapResult(draws=draws, table=table, failures=failures)
 
 
 def bootstrap_eigenvalues(
@@ -355,25 +344,26 @@ def bootstrap_eigenvalues(
         raise ConformanceError("point estimate retains no components")
 
     def one(b):
-        lams = prep.eigs(*prep.draw(spec, b))[0]
+        lams = prep.eigs(gen_weights(spec, prep.n, b))[0]
         out = np.zeros(j)
         take = min(j, lams.size)
         out[:take] = lams[:take]
         return out
 
-    draws, failures = _bootstrap_draws(spec, one, j, threads)
-    lower, upper = percentile_ci(draws, spec.level)
-    table = CiTable(
-        names=[f"lambda{k + 1}" for k in range(j)],
-        point=model.eigenvalues.copy(),
-        lower=lower,
-        upper=upper,
-        se=draws.std(axis=0, ddof=1),
-        level=spec.level,
-        method=f"bootstrap-{spec.kind}",
-        completed=draws.shape[0],
-    )
-    return BootstrapResult(draws=draws, table=table, failures=failures)
+    names = [f"lambda{k + 1}" for k in range(j)]
+    return _bootstrap(spec, one, names, model.eigenvalues, threads)
+
+
+def jackknife_spec(design: RegressionDesign, blocks, level: float) -> JackknifeSpec:
+    """Jackknife spec with ``blocks`` blocks, or by default the fewest allowed.
+
+    ``block_jackknife`` needs more blocks than coefficients + 1, so the
+    default is the design's coefficient count plus two.
+    """
+    if blocks is None:
+        arms = 1 if design.treatment is None else 2
+        blocks = arms * (1 + design.d + design.m) + 2
+    return JackknifeSpec(r=blocks, level=level)
 
 
 def block_jackknife(
@@ -386,10 +376,10 @@ def block_jackknife(
 ) -> JackknifeResult:
     """Grouped-jackknife covariance of theta from r systematic blocks.
 
-    With k = floor(n / r), block l removes observations {l, l + r, l + 2r,
-    ...} (k of them) from the first r * k rows; trailing rows beyond r * k
-    are excluded from every replicate. Each replicate reruns the
-    eigendecomposition and regression on the kept rows, as a nonparametric
+    With k = floor(n / r), block l gives weight zero to observations {l,
+    l + r, l + 2r, ...} (k of them) of the first r * k rows and to every
+    trailing row beyond r * k, and weight one to the rest. Each replicate
+    reruns the eigendecomposition and regression under those weights, as a
     bootstrap draw does; a failing block raises. The covariance is
     ((r - 1) / r) times the replicate scatter around the replicate mean, and
     intervals are normal around the full-sample point estimate.
@@ -410,22 +400,21 @@ def block_jackknife(
     used = spec.r * k
     reps = np.empty((spec.r, width))
     for block in range(spec.r):
-        keep = np.ones(used, dtype=bool)
-        keep[block::spec.r] = False
-        reps[block] = prep.theta(
-            np.flatnonzero(keep), None, label=f"jackknife block {block}"
-        )
+        weights = np.zeros(prep.n)
+        weights[:used] = 1.0
+        weights[block:used:spec.r] = 0.0
+        reps[block] = prep.theta(weights, label=f"jackknife block {block}")
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)
     se = np.sqrt(np.diag(cov))
-    z = norm_ppf(0.5 * (1.0 + spec.level))
     point = prep.point_fit.theta
+    lower, upper = normal_ci(point, se, spec.level)
     table = CiTable(
         names=coefficient_names(prep.x.shape[1], m, treatment is not None),
         point=point.copy(),
-        lower=point - z * se,
-        upper=point + z * se,
+        lower=lower,
+        upper=upper,
         se=se,
         level=spec.level,
         method=f"jackknife-r{spec.r}",

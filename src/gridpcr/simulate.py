@@ -31,13 +31,14 @@ from .regression import (
 )
 from .resampling import (
     BootstrapSpec,
-    JackknifeSpec,
     block_jackknife,
     bootstrap_theta,
+    jackknife_spec,
+    normal_ci,
     run_tolerant,
 )
 from .space import AmbientSpace, as_sample
-from .util import mix_seed, norm_ppf, replicate_rng
+from .util import mix_seed, replicate_rng
 
 FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
 
@@ -462,22 +463,11 @@ def _interval_bounds(config, options, model, fit, design, m, replicate):
         res = bootstrap_theta(model, y, x, m, spec, treatment=treatment)
         return res.table.lower, res.table.upper
     if options.inference == "jackknife":
-        p = fit.theta.size
-        r = options.r_blocks if options.r_blocks is not None else p + 2
-        res = block_jackknife(
-            model, y, x, m, JackknifeSpec(r=r, level=options.level),
-            treatment=treatment,
-        )
+        spec = jackknife_spec(design, options.r_blocks, options.level)
+        res = block_jackknife(model, y, x, m, spec, treatment=treatment)
         return res.table.lower, res.table.upper
-    if treatment is not None:
-        raise ConfigurationError(
-            "plugin intervals cover the single-arm fit; use bootstrap or "
-            "jackknife for two-arm designs"
-        )
     cov = plugin_cov(fit, model, design)
-    se = np.sqrt(np.diag(cov))
-    z = norm_ppf(0.5 * (1.0 + options.level))
-    return fit.theta - z * se, fit.theta + z * se
+    return normal_ci(fit.theta, np.sqrt(np.diag(cov)), options.level)
 
 
 def _coverage_from_bounds(config, truth, lower, upper, signs, m, two_arm):

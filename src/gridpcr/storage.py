@@ -41,8 +41,7 @@ def write_grid(path, values) -> None:
         raise ConformanceError("grid payload contains non-finite values")
     header = GRID_MAGIC + bytes([GRID_VERSION, arr.ndim])
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_grid(path) -> np.ndarray:

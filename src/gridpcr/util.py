@@ -12,13 +12,18 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write a file via temp-file-then-rename so readers never see partials."""
+def atomic_write_bytes(path, *parts) -> None:
+    """Write ``parts`` (bytes or contiguous buffers) in order to one file.
+
+    Writes go to a temp file that is then renamed, so readers never see
+    partials; each part is written from its own buffer, without a copy.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gridpcr-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -238,6 +238,18 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("dims", 20), ("reps", "3"), ("noise_sd", None), ("n", "abc")],
+)
+def test_simulate_rejects_wrongly_typed_config_value(tmp_path, capsys, key, value):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_reproduce_eigen_table_smoke(tmp_path):
     out = tmp_path / "o"
     rc = main([

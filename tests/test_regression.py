@@ -6,6 +6,7 @@ import pytest
 from gridpcr import (
     AmbientSpace,
     BasisSet,
+    ConfigurationError,
     ConformanceError,
     DegenerateDesignError,
     RegressionDesign,
@@ -161,6 +162,18 @@ def test_plugin_cov_reduces_to_sandwich_when_noiseless_null():
     sand = sandwich_cov(fit, design0)
     np.testing.assert_allclose(plug, sand, atol=1e-18)
     np.testing.assert_allclose(plug, 0.0, atol=1e-18)
+
+
+def test_plugin_cov_rejects_two_arm_fit():
+    _, _, model, design = fitted_pipeline(1)
+    arm = np.arange(design.n) % 2 == 0
+    two_arm = RegressionDesign(
+        y=design.y, x=design.x, scores=design.scores, treatment=arm
+    )
+    with pytest.raises(ConfigurationError, match="single-arm"):
+        plugin_cov(fit_precision(two_arm), model, two_arm)
+    with pytest.raises(ConfigurationError, match="single-arm"):
+        plugin_cov(fit_pcr(design), model, two_arm)
 
 
 def test_plugin_cov_tracks_monte_carlo_truth():

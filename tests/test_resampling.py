@@ -9,6 +9,7 @@ from gridpcr import (
     BootstrapSpec,
     ConfigurationError,
     ConformanceError,
+    DegenerateDesignError,
     JackknifeSpec,
     RegressionDesign,
     StudyError,
@@ -17,11 +18,12 @@ from gridpcr import (
     bootstrap_theta,
     component_scores,
     fit_pcr,
+    fit_precision,
     fit_subspace_pca,
     gen_weights,
     percentile_ci,
 )
-from gridpcr.resampling import CiTable, _indices_from_counts
+from gridpcr.resampling import CiTable, _PreparedPipeline
 from gridpcr.util import replicate_rng
 
 
@@ -56,8 +58,6 @@ def test_bootstrap_spec_validation():
     with pytest.raises(ConfigurationError):
         BootstrapSpec(kind="parametric")
     with pytest.raises(ConfigurationError):
-        BootstrapSpec(wild_law="rademacher")
-    with pytest.raises(ConfigurationError):
         BootstrapSpec(b_reps=1)
     with pytest.raises(ConfigurationError):
         BootstrapSpec(level=1.0)
@@ -78,9 +78,6 @@ def test_multinomial_weights_are_counts():
         assert w.shape == (37,)
         assert w.sum() == 37.0
         assert np.all(w >= 0) and np.all(w == np.floor(w))
-        idx = _indices_from_counts(w)
-        assert idx.shape == (37,)
-        np.testing.assert_array_equal(np.bincount(idx, minlength=37), w)
     with pytest.raises(ConformanceError):
         gen_weights(spec, 0, 0)
 
@@ -220,6 +217,44 @@ def test_jackknife_blocks_match_manual_refit():
         scores = component_scores(sub)[:, :2] * flips
         fit = fit_pcr(RegressionDesign(y=y[idx], x=x[idx], scores=scores))
         np.testing.assert_allclose(res.replicates[block], fit.theta, atol=1e-8)
+
+
+@pytest.mark.parametrize("two_arm", [False, True])
+def test_nonparametric_weights_match_resampled_refit(two_arm):
+    space, basis, sample, y, x, _ = small_problem(9)
+    n = y.size
+    treatment = np.arange(n) % 2 == 0 if two_arm else None
+    full = fit_subspace_pca(space, basis, sample)
+    spec = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=13)
+    res = bootstrap_theta(full, y, x, 2, spec, treatment=treatment)
+    assert not res.failures
+    for b in range(spec.b_reps):
+        idx = np.repeat(np.arange(n), gen_weights(spec, n, b).astype(int))
+        sub = fit_subspace_pca(space, basis, sample[idx])
+        flips = np.sign(
+            np.sum(sub.eigenfunctions[:2] * space.weights * full.eigenfunctions[:2], axis=1)
+        )
+        design = RegressionDesign(
+            y=y[idx],
+            x=x[idx],
+            scores=component_scores(sub)[:, :2] * flips,
+            treatment=None if treatment is None else treatment[idx],
+        )
+        fit = fit_precision(design) if two_arm else fit_pcr(design)
+        np.testing.assert_allclose(res.draws[b], fit.theta, rtol=0, atol=1e-10)
+
+
+def test_resample_emptying_an_arm_fails():
+    space, basis, sample, y, x, _ = small_problem(10)
+    n = y.size
+    treatment = np.arange(n) % 2 == 0
+    prep = _PreparedPipeline(
+        fit_subspace_pca(space, basis, sample), y=y, x=x, m=2, treatment=treatment
+    )
+    counts = np.zeros(n)
+    counts[~treatment] = 2.0  # every draw lands in the control arm
+    with pytest.raises(DegenerateDesignError, match="treatment arm sizes are 50 and 0"):
+        prep.theta(counts, label="replicate 0")
 
 
 def test_jackknife_covariance_formula():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ def test_grid_round_trip_exact(tmp_path):
         back = read_grid(str(path))
         assert back.shape == shape
         np.testing.assert_array_equal(back, values)
+
+
+def test_grid_write_streams_payload(tmp_path):
+    # a 16 MiB grid is written from its own buffer, not copied into bytes
+    values = np.random.default_rng(5).standard_normal((8, 512, 512))
+    path = tmp_path / "big.hsg"
+    tracemalloc.start()
+    try:
+        write_grid(str(path), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 4
+    back = read_grid(str(path))
+    assert back.shape == values.shape
+    assert back.tobytes() == values.tobytes()
 
 
 def test_grid_rejects_nonfinite_and_empty(tmp_path):
