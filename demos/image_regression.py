@@ -49,10 +49,8 @@ design = RegressionDesign(y=y, x=x, scores=scores)
 fit = fit_pcr(design)
 
 se_plugin = np.sqrt(np.diag(plugin_cov(fit, model, design)))
-boot = bootstrap_theta(
-    model, y, x, m, BootstrapSpec(kind="wild", b_reps=300, base_seed=1)
-)
-jack = block_jackknife(model, y, x, m, JackknifeSpec(r=20))
+boot = bootstrap_theta(model, design, BootstrapSpec(kind="wild", b_reps=300, base_seed=1))
+jack = block_jackknife(model, design, JackknifeSpec(r=20))
 
 # sign-align the estimated components to the construction before comparing
 flips = [

@@ -46,7 +46,6 @@ from .errors import (
     StudyError,
 )
 from .regression import (
-    InteractionFit,
     RegressionDesign,
     RegressionFit,
     coefficient_element,

@@ -43,7 +43,6 @@ from .regression import (
     RegressionDesign,
     coefficient_names,
     fit_pcr,
-    fit_precision,
     plugin_cov,
 )
 from .resampling import (
@@ -507,8 +506,7 @@ def _load_design(args, model):
             f"m={m} outside the retained range 1..{model.n_components}"
         )
     scores = component_scores(model)[:, :m]
-    design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
-    return design, m
+    return RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
 
 
 def _write_ci_table(path, names, point, lower, upper, se):
@@ -518,15 +516,10 @@ def _write_ci_table(path, names, point, lower, upper, se):
     write_table(path, ["term", "estimate", "lower", "upper", "se"], rows)
 
 
-def _jackknife(args, model, design, m):
+def _jackknife(args, model, design):
     """Block jackknife with --blocks blocks, or the default count."""
     return block_jackknife(
-        model,
-        design.y,
-        design.x,
-        m,
-        jackknife_spec(design, args.blocks, args.level),
-        treatment=design.treatment,
+        model, design, jackknife_spec(design, args.blocks, args.level)
     )
 
 
@@ -534,16 +527,16 @@ def cmd_regress(args) -> int:
     started = time.perf_counter()
     _outdir(args)
     _, model = _fit_model(args)
-    design, m = _load_design(args, model)
+    design = _load_design(args, model)
     if design.treatment is None:
         fit = fit_pcr(design)
         se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
         point = fit.theta
         lower, upper = normal_ci(point, se, args.level)
         method = "plugin"
-        names = coefficient_names(design.d, m)
+        names = coefficient_names(design.d, design.m)
     else:
-        table = _jackknife(args, model, design, m).table
+        table = _jackknife(args, model, design).table
         names, point, lower, upper, se = (
             table.names, table.point, table.lower, table.upper, table.se
         )
@@ -551,7 +544,7 @@ def cmd_regress(args) -> int:
     path = os.path.join(args.out, "coefficients.csv")
     _write_ci_table(path, names, point, lower, upper, se)
     _finish(args, None, {"coefficients.csv": path}, started)
-    print(f"regress: m={m}, intervals={method}, level={args.level}")
+    print(f"regress: m={design.m}, intervals={method}, level={args.level}")
     return 0
 
 
@@ -568,16 +561,8 @@ def cmd_bootstrap(args) -> int:
         res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
         out_name = "eigenvalues.csv"
     else:
-        design, m = _load_design(args, model)
-        res = bootstrap_theta(
-            model,
-            design.y,
-            design.x,
-            m,
-            spec,
-            treatment=design.treatment,
-            threads=_threads(args),
-        )
+        design = _load_design(args, model)
+        res = bootstrap_theta(model, design, spec, threads=_threads(args))
         out_name = "coefficients.csv"
     table = res.table
     path = os.path.join(args.out, out_name)
@@ -594,8 +579,8 @@ def cmd_jackknife(args) -> int:
     started = time.perf_counter()
     _outdir(args)
     _, model = _fit_model(args)
-    design, m = _load_design(args, model)
-    res = _jackknife(args, model, design, m)
+    design = _load_design(args, model)
+    res = _jackknife(args, model, design)
     table = res.table
     path = os.path.join(args.out, "coefficients.csv")
     _write_ci_table(path, table.names, table.point, table.lower, table.upper, table.se)

@@ -13,7 +13,7 @@ indicator, giving a base block and a modifier block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,9 +86,10 @@ class RegressionDesign:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Least-squares fit of the combined design.
+    """Least-squares fit of the combined design, one or two arms.
 
-    ``theta`` is laid out as (alpha, beta_1..beta_d, gamma_1..gamma_m);
+    ``theta`` is laid out as (alpha, beta_1..beta_d, gamma_1..gamma_m) for
+    one arm; a two-arm fit appends a modifier block with the same layout.
     ``sigma_hat`` is the empirical second-moment matrix of the regressors
     whose condition number was checked against the nondegeneracy limit.
     """
@@ -111,24 +112,7 @@ class RegressionFit:
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.theta[1 + self.d :]
-
-
-@dataclass(frozen=True)
-class InteractionFit:
-    """Two-arm fit: base coefficients plus treatment modifiers.
-
-    ``theta`` stacks the base block then the modifier block, each laid out
-    like a ``RegressionFit`` theta.
-    """
-
-    theta: np.ndarray
-    sigma_hat: np.ndarray
-    residuals: np.ndarray
-    condition: float
-    n: int
-    d: int
-    m: int
+        return self.theta[1 + self.d : self.block_size]
 
     @property
     def block_size(self) -> int:
@@ -140,6 +124,7 @@ class InteractionFit:
 
     @property
     def modifier(self) -> np.ndarray:
+        """Treatment modifiers; empty for a one-arm fit."""
         return self.theta[self.block_size :]
 
 
@@ -192,18 +177,13 @@ def _solve_ls(u: np.ndarray, y: np.ndarray, weights=None):
     return theta, sigma, condition
 
 
-def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
-    """Least squares of y on (1, X, scores).
-
-    ``weights`` reweights the empirical measure (used by resampling); the
-    stored residuals are always the unweighted y - U theta.
-    """
-    p = 1 + design.d + design.m
+def _fit(design: RegressionDesign, u: np.ndarray, weights) -> RegressionFit:
+    """Least squares of y on the regressor matrix ``u``."""
+    p = u.shape[1]
     if design.n <= p:
         raise DegenerateDesignError(
             f"need more than {p} observations to fit {p} coefficients, got {design.n}"
         )
-    u = design_matrix(design)
     theta, sigma, condition = _solve_ls(u, design.y, weights)
     return RegressionFit(
         theta=theta,
@@ -216,7 +196,19 @@ def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
     )
 
 
-def fit_precision(design: RegressionDesign, weights=None) -> InteractionFit:
+def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
+    """Least squares of y on (1, X, scores), per arm when the design has one.
+
+    A design with a treatment indicator gets the two-arm fit of
+    ``fit_precision``. ``weights`` reweights the empirical measure (used by
+    resampling); the stored residuals are always the unweighted y - U theta.
+    """
+    if design.treatment is not None:
+        return fit_precision(design, weights)
+    return _fit(design, design_matrix(design), weights)
+
+
+def fit_precision(design: RegressionDesign, weights=None) -> RegressionFit:
     """Two-arm least squares: y on (U, A * U) with U = (1, X, scores).
 
     Both treatment arms must carry positive weight, otherwise the modifier
@@ -236,22 +228,7 @@ def fit_precision(design: RegressionDesign, weights=None) -> InteractionFit:
             "both arms must be populated for the modifier block"
         )
     u = design_matrix(design)
-    full = np.column_stack([u, u * a[:, None]])
-    p = full.shape[1]
-    if design.n <= p:
-        raise DegenerateDesignError(
-            f"need more than {p} observations to fit {p} coefficients, got {design.n}"
-        )
-    theta, sigma, condition = _solve_ls(full, design.y, weights)
-    return InteractionFit(
-        theta=theta,
-        sigma_hat=sigma,
-        residuals=design.y - full @ theta,
-        condition=condition,
-        n=design.n,
-        d=design.d,
-        m=design.m,
-    )
+    return _fit(design, np.column_stack([u, u * a[:, None]]), weights)
 
 
 def coefficient_element(fit: RegressionFit, model: EigenModel) -> np.ndarray:
@@ -268,7 +245,6 @@ def plugin_cov(
     fit: RegressionFit,
     model: EigenModel,
     design: RegressionDesign,
-    gap_tol=None,
 ) -> np.ndarray:
     """Influence-function covariance of the fitted coefficients.
 
@@ -282,7 +258,7 @@ def plugin_cov(
     recovered. The design's rows must be the rows ``model`` was fitted on,
     and the fit single-arm: two-arm fits raise ``ConfigurationError``.
     """
-    if design.treatment is not None or isinstance(fit, InteractionFit):
+    if design.treatment is not None or fit.modifier.size:
         raise ConfigurationError(
             "plugin intervals cover the single-arm fit; use bootstrap or "
             "jackknife for two-arm designs"
@@ -296,7 +272,7 @@ def plugin_cov(
         raise ConformanceError(
             f"design uses {m} scores but the model retains {n_comp} components"
         )
-    check_gaps(model, m, gap_tol)
+    check_gaps(model, m)
     u = design_matrix(design)
     eps = fit.residuals
     xi = centered_scores(model)

@@ -15,7 +15,7 @@ study reproducible for any worker count and any execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,12 +26,7 @@ from .errors import (
     GridPcrError,
     StudyError,
 )
-from .regression import (
-    RegressionDesign,
-    coefficient_names,
-    fit_pcr,
-    fit_precision,
-)
+from .regression import RegressionDesign, coefficient_names, fit_pcr
 from .util import norm_ppf, replicate_rng, run_indexed
 
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
@@ -143,87 +138,59 @@ def gen_weights(spec: BootstrapSpec, n: int, replicate: int) -> np.ndarray:
     return draws / draws.mean()
 
 
-def _model_rows(name: str, arr: np.ndarray, n: int) -> np.ndarray:
-    """Require one row of ``arr`` per fitted sample row."""
-    if arr.shape[0] != n:
-        raise ConformanceError(
-            f"{name} has {arr.shape[0]} rows, but the model was fitted on {n}"
-        )
-    return arr
+def _check_design(model: EigenModel, design: RegressionDesign) -> None:
+    """Require ``design`` to hold the rows and component scores of ``model``.
 
-
-class _PreparedPipeline:
-    """Point estimate and replicate refits of one fitted dataset.
-
-    Everything a replicate needs is the fitted model's whitened scores: it
-    re-centers them under its observation weights, re-eigendecomposes, and
-    re-solves the regression; the grid is never read again.
+    The point estimate fits the design's scores as given, while every
+    replicate rebuilds them from the model's whitened scores; scores that
+    differ (sign-flipped, say) would give intervals that miss their own
+    point estimate.
     """
-
-    def __init__(self, model, y=None, x=None, m=None, treatment=None):
-        self.model = model
-        self.white = model.white
-        self.n = model.n
-        self.y = None
-        if y is not None:
-            self.y = _model_rows("y", np.asarray(y, dtype=float).ravel(), self.n)
-        arr = np.zeros((self.n, 0)) if x is None else np.asarray(x, dtype=float)
-        if arr.size:
-            self.x = _model_rows("x", np.atleast_1d(arr), self.n).reshape(self.n, -1)
-        else:
-            self.x = arr.reshape(self.n, 0)
-        self.treatment = None
-        if treatment is not None:
-            self.treatment = _model_rows(
-                "treatment", np.atleast_1d(np.asarray(treatment).astype(bool)), self.n
-            )
-        self.m = m
-        self.point_fit = None
-        if y is not None:
-            if m is None or not 1 <= m <= model.n_components:
-                raise ConformanceError(
-                    f"score count m={m} outside 1..{model.n_components}"
-                )
-            self.point_fit = self.fit(None, component_scores(model)[:, :m])
-
-    def fit(self, weights, scores):
-        """Regression of every row under ``weights`` (uniform when None)."""
-        design = RegressionDesign(
-            y=self.y, x=self.x, scores=scores, treatment=self.treatment
+    if design.n != model.n:
+        raise ConformanceError(
+            f"design has {design.n} rows, but the model was fitted on {model.n}"
         )
-        if self.treatment is not None:
-            return fit_precision(design, weights=weights)
-        return fit_pcr(design, weights=weights)
+    if not 1 <= design.m <= model.n_components:
+        raise ConformanceError(
+            f"score count m={design.m} outside 1..{model.n_components}"
+        )
+    ref = component_scores(model)[:, : design.m]
+    if np.max(np.abs(design.scores - ref)) > 1e-12 * np.max(np.abs(ref)):
+        raise ConformanceError(
+            f"design scores are not the model's first {design.m} component scores"
+        )
 
-    def eigs(self, weights):
-        """Eigenvalues and coords refitted under the observation weights.
 
-        The weighted covariance is divided by n, not by the weight total:
-        bootstrap weights sum to n, and a jackknife replicate's eigenvalues
-        only feed its coords, which the scale does not change.
-        """
-        centered = self.white - np.average(self.white, axis=0, weights=weights)
-        return _eig_from_scores(centered, weights=weights)
+def _replicate_eigs(model: EigenModel, weights):
+    """Eigenvalues and coords refitted under the observation weights.
 
-    def align(self, coords: np.ndarray, m: int) -> np.ndarray:
-        """Flip replicate eigenvector signs to match the point estimate."""
-        ref = self.model.coords
-        k = min(m, coords.shape[0], ref.shape[0])
-        signs = np.sign(np.sum(coords[:k] * ref[:k], axis=1))
-        signs[signs == 0] = 1.0
-        out = coords[:k] * signs[:, None]
-        return out
+    The weighted covariance is divided by n, not by the weight total:
+    bootstrap weights sum to n, and a jackknife replicate's eigenvalues
+    only feed its coords, which the scale does not change.
+    """
+    white = model.white
+    centered = white - np.average(white, axis=0, weights=weights)
+    return _eig_from_scores(centered, weights=weights)
 
-    def theta(self, weights, label: str) -> np.ndarray:
-        """Coefficients of one replicate: refitted eigenfunctions, then regression."""
-        coords = self.eigs(weights)[1]
-        if coords.shape[0] < self.m:
-            raise GridPcrError(
-                f"{label} retained {coords.shape[0]} components, "
-                f"fewer than the {self.m} the design needs"
-            )
-        coords = self.align(coords, self.m)
-        return self.fit(weights, self.white @ coords.T).theta
+
+def _replicate_theta(
+    model: EigenModel, design: RegressionDesign, weights, label: str
+) -> np.ndarray:
+    """Coefficients of one replicate: refitted eigenfunctions, then regression.
+
+    Replicate eigenvector signs are flipped to match the point estimate's.
+    """
+    m = design.m
+    coords = _replicate_eigs(model, weights)[1]
+    if coords.shape[0] < m:
+        raise GridPcrError(
+            f"{label} retained {coords.shape[0]} components, "
+            f"fewer than the {m} the design needs"
+        )
+    signs = np.sign(np.sum(coords[:m] * model.coords[:m], axis=1))
+    signs[signs == 0] = 1.0
+    scores = model.white @ (coords[:m] * signs[:, None]).T
+    return fit_pcr(replace(design, scores=scores), weights).theta
 
 
 def percentile_ci(draws, level: float):
@@ -249,14 +216,17 @@ def percentile_ci(draws, level: float):
 def run_tolerant(fn, count: int, threads: int, what: str):
     """Evaluate ``fn(i)`` for every i < count, tolerating a few failures.
 
-    A replicate raising ``GridPcrError`` is recorded as (i, message).
-    Returns the results in index order and the failures; more than
+    A replicate raising ``GridPcrError`` is recorded as (i, message). A
+    ``ConfigurationError`` propagates at once: a setting that fails one
+    replicate fails them all. Returns the results in index order and the failures; more than
     ``MAX_FAILURE_FRACTION`` of ``count`` failing raises ``StudyError``.
     """
 
     def one(i):
         try:
             return fn(i)
+        except ConfigurationError:
+            raise
         except GridPcrError as exc:
             return (i, str(exc))
 
@@ -302,28 +272,28 @@ def _bootstrap(spec: BootstrapSpec, fn, names: list, point, threads: int):
 
 def bootstrap_theta(
     model: EigenModel,
-    y,
-    x,
-    m: int,
+    design: RegressionDesign,
     spec: BootstrapSpec,
-    treatment=None,
     threads: int = 1,
 ) -> BootstrapResult:
     """Bootstrap the full pipeline and return percentile intervals for theta.
 
-    ``model`` is the point fit of the sample whose rows ``y``, ``x`` and
-    ``treatment`` describe. Each replicate re-estimates the eigenfunctions
-    under its weights (signs aligned to the point estimate), rebuilds the
-    scores, and refits the regression; ``m`` stays fixed at the point
-    estimate's choice. Failed replicates are tolerated up to 5% of the study
-    and reported; beyond that the study errors out.
+    ``model`` is the point fit of the sample whose rows ``design``
+    describes, and the design's scores are the model's first m component
+    scores. Each replicate re-estimates the eigenfunctions under its
+    weights (signs aligned to the point estimate), rebuilds the scores, and
+    refits the regression; m stays fixed at the design's. Failed replicates
+    are tolerated up to 5% of the study and reported; beyond that the study
+    errors out.
     """
-    prep = _PreparedPipeline(model, y=y, x=x, m=m, treatment=treatment)
+    _check_design(model, design)
     return _bootstrap(
         spec,
-        lambda b: prep.theta(gen_weights(spec, prep.n, b), label=f"replicate {b}"),
-        coefficient_names(prep.x.shape[1], m, treatment is not None),
-        prep.point_fit.theta,
+        lambda b: _replicate_theta(
+            model, design, gen_weights(spec, model.n, b), f"replicate {b}"
+        ),
+        coefficient_names(design.d, design.m, design.treatment is not None),
+        fit_pcr(design).theta,
         threads,
     )
 
@@ -338,13 +308,12 @@ def bootstrap_eigenvalues(
     Replicate spectra are truncated or zero-padded to the point estimate's
     component count, so draw j always refers to the j-th largest variance.
     """
-    prep = _PreparedPipeline(model)
     j = model.n_components
     if j == 0:
         raise ConformanceError("point estimate retains no components")
 
     def one(b):
-        lams = prep.eigs(gen_weights(spec, prep.n, b))[0]
+        lams = _replicate_eigs(model, gen_weights(spec, model.n, b))[0]
         out = np.zeros(j)
         take = min(j, lams.size)
         out[:take] = lams[:take]
@@ -368,50 +337,51 @@ def jackknife_spec(design: RegressionDesign, blocks, level: float) -> JackknifeS
 
 def block_jackknife(
     model: EigenModel,
-    y,
-    x,
-    m: int,
+    design: RegressionDesign,
     spec: JackknifeSpec,
-    treatment=None,
 ) -> JackknifeResult:
     """Grouped-jackknife covariance of theta from r systematic blocks.
 
-    With k = floor(n / r), block l gives weight zero to observations {l,
-    l + r, l + 2r, ...} (k of them) of the first r * k rows and to every
-    trailing row beyond r * k, and weight one to the rest. Each replicate
-    reruns the eigendecomposition and regression under those weights, as a
-    bootstrap draw does; a failing block raises. The covariance is
-    ((r - 1) / r) times the replicate scatter around the replicate mean, and
-    intervals are normal around the full-sample point estimate.
+    ``model`` and ``design`` are as for ``bootstrap_theta``. With k =
+    floor(n / r), block l gives weight zero to observations {l, l + r,
+    l + 2r, ...} (k of them) of the first r * k rows and to every trailing
+    row beyond r * k, and weight one to the rest. Each replicate reruns the
+    eigendecomposition and regression under those weights, as a bootstrap
+    draw does; a failing block raises. The covariance is ((r - 1) / r)
+    times the replicate scatter around the replicate mean, and intervals
+    are normal around the full-sample point estimate.
     """
-    prep = _PreparedPipeline(model, y=y, x=x, m=m, treatment=treatment)
-    width = prep.point_fit.theta.size
+    _check_design(model, design)
+    point = fit_pcr(design).theta
+    width = point.size
     if spec.r <= width + 1:
         raise ConfigurationError(
             f"jackknife needs more blocks than coefficients + 1 "
             f"(r = {spec.r}, coefficients = {width})"
         )
-    k = prep.n // spec.r
+    n = design.n
+    k = n // spec.r
     if k < 2:
         raise ConfigurationError(
             f"jackknife with r = {spec.r} blocks leaves fewer than two "
-            f"observations per block at n = {prep.n}"
+            f"observations per block at n = {n}"
         )
     used = spec.r * k
     reps = np.empty((spec.r, width))
     for block in range(spec.r):
-        weights = np.zeros(prep.n)
+        weights = np.zeros(n)
         weights[:used] = 1.0
         weights[block:used:spec.r] = 0.0
-        reps[block] = prep.theta(weights, label=f"jackknife block {block}")
+        reps[block] = _replicate_theta(
+            model, design, weights, f"jackknife block {block}"
+        )
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)
     se = np.sqrt(np.diag(cov))
-    point = prep.point_fit.theta
     lower, upper = normal_ci(point, se, spec.level)
     table = CiTable(
-        names=coefficient_names(prep.x.shape[1], m, treatment is not None),
+        names=coefficient_names(design.d, design.m, design.treatment is not None),
         point=point.copy(),
         lower=lower,
         upper=upper,

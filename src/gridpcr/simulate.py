@@ -22,13 +22,7 @@ import numpy as np
 from .bases import bspline_tensor_basis
 from .decomp import component_scores, fit_subspace_pca, select_pve
 from .errors import ConformanceError, ConfigurationError
-from .regression import (
-    RegressionDesign,
-    coefficient_names,
-    fit_pcr,
-    fit_precision,
-    plugin_cov,
-)
+from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
     BootstrapSpec,
     block_jackknife,
@@ -160,7 +154,6 @@ class PipelineOptions:
 
     degree: int = 3
     interior_knots: int = 7
-    drop_tol: float = 1e-10
     tau: float = 0.95
     m_override: int | None = None
     inference: str | None = None
@@ -389,7 +382,7 @@ def run_replicate(
     """
     space, family, sample, x, y, treatment = generate_dataset(config, replicate)
     basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
-    model = fit_subspace_pca(space, basis, sample, options.drop_tol)
+    model = fit_subspace_pca(space, basis, sample)
     if options.m_override is not None:
         m = int(options.m_override)
         if not 1 <= m <= model.n_components:
@@ -401,12 +394,11 @@ def run_replicate(
     j_true = config.n_components
     scores = component_scores(model)[:, :m]
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
-    fit = fit_precision(design) if treatment is not None else fit_pcr(design)
+    fit = fit_pcr(design)
 
     # Sign alignment of estimated components to the true family.
-    k_cmp = min(m, j_true)
     signs = np.ones(j_true)
-    for j in range(k_cmp):
+    for j in range(min(m, j_true)):
         inner = float(
             np.sum(model.eigenfunctions[j] * family.phis[j] * space.weights)
         )
@@ -418,30 +410,17 @@ def run_replicate(
         lam_err[j] = (est - config.lambdas[j]) ** 2
 
     truth = _true_theta(config)
-    block = 1 + config.d + j_true
+    dest, src, sign = _fit_to_truth(config, signs, m, treatment is not None)
     est_theta = np.zeros(truth.size)
-    est_theta[: 1 + config.d] = fit.theta[: 1 + config.d]
-    for j in range(k_cmp):
-        est_theta[1 + config.d + j] = signs[j] * fit.theta[1 + config.d + j]
-    if treatment is not None:
-        fit_block = 1 + config.d + m
-        est_theta[block : block + 1 + config.d] = fit.theta[
-            fit_block : fit_block + 1 + config.d
-        ]
-        for j in range(k_cmp):
-            est_theta[block + 1 + config.d + j] = (
-                signs[j] * fit.theta[fit_block + 1 + config.d + j]
-            )
+    est_theta[dest] = sign * fit.theta[src]
     theta_err = (est_theta - truth) ** 2
 
     covered = np.full(truth.size, np.nan)
     if options.inference is not None:
-        lower, upper = _interval_bounds(
-            config, options, model, fit, design, m, replicate
-        )
-        covered = _coverage_from_bounds(
-            config, truth, lower, upper, signs, m, treatment is not None
-        )
+        lower, upper = _interval_bounds(config, options, model, fit, design, replicate)
+        lo, hi = sign * lower[src], sign * upper[src]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        covered[dest] = ((lo <= truth[dest]) & (truth[dest] <= hi)).astype(float)
     return {
         "m": m,
         "lam_err": lam_err,
@@ -450,9 +429,27 @@ def run_replicate(
     }
 
 
-def _interval_bounds(config, options, model, fit, design, m, replicate):
+def _fit_to_truth(config: ScenarioConfig, signs, m: int, two_arm: bool):
+    """Map the fit's coefficient layout onto the true parameter layout.
+
+    Returns (destination, source, sign) arrays: true parameter ``dest[i]``
+    is estimated by ``sign[i]`` times fit coefficient ``src[i]``. Each arm's
+    block maps its intercept and covariates, then gamma for the first
+    min(m, J) components, sign-aligned to the true family; true components
+    beyond the selected count have no estimate and no interval.
+    """
+    d, j_true = config.d, config.n_components
+    k = min(m, j_true)
+    arms = range(2 if two_arm else 1)
+    block = np.arange(1 + d + k)
+    dest = np.concatenate([arm * (1 + d + j_true) + block for arm in arms])
+    src = np.concatenate([arm * (1 + d + m) + block for arm in arms])
+    sign = np.concatenate([np.ones(1 + d), signs[:k]] * len(arms))
+    return dest, src, sign
+
+
+def _interval_bounds(config, options, model, fit, design, replicate):
     """Lower/upper interval bounds in the fit's own coordinate layout."""
-    y, x, treatment = design.y, design.x, design.treatment
     if options.inference == "bootstrap":
         spec = BootstrapSpec(
             kind=options.boot_kind,
@@ -460,39 +457,14 @@ def _interval_bounds(config, options, model, fit, design, m, replicate):
             base_seed=mix_seed(config.seed, replicate),
             level=options.level,
         )
-        res = bootstrap_theta(model, y, x, m, spec, treatment=treatment)
+        res = bootstrap_theta(model, design, spec)
         return res.table.lower, res.table.upper
     if options.inference == "jackknife":
         spec = jackknife_spec(design, options.r_blocks, options.level)
-        res = block_jackknife(model, y, x, m, spec, treatment=treatment)
+        res = block_jackknife(model, design, spec)
         return res.table.lower, res.table.upper
     cov = plugin_cov(fit, model, design)
     return normal_ci(fit.theta, np.sqrt(np.diag(cov)), options.level)
-
-
-def _coverage_from_bounds(config, truth, lower, upper, signs, m, two_arm):
-    """Map interval bounds to per-true-parameter coverage indicators.
-
-    Gamma intervals are sign-aligned like the estimates; components beyond
-    the selected count have no interval and stay NaN.
-    """
-    j_true = config.n_components
-    covered = np.full(truth.size, np.nan)
-    blocks = [(0, 0)]
-    if two_arm:
-        blocks.append((1 + config.d + j_true, 1 + config.d + m))
-    for out_base, fit_base in blocks:
-        for i in range(1 + config.d):
-            lo, hi = lower[fit_base + i], upper[fit_base + i]
-            covered[out_base + i] = float(lo <= truth[out_base + i] <= hi)
-        for j in range(min(m, j_true)):
-            lo = signs[j] * lower[fit_base + 1 + config.d + j]
-            hi = signs[j] * upper[fit_base + 1 + config.d + j]
-            lo, hi = min(lo, hi), max(lo, hi)
-            covered[out_base + 1 + config.d + j] = float(
-                lo <= truth[out_base + 1 + config.d + j] <= hi
-            )
-    return covered
 
 
 def run_monte_carlo(

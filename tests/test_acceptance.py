@@ -390,13 +390,13 @@ def test_se_methods_cross_validate():
         fit = fit_pcr(design)
         plug.append(np.sqrt(np.diag(plugin_cov(fit, model, design)))[1:5])
         res = bootstrap_theta(
-            model, y, x, m,
+            model, design,
             BootstrapSpec(kind="wild", b_reps=200, base_seed=mix_seed(31, rep)),
             threads=THREADS,
         )
         boot.append(res.table.se[1:5])
         jack.append(
-            block_jackknife(model, y, x, m, JackknifeSpec(r=40)).table.se[1:5]
+            block_jackknife(model, design, JackknifeSpec(r=40)).table.se[1:5]
         )
     means = np.vstack(
         [np.mean(plug, axis=0), np.mean(boot, axis=0), np.mean(jack, axis=0)]

@@ -250,6 +250,19 @@ def test_simulate_rejects_wrongly_typed_config_value(tmp_path, capsys, key, valu
     assert repr(key) in capsys.readouterr().err
 
 
+def test_simulate_setting_that_fails_every_replicate_exits_2(tmp_path, capsys):
+    # three blocks cannot cover seven coefficients in any replicate, so the
+    # study stops at the first one with a usage error
+    rc = main([
+        "simulate", "--family", "quadratic_gauss3d", "--n", "100", "--reps", "4",
+        "--inference", "jackknife", "--blocks", "3", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "jackknife needs more blocks than coefficients + 1" in err
+    assert "replicates failed" not in err
+
+
 def test_reproduce_eigen_table_smoke(tmp_path):
     out = tmp_path / "o"
     rc = main([
@@ -290,20 +303,32 @@ def test_diagnose_auto_knots_refines_until_accept(tmp_path):
     assert rows[0][1] == "1,1" and rows[1][1] == "3,3"
 
 
-@pytest.mark.parametrize("drop_tol", ["1e-10", "1e-2"])
-def test_point_estimates_agree_across_commands(tmp_path, drop_tol):
+@pytest.mark.parametrize(
+    "drop_tol, two_arm",
+    [
+        pytest.param("1e-10", False, id="1e-10"),
+        pytest.param("1e-2", False, id="1e-2"),
+        pytest.param("1e-10", True, id="1e-10-treatment"),
+    ],
+)
+def test_point_estimates_agree_across_commands(tmp_path, drop_tol, two_arm):
     # regress, bootstrap and jackknife fit once at the given --drop-tol and
     # compute the point-estimate scores the same way, so their estimate
-    # columns must be byte-identical
+    # columns must be byte-identical, for one arm and for two
     data = tmp_path / "s.hsg"
     _, _, _, x, y = make_dataset(data, n=60)
     table = tmp_path / "d.csv"
-    write_design(table, x, y)
     common = [
         "--data", str(data), "--degree", "2", "--knots", "2",
         "--drop-tol", drop_tol, "--table", str(table), "--response", "y",
         "--m", "2",
     ]
+    if two_arm:
+        rows = [[y[i], x[i, 0], x[i, 1], i % 2] for i in range(len(y))]
+        write_table(table, ["y", "x1", "x2", "a"], rows)
+        common += ["--treatment", "a"]
+    else:
+        write_design(table, x, y)
     estimates = []
     for command, extra in (
         ("regress", []),
@@ -314,6 +339,7 @@ def test_point_estimates_agree_across_commands(tmp_path, drop_tol):
         assert main([command, *common, *extra, "--out", str(out)]) == 0
         _, rows = read_table(out / "coefficients.csv")
         estimates.append([row[1] for row in rows])
+    assert len(estimates[0]) == (10 if two_arm else 5)
     assert estimates[0] == estimates[1] == estimates[2]
 
 

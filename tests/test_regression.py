@@ -111,11 +111,18 @@ def test_precision_fit_recovers_interactions():
     mod = np.array([0.25, -1.0, 0.75, 0.5, -0.25])
     u = umat(x, scores)
     y = u @ base + arm * (u @ mod)
-    fit = fit_precision(RegressionDesign(y=y, x=x, scores=scores, treatment=arm))
+    two_arm = RegressionDesign(y=y, x=x, scores=scores, treatment=arm)
+    fit = fit_precision(two_arm)
     assert fit.block_size == 5
     np.testing.assert_allclose(fit.base, base, atol=1e-8)
     np.testing.assert_allclose(fit.modifier, mod, atol=1e-8)
     np.testing.assert_allclose(fit.theta, np.concatenate([base, mod]), atol=1e-8)
+    np.testing.assert_array_equal(fit.gamma, fit.base[3:])
+    # fit_pcr fits the two-arm model whenever the design has a treatment
+    np.testing.assert_array_equal(fit_pcr(two_arm).theta, fit.theta)
+    one_arm = fit_pcr(RegressionDesign(y=y, x=x, scores=scores))
+    assert one_arm.modifier.size == 0
+    np.testing.assert_array_equal(one_arm.base, one_arm.theta)
 
 
 def test_precision_fit_requires_both_arms():
@@ -174,6 +181,8 @@ def test_plugin_cov_rejects_two_arm_fit():
         plugin_cov(fit_precision(two_arm), model, two_arm)
     with pytest.raises(ConfigurationError, match="single-arm"):
         plugin_cov(fit_pcr(design), model, two_arm)
+    with pytest.raises(ConfigurationError, match="single-arm"):
+        plugin_cov(fit_precision(two_arm), model, design)
 
 
 def test_plugin_cov_tracks_monte_carlo_truth():

@@ -23,7 +23,7 @@ from gridpcr import (
     gen_weights,
     percentile_ci,
 )
-from gridpcr.resampling import CiTable, _PreparedPipeline
+from gridpcr.resampling import CiTable, _replicate_theta
 from gridpcr.util import replicate_rng
 
 
@@ -41,6 +41,13 @@ def small_problem(seed, n=50, noise=0.3):
     y = np.column_stack([np.ones(n), x, xi]) @ theta + noise * rng.standard_normal(n)
     basis = BasisSet(functions=phis, provenance={})
     return space, basis, sample, y, x, theta
+
+
+def design_of(model, y, x, m, treatment=None):
+    """Regression inputs scored with the model's first m components."""
+    return RegressionDesign(
+        y=y, x=x, scores=component_scores(model)[:, :m], treatment=treatment
+    )
 
 
 def rank_starved_problem():
@@ -138,9 +145,10 @@ def test_bootstrap_theta_reproducible_across_threads():
     space, basis, sample, y, x, _ = small_problem(1)
     spec = BootstrapSpec(kind="wild", b_reps=16, base_seed=42)
     model = fit_subspace_pca(space, basis, sample)
-    one = bootstrap_theta(model, y, x, 2, spec, threads=1)
-    again = bootstrap_theta(model, y, x, 2, spec, threads=1)
-    multi = bootstrap_theta(model, y, x, 2, spec, threads=3)
+    design = design_of(model, y, x, 2)
+    one = bootstrap_theta(model, design, spec, threads=1)
+    again = bootstrap_theta(model, design, spec, threads=1)
+    multi = bootstrap_theta(model, design, spec, threads=3)
     np.testing.assert_array_equal(one.draws, again.draws)
     np.testing.assert_array_equal(one.draws, multi.draws)
     np.testing.assert_array_equal(one.table.lower, multi.table.lower)
@@ -152,8 +160,9 @@ def test_bootstrap_theta_reproducible_across_threads():
 def test_bootstrap_seed_changes_draws():
     space, basis, sample, y, x, _ = small_problem(2)
     model = fit_subspace_pca(space, basis, sample)
-    a = bootstrap_theta(model, y, x, 2, BootstrapSpec(b_reps=8, base_seed=0))
-    b = bootstrap_theta(model, y, x, 2, BootstrapSpec(b_reps=8, base_seed=1))
+    design = design_of(model, y, x, 2)
+    a = bootstrap_theta(model, design, BootstrapSpec(b_reps=8, base_seed=0))
+    b = bootstrap_theta(model, design, BootstrapSpec(b_reps=8, base_seed=1))
     assert not np.array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.table.point, b.table.point)
 
@@ -165,7 +174,7 @@ def test_bootstrap_sign_alignment_keeps_draws_near_point():
     model = fit_subspace_pca(space, basis, sample)
     for kind in ("wild", "nonparametric"):
         res = bootstrap_theta(
-            model, y, x, 2,
+            model, design_of(model, y, x, 2),
             BootstrapSpec(kind=kind, b_reps=40, base_seed=7),
         )
         for name in ("z1", "z2"):
@@ -191,8 +200,9 @@ def test_bootstrap_eigenvalues_pads_short_replicates():
 def test_bootstrap_failure_budget():
     space, basis, data, y = rank_starved_problem()
     spec = BootstrapSpec(kind="nonparametric", b_reps=20, base_seed=3)
+    model = fit_subspace_pca(space, basis, data)
     with pytest.raises(StudyError) as excinfo:
-        bootstrap_theta(fit_subspace_pca(space, basis, data), y, None, 3, spec)
+        bootstrap_theta(model, design_of(model, y, np.zeros((y.size, 0)), 3), spec)
     assert len(excinfo.value.failures) > 1
     b, msg = excinfo.value.failures[0]
     assert isinstance(b, int) and msg
@@ -202,7 +212,7 @@ def test_jackknife_blocks_match_manual_refit():
     space, basis, sample, y, x, _ = small_problem(4)
     n, r = 50, 8
     full = fit_subspace_pca(space, basis, sample)
-    res = block_jackknife(full, y, x, 2, JackknifeSpec(r=r))
+    res = block_jackknife(full, design_of(full, y, x, 2), JackknifeSpec(r=r))
     k = n // r
     used = r * k
     assert res.kept == used - k
@@ -226,7 +236,7 @@ def test_nonparametric_weights_match_resampled_refit(two_arm):
     treatment = np.arange(n) % 2 == 0 if two_arm else None
     full = fit_subspace_pca(space, basis, sample)
     spec = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=13)
-    res = bootstrap_theta(full, y, x, 2, spec, treatment=treatment)
+    res = bootstrap_theta(full, design_of(full, y, x, 2, treatment), spec)
     assert not res.failures
     for b in range(spec.b_reps):
         idx = np.repeat(np.arange(n), gen_weights(spec, n, b).astype(int))
@@ -248,20 +258,20 @@ def test_resample_emptying_an_arm_fails():
     space, basis, sample, y, x, _ = small_problem(10)
     n = y.size
     treatment = np.arange(n) % 2 == 0
-    prep = _PreparedPipeline(
-        fit_subspace_pca(space, basis, sample), y=y, x=x, m=2, treatment=treatment
-    )
+    model = fit_subspace_pca(space, basis, sample)
     counts = np.zeros(n)
     counts[~treatment] = 2.0  # every draw lands in the control arm
     with pytest.raises(DegenerateDesignError, match="treatment arm sizes are 50 and 0"):
-        prep.theta(counts, label="replicate 0")
+        _replicate_theta(
+            model, design_of(model, y, x, 2, treatment), counts, "replicate 0"
+        )
 
 
 def test_jackknife_covariance_formula():
     space, basis, sample, y, x, _ = small_problem(5)
     r = 10
     model = fit_subspace_pca(space, basis, sample)
-    res = block_jackknife(model, y, x, 2, JackknifeSpec(r=r))
+    res = block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=r))
     dev = res.replicates - res.replicates.mean(axis=0)
     np.testing.assert_allclose(res.cov, (r - 1) / r * dev.T @ dev, atol=1e-14)
     np.testing.assert_allclose(res.table.se, np.sqrt(np.diag(res.cov)), atol=1e-14)
@@ -274,11 +284,11 @@ def test_jackknife_ignores_trailing_rows():
     space, basis, sample, y, x, _ = small_problem(6)
     spec = JackknifeSpec(r=8)
     model = fit_subspace_pca(space, basis, sample)
-    base = block_jackknife(model, y, x, 2, spec)
+    base = block_jackknife(model, design_of(model, y, x, 2), spec)
     # rows past r * floor(n / r) never enter a replicate, only the point fit
     y2 = y.copy()
     y2[-2:] += 100.0
-    bumped = block_jackknife(model, y2, x, 2, spec)
+    bumped = block_jackknife(model, design_of(model, y2, x, 2), spec)
     np.testing.assert_array_equal(base.replicates, bumped.replicates)
     np.testing.assert_array_equal(base.cov, bumped.cov)
     assert not np.array_equal(base.table.point, bumped.table.point)
@@ -289,24 +299,43 @@ def test_jackknife_needs_enough_blocks():
     model = fit_subspace_pca(space, basis, sample)
     # width = 1 + d + m = 4 coefficients, so r must exceed 5
     with pytest.raises(ConfigurationError):
-        block_jackknife(model, y, x, 2, JackknifeSpec(r=5))
+        block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=5))
     with pytest.raises(ConfigurationError):
-        block_jackknife(model, y, x, 2, JackknifeSpec(r=30))
+        block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=30))
 
 
 def test_design_rows_must_match_model():
     space, basis, sample, y, x, _ = small_problem(8, n=30)
     model = fit_subspace_pca(space, basis, sample)
+    scores = component_scores(model)[:, :2]
     treatment = np.arange(30) % 2 == 0
     spec = BootstrapSpec(b_reps=20)
     jack = JackknifeSpec(r=8)
-    with pytest.raises(ConformanceError, match="x has 29 rows"):
-        bootstrap_theta(model, y, x[:29], 2, spec)
-    with pytest.raises(ConformanceError, match="y has 29 rows"):
-        bootstrap_theta(model, y[:29], x, 2, spec)
-    with pytest.raises(ConformanceError, match="treatment has 29 rows"):
-        bootstrap_theta(model, y, x, 2, spec, treatment=treatment[:29])
-    with pytest.raises(ConformanceError, match="x has 29 rows"):
-        block_jackknife(model, y, x[:29], 2, jack)
-    with pytest.raises(ConformanceError, match="y has 31 rows"):
-        block_jackknife(model, np.append(y, 0.0), x, 2, jack)
+    with pytest.raises(ConformanceError, match="y has 29, x has 30"):
+        RegressionDesign(y=y[:29], x=x, scores=scores)
+    with pytest.raises(ConformanceError, match="y has 30, x has 29"):
+        RegressionDesign(y=y, x=x[:29], scores=scores)
+    with pytest.raises(ConformanceError, match="one indicator per row"):
+        RegressionDesign(y=y, x=x, scores=scores, treatment=treatment[:29])
+    short = RegressionDesign(y=y[:29], x=x[:29], scores=scores[:29])
+    with pytest.raises(ConformanceError, match="design has 29 rows"):
+        bootstrap_theta(model, short, spec)
+    with pytest.raises(ConformanceError, match="design has 29 rows"):
+        block_jackknife(model, short, jack)
+
+
+def test_design_scores_must_be_the_models():
+    # the point fit uses the design's scores and the replicates the model's,
+    # so flipped or extra components would put the point outside its interval
+    space, basis, sample, y, x, _ = small_problem(8, n=30)
+    model = fit_subspace_pca(space, basis, sample)
+    design = design_of(model, y, x, 2)
+    flipped = RegressionDesign(y=y, x=x, scores=design.scores * [1.0, -1.0])
+    extra = RegressionDesign(
+        y=y, x=x, scores=np.column_stack([design.scores, design.scores[:, 0]])
+    )
+    for bad, message in ((flipped, "component scores"), (extra, "m=3 outside")):
+        with pytest.raises(ConformanceError, match=message):
+            bootstrap_theta(model, bad, BootstrapSpec(b_reps=20))
+        with pytest.raises(ConformanceError, match=message):
+            block_jackknife(model, bad, JackknifeSpec(r=8))

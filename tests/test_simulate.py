@@ -233,6 +233,16 @@ def test_monte_carlo_failure_budget():
         run_monte_carlo(config, 0, small_options())
 
 
+def test_configuration_error_in_a_replicate_stops_the_study():
+    # a setting that fails one replicate fails them all, so it is raised as
+    # itself instead of being counted against the failure budget
+    config = small_config(
+        n=60, treatment=TreatmentConfig(alpha=0.5, beta=(0.3, 0.0), gamma=(1.0, -0.5))
+    )
+    with pytest.raises(ConfigurationError, match="single-arm"):
+        run_monte_carlo(config, 3, small_options(inference="plugin", m_override=2))
+
+
 def test_two_arm_intervals_cover_modifier_block():
     config = small_config(
         n=120,
