@@ -19,6 +19,7 @@ from gridpcr import (
     coefficient_element,
     coefficient_names,
     component_scores,
+    eigenfunctions,
     fit_pcr,
     fit_subspace_pca,
     generate_dataset,
@@ -53,9 +54,9 @@ boot = bootstrap_theta(model, design, BootstrapSpec(kind="wild", b_reps=300, bas
 jack = block_jackknife(model, design, JackknifeSpec(r=20))
 
 # sign-align the estimated components to the construction before comparing
+phis = eigenfunctions(space, basis, model)
 flips = [
-    1.0 if np.sum(model.eigenfunctions[j] * family.phis[j] * space.weights) >= 0
-    else -1.0
+    1.0 if np.sum(phis[j] * family.phis[j] * space.weights) >= 0 else -1.0
     for j in range(m)
 ]
 truth = np.concatenate([[config.alpha0], config.beta0, config.gamma0[:m]])
@@ -71,7 +72,7 @@ for i, name in enumerate(coefficient_names(design.d, m)):
     )
 
 # the score coefficients assemble a coefficient function on the grid
-gamma_hat = coefficient_element(fit, model)
+gamma_hat = coefficient_element(fit, model, space, basis)
 gamma_true = family.gamma_element(np.array(config.gamma0))
 err = np.sqrt(np.sum((gamma_hat - gamma_true) ** 2 * space.weights))
 rel = err / np.sqrt(np.sum(gamma_true**2 * space.weights))

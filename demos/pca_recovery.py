@@ -10,6 +10,7 @@ import numpy as np
 from gridpcr import (
     AmbientSpace,
     bspline_tensor_basis,
+    eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
     kl_sample,
@@ -31,13 +32,15 @@ sample = kl_sample(family, lambdas, n, rng)
 basis = bspline_tensor_basis(space, 3, 7)
 model = fit_subspace_pca(space, basis, sample)
 ses = eigenvalue_se(model)
+# the model keeps whitened coordinates; synthesize the grid rows to compare
+phis = eigenfunctions(space, basis, model)
 
 print(f"n={n}, grid=20x24, basis rank={model.whitener.rank}")
 print(f"retained components: {model.n_components}")
 print()
 print("  j   truth   estimate      se    |<phi_j, phihat_j>|")
 for j in range(6):
-    inner = abs(np.sum(model.eigenfunctions[j] * family.phis[j] * space.weights))
+    inner = abs(np.sum(phis[j] * family.phis[j] * space.weights))
     print(
         f"  {j + 1}   {lambdas[j]:5.2f}   {model.eigenvalues[j]:8.4f}"
         f"   {ses[j]:5.3f}   {inner:.6f}"

@@ -29,6 +29,7 @@ from .decomp import (
     component_scores,
     centered_scores,
     diagnose_projection,
+    eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,

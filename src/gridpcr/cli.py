@@ -29,6 +29,7 @@ from .bases import (
 from .decomp import (
     component_scores,
     diagnose_projection,
+    eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
@@ -338,10 +339,10 @@ def _build_basis(args, space, knots_override=None):
 
 
 def _fit_model(args):
-    """Read the sample, build the basis, and fit the PCA once for this run."""
+    """Read the sample and fit the PCA once; the sample is freed on return."""
     space, sample = _load_space_sample(args)
     basis = _build_basis(args, space)
-    return space, fit_subspace_pca(space, basis, sample, args.drop_tol)
+    return space, basis, fit_subspace_pca(space, basis, sample, args.drop_tol)
 
 
 def _config_echo(args) -> dict:
@@ -372,7 +373,7 @@ def _outdir(args) -> None:
 def cmd_fit(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    space, model = _fit_model(args)
+    space, basis, model = _fit_model(args)
     ses = eigenvalue_se(model)
     cum = (
         np.cumsum(model.eigenvalues) / model.total_variance
@@ -392,9 +393,8 @@ def cmd_fit(args) -> int:
     outputs["mean.hsg"] = path
     if model.n_components:
         path = os.path.join(args.out, "eigenfunctions.hsg")
-        write_grid(
-            path, model.eigenfunctions.reshape(model.n_components, *space.dims)
-        )
+        phis = eigenfunctions(space, basis, model)
+        write_grid(path, phis.reshape(model.n_components, *space.dims))
         outputs["eigenfunctions.hsg"] = path
     _finish(args, None, outputs, started)
     print(
@@ -456,7 +456,7 @@ def cmd_diagnose(args) -> int:
 def cmd_pve(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    _, model = _fit_model(args)
+    _, _, model = _fit_model(args)
     selection = select_pve(model, args.tau)
     rows = [
         [j + 1, model.eigenvalues[j], selection.cumulative[j]]
@@ -526,7 +526,7 @@ def _jackknife(args, model, design):
 def cmd_regress(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    _, model = _fit_model(args)
+    _, _, model = _fit_model(args)
     design = _load_design(args, model)
     if design.treatment is None:
         fit = fit_pcr(design)
@@ -553,7 +553,7 @@ def cmd_bootstrap(args) -> int:
     _outdir(args)
     if args.target == "coefficients" and (args.table is None or args.response is None):
         raise ConfigurationError("--target coefficients needs --table and --response")
-    _, model = _fit_model(args)
+    _, _, model = _fit_model(args)
     spec = BootstrapSpec(
         kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
     )
@@ -578,7 +578,7 @@ def cmd_bootstrap(args) -> int:
 def cmd_jackknife(args) -> int:
     started = time.perf_counter()
     _outdir(args)
-    _, model = _fit_model(args)
+    _, _, model = _fit_model(args)
     design = _load_design(args, model)
     res = _jackknife(args, model, design)
     table = res.table

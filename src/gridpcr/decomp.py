@@ -2,9 +2,10 @@
 
 The estimator projects samples onto the span of a finite basis, whitens the
 basis against its Gram matrix, and eigendecomposes the projected empirical
-covariance in the whitened coordinates. Eigenfunctions come back as grid
-elements, orthonormal under the space inner product regardless of how
-ill-conditioned the raw basis was.
+covariance in the whitened coordinates. Eigenfunctions are kept as
+coordinates in that frame; ``eigenfunctions`` synthesizes them on the grid,
+orthonormal under the space inner product regardless of how ill-conditioned
+the raw basis was.
 
 A residual-variance diagnostic quantifies what the projection misses, and an
 explained-variance rule picks how many components to carry into regression.
@@ -50,14 +51,13 @@ class EigenModel:
     eigenvalues : ndarray, shape (J,)
         Retained variances, strictly positive and nonincreasing.
     coords : ndarray, shape (J, rank)
-        Coordinates of each eigenfunction in the whitened frame.
+        Coordinates of each eigenfunction in the whitened frame; the grid
+        rows are ``eigenfunctions(space, basis, model)``. Signs follow the
+        largest-|entry|-positive convention on the grid.
     white : ndarray, shape (n, rank)
         Uncentered whitened projection scores of the fitted sample rows.
         Component scores, plug-in covariances and every resampling
         replicate derive from these and ``coords`` without the grid.
-    eigenfunctions : ndarray, shape (J, V)
-        Eigenfunctions sampled on the grid, orthonormal in the space inner
-        product. Signs follow the largest-|entry|-positive convention.
     mean : ndarray, shape (V,)
         Pointwise sample mean.
     whitener : Whitener
@@ -65,18 +65,19 @@ class EigenModel:
     total_variance : float
         Mean squared distance of the sample to its mean (full space, not
         just the projected part); sum(eigenvalues) <= total_variance.
-    n : int
-        Number of sample rows.
     """
 
     eigenvalues: np.ndarray
     coords: np.ndarray
     white: np.ndarray
-    eigenfunctions: np.ndarray
     mean: np.ndarray
     whitener: Whitener
     total_variance: float
-    n: int
+
+    @property
+    def n(self) -> int:
+        """Number of fitted sample rows."""
+        return self.white.shape[0]
 
     @property
     def n_components(self) -> int:
@@ -123,10 +124,11 @@ def fit_subspace_pca(
 
     Stages: whiten the basis Gram matrix (dropping numerically dependent
     directions), form the projected empirical covariance in whitened
-    coordinates, eigendecompose, and map retained eigenvectors back to grid
-    elements. Components with eigenvalue <= 1e-12 * largest are discarded,
-    so a constant sample yields zero components. The sample is read in row
-    chunks, and only the J eigenfunctions are formed on the grid.
+    coordinates, eigendecompose, and flip each eigenvector whose grid row's
+    largest-|value| entry (the first of tied maxima) is negative. Components
+    with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
+    yields zero components. The sample and the eigenfunctions' grid rows
+    pass through in row chunks; no grid row is kept.
     """
     data = as_sample(space, sample)
     if data.shape[0] < 2:
@@ -135,8 +137,10 @@ def fit_subspace_pca(
     white = project_scores(space, basis, data) @ whitener.factor.T
     centered = white - white.mean(axis=0)
     lams, coords = _eig_from_scores(centered)
-    phis = synthesize(space, basis, coords @ whitener.factor)
-    phis, coords = _fix_phi_signs(phis, coords)
+    for chunk in row_chunks(space, coords.shape[0]):
+        phis = synthesize(space, basis, coords[chunk] @ whitener.factor)
+        peaks = phis[np.arange(phis.shape[0]), np.argmax(np.abs(phis), axis=1)]
+        coords[chunk][peaks < 0] *= -1.0
     mean = data.mean(axis=0)
     dev_sq = np.empty(data.shape[0])
     for chunk in row_chunks(space, data.shape[0]):
@@ -145,12 +149,15 @@ def fit_subspace_pca(
         eigenvalues=lams,
         coords=coords,
         white=white,
-        eigenfunctions=phis,
         mean=mean,
         whitener=whitener,
         total_variance=float(dev_sq.mean()),
-        n=data.shape[0],
     )
+
+
+def eigenfunctions(space: AmbientSpace, basis, model: EigenModel) -> np.ndarray:
+    """Grid rows (J, V) of the fitted eigenfunctions; ``basis`` is the fit's."""
+    return synthesize(space, basis, model.coords @ model.whitener.factor)
 
 
 def _eig_from_scores(centered, weights=None):
@@ -180,22 +187,10 @@ def _sq_norms(space: AmbientSpace, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", rows, rows, space.weights)
 
 
-def _fix_phi_signs(phis: np.ndarray, coords: np.ndarray):
-    """Flip each eigenfunction so its largest-|value| grid entry is positive.
-
-    Works in place, one row at a time; the first of tied maxima decides.
-    """
-    for phi, coord in zip(phis, coords):
-        if phi[np.argmax(np.abs(phi))] < 0:
-            np.negative(phi, out=phi)
-            np.negative(coord, out=coord)
-    return phis, coords
-
-
 def component_scores(model: EigenModel) -> np.ndarray:
     """Uncentered component scores <phi_j, Z_i> of the fitted rows, every j.
 
-    Equal to ``(sample * weights) @ eigenfunctions.T`` because each
+    Equal to ``(sample * weights) @ eigenfunctions(...).T`` because each
     eigenfunction is ``coords @ frame`` and the whitened scores are the
     sample's inner products with the frame.
     """

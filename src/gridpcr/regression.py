@@ -19,6 +19,7 @@ import numpy as np
 
 from .decomp import EigenModel, centered_scores, check_gaps, component_scores
 from .errors import ConfigurationError, ConformanceError, DegenerateDesignError
+from .space import synthesize
 
 CONDITION_LIMIT = 1e12
 
@@ -231,14 +232,18 @@ def fit_precision(design: RegressionDesign, weights=None) -> RegressionFit:
     return _fit(design, np.column_stack([u, u * a[:, None]]), weights)
 
 
-def coefficient_element(fit: RegressionFit, model: EigenModel) -> np.ndarray:
-    """Reconstruct the functional coefficient sum_j gamma_j phi_j on the grid."""
+def coefficient_element(fit: RegressionFit, model: EigenModel, space, basis):
+    """The functional coefficient sum_j gamma_j phi_j as one grid row.
+
+    It is synthesized from the model's coordinates; ``basis`` is the fit's.
+    """
     if fit.m > model.n_components:
         raise ConformanceError(
             f"fit used {fit.m} scores but the model retains only "
             f"{model.n_components} components"
         )
-    return fit.gamma @ model.eigenfunctions[: fit.m]
+    coef = (fit.gamma @ model.coords[: fit.m]) @ model.whitener.factor
+    return synthesize(space, basis, coef[None, :])[0]
 
 
 def plugin_cov(

@@ -31,7 +31,7 @@ from .resampling import (
     normal_ci,
     run_tolerant,
 )
-from .space import AmbientSpace, as_sample
+from .space import AmbientSpace, as_sample, project_scores
 from .util import mix_seed, replicate_rng
 
 FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
@@ -396,13 +396,13 @@ def run_replicate(
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
     fit = fit_pcr(design)
 
-    # Sign alignment of estimated components to the true family.
+    # Sign alignment of estimated components to the true family, in whitened
+    # coordinates: <phi_hat_j, phi_j> is coords[j] . (whitened scores of phi_j).
+    k = min(m, j_true)
+    true_white = project_scores(space, basis, family.phis[:k]) @ model.whitener.factor.T
+    inner = np.sum(model.coords[:k] * true_white, axis=1)
     signs = np.ones(j_true)
-    for j in range(min(m, j_true)):
-        inner = float(
-            np.sum(model.eigenfunctions[j] * family.phis[j] * space.weights)
-        )
-        signs[j] = 1.0 if inner >= 0 else -1.0
+    signs[:k] = np.where(inner >= 0, 1.0, -1.0)
 
     lam_err = np.zeros(j_true)
     for j in range(j_true):
@@ -499,12 +499,9 @@ def run_monte_carlo(
             for r in metrics
         ]
     )
+    denom = np.sum(~np.isnan(cov_rows), axis=0)
     with np.errstate(invalid="ignore"):
-        denom = np.sum(~np.isnan(cov_rows), axis=0)
-        coverage = np.where(
-            denom > 0, np.nansum(np.where(np.isnan(cov_rows), 0, cov_rows), axis=0)
-            / np.maximum(denom, 1), np.nan,
-        )
+        coverage = np.nansum(cov_rows, axis=0) / denom
     mhat_counts: dict = {}
     for r in metrics:
         mhat_counts[r["m"]] = mhat_counts.get(r["m"], 0) + 1

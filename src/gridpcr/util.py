@@ -135,14 +135,16 @@ def default_threads() -> int:
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
-    With ``threads > 1`` the calls run on a thread pool; each call must be
-    independent (replicate-keyed RNG makes that hold), so the result list is
-    identical for any worker count.
+    With ``threads > 1`` the calls run on a thread pool of at most
+    min(threads, count, usable CPUs) workers; each call must be independent
+    (replicate-keyed RNG makes that hold), so the result list is identical
+    for any worker count.
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
-    threads = max(1, int(threads))
-    if threads == 1 or count <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    threads = min(max(1, int(threads)), count, cpus or os.cpu_count() or 1)
+    if threads <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))

@@ -29,6 +29,7 @@ from gridpcr import (
     bspline_tensor_basis,
     component_scores,
     diagnose_projection,
+    eigenfunctions,
     fit_pcr,
     fit_subspace_pca,
     generate_dataset,
@@ -115,7 +116,9 @@ def test_orthonormality_suite():
         worst_whiten = max(worst_whiten, np.abs(eye - np.eye(w.rank)).max())
         n = int(rng.integers(w.rank + 2, w.rank + 20))
         model = fit_subspace_pca(space, basis, rng.standard_normal((n, space.size)))
-        phi_gram = (model.eigenfunctions * space.weights) @ model.eigenfunctions.T
+        phi_gram = (
+            eigenfunctions(space, basis, model) * space.weights
+        ) @ eigenfunctions(space, basis, model).T
         dev = np.abs(phi_gram - np.eye(model.n_components)).max()
         worst_gram = max(worst_gram, dev)
     elapsed = time.perf_counter() - started
@@ -152,10 +155,11 @@ def test_dense_oracle_equivalence():
         vals, vecs = vals[keep], vecs[:, keep]
         phis = (vecs / root[:, None]).T
         assert model.n_components == vals.size
-        signs = np.sign(np.sum(phis * model.eigenfunctions, axis=1))
+        signs = np.sign(np.sum(phis * eigenfunctions(space, basis, model), axis=1))
         worst = max(worst, np.abs(model.eigenvalues - vals).max())
         worst = max(
-            worst, np.abs(model.eigenfunctions - signs[:, None] * phis).max()
+            worst,
+            np.abs(eigenfunctions(space, basis, model) - signs[:, None] * phis).max(),
         )
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 30
@@ -295,7 +299,9 @@ def test_oracle_regression_recovery():
         model = fit_subspace_pca(space, basis, sample)
         scores = component_scores(model)[:, :4]
         flips = np.sign(
-            np.sum(model.eigenfunctions[:4] * space.weights * phis, axis=1)
+            np.sum(
+                eigenfunctions(space, basis, model)[:4] * space.weights * phis, axis=1
+            )
         )
         fit2 = fit_pcr(RegressionDesign(y=y, x=x, scores=scores))
         est = np.concatenate([fit2.theta[:3], flips * fit2.theta[3:]])

@@ -10,6 +10,7 @@ from gridpcr import (
     RegressionDesign,
     bspline_tensor_basis,
     component_scores,
+    eigenfunctions,
     eigenvalue_se,
     fit_pcr,
     fit_subspace_pca,
@@ -99,7 +100,8 @@ def test_fit_matches_library(tmp_path):
         "--out", str(out),
     ])
     assert rc == 0
-    model = fit_subspace_pca(space, bspline_tensor_basis(space, 2, 2), sample)
+    basis = bspline_tensor_basis(space, 2, 2)
+    model = fit_subspace_pca(space, basis, sample)
     header, rows = read_table(out / "eigenvalues.csv")
     assert header == ["component", "eigenvalue", "se", "cumulative_fraction"]
     got = np.array([[float(c) for c in row] for row in rows])
@@ -114,7 +116,7 @@ def test_fit_matches_library(tmp_path):
     funcs = read_grid(out / "eigenfunctions.hsg")
     assert funcs.shape == (model.n_components, *DIMS)
     np.testing.assert_array_equal(
-        funcs.reshape(model.n_components, -1), model.eigenfunctions
+        funcs.reshape(model.n_components, -1), eigenfunctions(space, basis, model)
     )
 
 

@@ -1,5 +1,7 @@
 """Subspace PCA, the projection diagnostic, and component selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from gridpcr import (
     bspline_tensor_basis,
     component_scores,
     diagnose_projection,
+    eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
 )
+import gridpcr.space
 from gridpcr.decomp import centered_scores, check_gaps, EigenModel, PveSelection
 from gridpcr.util import replicate_rng
 
@@ -70,18 +74,42 @@ def test_matches_dense_oracle_on_spanning_bases():
         vals, phis = dense_eigenpairs(space, sample)
         j = model.n_components
         np.testing.assert_allclose(model.eigenvalues, vals[:j], atol=1e-8)
-        aligned = align_signs(model.eigenfunctions, phis[:j])
-        np.testing.assert_allclose(model.eigenfunctions, aligned, atol=1e-8)
+        phi_hat = eigenfunctions(space, basis, model)
+        aligned = align_signs(phi_hat, phis[:j])
+        np.testing.assert_allclose(phi_hat, aligned, atol=1e-8)
 
 
 def test_eigenfunctions_orthonormal_and_sign_convention():
     for seed in range(10):
         space, basis, sample = spanning_case(seed)
         model = fit_subspace_pca(space, basis, sample)
-        g = model.eigenfunctions * space.weights @ model.eigenfunctions.T
+        phi_hat = eigenfunctions(space, basis, model)
+        g = phi_hat * space.weights @ phi_hat.T
         np.testing.assert_allclose(g, np.eye(model.n_components), atol=1e-9)
-        for row in model.eigenfunctions:
+        for row in phi_hat:
             assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_fit_keeps_no_grid_rows_of_the_eigenfunctions(monkeypatch):
+    # The signs are read from eigenfunctions synthesized two rows at a time;
+    # neither they nor any other J x V array may be held by the fit.
+    space = AmbientSpace.unit_domain((40, 48))
+    basis = bspline_tensor_basis(space, 3, 3)
+    sample = replicate_rng(7050, 0).standard_normal((60, space.size))
+    reference = fit_subspace_pca(space, basis, sample)
+    monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", 2 * space.size)
+    tracemalloc.start()
+    try:
+        model = fit_subspace_pca(space, basis, sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    j = model.n_components
+    assert j == basis.n_functions == 49
+    assert peak < j * space.size * 8 / 2
+    np.testing.assert_allclose(model.coords, reference.coords, atol=1e-9)
+    phis = eigenfunctions(space, basis, model)
+    assert np.all(phis[np.arange(j), np.argmax(np.abs(phis), axis=1)] > 0)
 
 
 def test_total_variance_is_parseval_sum_when_spanning():
@@ -115,15 +143,15 @@ def test_invariant_to_basis_reparameterization():
     funcs = rng.standard_normal((12, space.size))
     mix = rng.standard_normal((12, 12))  # invertible almost surely
     sample = rng.standard_normal((25, space.size))
-    a = fit_subspace_pca(space, BasisSet(functions=funcs, provenance={}), sample)
-    b = fit_subspace_pca(
-        space, BasisSet(functions=mix @ funcs, provenance={}), sample
-    )
+    basis_a = BasisSet(functions=funcs, provenance={})
+    basis_b = BasisSet(functions=mix @ funcs, provenance={})
+    a = fit_subspace_pca(space, basis_a, sample)
+    b = fit_subspace_pca(space, basis_b, sample)
     assert a.n_components == b.n_components
     np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-9)
-    np.testing.assert_allclose(
-        a.eigenfunctions, align_signs(a.eigenfunctions, b.eigenfunctions), atol=1e-7
-    )
+    phi_a = eigenfunctions(space, basis_a, a)
+    phi_b = eigenfunctions(space, basis_b, b)
+    np.testing.assert_allclose(phi_a, align_signs(phi_a, phi_b), atol=1e-7)
 
 
 def test_component_scores_orthonormal_rows():
@@ -134,13 +162,13 @@ def test_component_scores_orthonormal_rows():
         space, basis, sample = spanning_case(seed)
         model = fit_subspace_pca(space, basis, sample)
         assert model.whitener.dropped == dropped
-        want = (sample * space.weights) @ model.eigenfunctions.T
+        want = (sample * space.weights) @ eigenfunctions(space, basis, model).T
         got = component_scores(model)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(centered_scores(model).mean(axis=0)).max() <= 1e-12
     manual = np.array(
         [
-            [space.inner(z, phi) for phi in model.eigenfunctions]
+            [space.inner(z, phi) for phi in eigenfunctions(space, basis, model)]
             for z in sample[:4]
         ]
     )
@@ -164,11 +192,9 @@ def test_select_pve_worked_examples():
             eigenvalues=lams,
             coords=np.zeros((lams.size, lams.size)),
             white=np.zeros((10, lams.size)),
-            eigenfunctions=np.zeros((lams.size, 4)),
             mean=np.zeros(4),
             whitener=None,
             total_variance=total,
-            n=10,
         )
 
     sel = select_pve(model_with([3.5, 3.0, 2.5, 2.0, 1.5, 1.0], 13.5), 0.95)

@@ -13,6 +13,7 @@ from gridpcr import (
     coefficient_element,
     coefficient_names,
     component_scores,
+    eigenfunctions,
     fit_pcr,
     fit_precision,
     fit_subspace_pca,
@@ -155,13 +156,13 @@ def fitted_pipeline(seed, n=300):
     model = fit_subspace_pca(space, basis, sample)
     scores = component_scores(model)[:, :3]
     design = RegressionDesign(y=y, x=x, scores=scores)
-    return space, sample, model, design
+    return space, basis, model, design
 
 
 def test_plugin_cov_reduces_to_sandwich_when_noiseless_null():
     # eps = 0 and gamma = 0: residuals vanish, so both estimates are zero
     rng = replicate_rng(8500, 0)
-    space, sample, model, design = fitted_pipeline(0)
+    space, basis, model, design = fitted_pipeline(0)
     y = umat(design.x, design.scores)[:, :3] @ np.array([1.0, 0.8, -0.6])
     design0 = RegressionDesign(y=y, x=design.x, scores=design.scores)
     fit = fit_pcr(design0)
@@ -207,7 +208,8 @@ def test_plugin_cov_tracks_monte_carlo_truth():
         y = umat(x, xi) @ theta0 + rng.standard_normal(n)
         model = fit_subspace_pca(space, basis, sample)
         scores = component_scores(model)[:, :3]
-        flips = np.sign(model.eigenfunctions * space.weights @ phis.T).diagonal()
+        phi_hat = eigenfunctions(space, basis, model)
+        flips = np.sign(phi_hat * space.weights @ phis.T).diagonal()
         scores = scores * flips
         design = RegressionDesign(y=y, x=x, scores=scores)
         fit = fit_pcr(design)
@@ -226,8 +228,8 @@ def test_plugin_cov_tracks_monte_carlo_truth():
 
 
 def test_plugin_cov_shrinks_like_one_over_n():
-    space_a, sample_a, model_a, design_a = fitted_pipeline(2, n=400)
-    space_b, sample_b, model_b, design_b = fitted_pipeline(2, n=3600)
+    space_a, basis_a, model_a, design_a = fitted_pipeline(2, n=400)
+    space_b, basis_b, model_b, design_b = fitted_pipeline(2, n=3600)
     va = np.diag(plugin_cov(fit_pcr(design_a), model_a, design_a))
     vb = np.diag(plugin_cov(fit_pcr(design_b), model_b, design_b))
     ratio = va / vb
@@ -235,8 +237,8 @@ def test_plugin_cov_shrinks_like_one_over_n():
 
 
 def test_coefficient_element_reconstruction():
-    space, sample, model, design = fitted_pipeline(3)
+    space, basis, model, design = fitted_pipeline(3)
     fit = fit_pcr(design)
-    elem = coefficient_element(fit, model)
-    manual = fit.gamma @ model.eigenfunctions[: design.m]
+    elem = coefficient_element(fit, model, space, basis)
+    manual = fit.gamma @ eigenfunctions(space, basis, model)[: design.m]
     np.testing.assert_allclose(elem, manual, atol=1e-12)

@@ -17,6 +17,7 @@ from gridpcr import (
     bootstrap_eigenvalues,
     bootstrap_theta,
     component_scores,
+    eigenfunctions,
     fit_pcr,
     fit_precision,
     fit_subspace_pca,
@@ -222,7 +223,12 @@ def test_jackknife_blocks_match_manual_refit():
         idx = np.flatnonzero(keep)
         sub = fit_subspace_pca(space, basis, sample[idx])
         flips = np.sign(
-            np.sum(sub.eigenfunctions[:2] * space.weights * full.eigenfunctions[:2], axis=1)
+            np.sum(
+                eigenfunctions(space, basis, sub)[:2]
+                * space.weights
+                * eigenfunctions(space, basis, full)[:2],
+                axis=1,
+            )
         )
         scores = component_scores(sub)[:, :2] * flips
         fit = fit_pcr(RegressionDesign(y=y[idx], x=x[idx], scores=scores))
@@ -242,7 +248,12 @@ def test_nonparametric_weights_match_resampled_refit(two_arm):
         idx = np.repeat(np.arange(n), gen_weights(spec, n, b).astype(int))
         sub = fit_subspace_pca(space, basis, sample[idx])
         flips = np.sign(
-            np.sum(sub.eigenfunctions[:2] * space.weights * full.eigenfunctions[:2], axis=1)
+            np.sum(
+                eigenfunctions(space, basis, sub)[:2]
+                * space.weights
+                * eigenfunctions(space, basis, full)[:2],
+                axis=1,
+            )
         )
         design = RegressionDesign(
             y=y[idx],

@@ -11,13 +11,18 @@ from gridpcr import (
     StudyError,
     TreatmentConfig,
     ar_covariates,
+    bspline_tensor_basis,
+    eigenfunctions,
+    fit_subspace_pca,
     gen_response,
     generate_dataset,
     kl_sample,
     make_family,
     run_monte_carlo,
+    run_replicate,
     scenario_space,
 )
+from gridpcr import simulate
 from gridpcr.space import AmbientSpace
 from gridpcr.util import replicate_rng
 
@@ -258,3 +263,35 @@ def test_two_arm_intervals_cover_modifier_block():
         assert table.covered_reps[i] == 3
         assert 0.0 <= table.coverage[i] <= 1.0
     assert np.isnan(table.coverage[table.names.index("lambda1")])
+
+
+@pytest.mark.parametrize(
+    "family, dims", [("synthetic2d", (8, 9)), ("quadratic_gauss3d", (8, 9, 7))]
+)
+def test_signs_from_coordinates_match_grid_inner_products(monkeypatch, family, dims):
+    # run_replicate reads the sign of <phi_hat_j, phi_j> from whitened
+    # coordinates; it must be the sign of the inner product on the grid.
+    # Close eigenvalues mix the two components, so both signs occur.
+    seen = []
+    fit_to_truth = simulate._fit_to_truth
+
+    def spy(config, signs, m, two_arm):
+        seen.append(signs.copy())
+        return fit_to_truth(config, signs, m, two_arm)
+
+    monkeypatch.setattr(simulate, "_fit_to_truth", spy)
+    config = small_config(family=family, dims=dims, lambdas=(1.1, 1.0), n=60, seed=17)
+    options = small_options()
+    flips = 0
+    for rep in range(8):
+        m = run_replicate(config, options, rep)["m"]
+        space, fam, sample, *_ = generate_dataset(config, rep)
+        basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
+        phis = eigenfunctions(space, basis, fit_subspace_pca(space, basis, sample))
+        k = min(m, config.n_components)
+        inner = np.sum(phis[:k] * fam.phis[:k] * space.weights, axis=1)
+        want = np.ones(config.n_components)
+        want[:k] = np.where(inner >= 0, 1.0, -1.0)
+        np.testing.assert_array_equal(seen[-1], want)
+        flips += int(np.sum(want < 0))
+    assert 0 < flips < 8 * config.n_components

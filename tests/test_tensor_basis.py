@@ -13,6 +13,7 @@ from gridpcr import (
     TensorBasis,
     bspline_tensor_basis,
     diagnose_projection,
+    eigenfunctions,
     fit_subspace_pca,
     gram,
     project_scores,
@@ -103,7 +104,7 @@ def test_fit_and_diagnostic_match_dense_rows(case):
     b = fit_subspace_pca(space, dense, sample)
     assert a.n_components == b.n_components == 4
     assert_rel(a.eigenvalues, b.eigenvalues)
-    assert_rel(a.eigenfunctions, b.eigenfunctions)
+    assert_rel(eigenfunctions(space, basis, a), eigenfunctions(space, dense, b))
     assert a.total_variance == pytest.approx(b.total_variance, rel=REL)
 
     noisy = sample + 0.05 * replicate_rng(9603, 0).standard_normal(sample.shape)
@@ -131,7 +132,7 @@ def test_masked_basis_drops_unsupported_rows():
 
     dense = BasisSet(functions=basis_rows(basis))
     model = fit_subspace_pca(space, basis, in_span_sample(space, dense))
-    assert np.all(model.eigenfunctions[:, ~support] == 0.0)
+    assert np.all(eigenfunctions(space, basis, model)[:, ~support] == 0.0)
 
 
 def test_unmasked_basis_keeps_every_row():
@@ -171,8 +172,9 @@ def test_no_dense_rows_on_the_fitting_paths(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The sample and the eigenfunctions are each n x V; the dense rows
-    # would be N x V with N = 125 > 4 n.
+    # The sample exists before tracing; fitting and the diagnostic add a few
+    # row chunks, each at most n x V (one chunk holds this whole sample), and
+    # no J x V eigenfunctions. The dense rows would be N x V, N = 125 > 4 n.
     assert peak < dense_bytes / 2
     assert model.n_components == n - 1
     assert report.basis_rank == basis.n_functions

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import gridpcr.util
+
 from gridpcr.util import (
     atomic_write_bytes,
     default_threads,
@@ -74,6 +76,40 @@ def test_run_indexed_propagates_errors():
 
     with pytest.raises(ValueError):
         run_indexed(job, 10, 2)
+
+
+def test_run_indexed_caps_workers(monkeypatch):
+    # A huge thread count must not start that many OS threads: the pool is
+    # capped at min(threads, count, usable CPUs). The fake pool records its
+    # size and runs the calls serially, so this test starts no thread.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert run_indexed(lambda i: i * i, 50, 10**6) == [i * i for i in range(50)]
+    assert run_indexed(lambda i: i, 3, 10**6) == [0, 1, 2]
+    assert sizes == [4, 3]
+
+    sizes.clear()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert run_indexed(lambda i: i, 50, 10**6) == list(range(50))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_indexed(lambda i: i, 50, 10**6) == list(range(50))
+    assert sizes == [6]
 
 
 def test_default_threads_env(monkeypatch):
