@@ -4,10 +4,16 @@ Subcommands: fit, diagnose, pve, regress, bootstrap, jackknife, simulate,
 reproduce. Every run writes its output files plus a JSON manifest (config
 echo, seed, version, timing, output checksums) into --out. Identical flags
 and seeds produce byte-identical outputs for any --threads value; only the
-manifest's timing field varies between runs.
+manifest's timing field varies between runs. Replicate loops run BLAS on one
+thread, so Monte Carlo outputs (simulate, reproduce) also do not depend on the
+BLAS thread setting; point fits (fit, regress, and the point column of
+bootstrap and jackknife) run on the default BLAS threads and can change with
+OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 2 input/usage/format problems, 3 numerical or
-assumption failures (the message names the violated assumption).
+assumption failures (the message names the violated assumption). Errors and
+library warnings go to stderr as one ``error: <message>`` or
+``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -91,14 +98,21 @@ BETA_DEFAULT = (1.0, 1.0, 1.0, 1.0)
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args) or 0
-    except (FormatError, ConformanceError, ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridPcrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args) or 0
+        except (FormatError, ConformanceError, ConfigurationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except GridPcrError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a library warning as one ``warning: <message>`` line."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

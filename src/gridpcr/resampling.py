@@ -367,14 +367,14 @@ def block_jackknife(
             f"observations per block at n = {n}"
         )
     used = spec.r * k
-    reps = np.empty((spec.r, width))
-    for block in range(spec.r):
+
+    def one(block):
         weights = np.zeros(n)
         weights[:used] = 1.0
         weights[block:used:spec.r] = 0.0
-        reps[block] = _replicate_theta(
-            model, design, weights, f"jackknife block {block}"
-        )
+        return _replicate_theta(model, design, weights, f"jackknife block {block}")
+
+    reps = np.array(run_indexed(one, spec.r, 1))
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,19 +136,81 @@ def default_threads() -> int:
     return max(1, n)
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS in ``numpy.libs``; loading it again returns
+    the copy numpy already uses. Another BLAS or platform gives None.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _BlasPin:
+    """Process-wide pin of numpy's OpenBLAS to one thread, shared by callers.
+
+    The first caller in sets the count to 1 when it is not 1 already, and
+    the last caller out restores the count it replaced. Overlapping loops on
+    different threads therefore all run single-threaded, and a nested loop
+    (a study inside a pool worker) never changes the count while other
+    workers are inside BLAS.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                api = _openblas()
+                previous = api[0]() if api is not None else 1
+                if previous != 1:
+                    api[1](1)
+                    self._restore = (api[1], previous)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                put, previous = self._restore
+                self._restore = None
+                put(previous)
+        return False
+
+
+_BLAS_PIN = _BlasPin()
+
+
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
     With ``threads > 1`` the calls run on a thread pool of at most
     min(threads, count, usable CPUs) workers; each call must be independent
     (replicate-keyed RNG makes that hold), so the result list is identical
-    for any worker count.
+    for any worker count. BLAS runs single-threaded for every worker count:
+    the pool, not BLAS, uses the cores, and replicate arithmetic does not
+    depend on the BLAS thread setting.
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     threads = min(max(1, int(threads)), count, cpus or os.cpu_count() or 1)
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    with _BLAS_PIN:
+        if threads <= 1:
+            return [fn(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(count)))

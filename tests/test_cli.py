@@ -1,10 +1,14 @@
 """End-to-end command-line runs: exit codes, outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridpcr
 from gridpcr import (
     AmbientSpace,
     RegressionDesign,
@@ -361,3 +365,67 @@ def test_diagnose_rank_follows_drop_tol(tmp_path, capsys):
         assert int(rows[0][2]) == fit_rank
         ranks[tol] = fit_rank
     assert ranks["1e-2"] < ranks["1e-10"]
+
+
+def test_warning_prints_as_one_line(tmp_path, capsys):
+    data = tmp_path / "s.hsg"
+    make_dataset(data)
+    keep = np.zeros(DIMS)
+    keep[: DIMS[0] // 2] = 1.0
+    write_grid(tmp_path / "mask.hsg", keep)
+    rc = main([
+        "fit", "--data", str(data), "--degree", "2", "--knots", "2",
+        "--mask", str(tmp_path / "mask.hsg"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == "warning: dropped 5 basis row(s) with no support on the domain\n"
+
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def _cli_outputs(argv, out, blas_threads=None) -> dict:
+    """Run the CLI in a fresh interpreter; output bytes by file, manifest aside.
+
+    BLAS reads its thread count once at import, so each setting needs its
+    own process. ``blas_threads=None`` leaves the BLAS default.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    env.pop("GRIDPCR_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridpcr.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridpcr.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def test_outputs_identical_across_threads_with_default_blas(tmp_path):
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data, n=40)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    basis = ["--data", str(data), "--degree", "2", "--knots", "2"]
+    commands = {
+        "fit": ["fit", *basis],
+        "bootstrap": ["bootstrap", *basis, "--table", str(table), "--response", "y",
+                      "--covariates", "x1,x2", "--reps", "20", "--seed", "5"],
+        "simulate": ["simulate", "--n", "100", "--reps", "3", "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        one = _cli_outputs([*argv, "--threads", "1"], tmp_path / f"{name}-1")
+        two = _cli_outputs([*argv, "--threads", "2"], tmp_path / f"{name}-2")
+        assert one and one == two, name
+
+
+def test_replicate_outputs_independent_of_blas_threads(tmp_path):
+    argv = ["simulate", "--n", "100", "--reps", "2", "--inference", "bootstrap",
+            "--boot-reps", "10", "--seed", "3", "--threads", "2"]
+    one = _cli_outputs(argv, tmp_path / "blas-1", blas_threads=1)
+    two = _cli_outputs(argv, tmp_path / "blas-2", blas_threads=2)
+    assert one["metrics.csv"] == two["metrics.csv"]

@@ -10,6 +10,7 @@ from gridpcr import (
     ConfigurationError,
     ConformanceError,
     DegenerateDesignError,
+    GridPcrError,
     JackknifeSpec,
     RegressionDesign,
     StudyError,
@@ -24,6 +25,7 @@ from gridpcr import (
     gen_weights,
     percentile_ci,
 )
+import gridpcr.resampling
 from gridpcr.resampling import CiTable, _replicate_theta
 from gridpcr.util import replicate_rng
 
@@ -313,6 +315,21 @@ def test_jackknife_needs_enough_blocks():
         block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=5))
     with pytest.raises(ConfigurationError):
         block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=30))
+
+
+def test_jackknife_failing_block_raises(monkeypatch):
+    # Unlike a bootstrap draw, a jackknife block is not tolerated as a failure.
+    space, basis, sample, y, x, _ = small_problem(7)
+    model = fit_subspace_pca(space, basis, sample)
+
+    def flaky(model, design, weights, label):
+        if label == "jackknife block 3":
+            raise GridPcrError(f"{label} retained too few components")
+        return _replicate_theta(model, design, weights, label)
+
+    monkeypatch.setattr(gridpcr.resampling, "_replicate_theta", flaky)
+    with pytest.raises(GridPcrError, match="jackknife block 3"):
+        block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=8))
 
 
 def test_design_rows_must_match_model():

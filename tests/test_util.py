@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -110,6 +111,89 @@ def test_run_indexed_caps_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run_indexed(lambda i: i, 50, 10**6) == list(range(50))
     assert sizes == [6]
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS (get, set) handle, set to 2 threads for the test."""
+    api = gridpcr.util._openblas()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, put = api
+    before = get()
+    put(2)
+    yield api
+    put(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_indexed_pins_blas_to_one_thread(blas, threads):
+    get = blas[0]
+    assert run_indexed(lambda i: get(), 4, threads) == [1, 1, 1, 1]
+    assert get() == 2
+
+    def job(i):
+        if i == 2:
+            raise ValueError("boom")
+        return get()
+
+    with pytest.raises(ValueError):
+        run_indexed(job, 4, threads)
+    assert get() == 2
+
+
+def test_nested_run_indexed_never_sets_blas(blas, monkeypatch):
+    get, put = blas
+    sets = []
+
+    def recording_put(n):
+        sets.append(n)
+        put(n)
+
+    monkeypatch.setattr(gridpcr.util, "_openblas", lambda: (get, recording_put))
+
+    def outer(i):
+        return run_indexed(lambda j: get(), 3, 2)
+
+    assert run_indexed(outer, 4, 2) == [[1, 1, 1]] * 4
+    assert sets == [1, 2]
+    assert get() == 2
+
+
+def test_overlapping_run_indexed_keep_blas_pinned(blas):
+    # Loop A starts first and ends while loop B, on another thread, is still
+    # running: B must stay single-threaded, and the count comes back after B.
+    get = blas[0]
+    a_running, b_running, a_done = (threading.Event() for _ in range(3))
+    seen = []
+
+    def loop_a():
+        run_indexed(lambda i: (a_running.set(), b_running.wait(10)), 1, 1)
+        a_done.set()
+
+    def loop_b():
+        def job(i):
+            b_running.set()
+            a_done.wait(10)
+            return get()
+
+        seen.extend(run_indexed(job, 1, 1))
+
+    workers = [threading.Thread(target=loop_a), threading.Thread(target=loop_b)]
+    workers[0].start()
+    assert a_running.wait(10)
+    workers[1].start()
+    for worker in workers:
+        worker.join(10)
+    assert not any(worker.is_alive() for worker in workers)
+    assert a_done.is_set() and seen == [1]
+    assert get() == 2
+
+
+def test_run_indexed_without_blas_handle(monkeypatch):
+    monkeypatch.setattr(gridpcr.util, "_openblas", lambda: None)
+    for threads in (1, 2):
+        assert run_indexed(lambda i: i * i, 20, threads) == [i * i for i in range(20)]
 
 
 def test_default_threads_env(monkeypatch):

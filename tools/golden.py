@@ -14,8 +14,7 @@ program under test cannot change them: a 20x24 sample with a design table
 eigenfunction decide its sign there) and a triangulation of the unit square
 in the text mesh format. Each command then runs in a fresh interpreter with
 ``PYTHONPATH=<src>`` and ``OPENBLAS_NUM_THREADS=1``; its output files, stdout,
-stderr and exit code go to ``<out>/<case>/``, with the source path and line
-of each warning replaced by placeholders.
+stderr and exit code go to ``<out>/<case>/``.
 
 ``compare`` reports, for each case and file, ``identical`` or the largest
 deviation relative to the largest |value| of its column (CSV columns, each
@@ -156,9 +155,6 @@ def cases(inputs) -> dict:
     return out
 
 
-_WARNING_SOURCE = re.compile(r"[^\s:]*/(gridpcr/[\w/]+\.py):\d+:")
-
-
 def run(src, out) -> int:
     write_inputs(os.path.join(out, "inputs"))
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
@@ -171,9 +167,7 @@ def run(src, out) -> int:
             [sys.executable, "-m", "gridpcr.cli", *argv, "--out", name],
             cwd=out, env=env, capture_output=True, text=True,
         )
-        # Warnings name the source file and line; neither is an output.
-        stderr = _WARNING_SOURCE.sub(r"<src>/\1:<line>:", proc.stderr)
-        for fname, text in (("stdout.txt", proc.stdout), ("stderr.txt", stderr),
+        for fname, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr),
                             ("exit.txt", f"{proc.returncode}\n")):
             with open(os.path.join(case_dir, fname), "w", encoding="utf-8") as handle:
                 handle.write(text)
