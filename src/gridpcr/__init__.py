@@ -32,6 +32,7 @@ from .decomp import (
     eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
+    model_from_white,
     select_pve,
 )
 from .errors import (
@@ -71,14 +72,17 @@ from .resampling import (
 )
 from .simulate import (
     BUMPS_2D,
+    KLSample,
     MetricsTable,
     PipelineOptions,
     ScenarioConfig,
+    Study,
     TreatmentConfig,
     TrueFamily,
     ar_covariates,
     gen_response,
     generate_dataset,
+    kl_factors,
     kl_sample,
     make_family,
     run_monte_carlo,

@@ -533,7 +533,10 @@ def _write_ci_table(path, names, point, lower, upper, se):
 def _jackknife(args, model, design):
     """Block jackknife with --blocks blocks, or the default count."""
     return block_jackknife(
-        model, design, jackknife_spec(design, args.blocks, args.level)
+        model,
+        design,
+        jackknife_spec(design, args.blocks, args.level),
+        threads=_threads(args),
     )
 
 

@@ -28,9 +28,9 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
+    _project_scores,
     as_sample,
     gram,
-    project_scores,
     row_chunks,
     synthesize,
     whiten,
@@ -131,27 +131,49 @@ def fit_subspace_pca(
     pass through in row chunks; no grid row is kept.
     """
     data = as_sample(space, sample)
-    if data.shape[0] < 2:
-        raise ConformanceError("subspace fit needs at least two sample rows")
     whitener = whiten(gram(space, basis), drop_tol)
-    white = project_scores(space, basis, data) @ whitener.factor.T
-    centered = white - white.mean(axis=0)
-    lams, coords = _eig_from_scores(centered)
-    for chunk in row_chunks(space, coords.shape[0]):
-        phis = synthesize(space, basis, coords[chunk] @ whitener.factor)
-        peaks = phis[np.arange(phis.shape[0]), np.argmax(np.abs(phis), axis=1)]
-        coords[chunk][peaks < 0] *= -1.0
+    white = _project_scores(space, basis, data) @ whitener.factor.T
     mean = data.mean(axis=0)
     dev_sq = np.empty(data.shape[0])
     for chunk in row_chunks(space, data.shape[0]):
         dev_sq[chunk] = _sq_norms(space, data[chunk] - mean)
+    return model_from_white(
+        space, basis, white, whitener, mean, float(dev_sq.mean())
+    )
+
+
+def model_from_white(
+    space: AmbientSpace,
+    basis,
+    white: np.ndarray,
+    whitener: Whitener,
+    mean: np.ndarray,
+    total_variance: float,
+) -> EigenModel:
+    """The fitted model of a sample given its whitened projection scores.
+
+    ``white`` holds the uncentered scores (n, rank) of the sample rows in
+    ``whitener``'s frame of ``basis``; ``mean`` and ``total_variance`` are
+    the sample's pointwise mean and mean squared distance to it. The
+    scores are centered and eigendecomposed, and each eigenvector is
+    flipped so that its grid row's largest-|value| entry is positive; the
+    rows are synthesized a chunk at a time. Every fit after its projection
+    goes through here: ``fit_subspace_pca`` and the Monte Carlo harness.
+    """
+    if white.shape[0] < 2:
+        raise ConformanceError("subspace fit needs at least two sample rows")
+    lams, coords = _eig_from_scores(white - white.mean(axis=0))
+    for chunk in row_chunks(space, coords.shape[0]):
+        phis = synthesize(space, basis, coords[chunk] @ whitener.factor)
+        peaks = phis[np.arange(phis.shape[0]), np.argmax(np.abs(phis), axis=1)]
+        coords[chunk][peaks < 0] *= -1.0
     return EigenModel(
         eigenvalues=lams,
         coords=coords,
         white=white,
         mean=mean,
         whitener=whitener,
-        total_variance=float(dev_sq.mean()),
+        total_variance=total_variance,
     )
 
 
@@ -248,7 +270,7 @@ def diagnose_projection(
     whitener = whiten(gram(space, basis), drop_tol)
     factor = whitener.factor
     mean = data.mean(axis=0)
-    white = project_scores(space, basis, data, center=mean) @ factor.T
+    white = _project_scores(space, basis, data, center=mean) @ factor.T
     resid_sq = np.empty(n)
     dev_sq = np.empty(n)
     for chunk in row_chunks(space, n):

@@ -339,6 +339,7 @@ def block_jackknife(
     model: EigenModel,
     design: RegressionDesign,
     spec: JackknifeSpec,
+    threads: int = 1,
 ) -> JackknifeResult:
     """Grouped-jackknife covariance of theta from r systematic blocks.
 
@@ -349,7 +350,8 @@ def block_jackknife(
     eigendecomposition and regression under those weights, as a bootstrap
     draw does; a failing block raises. The covariance is ((r - 1) / r)
     times the replicate scatter around the replicate mean, and intervals
-    are normal around the full-sample point estimate.
+    are normal around the full-sample point estimate. Blocks run on up to
+    ``threads`` pool workers; the result does not depend on the count.
     """
     _check_design(model, design)
     point = fit_pcr(design).theta
@@ -374,7 +376,7 @@ def block_jackknife(
         weights[block:used:spec.r] = 0.0
         return _replicate_theta(model, design, weights, f"jackknife block {block}")
 
-    reps = np.array(run_indexed(one, spec.r, 1))
+    reps = np.array(run_indexed(one, spec.r, threads))
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)

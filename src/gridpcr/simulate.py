@@ -11,6 +11,10 @@ studies.
 ``run_monte_carlo`` repeats data generation and the full estimation chain
 under replicate-keyed seeds and aggregates per-parameter mean squared errors,
 interval coverage, and the distribution of the selected component count.
+It builds the family, basis and whitener once per study, and each replicate
+works from its n x J KL factors: a KL sample has rank J, and the projection
+is linear, so every quantity the fit needs follows from the factors and the
+family's own projection without forming the n x V sample.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import bspline_tensor_basis
-from .decomp import component_scores, fit_subspace_pca, select_pve
+from .decomp import EigenModel, component_scores, model_from_white, select_pve
 from .errors import ConformanceError, ConfigurationError
 from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
@@ -31,7 +35,7 @@ from .resampling import (
     normal_ci,
     run_tolerant,
 )
-from .space import AmbientSpace, as_sample, project_scores
+from .space import AmbientSpace, Whitener, gram, project_scores, whiten
 from .util import mix_seed, replicate_rng
 
 FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
@@ -146,6 +150,27 @@ class TrueFamily:
         if scores.shape != (self.n_components,):
             raise ConformanceError("one score per component required")
         return scores @ self.phis
+
+    def inner(self, element: np.ndarray) -> np.ndarray:
+        """Inner products <phi_j, element> of every component, shape (J,)."""
+        return self.phis @ (element * self.space.weights)
+
+
+@dataclass(frozen=True)
+class KLSample:
+    """Sample rows held as scaled KL factors: row i is ``factors[i] @ phis``.
+
+    ``factors`` is (n, J) with column j scaled by sqrt(lambda_j).
+    ``np.asarray(sample)`` forms the (n, V) rows, the same bytes
+    ``kl_sample`` returns, so a KLSample is accepted wherever a sample is;
+    the Monte Carlo harness reads only ``factors``.
+    """
+
+    family: TrueFamily
+    factors: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.factors @ self.family.phis, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -263,17 +288,23 @@ def _gram_schmidt(space: AmbientSpace, raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def kl_sample(
+def kl_factors(
     family: TrueFamily, lambdas, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw n mean-zero sample rows with variances ``lambdas`` along the family."""
+    """Draw the (n, J) scaled factors sqrt(lambda_j) U_ij of n KL sample rows."""
     lams = np.asarray(lambdas, dtype=float)
     if lams.shape != (family.n_components,):
         raise ConformanceError("one variance per family component required")
     if np.any(lams <= 0):
         raise ConfigurationError("variances must be positive")
-    factors = rng.standard_normal((n, lams.size))
-    return (factors * np.sqrt(lams)) @ family.phis
+    return rng.standard_normal((n, lams.size)) * np.sqrt(lams)
+
+
+def kl_sample(
+    family: TrueFamily, lambdas, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw n mean-zero sample rows with variances ``lambdas`` along the family."""
+    return kl_factors(family, lambdas, n, rng) @ family.phis
 
 
 def ar_covariates(
@@ -291,7 +322,7 @@ def ar_covariates(
 
 def gen_response(
     family: TrueFamily,
-    sample,
+    factors,
     x,
     alpha0: float,
     beta0,
@@ -301,12 +332,18 @@ def gen_response(
     treatment=None,
     modifier: TreatmentConfig | None = None,
 ) -> np.ndarray:
-    """Linear response alpha + beta'X + <gamma, Z> (+ treatment block) + noise."""
-    data = as_sample(family.space, sample)
-    x = np.asarray(x, dtype=float).reshape(data.shape[0], -1)
+    """Linear response alpha + beta'X + <gamma, Z> (+ treatment block) + noise.
+
+    The sample rows are Z_i = factors[i] @ family.phis (see ``KLSample``),
+    so <gamma, Z_i> is factors[i] @ <phi, gamma> and no grid pass is made.
+    """
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 2 or factors.shape[1] != family.n_components:
+        raise ConformanceError("one factor per family component required")
+    x = np.asarray(x, dtype=float).reshape(factors.shape[0], -1)
     beta0 = np.asarray(beta0, dtype=float)
     gamma_fn = family.gamma_element(gamma0)
-    y = alpha0 + x @ beta0 + (data * family.space.weights) @ gamma_fn
+    y = alpha0 + x @ beta0 + factors @ family.inner(gamma_fn)
     if modifier is not None:
         if treatment is None:
             raise ConformanceError("modifier truth needs a treatment indicator")
@@ -315,30 +352,38 @@ def gen_response(
         y = y + a * (
             modifier.alpha
             + x @ np.asarray(modifier.beta)
-            + (data * family.space.weights) @ mod_fn
+            + factors @ family.inner(mod_fn)
         )
     if noise_sd > 0:
-        y = y + noise_sd * rng.standard_normal(data.shape[0])
+        y = y + noise_sd * rng.standard_normal(factors.shape[0])
     return y
 
 
-def generate_dataset(config: ScenarioConfig, replicate: int):
+def generate_dataset(
+    config: ScenarioConfig, replicate: int, family: TrueFamily | None = None
+):
     """One replicate's (space, family, sample, x, y, treatment).
 
-    Randomness is keyed by (config.seed, replicate); the same pair always
-    reproduces the same dataset regardless of what else has run.
+    ``sample`` is a ``KLSample``: its factors, not its grid rows. ``family``
+    is the scenario's family when the caller has built it already; by
+    default it is built here. Randomness is keyed by (config.seed,
+    replicate), drawn as x, the factors, the treatment and the noise, so the
+    same pair always reproduces the same dataset regardless of what else
+    has run.
     """
     rng = replicate_rng(config.seed, replicate)
-    space = scenario_space(config)
-    family = make_family(space, config.family, config.n_components)
+    if family is None:
+        family = make_family(
+            scenario_space(config), config.family, config.n_components
+        )
     x = ar_covariates(config.n, config.d, config.corr, rng)
-    sample = kl_sample(family, config.lambdas, config.n, rng)
+    factors = kl_factors(family, config.lambdas, config.n, rng)
     treatment = None
     if config.treatment is not None:
         treatment = rng.random(config.n) < config.treatment.prob
     y = gen_response(
         family,
-        sample,
+        factors,
         x,
         config.alpha0,
         config.beta0,
@@ -348,7 +393,7 @@ def generate_dataset(config: ScenarioConfig, replicate: int):
         treatment=treatment,
         modifier=config.treatment,
     )
-    return space, family, sample, x, y, treatment
+    return family.space, family, KLSample(family, factors), x, y, treatment
 
 
 def _true_theta(config: ScenarioConfig) -> np.ndarray:
@@ -369,8 +414,61 @@ def _metric_names(config: ScenarioConfig) -> list:
     return lam + coef
 
 
+@dataclass(frozen=True)
+class Study:
+    """The parts of a Monte Carlo scenario that no replicate changes.
+
+    ``family_white`` (J, rank) holds the whitened projection scores of
+    ``family.phis`` and ``family_gram`` (J, J) their Gram matrix under the
+    space inner product. Both are exact linear images of the family, so
+    ``fit`` reproduces ``fit_subspace_pca`` on a KL sample up to rounding.
+    """
+
+    family: TrueFamily
+    basis: object
+    whitener: Whitener
+    family_white: np.ndarray
+    family_gram: np.ndarray
+
+    @classmethod
+    def build(cls, config: ScenarioConfig, options: PipelineOptions) -> "Study":
+        space = scenario_space(config)
+        family = make_family(space, config.family, config.n_components)
+        basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
+        whitener = whiten(gram(space, basis))
+        return cls(
+            family=family,
+            basis=basis,
+            whitener=whitener,
+            family_white=project_scores(space, basis, family.phis) @ whitener.factor.T,
+            family_gram=(family.phis * space.weights) @ family.phis.T,
+        )
+
+    def fit(self, factors: np.ndarray) -> EigenModel:
+        """``fit_subspace_pca`` of the sample rows ``factors @ family.phis``.
+
+        The rows' whitened scores are ``factors @ family_white``, their mean
+        is the mean factor times the family, and the squared norm of a
+        centered row f @ phis is f @ family_gram @ f.
+        """
+        center = factors.mean(axis=0)
+        dev = factors - center
+        total = float(np.mean(np.sum((dev @ self.family_gram) * dev, axis=1)))
+        return model_from_white(
+            self.family.space,
+            self.basis,
+            factors @ self.family_white,
+            self.whitener,
+            center @ self.family.phis,
+            total,
+        )
+
+
 def run_replicate(
-    config: ScenarioConfig, options: PipelineOptions, replicate: int
+    config: ScenarioConfig,
+    options: PipelineOptions,
+    replicate: int,
+    study: Study | None = None,
 ) -> dict:
     """Generate one dataset, run the estimation chain, and score it.
 
@@ -378,11 +476,13 @@ def run_replicate(
     parameter (eigenvalues first, then coefficients), and interval coverage
     indicators where inference was requested. Eigen-block comparisons are
     sign-aligned to the true eigenfunctions; components beyond the selected
-    count are scored as zero estimates and skipped for coverage.
+    count are scored as zero estimates and skipped for coverage. ``study``
+    is the scenario's ``Study``, built here when not given.
     """
-    space, family, sample, x, y, treatment = generate_dataset(config, replicate)
-    basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
-    model = fit_subspace_pca(space, basis, sample)
+    if study is None:
+        study = Study.build(config, options)
+    _, _, sample, x, y, treatment = generate_dataset(config, replicate, study.family)
+    model = study.fit(sample.factors)
     if options.m_override is not None:
         m = int(options.m_override)
         if not 1 <= m <= model.n_components:
@@ -399,8 +499,7 @@ def run_replicate(
     # Sign alignment of estimated components to the true family, in whitened
     # coordinates: <phi_hat_j, phi_j> is coords[j] . (whitened scores of phi_j).
     k = min(m, j_true)
-    true_white = project_scores(space, basis, family.phis[:k]) @ model.whitener.factor.T
-    inner = np.sum(model.coords[:k] * true_white, axis=1)
+    inner = np.sum(model.coords[:k] * study.family_white[:k], axis=1)
     signs = np.ones(j_true)
     signs[:k] = np.where(inner >= 0, 1.0, -1.0)
 
@@ -475,6 +574,7 @@ def run_monte_carlo(
 ) -> MetricsTable:
     """Repeat the scenario ``reps`` times and aggregate the metrics.
 
+    The scenario's ``Study`` is built once and shared by every replicate.
     Replicates are keyed by (config.seed, replicate), so results are
     bitwise-reproducible for any thread count. Replicate failures are
     tolerated up to 5% of the study and listed in the result; more than
@@ -483,8 +583,12 @@ def run_monte_carlo(
     if reps < 1:
         raise ConfigurationError("need at least one replicate")
     options = options or PipelineOptions()
+    study = Study.build(config, options)
     metrics, failures = run_tolerant(
-        lambda b: run_replicate(config, options, b), reps, threads, "Monte Carlo"
+        lambda b: run_replicate(config, options, b, study),
+        reps,
+        threads,
+        "Monte Carlo",
     )
     j_true = config.n_components
     names = _metric_names(config)

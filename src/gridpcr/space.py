@@ -145,8 +145,10 @@ def as_sample(space: AmbientSpace, x) -> np.ndarray:
         )
     if arr.shape[0] == 0:
         raise ConformanceError("sample must contain at least one row")
-    if not np.all(np.isfinite(arr)):
-        raise ConformanceError("sample contains non-finite values")
+    # One row chunk at a time, so the check needs no n x V temporary.
+    for chunk in row_chunks(space, arr.shape[0]):
+        if not np.all(np.isfinite(arr[chunk])):
+            raise ConformanceError("sample contains non-finite values")
     return arr
 
 
@@ -337,6 +339,12 @@ def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarra
     data = as_sample(space, sample)
     if center is not None:
         center = as_element(space, center)
+    return _project_scores(space, basis, data, center)
+
+
+def _project_scores(space: AmbientSpace, basis, data, center=None) -> np.ndarray:
+    """``project_scores`` of a sample that ``as_sample`` has already checked
+    and a center that is None or a flat element of the space."""
     rows = _dense(space, basis)
     out = np.empty((data.shape[0], basis.n_functions if rows is None else rows.shape[0]))
     buf = np.empty((min(data.shape[0], _chunk_rows(space)), space.size))

@@ -410,11 +410,19 @@ def test_outputs_identical_across_threads_with_default_blas(tmp_path):
     _, _, _, x, y = make_dataset(data, n=40)
     table = tmp_path / "d.csv"
     write_design(table, x, y)
+    two_arm = tmp_path / "a.csv"
+    rows = [[y[i], x[i, 0], x[i, 1], i % 2] for i in range(len(y))]
+    write_table(two_arm, ["y", "x1", "x2", "a"], rows)
     basis = ["--data", str(data), "--degree", "2", "--knots", "2"]
+    arms = [*basis, "--table", str(two_arm), "--response", "y",
+            "--treatment", "a", "--m", "2"]
     commands = {
         "fit": ["fit", *basis],
         "bootstrap": ["bootstrap", *basis, "--table", str(table), "--response", "y",
                       "--covariates", "x1,x2", "--reps", "20", "--seed", "5"],
+        "jackknife": ["jackknife", *basis, "--table", str(table), "--response", "y",
+                      "--covariates", "x1,x2"],
+        "regress-two-arm": ["regress", *arms],
         "simulate": ["simulate", "--n", "100", "--reps", "3", "--seed", "3"],
     }
     for name, argv in commands.items():

@@ -20,6 +20,7 @@ from gridpcr import (
     fit_subspace_pca,
     select_pve,
 )
+import gridpcr.decomp
 import gridpcr.space
 from gridpcr.decomp import centered_scores, check_gaps, EigenModel, PveSelection
 from gridpcr.util import replicate_rng
@@ -326,3 +327,24 @@ def test_fit_requires_two_rows():
     basis = BasisSet(functions=np.ones((1, 16)), provenance={})
     with pytest.raises(GridPcrError):
         fit_subspace_pca(space, basis, np.zeros((1, 16)))
+
+
+def test_fit_and_diagnostic_check_the_sample_once(monkeypatch):
+    # Each public call validates its sample once; the projection inside it
+    # does not check the sample again.
+    checked = []
+    original = gridpcr.space.as_sample
+
+    def spy(space, x):
+        checked.append(np.shape(x))
+        return original(space, x)
+
+    monkeypatch.setattr(gridpcr.space, "as_sample", spy)
+    monkeypatch.setattr(gridpcr.decomp, "as_sample", spy)
+    space = AmbientSpace.unit_domain((6, 7))
+    basis = bspline_tensor_basis(space, 2, 2)
+    sample = replicate_rng(7300, 0).standard_normal((30, space.size))
+    fit_subspace_pca(space, basis, sample)
+    assert checked == [sample.shape]
+    diagnose_projection(space, basis, sample)
+    assert checked == [sample.shape] * 2

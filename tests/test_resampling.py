@@ -1,5 +1,7 @@
 """Bootstrap and block-jackknife inference for the regression pipeline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from gridpcr import (
     percentile_ci,
 )
 import gridpcr.resampling
+import gridpcr.util
 from gridpcr.resampling import CiTable, _replicate_theta
 from gridpcr.util import replicate_rng
 
@@ -330,6 +333,37 @@ def test_jackknife_failing_block_raises(monkeypatch):
     monkeypatch.setattr(gridpcr.resampling, "_replicate_theta", flaky)
     with pytest.raises(GridPcrError, match="jackknife block 3"):
         block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=8))
+
+
+def test_jackknife_blocks_run_on_the_requested_workers(monkeypatch):
+    # The fake pool records its size and runs the blocks serially, so this
+    # test starts no thread; the replicates must not depend on the count.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    space, basis, sample, y, x, _ = small_problem(7)
+    model = fit_subspace_pca(space, basis, sample)
+    design = design_of(model, y, x, 2)
+    pooled = block_jackknife(model, design, JackknifeSpec(r=8), threads=3)
+    assert sizes == [3]
+    serial = block_jackknife(model, design, JackknifeSpec(r=8))
+    assert sizes == [3]
+    np.testing.assert_array_equal(pooled.replicates, serial.replicates)
+    np.testing.assert_array_equal(pooled.cov, serial.cov)
 
 
 def test_design_rows_must_match_model():

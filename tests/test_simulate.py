@@ -1,5 +1,8 @@
 """Scenario families, data generation, and the Monte Carlo harness."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from gridpcr import (
     run_replicate,
     scenario_space,
 )
+import gridpcr
 from gridpcr import simulate
 from gridpcr.space import AmbientSpace
 from gridpcr.util import replicate_rng
@@ -144,17 +148,21 @@ def test_gen_response_exact_when_noiseless():
     x = rng.standard_normal((25, 3))
     beta = np.array([1.0, -2.0, 0.5])
     gamma = np.array([1.5, -1.0])
-    y = gen_response(fam, sample, x, 2.0, beta, gamma, 0.0, rng)
+    y = gen_response(fam, xi, x, 2.0, beta, gamma, 0.0, rng)
     np.testing.assert_allclose(y, 2.0 + x @ beta + xi @ gamma, atol=1e-10)
+    dense = 2.0 + x @ beta + (sample * space.weights) @ fam.gamma_element(gamma)
+    np.testing.assert_allclose(y, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
     arm = rng.random(25) < 0.5
     mod = TreatmentConfig(alpha=0.5, beta=(0.1, 0.2, -0.3), gamma=(1.0, -0.5))
     y2 = gen_response(
-        fam, sample, x, 2.0, beta, gamma, 0.0, rng, treatment=arm, modifier=mod
+        fam, xi, x, 2.0, beta, gamma, 0.0, rng, treatment=arm, modifier=mod
     )
     extra = 0.5 + x @ np.array(mod.beta) + xi @ np.array(mod.gamma)
     np.testing.assert_allclose(y2, y + arm * extra, atol=1e-10)
     with pytest.raises(ConformanceError):
-        gen_response(fam, sample, x, 2.0, beta, gamma, 0.0, rng, modifier=mod)
+        gen_response(fam, xi, x, 2.0, beta, gamma, 0.0, rng, modifier=mod)
+    with pytest.raises(ConformanceError):
+        gen_response(fam, sample, x, 2.0, beta, gamma, 0.0, rng)
 
 
 def test_generate_dataset_keyed_by_replicate():
@@ -162,17 +170,111 @@ def test_generate_dataset_keyed_by_replicate():
         treatment=TreatmentConfig(alpha=0.5, beta=(0.2, -0.2), gamma=(0.5, 0.5))
     )
     space, fam, sample, x, y, arm = generate_dataset(config, 3)
-    space2, fam2, sample2, x2, y2, arm2 = generate_dataset(config, 3)
-    np.testing.assert_array_equal(sample, sample2)
+    space2, fam2, sample2, x2, y2, arm2 = generate_dataset(config, 3, fam)
+    np.testing.assert_array_equal(sample.factors, sample2.factors)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
     np.testing.assert_array_equal(arm, arm2)
-    assert sample.shape == (80, space.size)
+    assert fam2 is fam and space2 is space
+    assert sample.factors.shape == (80, 2)
+    assert np.asarray(sample).shape == (80, space.size)
     assert x.shape == (80, 2) and y.shape == (80,)
     assert arm.dtype == bool and 0 < arm.sum() < 80
     other = generate_dataset(config, 4)[2]
-    assert not np.array_equal(sample, other)
+    assert not np.array_equal(sample.factors, other.factors)
     assert generate_dataset(small_config(), 0)[5] is None
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("two_arm", [False, True], ids=["one-arm", "two-arm"])
+@pytest.mark.parametrize(
+    "family, dims", [("synthetic2d", (8, 9)), ("quadratic_gauss3d", (8, 9, 7))]
+)
+def test_factored_replicate_matches_dense_fit(family, dims, two_arm):
+    # The Monte Carlo fit works from the KL factors; the dense fit of the
+    # rows factors @ phis is its oracle. The random stream is x, the
+    # factors, the treatment, then the noise.
+    treatment = None
+    if two_arm:
+        treatment = TreatmentConfig(alpha=0.5, beta=(0.2, -0.2), gamma=(0.5, 0.5))
+    config = small_config(family=family, dims=dims, treatment=treatment, seed=23)
+    study = simulate.Study.build(config, small_options())
+    space, fam, sample, x, y, arm = generate_dataset(config, 5, study.family)
+
+    rng = replicate_rng(config.seed, 5)
+    np.testing.assert_array_equal(
+        x, simulate.ar_covariates(config.n, config.d, config.corr, rng)
+    )
+    rows = kl_sample(fam, config.lambdas, config.n, rng)
+    np.testing.assert_array_equal(rows, np.asarray(sample))
+    np.testing.assert_array_equal(rows, sample.factors @ fam.phis)
+    dense_y = (
+        config.alpha0
+        + x @ np.array(config.beta0)
+        + (rows * space.weights) @ fam.gamma_element(config.gamma0)
+    )
+    if two_arm:
+        np.testing.assert_array_equal(arm, rng.random(config.n) < treatment.prob)
+        dense_y = dense_y + arm * (
+            treatment.alpha
+            + x @ np.array(treatment.beta)
+            + (rows * space.weights) @ fam.gamma_element(treatment.gamma)
+        )
+    dense_y = dense_y + config.noise_sd * rng.standard_normal(config.n)
+    assert _rel_err(y, dense_y) <= 1e-12
+
+    model = study.fit(sample.factors)
+    dense = fit_subspace_pca(space, study.basis, rows)
+    assert model.n_components == dense.n_components == config.n_components
+    for name in ("eigenvalues", "coords", "white", "mean"):
+        assert _rel_err(getattr(model, name), getattr(dense, name)) <= 1e-12, name
+    assert model.total_variance == pytest.approx(dense.total_variance, rel=1e-12)
+
+
+def test_scenario_built_once_per_study(monkeypatch):
+    # The family, the basis and its whitener depend only on the scenario,
+    # so a study builds each once, whatever the replicate count.
+    calls = {}
+    for name in ("make_family", "bspline_tensor_basis", "whiten"):
+        original = getattr(gridpcr, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("gridpcr") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    table = run_monte_carlo(small_config(n=40), 4, small_options(inference="plugin"))
+    assert table.completed == 4
+    assert calls == {"make_family": 1, "bspline_tensor_basis": 1, "whiten": 1}
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
+    # The n x V sample (203 MB here) is never formed: a replicate holds its
+    # n x J factors, n x rank whitened scores and a few grid rows.
+    config = ScenarioConfig(
+        family="quadratic_gauss3d",
+        dims=(40, 48, 33),
+        lambdas=(2.0, 1.0),
+        alpha0=1.0,
+        beta0=(1.0, 1.0),
+        gamma0=(1.5, -1.0),
+        n=400,
+        seed=7,
+    )
+    options = PipelineOptions(degree=2, interior_knots=2, inference="plugin")
+    tracemalloc.start()
+    try:
+        table = run_monte_carlo(config, 2, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.completed == 2
+    assert peak < config.n * int(np.prod(config.dims)) * 8 / 4
 
 
 def test_monte_carlo_reproducible_across_threads():

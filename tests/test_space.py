@@ -1,7 +1,11 @@
 """Weighted grid spaces, Gram matrices, and whitening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import gridpcr.space
 
 from gridpcr import AmbientSpace, BasisSet, ConformanceError, EmptyBasisError
 from gridpcr.space import (
@@ -83,6 +87,24 @@ def test_as_sample_shapes():
     np.testing.assert_array_equal(as_sample(sp, flat), flat)
     with pytest.raises(ConformanceError):
         as_sample(sp, np.zeros((2, 5)))
+
+
+def test_as_sample_checks_one_row_chunk_at_a_time(monkeypatch):
+    # A non-finite value in the last chunk is still found, and the check
+    # holds no n x V bool temporary.
+    monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", 600)
+    sp = AmbientSpace.regular((20, 30))
+    sample = np.ones((400, sp.size))
+    tracemalloc.start()
+    try:
+        assert as_sample(sp, sample) is sample
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sample.size / 4
+    sample[-1, -1] = np.nan
+    with pytest.raises(ConformanceError, match="^sample contains non-finite values$"):
+        as_sample(sp, sample)
 
 
 def test_gram_matches_loop():
