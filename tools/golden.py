@@ -12,7 +12,7 @@ program under test cannot change them: a 20x24 sample with a design table
 (response, two covariates and a treatment column), a disk mask, a noise-free
 12x14x10 sample of mirror-symmetric fields (ties in the peak entry of an
 eigenfunction decide its sign there) and a triangulation of the unit square
-in the text mesh format. Each command then runs in a fresh interpreter with
+in the text mesh format, and a ``simulate --config`` JSON file. Each command then runs in a fresh interpreter with
 ``PYTHONPATH=<src>`` and ``OPENBLAS_NUM_THREADS=1``; its output files, stdout,
 stderr and exit code go to ``<out>/<case>/``.
 
@@ -116,6 +116,12 @@ def write_inputs(directory) -> None:
     with open(os.path.join(directory, "mesh.tri"), "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
+    study = {"n": 60, "reps": 3, "dims": [10, 12], "lambdas": [3.0, 1.0],
+             "gamma0": [1.5, -1.0], "beta0": [1.0], "degree": 2, "knots": "2,3",
+             "inference": "plugin", "seed": 4}
+    with open(os.path.join(directory, "study.json"), "w", encoding="utf-8") as handle:
+        json.dump(study, handle)
+
 
 def cases(inputs) -> dict:
     """Case name -> CLI arguments (without --out)."""
@@ -132,6 +138,9 @@ def cases(inputs) -> dict:
         "fit-mask": ["fit", *d2, "--mask", os.path.join(inputs, "disk.hsg")],
         "fit-tri": ["fit", *d2[:2], "--basis", "tri",
                     "--mesh", os.path.join(inputs, "mesh.tri")],
+        "diagnose-tri": ["diagnose", *d2[:2], "--basis", "tri",
+                         "--mesh", os.path.join(inputs, "mesh.tri")],
+        "simulate-config": ["simulate", "--config", os.path.join(inputs, "study.json")],
     }
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
@@ -151,6 +160,10 @@ def cases(inputs) -> dict:
                 "simulate", "--family", family, "--n", "150", "--reps", "3",
                 "--inference", inference, "--boot-reps", "30", "--seed", "3",
             ]
+    for table_id in range(1, 6):
+        out[f"reproduce-{table_id}"] = [
+            "reproduce", "--table", str(table_id), "--reps", "2", "--boot-reps", "20",
+        ]
     out["reproduce-6"] = ["reproduce", "--table", "6", "--reps", "2"]
     return out
 
