@@ -274,16 +274,6 @@ def _per_axis(space: AmbientSpace, value, name: str) -> list:
     return out
 
 
-def _apply_mask(space: AmbientSpace, rows: np.ndarray, provenance: dict) -> np.ndarray:
-    """Zero rows outside the domain and drop rows with no support inside it."""
-    rows = np.where(space.weights > 0, rows, 0.0)
-    keep = np.max(np.abs(rows), axis=1, initial=0.0) >= NEGLIGIBLE_ROW_TOL
-    if not np.all(keep):
-        _warn_dropped(keep, provenance, stacklevel=4)
-        rows = rows[keep]
-    return rows
-
-
 def mask_space(space: AmbientSpace, mask) -> AmbientSpace:
     """Restrict a space to the cells where ``mask`` is true.
 
@@ -440,13 +430,13 @@ def tri_pl_basis(space: AmbientSpace, tri: Triangulation) -> BasisSet:
         "n_vertices": int(tri.vertices.shape[0]),
         "n_cells": int(tri.cells.shape[0]),
     }
-    rows = _apply_mask(space, rows, provenance)
-    if "dropped_rows" in provenance:
-        kept = [
-            v for v in range(tri.vertices.shape[0])
-            if v not in set(provenance["dropped_rows"])
-        ]
-        provenance["kept_vertices"] = kept
+    # Only columns of cells inside the domain were written, and hat values
+    # are nonnegative, so a row's peak is its largest entry.
+    keep = rows.max(axis=1, initial=0.0) >= NEGLIGIBLE_ROW_TOL
+    if not np.all(keep):
+        _warn_dropped(keep, provenance, stacklevel=3)
+        rows = rows[keep]
+        provenance["kept_vertices"] = np.flatnonzero(keep).tolist()
     return BasisSet(functions=rows, provenance=provenance)
 
 

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: fit, diagnose, pve, regress, bootstrap, jackknife, simulate,
-reproduce. Every run writes its output files plus a JSON manifest (config
-echo, seed, version, timing, output checksums) into --out. Identical flags
+reproduce. ``main`` creates --out and runs the command, which writes its
+output files there and returns its seed and their names; ``main`` then writes
+the JSON manifest (config echo, seed, version, timing, output checksums). A
+failing command leaves no manifest. Identical flags
 and seeds produce byte-identical outputs for any --threads value; only the
 manifest's timing field varies between runs. Replicate loops run BLAS on one
 thread, so Monte Carlo outputs (simulate, reproduce) also do not depend on the
@@ -19,6 +21,7 @@ library warnings go to stderr as one ``error: <message>`` or
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 import time
@@ -79,20 +82,34 @@ from .storage import (
     write_manifest,
     write_table,
 )
-from .util import default_threads, mix_seed
+from .util import default_threads
 
 MAX_KNOT_REFINEMENTS = 4
 
-DESK_DIMS_2D = (20, 24)
-DESK_DIMS_3D = (12, 14, 10)
-PAPER_DIMS_2D = (79, 95)
-PAPER_DIMS_3D = (79, 95, 66)
+# Study defaults per family: the desk and paper grids, the component
+# variances and their true score coefficients, and the B-spline fitted to
+# each replicate. ``simulate`` starts from them and ``reproduce`` uses them.
+FAMILY_DEFAULTS = {
+    "synthetic2d": {
+        "desk": (20, 24),
+        "paper": (79, 95),
+        "lambdas": (3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
+        "gamma": (1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
+        "degree": 3,
+        "knots": 7,
+    },
+    "quadratic_gauss3d": {
+        "desk": (12, 14, 10),
+        "paper": (79, 95, 66),
+        "lambdas": (2.0, 1.0),
+        "gamma": (1.5, -1.0),
+        "degree": 2,
+        "knots": 2,
+    },
+}
 STUDY_SIZES = (100, 500, 2000)
-LAMBDAS_2D = (3.5, 3.0, 2.5, 2.0, 1.5, 1.0)
-GAMMA_2D = (1.5, 1.0, 2.0, 2.5, 1.5, 3.0)
-LAMBDAS_3D = (2.0, 1.0)
-GAMMA_3D = (1.5, -1.0)
 BETA_DEFAULT = (1.0, 1.0, 1.0, 1.0)
+CI_COLUMNS = operator.attrgetter("names", "point", "lower", "upper", "se")
 
 
 def main(argv=None) -> int:
@@ -101,18 +118,31 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args) or 0
+            started = time.perf_counter()
+            os.makedirs(args.out, exist_ok=True)
+            seed, names = args.func(args)
+            checks = {name: file_sha256(_path(args, name)) for name in names}
+            config = {k: v for k, v in vars(args).items() if k != "func"}
+            manifest = make_manifest(
+                args.command, config, seed, checks, time.perf_counter() - started
+            )
+            write_manifest(_path(args, "manifest.json"), manifest)
         except (FormatError, ConformanceError, ConfigurationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except GridPcrError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+    return 0
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     """Print a library warning as one ``warning: <message>`` line."""
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _path(args, name: str) -> str:
+    return os.path.join(args.out, name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,14 +331,15 @@ def _parse_floats(text) -> tuple:
         raise ConfigurationError(f"cannot parse float list {text!r}") from None
 
 
-def _parse_knots(text, n_axes: int):
+def _parse_knots(text, n_axes: int) -> list:
+    """Interior knot counts per axis from one count or one per axis."""
     toks = text if isinstance(text, list) else str(text).split(",")
     try:
         values = [int(tok) for tok in toks]
     except (TypeError, ValueError):
         raise ConfigurationError(f"cannot parse knot counts {text!r}") from None
     if len(values) == 1:
-        return values[0]
+        return values * n_axes
     if len(values) != n_axes:
         raise ConfigurationError(
             f"{len(values)} knot counts given for {n_axes} axes"
@@ -339,54 +370,29 @@ def _load_space_sample(args):
     return space, arr.reshape(arr.shape[0], -1)
 
 
-def _build_basis(args, space, knots_override=None):
+def _basis_knots(args, space):
+    """--knots per axis for the bspline basis; None for the mesh basis."""
+    if args.basis != "bspline":
+        return None
+    return _parse_knots(args.knots, len(space.dims))
+
+
+def _build_basis(args, space, knots):
     if args.basis == "tri":
         if args.mesh is None:
             raise ConfigurationError("the tri basis needs --mesh")
         return tri_pl_basis(space, read_triangulation(args.mesh))
-    knots = (
-        knots_override
-        if knots_override is not None
-        else _parse_knots(args.knots, len(space.dims))
-    )
     return bspline_tensor_basis(space, args.degree, knots)
 
 
 def _fit_model(args):
     """Read the sample and fit the PCA once; the sample is freed on return."""
     space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space)
+    basis = _build_basis(args, space, _basis_knots(args, space))
     return space, basis, fit_subspace_pca(space, basis, sample, args.drop_tol)
 
 
-def _config_echo(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, (list, tuple)):
-            out[key] = [v for v in value]
-        else:
-            out[key] = value
-    return out
-
-
-def _finish(args, seed, outputs: dict, started: float) -> None:
-    checks = {name: file_sha256(path) for name, path in outputs.items()}
-    manifest = make_manifest(
-        args.command, _config_echo(args), seed, checks, time.perf_counter() - started
-    )
-    write_manifest(os.path.join(args.out, "manifest.json"), manifest)
-
-
-def _outdir(args) -> None:
-    os.makedirs(args.out, exist_ok=True)
-
-
-def cmd_fit(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_fit(args):
     space, basis, model = _fit_model(args)
     ses = eigenvalue_se(model)
     cum = (
@@ -398,41 +404,30 @@ def cmd_fit(args) -> int:
         [j + 1, model.eigenvalues[j], ses[j], cum[j]]
         for j in range(model.n_components)
     ]
-    outputs = {}
-    path = os.path.join(args.out, "eigenvalues.csv")
-    write_table(path, ["component", "eigenvalue", "se", "cumulative_fraction"], rows)
-    outputs["eigenvalues.csv"] = path
-    path = os.path.join(args.out, "mean.hsg")
-    write_grid(path, model.mean.reshape(space.dims))
-    outputs["mean.hsg"] = path
+    header = ["component", "eigenvalue", "se", "cumulative_fraction"]
+    write_table(_path(args, "eigenvalues.csv"), header, rows)
+    write_grid(_path(args, "mean.hsg"), model.mean.reshape(space.dims))
+    names = ["eigenvalues.csv", "mean.hsg"]
     if model.n_components:
-        path = os.path.join(args.out, "eigenfunctions.hsg")
-        phis = eigenfunctions(space, basis, model)
-        write_grid(path, phis.reshape(model.n_components, *space.dims))
-        outputs["eigenfunctions.hsg"] = path
-    _finish(args, None, outputs, started)
+        phis = eigenfunctions(space, basis, model).reshape(-1, *space.dims)
+        write_grid(_path(args, "eigenfunctions.hsg"), phis)
+        names.append("eigenfunctions.hsg")
     print(
         f"fit: n={model.n}, grid={'x'.join(map(str, space.dims))}, "
         f"basis rank={model.whitener.rank}, components={model.n_components}, "
         f"total variance={model.total_variance!r}"
     )
-    return 0
+    return None, names
 
 
-def cmd_diagnose(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_diagnose(args):
     space, sample = _load_space_sample(args)
     if args.auto_knots and args.basis != "bspline":
         raise ConfigurationError("--auto-knots applies to the bspline basis")
-    knots = None
-    if args.basis == "bspline":
-        knots = _parse_knots(args.knots, len(space.dims))
-        if isinstance(knots, int):
-            knots = [knots] * len(space.dims)
+    knots = _basis_knots(args, space)
     rows = []
     for step in range(MAX_KNOT_REFINEMENTS + 1):
-        basis = _build_basis(args, space, knots_override=knots)
+        basis = _build_basis(args, space, knots)
         report = diagnose_projection(
             space, basis, sample, args.alpha, drop_tol=args.drop_tol
         )
@@ -457,30 +452,25 @@ def cmd_diagnose(args) -> int:
         if not (args.auto_knots and report.reject):
             break
         knots = refine_knots(knots)
-    path = os.path.join(args.out, "diagnostic.csv")
     write_table(
-        path,
+        _path(args, "diagnostic.csv"),
         ["step", "knots", "rank", "delta_hat", "s2_hat", "t_stat", "critical", "reject"],
         rows,
     )
-    _finish(args, None, {"diagnostic.csv": path}, started)
-    return 0
+    return None, ["diagnostic.csv"]
 
 
-def cmd_pve(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_pve(args):
     _, _, model = _fit_model(args)
     selection = select_pve(model, args.tau)
     rows = [
         [j + 1, model.eigenvalues[j], selection.cumulative[j]]
         for j in range(model.n_components)
     ]
-    path = os.path.join(args.out, "pve.csv")
-    write_table(path, ["component", "eigenvalue", "cumulative_fraction"], rows)
-    _finish(args, None, {"pve.csv": path}, started)
+    header = ["component", "eigenvalue", "cumulative_fraction"]
+    write_table(_path(args, "pve.csv"), header, rows)
     print(f"pve: m={selection.m} at tau={selection.tau}")
-    return 0
+    return None, ["pve.csv"]
 
 
 def _load_design(args, model):
@@ -523,11 +513,10 @@ def _load_design(args, model):
     return RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
 
 
-def _write_ci_table(path, names, point, lower, upper, se):
-    rows = [
-        [names[i], point[i], lower[i], upper[i], se[i]] for i in range(len(names))
-    ]
-    write_table(path, ["term", "estimate", "lower", "upper", "se"], rows)
+def _write_ci_table(args, name, names, point, lower, upper, se) -> None:
+    """Write one interval table from the columns of a ``CiTable``."""
+    rows = [list(row) for row in zip(names, point, lower, upper, se)]
+    write_table(_path(args, name), ["term", "estimate", "lower", "upper", "se"], rows)
 
 
 def _jackknife(args, model, design):
@@ -540,34 +529,24 @@ def _jackknife(args, model, design):
     )
 
 
-def cmd_regress(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_regress(args):
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     if design.treatment is None:
         fit = fit_pcr(design)
         se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
-        point = fit.theta
-        lower, upper = normal_ci(point, se, args.level)
+        lower, upper = normal_ci(fit.theta, se, args.level)
+        columns = (coefficient_names(design.d, design.m), fit.theta, lower, upper, se)
         method = "plugin"
-        names = coefficient_names(design.d, design.m)
     else:
         table = _jackknife(args, model, design).table
-        names, point, lower, upper, se = (
-            table.names, table.point, table.lower, table.upper, table.se
-        )
-        method = table.method
-    path = os.path.join(args.out, "coefficients.csv")
-    _write_ci_table(path, names, point, lower, upper, se)
-    _finish(args, None, {"coefficients.csv": path}, started)
+        columns, method = CI_COLUMNS(table), table.method
+    _write_ci_table(args, "coefficients.csv", *columns)
     print(f"regress: m={design.m}, intervals={method}, level={args.level}")
-    return 0
+    return None, ["coefficients.csv"]
 
 
-def cmd_bootstrap(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_bootstrap(args):
     if args.target == "coefficients" and (args.table is None or args.response is None):
         raise ConfigurationError("--target coefficients needs --table and --response")
     _, _, model = _fit_model(args)
@@ -576,34 +555,28 @@ def cmd_bootstrap(args) -> int:
     )
     if args.target == "eigenvalues":
         res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
-        out_name = "eigenvalues.csv"
+        name = "eigenvalues.csv"
     else:
         design = _load_design(args, model)
         res = bootstrap_theta(model, design, spec, threads=_threads(args))
-        out_name = "coefficients.csv"
-    table = res.table
-    path = os.path.join(args.out, out_name)
-    _write_ci_table(path, table.names, table.point, table.lower, table.upper, table.se)
-    _finish(args, args.seed, {out_name: path}, started)
+        name = "coefficients.csv"
+    _write_ci_table(args, name, *CI_COLUMNS(res.table))
     print(
-        f"bootstrap: kind={args.kind}, completed={table.completed}/{args.reps}, "
+        f"bootstrap: kind={args.kind}, completed={res.table.completed}/{args.reps}, "
         f"failures={len(res.failures)}"
     )
-    return 0
+    return args.seed, [name]
 
 
-def cmd_jackknife(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_jackknife(args):
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     res = _jackknife(args, model, design)
-    table = res.table
-    path = os.path.join(args.out, "coefficients.csv")
-    _write_ci_table(path, table.names, table.point, table.lower, table.upper, table.se)
-    _finish(args, None, {"coefficients.csv": path}, started)
-    print(f"jackknife: r={table.completed}, kept {res.kept} of {design.n} observations")
-    return 0
+    _write_ci_table(args, "coefficients.csv", *CI_COLUMNS(res.table))
+    print(
+        f"jackknife: r={res.table.completed}, kept {res.kept} of {design.n} observations"
+    )
+    return None, ["coefficients.csv"]
 
 
 # JSON types each simulate --config key accepts: its flag's type, or, for
@@ -628,29 +601,21 @@ def _scenario_from_args(args) -> ScenarioConfig:
                     f"configuration key {key!r} has the wrong type: {value!r}"
                 )
             setattr(args, key, value)
-    if args.family == "synthetic2d":
-        dims = DESK_DIMS_2D
-        lambdas = LAMBDAS_2D
-        gamma = GAMMA_2D
-    else:
-        dims = DESK_DIMS_3D
-        lambdas = LAMBDAS_3D
-        gamma = GAMMA_3D
-    if args.dims is not None:
-        dims = _parse_dims(args.dims)
+    # ScenarioConfig rejects an unknown family once the other keys parse.
+    defaults = FAMILY_DEFAULTS.get(args.family, FAMILY_DEFAULTS["quadratic_gauss3d"])
+    dims = defaults["desk"] if args.dims is None else _parse_dims(args.dims)
+    lambdas = defaults["lambdas"]
     if args.lambdas is not None:
         lambdas = _parse_floats(args.lambdas)
         if args.gamma0 is None:
             raise ConfigurationError("custom lambdas need matching --gamma0 scores")
-    if args.gamma0 is not None:
-        gamma = _parse_floats(args.gamma0)
-    beta = _parse_floats(args.beta0)
+    gamma = defaults["gamma"] if args.gamma0 is None else _parse_floats(args.gamma0)
     return ScenarioConfig(
         family=args.family,
         dims=dims,
         lambdas=lambdas,
         alpha0=args.alpha0,
-        beta0=beta,
+        beta0=_parse_floats(args.beta0),
         gamma0=gamma,
         corr=args.corr,
         noise_sd=args.noise_sd,
@@ -660,20 +625,15 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 
 def _pipeline_from_args(args, config: ScenarioConfig) -> PipelineOptions:
-    degree = args.degree
-    knots = args.knots
-    if degree is None:
-        degree = 3 if config.family == "synthetic2d" else 2
-    if knots is None:
-        knots = 7 if config.family == "synthetic2d" else 2
-    else:
-        knots = _parse_knots(knots, len(config.dims))
-    inference = None if args.inference == "none" else args.inference
+    defaults = FAMILY_DEFAULTS[config.family]
+    knots = defaults["knots"]
+    if args.knots is not None:
+        knots = _parse_knots(args.knots, len(config.dims))
     return PipelineOptions(
-        degree=degree,
+        degree=defaults["degree"] if args.degree is None else args.degree,
         interior_knots=knots,
         tau=args.tau,
-        inference=inference,
+        inference=None if args.inference == "none" else args.inference,
         b_reps=args.boot_reps,
         boot_kind=args.kind,
         level=args.level,
@@ -681,135 +641,89 @@ def _pipeline_from_args(args, config: ScenarioConfig) -> PipelineOptions:
     )
 
 
-def _write_metrics(args, table, started, name="metrics.csv") -> None:
-    outputs = {}
-    path = os.path.join(args.out, name)
-    write_table(
-        path, ["parameter", "truth", "mse", "coverage", "covered_reps"], table.rows()
-    )
-    outputs[name] = path
-    path = os.path.join(args.out, "mhat.csv")
-    write_table(
-        path, ["m", "count"], [[m, c] for m, c in table.mhat_counts.items()]
-    )
-    outputs["mhat.csv"] = path
-    _finish(args, args.seed, outputs, started)
-
-
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_simulate(args):
     config = _scenario_from_args(args)
     options = _pipeline_from_args(args, config)
     table = run_monte_carlo(config, args.reps, options, threads=_threads(args))
-    _write_metrics(args, table, started)
+    write_table(
+        _path(args, "metrics.csv"),
+        ["parameter", "truth", "mse", "coverage", "covered_reps"],
+        table.rows(),
+    )
+    write_table(
+        _path(args, "mhat.csv"),
+        ["m", "count"],
+        [[m, c] for m, c in table.mhat_counts.items()],
+    )
     print(
         f"simulate: {table.completed}/{args.reps} replicates, "
         f"mhat={table.mhat_counts}, failures={len(table.failures)}"
     )
-    return 0
+    return args.seed, ["metrics.csv", "mhat.csv"]
 
 
-def _study_scenario(table_id: int, scale: str, n: int, corr: float, seed: int) -> ScenarioConfig:
-    if table_id in (1, 2, 3):
-        return ScenarioConfig(
-            family="synthetic2d",
-            dims=DESK_DIMS_2D if scale == "desk" else PAPER_DIMS_2D,
-            lambdas=LAMBDAS_2D,
-            alpha0=1.0,
-            beta0=BETA_DEFAULT,
-            gamma0=GAMMA_2D,
-            corr=corr,
-            noise_sd=1.0,
-            n=n,
-            seed=seed,
-        )
-    treatment = None
-    if table_id == 6:
-        treatment = TreatmentConfig(
-            alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5), prob=0.5
-        )
-    return ScenarioConfig(
-        family="quadratic_gauss3d",
-        dims=DESK_DIMS_3D if scale == "desk" else PAPER_DIMS_3D,
-        lambdas=LAMBDAS_3D,
-        alpha0=1.0,
-        beta0=BETA_DEFAULT,
-        gamma0=GAMMA_3D,
-        corr=corr,
-        noise_sd=1.0,
-        n=n,
-        seed=seed,
-        treatment=treatment,
-    )
+def _study_rows(table_id: int, n: int, corr: float, metrics) -> list:
+    """One table's rows from one study's metrics."""
+    if table_id in (1, 5):
+        j = sum(name.startswith("lambda") for name in metrics.names)
+        completed = max(metrics.completed, 1)
+        mhat_mean = sum(m * c for m, c in metrics.mhat_counts.items()) / completed
+        return [[n, *metrics.mse[:j], mhat_mean]]
+    # Table 2 keeps the scalar coefficients, table 3 the score coefficients.
+    return [
+        [n, corr, name, metrics.truth[i], metrics.mse[i], metrics.coverage[i]]
+        for i, name in enumerate(metrics.names)
+        if not name.startswith("lambda")
+        and (table_id not in (2, 3) or name.startswith("z") == (table_id == 3))
+    ]
 
 
-def _study_options(table_id: int, args, inference) -> PipelineOptions:
-    two_d = table_id in (1, 2, 3)
-    return PipelineOptions(
-        degree=3 if two_d else 2,
-        interior_knots=7 if two_d else 2,
-        inference=inference,
-        b_reps=args.boot_reps,
-        boot_kind="wild",
-        level=0.95,
-    )
-
-
-def cmd_reproduce(args) -> int:
-    started = time.perf_counter()
-    _outdir(args)
+def cmd_reproduce(args):
     table_id = args.table
-    threads = _threads(args)
-    name = f"table{table_id}.csv"
+    family = "synthetic2d" if table_id in (1, 2, 3) else "quadratic_gauss3d"
+    defaults = FAMILY_DEFAULTS[family]
     if table_id in (1, 5):
         # Eigenvalue recovery and selected component count by sample size.
         # The component sample does not involve the scalar covariates, so
         # the correlation settings share one run.
-        rows = []
-        j = 6 if table_id == 1 else 2
-        for n in STUDY_SIZES:
-            config = _study_scenario(table_id, args.scale, n, 0.0, args.seed)
-            metrics = run_monte_carlo(
-                config, args.reps, _study_options(table_id, args, None), threads
-            )
-            mhat_mean = sum(m * c for m, c in metrics.mhat_counts.items()) / max(
-                metrics.completed, 1
-            )
-            rows.append(
-                [n]
-                + [metrics.mse[k] for k in range(j)]
-                + [mhat_mean]
-            )
+        j = len(defaults["lambdas"])
         header = ["n"] + [f"lambda{k + 1}_mse" for k in range(j)] + ["mhat_mean"]
-        path = os.path.join(args.out, name)
-        write_table(path, header, rows)
-        _finish(args, args.seed, {name: path}, started)
-        print(f"reproduce: wrote {name}")
-        return 0
+        inference = None
+    else:
+        header = ["n", "corr", "term", "truth", "mse", "coverage"]
+        inference = "bootstrap"
+    options = PipelineOptions(
+        degree=defaults["degree"],
+        interior_knots=defaults["knots"],
+        inference=inference,
+        b_reps=args.boot_reps,
+    )
+    treatment = None
+    if table_id == 6:
+        treatment = TreatmentConfig(
+            alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5)
+        )
     rows = []
-    corrs = (0.0, 0.5) if table_id in (2, 3) else (0.0,)
     for n in STUDY_SIZES:
-        for corr in corrs:
-            config = _study_scenario(table_id, args.scale, n, corr, args.seed)
-            metrics = run_monte_carlo(
-                config, args.reps, _study_options(table_id, args, "bootstrap"), threads
+        for corr in (0.0, 0.5) if table_id in (2, 3) else (0.0,):
+            config = ScenarioConfig(
+                family=family,
+                dims=defaults[args.scale],
+                lambdas=defaults["lambdas"],
+                alpha0=1.0,
+                beta0=BETA_DEFAULT,
+                gamma0=defaults["gamma"],
+                corr=corr,
+                n=n,
+                seed=args.seed,
+                treatment=treatment,
             )
-            for i, pname in enumerate(metrics.names):
-                if pname.startswith("lambda"):
-                    continue
-                if table_id == 2 and pname.startswith("z"):
-                    continue
-                if table_id == 3 and not pname.startswith("z"):
-                    continue
-                rows.append(
-                    [n, corr, pname, metrics.truth[i], metrics.mse[i], metrics.coverage[i]]
-                )
-    path = os.path.join(args.out, name)
-    write_table(path, ["n", "corr", "term", "truth", "mse", "coverage"], rows)
-    _finish(args, args.seed, {name: path}, started)
+            metrics = run_monte_carlo(config, args.reps, options, _threads(args))
+            rows += _study_rows(table_id, n, corr, metrics)
+    name = f"table{table_id}.csv"
+    write_table(_path(args, name), header, rows)
     print(f"reproduce: wrote {name}")
-    return 0
+    return args.seed, [name]
 
 
 if __name__ == "__main__":

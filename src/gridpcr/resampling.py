@@ -248,6 +248,8 @@ def run_tolerant(fn, count: int, threads: int, what: str):
 
 def normal_ci(point, se, level: float):
     """Normal interval bounds point -/+ z se, z the (1 + level) / 2 quantile."""
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
     z = norm_ppf(0.5 * (1.0 + level))
     return point - z * se, point + z * se
 

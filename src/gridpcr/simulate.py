@@ -115,8 +115,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"corr must lie in (-1, 1), got {self.corr}")
         if self.noise_sd < 0:
             raise ConfigurationError("noise_sd must be nonnegative")
-        if int(self.n) < 1:
-            raise ConfigurationError("n must be positive")
+        if int(self.n) < 2:
+            raise ConfigurationError(f"n must be at least 2 sample rows, got {self.n}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "beta0", beta)

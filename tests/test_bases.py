@@ -207,6 +207,14 @@ def test_tri_pl_basis_respects_mask():
     basis = tri_pl_basis(masked, mesh)
     assert np.all(basis.functions[:, ~mask.ravel()] == 0)
 
+    # the hat of the corner vertex (1, 1) vanishes on the quadrant
+    with pytest.warns(UserWarning, match="dropped 1 basis row") as caught:
+        basis = tri_pl_basis(masked, unit_square_mesh())
+    assert caught[0].filename == __file__
+    assert basis.provenance["kept_vertices"] == [0, 1, 3, 4]
+    assert basis.provenance["dropped_rows"] == [2]
+    assert basis.functions.shape == (4, 36)
+
 
 def test_triangulation_file_round_trip(tmp_path):
     mesh = unit_square_mesh()

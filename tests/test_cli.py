@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, outputs, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,6 +78,48 @@ def test_out_of_range_m_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "m=99" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("level", ["0", "2"])
+def test_regress_level_outside_unit_interval_exits_2(tmp_path, capsys, level):
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    out = tmp_path / "o"
+    rc = main([
+        "regress", "--data", str(data), "--degree", "2", "--knots", "2",
+        "--table", str(table), "--response", "y", "--level", level,
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: level must lie in (0, 1), got {float(level)}\n"
+    )
+    assert not (out / "coefficients.csv").exists()
+
+
+def test_simulate_plugin_level_one_exits_2(tmp_path, capsys):
+    rc = main([
+        "simulate", "--n", "60", "--reps", "2", "--inference", "plugin",
+        "--level", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.0\n"
+
+
+def test_simulate_single_row_exits_2_before_any_replicate(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(
+        gridpcr.simulate, "run_replicate", lambda *a, **k: calls.append(a)
+    )
+    rc = main(["simulate", "--n", "1", "--reps", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: n must be at least 2 sample rows, got 1\n"
+    assert not calls
 
 
 def test_degenerate_design_exits_3(tmp_path, capsys):
@@ -136,6 +179,45 @@ def test_manifest_differs_only_in_timing(tmp_path):
     assert first.pop("timing_seconds") != second.pop("timing_seconds")
     assert first == second
     assert set(first["outputs"]) == {"eigenvalues.csv", "mean.hsg", "eigenfunctions.hsg"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["fit", "pve", "diagnose", "regress", "bootstrap-coefficients",
+     "bootstrap-eigenvalues", "jackknife", "simulate", "reproduce"],
+)
+def test_manifest_lists_exactly_the_outputs(tmp_path, command):
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    basis = ["--data", str(data), "--degree", "2", "--knots", "2"]
+    design = ["--table", str(table), "--response", "y"]
+    argv, seed = {
+        "fit": (["fit", *basis], None),
+        "pve": (["pve", *basis], None),
+        "diagnose": (["diagnose", *basis], None),
+        "regress": (["regress", *basis, *design], None),
+        "bootstrap-coefficients": (
+            ["bootstrap", *basis, *design, "--reps", "4", "--seed", "5"], 5
+        ),
+        "bootstrap-eigenvalues": (
+            ["bootstrap", *basis, "--target", "eigenvalues", "--reps", "4",
+             "--seed", "6"], 6
+        ),
+        "jackknife": (["jackknife", *basis, *design], None),
+        "simulate": (["simulate", "--n", "60", "--reps", "2", "--seed", "3"], 3),
+        "reproduce": (["reproduce", "--table", "5", "--reps", "2", "--seed", "1"], 1),
+    }[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = read_manifest(out / "manifest.json")
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert written and set(manifest["outputs"]) == written
+    for name, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert manifest["command"] == argv[0]
+    assert manifest["seed"] == seed
 
 
 def test_pve_reports_selection(tmp_path, capsys):

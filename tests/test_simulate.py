@@ -67,6 +67,8 @@ def test_scenario_config_validation():
         small_config(corr=1.0)
     with pytest.raises(ConfigurationError):
         small_config(noise_sd=-0.1)
+    with pytest.raises(ConfigurationError, match="at least 2"):
+        small_config(n=1)
     with pytest.raises(ConfigurationError):
         small_config(treatment=TreatmentConfig(alpha=0.0, beta=(1.0,), gamma=(1.0, 2.0)))
     with pytest.raises(ConfigurationError):

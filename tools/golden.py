@@ -11,10 +11,11 @@ parent's source tree and on its own, then comparing the two output trees:
 program under test cannot change them: a 20x24 sample with a design table
 (response, two covariates and a treatment column), a disk mask, a noise-free
 12x14x10 sample of mirror-symmetric fields (ties in the peak entry of an
-eigenfunction decide its sign there) and a triangulation of the unit square
-in the text mesh format, and a ``simulate --config`` JSON file. Each command then runs in a fresh interpreter with
-``PYTHONPATH=<src>`` and ``OPENBLAS_NUM_THREADS=1``; its output files, stdout,
-stderr and exit code go to ``<out>/<case>/``.
+eigenfunction decide its sign there), a triangulation of the unit square in
+the text mesh format and a ``simulate --config`` JSON file. Each command then
+runs in a fresh interpreter with ``PYTHONPATH=<src>`` and
+``OPENBLAS_NUM_THREADS=1``; its output files, stdout, stderr and exit code go
+to ``<out>/<case>/``.
 
 ``compare`` reports, for each case and file, ``identical`` or the largest
 deviation relative to the largest |value| of its column (CSV columns, each
