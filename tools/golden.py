@@ -131,12 +131,16 @@ def cases(inputs) -> dict:
     table = ["--table", os.path.join(inputs, "design.csv"), "--response", "y",
              "--covariates", "x1,x2"]
     arms = {"one": [], "two": ["--treatment", "a"]}
+    mask = ["--mask", os.path.join(inputs, "disk.hsg")]
     out = {
         "fit-2d": ["fit", *d2],
         "fit-3d": ["fit", *d3],
         "pve-2d": ["pve", *d2],
         "diagnose-auto": ["diagnose", *d2[:2], "--knots", "1", "--auto-knots"],
-        "fit-mask": ["fit", *d2, "--mask", os.path.join(inputs, "disk.hsg")],
+        "diagnose-3d": ["diagnose", *d3],
+        "fit-mask": ["fit", *d2, *mask],
+        "diagnose-mask": ["diagnose", *d2, *mask],
+        "regress-mask": ["regress", *d2, *table, *mask],
         "fit-tri": ["fit", *d2[:2], "--basis", "tri",
                     "--mesh", os.path.join(inputs, "mesh.tri")],
         "diagnose-tri": ["diagnose", *d2[:2], "--basis", "tri",
