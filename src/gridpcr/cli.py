@@ -21,6 +21,7 @@ library warnings go to stderr as one ``error: <message>`` or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import operator
 import os
 import sys
@@ -39,7 +40,7 @@ from .bases import (
 from .decomp import (
     component_scores,
     diagnose_projection,
-    eigenfunctions,
+    eigenfunction_chunks,
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
@@ -61,6 +62,7 @@ from .resampling import (
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
+    check_level,
     jackknife_spec,
     normal_ci,
 )
@@ -72,6 +74,7 @@ from .simulate import (
 )
 from .space import AmbientSpace
 from .storage import (
+    GridRows,
     file_sha256,
     make_manifest,
     numeric_columns,
@@ -79,6 +82,7 @@ from .storage import (
     read_grid,
     read_table,
     write_grid,
+    write_grid_chunks,
     write_manifest,
     write_table,
 )
@@ -347,27 +351,33 @@ def _parse_knots(text, n_axes: int) -> list:
     return values
 
 
+@contextlib.contextmanager
 def _load_space_sample(args):
-    arr = read_grid(args.data)
-    if arr.ndim < 2:
-        raise FormatError(
-            f"data file {args.data!r} holds a single grid; expected sample rows"
-        )
-    dims = arr.shape[1:]
-    if args.spacing == "unit":
-        space = AmbientSpace.unit_domain(dims)
-    elif args.spacing == "one":
-        space = AmbientSpace.regular(dims)
-    else:
-        space = AmbientSpace.regular(dims, _parse_floats(args.spacing))
-    if args.mask is not None:
-        mask = read_grid(args.mask)
-        if mask.shape != dims:
-            raise ConformanceError(
-                f"mask shape {mask.shape} does not match data grid {dims}"
+    """The space of --data, --spacing and --mask, and --data open as rows.
+
+    The sample is read a row chunk at a time by the fit or the diagnostic
+    inside the block, so it is never held whole.
+    """
+    with GridRows(args.data) as sample:
+        if len(sample.shape) < 2:
+            raise FormatError(
+                f"data file {args.data!r} holds a single grid; expected sample rows"
             )
-        space = mask_space(space, mask != 0)
-    return space, arr.reshape(arr.shape[0], -1)
+        dims = sample.shape[1:]
+        if args.spacing == "unit":
+            space = AmbientSpace.unit_domain(dims)
+        elif args.spacing == "one":
+            space = AmbientSpace.regular(dims)
+        else:
+            space = AmbientSpace.regular(dims, _parse_floats(args.spacing))
+        if args.mask is not None:
+            mask = read_grid(args.mask)
+            if mask.shape != dims:
+                raise ConformanceError(
+                    f"mask shape {mask.shape} does not match data grid {dims}"
+                )
+            space = mask_space(space, mask != 0)
+        yield space, sample
 
 
 def _basis_knots(args, space):
@@ -386,10 +396,10 @@ def _build_basis(args, space, knots):
 
 
 def _fit_model(args):
-    """Read the sample and fit the PCA once; the sample is freed on return."""
-    space, sample = _load_space_sample(args)
-    basis = _build_basis(args, space, _basis_knots(args, space))
-    return space, basis, fit_subspace_pca(space, basis, sample, args.drop_tol)
+    """Fit the PCA of --data once, streaming the sample from the file."""
+    with _load_space_sample(args) as (space, sample):
+        basis = _build_basis(args, space, _basis_knots(args, space))
+        return space, basis, fit_subspace_pca(space, basis, sample, args.drop_tol)
 
 
 def cmd_fit(args):
@@ -409,8 +419,11 @@ def cmd_fit(args):
     write_grid(_path(args, "mean.hsg"), model.mean.reshape(space.dims))
     names = ["eigenvalues.csv", "mean.hsg"]
     if model.n_components:
-        phis = eigenfunctions(space, basis, model).reshape(-1, *space.dims)
-        write_grid(_path(args, "eigenfunctions.hsg"), phis)
+        write_grid_chunks(
+            _path(args, "eigenfunctions.hsg"),
+            (model.n_components, *space.dims),
+            eigenfunction_chunks(space, basis, model),
+        )
         names.append("eigenfunctions.hsg")
     print(
         f"fit: n={model.n}, grid={'x'.join(map(str, space.dims))}, "
@@ -421,37 +434,37 @@ def cmd_fit(args):
 
 
 def cmd_diagnose(args):
-    space, sample = _load_space_sample(args)
     if args.auto_knots and args.basis != "bspline":
         raise ConfigurationError("--auto-knots applies to the bspline basis")
-    knots = _basis_knots(args, space)
     rows = []
-    for step in range(MAX_KNOT_REFINEMENTS + 1):
-        basis = _build_basis(args, space, knots)
-        report = diagnose_projection(
-            space, basis, sample, args.alpha, drop_tol=args.drop_tol
-        )
-        label = ",".join(map(str, knots)) if knots is not None else "mesh"
-        rows.append(
-            [
-                step,
-                label,
-                report.basis_rank,
-                report.delta_hat,
-                report.s2_hat,
-                report.t_stat,
-                report.critical,
-                report.reject,
-            ]
-        )
-        print(
-            f"diagnose[{step}]: knots={label} rank={report.basis_rank} "
-            f"delta={report.delta_hat!r} t={report.t_stat!r} "
-            f"{'REJECT' if report.reject else 'ok'}"
-        )
-        if not (args.auto_knots and report.reject):
-            break
-        knots = refine_knots(knots)
+    with _load_space_sample(args) as (space, sample):
+        knots = _basis_knots(args, space)
+        for step in range(MAX_KNOT_REFINEMENTS + 1):
+            basis = _build_basis(args, space, knots)
+            report = diagnose_projection(
+                space, basis, sample, args.alpha, drop_tol=args.drop_tol
+            )
+            label = ",".join(map(str, knots)) if knots is not None else "mesh"
+            rows.append(
+                [
+                    step,
+                    label,
+                    report.basis_rank,
+                    report.delta_hat,
+                    report.s2_hat,
+                    report.t_stat,
+                    report.critical,
+                    report.reject,
+                ]
+            )
+            print(
+                f"diagnose[{step}]: knots={label} rank={report.basis_rank} "
+                f"delta={report.delta_hat!r} t={report.t_stat!r} "
+                f"{'REJECT' if report.reject else 'ok'}"
+            )
+            if not (args.auto_knots and report.reject):
+                break
+            knots = refine_knots(knots)
     write_table(
         _path(args, "diagnostic.csv"),
         ["step", "knots", "rank", "delta_hat", "s2_hat", "t_stat", "critical", "reject"],
@@ -530,6 +543,7 @@ def _jackknife(args, model, design):
 
 
 def cmd_regress(args):
+    check_level(args.level)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     if design.treatment is None:
@@ -549,10 +563,10 @@ def cmd_regress(args):
 def cmd_bootstrap(args):
     if args.target == "coefficients" and (args.table is None or args.response is None):
         raise ConfigurationError("--target coefficients needs --table and --response")
-    _, _, model = _fit_model(args)
     spec = BootstrapSpec(
         kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
     )
+    _, _, model = _fit_model(args)
     if args.target == "eigenvalues":
         res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
         name = "eigenvalues.csv"
@@ -569,6 +583,7 @@ def cmd_bootstrap(args):
 
 
 def cmd_jackknife(args):
+    check_level(args.level)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     res = _jackknife(args, model, design)

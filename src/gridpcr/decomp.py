@@ -28,10 +28,14 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
-    _project_scores,
+    _dense,
+    _n_rows,
+    _weighted_scores,
     as_sample,
+    chunk_buffer,
     gram,
     row_chunks,
+    sample_chunks,
     synthesize,
     whiten,
 )
@@ -127,18 +131,33 @@ def fit_subspace_pca(
     coordinates, eigendecompose, and flip each eigenvector whose grid row's
     largest-|value| entry (the first of tied maxima) is negative. Components
     with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
-    yields zero components. The sample and the eigenfunctions' grid rows
-    pass through in row chunks; no grid row is kept.
+    yields zero components. The sample, an array or a row source such as
+    ``storage.GridRows``, passes through in row chunks twice: once for the
+    projection and the mean, once for the total variance. No grid row of
+    the sample or of the eigenfunctions is kept.
     """
     data = as_sample(space, sample)
+    n = data.shape[0]
     whitener = whiten(gram(space, basis), drop_tol)
-    white = _project_scores(space, basis, data) @ whitener.factor.T
-    mean = data.mean(axis=0)
-    dev_sq = np.empty(data.shape[0])
-    for chunk in row_chunks(space, data.shape[0]):
-        dev_sq[chunk] = _sq_norms(space, data[chunk] - mean)
+    dense = _dense(space, basis)
+    buf = chunk_buffer(space, n)
+    scores = np.empty((n, _n_rows(basis, dense)))
+    mean = np.zeros(space.size)
+    for chunk, rows in sample_chunks(space, data, buf):
+        # Row by row, as data.mean(axis=0) adds them: the mean is bitwise
+        # the same for any chunk size.
+        for row in rows:
+            mean += row
+        scores[chunk] = _weighted_scores(
+            space, basis, dense, rows, out=buf[: rows.shape[0]]
+        )
+    mean /= n
+    dev_sq = np.empty(n)
+    for chunk, rows in sample_chunks(space, data, buf):
+        dev = np.subtract(rows, mean, out=buf[: rows.shape[0]])
+        dev_sq[chunk] = _sq_norms(space, dev)
     return model_from_white(
-        space, basis, white, whitener, mean, float(dev_sq.mean())
+        space, basis, scores @ whitener.factor.T, whitener, mean, float(dev_sq.mean())
     )
 
 
@@ -180,6 +199,18 @@ def model_from_white(
 def eigenfunctions(space: AmbientSpace, basis, model: EigenModel) -> np.ndarray:
     """Grid rows (J, V) of the fitted eigenfunctions; ``basis`` is the fit's."""
     return synthesize(space, basis, model.coords @ model.whitener.factor)
+
+
+def eigenfunction_chunks(space: AmbientSpace, basis, model: EigenModel):
+    """The rows of ``eigenfunctions`` one row chunk at a time.
+
+    For a TensorBasis each chunk is bitwise equal to the same rows of
+    ``eigenfunctions``; a dense basis multiplies a few coefficient rows at
+    a time, which can move the last bit.
+    """
+    coef = model.coords @ model.whitener.factor
+    for chunk in row_chunks(space, model.n_components):
+        yield synthesize(space, basis, coef[chunk])
 
 
 def _eig_from_scores(centered, weights=None):
@@ -269,15 +300,22 @@ def diagnose_projection(
         raise ConformanceError("projection diagnostic needs at least two rows")
     whitener = whiten(gram(space, basis), drop_tol)
     factor = whitener.factor
-    mean = data.mean(axis=0)
-    white = _project_scores(space, basis, data, center=mean) @ factor.T
+    dense = _dense(space, basis)
+    buf = chunk_buffer(space, n)
+    mean = np.zeros(space.size)
+    for _, rows in sample_chunks(space, data, buf):
+        for row in rows:
+            mean += row
+    mean /= n
+    white = np.empty((n, whitener.rank))
     resid_sq = np.empty(n)
     dev_sq = np.empty(n)
-    for chunk in row_chunks(space, n):
-        dev = data[chunk] - mean
+    for chunk, rows in sample_chunks(space, data, buf):
+        dev = np.subtract(rows, mean, out=buf[: rows.shape[0]])
         dev_sq[chunk] = _sq_norms(space, dev)
-        dev -= synthesize(space, basis, white[chunk] @ factor)
-        resid_sq[chunk] = _sq_norms(space, dev)
+        white[chunk] = _weighted_scores(space, basis, dense, dev) @ factor.T
+        resid = synthesize(space, basis, white[chunk] @ factor)
+        resid_sq[chunk] = _sq_norms(space, np.subtract(dev, resid, out=resid))
     delta_resid = float(resid_sq.mean())
     total = float(dev_sq.mean())
     delta_var = total - float(np.mean(np.sum(white * white, axis=1)))

@@ -33,6 +33,12 @@ BOOTSTRAP_KINDS = ("nonparametric", "wild")
 MAX_FAILURE_FRACTION = 0.05
 
 
+def check_level(level: float) -> None:
+    """Reject an interval level outside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
+
+
 @dataclass(frozen=True)
 class BootstrapSpec:
     """Configuration of a bootstrap study.
@@ -54,8 +60,7 @@ class BootstrapSpec:
             )
         if int(self.b_reps) < 2:
             raise ConfigurationError("bootstrap needs at least two replicates")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigurationError(f"level must lie in (0, 1), got {self.level}")
+        check_level(self.level)
         object.__setattr__(self, "b_reps", int(self.b_reps))
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
@@ -70,8 +75,7 @@ class JackknifeSpec:
     def __post_init__(self):
         if int(self.r) < 2:
             raise ConfigurationError("jackknife needs at least two blocks")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigurationError(f"level must lie in (0, 1), got {self.level}")
+        check_level(self.level)
         object.__setattr__(self, "r", int(self.r))
 
 
@@ -199,8 +203,7 @@ def percentile_ci(draws, level: float):
     Quantiles use linear interpolation between order statistics (position
     (B - 1) q + 1); at least two finite draws per column are required.
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
+    check_level(level)
     arr = np.asarray(draws, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -248,8 +251,7 @@ def run_tolerant(fn, count: int, threads: int, what: str):
 
 def normal_ci(point, se, level: float):
     """Normal interval bounds point -/+ z se, z the (1 + level) / 2 quantile."""
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
+    check_level(level)
     z = norm_ppf(0.5 * (1.0 + level))
     return point - z * se, point + z * se
 

@@ -13,7 +13,8 @@ grid rows). Each accepts a dense basis (a ``BasisSet`` or a raw (N, V)
 array) or a factored tensor-product basis (``bases.TensorBasis``), which
 they contract one axis at a time without forming its (N, V) rows. Passes
 over a sample go through it in row chunks of at most ``ROW_CHUNK_VALUES``
-grid values.
+grid values; the sample is an array or a row source such as
+``storage.GridRows``, which is read one chunk at a time.
 """
 
 from __future__ import annotations
@@ -134,8 +135,22 @@ def as_element(space: AmbientSpace, x) -> np.ndarray:
     return arr
 
 
-def as_sample(space: AmbientSpace, x) -> np.ndarray:
-    """Validate a sample: n rows, each conforming to the grid, finite."""
+def as_sample(space: AmbientSpace, x):
+    """Validate a sample: n rows, each conforming to the grid, finite.
+
+    ``x`` is an array or a row source: an object with a ``shape`` and a
+    ``readinto(start, out)`` that fills ``out`` with rows ``start, ...``
+    (``storage.GridRows``). An array comes back flat as (n, V); a row
+    source comes back as it is, its shape checked here and its values
+    checked by ``sample_chunks`` as they are read.
+    """
+    if _row_source(x):
+        shape = tuple(x.shape)
+        if shape[1:] not in (space.dims, (space.size,)):
+            raise ConformanceError(
+                f"sample shape {shape} does not conform to grid {space.dims}"
+            )
+        return x
     arr = np.asarray(x, dtype=float)
     if arr.ndim == len(space.dims) + 1 and arr.shape[1:] == space.dims:
         arr = arr.reshape(arr.shape[0], -1)
@@ -147,9 +162,18 @@ def as_sample(space: AmbientSpace, x) -> np.ndarray:
         raise ConformanceError("sample must contain at least one row")
     # One row chunk at a time, so the check needs no n x V temporary.
     for chunk in row_chunks(space, arr.shape[0]):
-        if not np.all(np.isfinite(arr[chunk])):
-            raise ConformanceError("sample contains non-finite values")
+        _check_finite(arr[chunk])
     return arr
+
+
+def _row_source(x) -> bool:
+    """True for a sample read on demand rather than held as an array."""
+    return hasattr(x, "readinto")
+
+
+def _check_finite(rows) -> None:
+    if not np.all(np.isfinite(rows)):
+        raise ConformanceError("sample contains non-finite values")
 
 
 def _chunk_rows(space: AmbientSpace) -> int:
@@ -161,6 +185,31 @@ def row_chunks(space: AmbientSpace, n: int):
     step = _chunk_rows(space)
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
+
+
+def chunk_buffer(space: AmbientSpace, n: int) -> np.ndarray:
+    """A work buffer for one row chunk of an n-row sample."""
+    return np.empty((min(n, _chunk_rows(space)), space.size))
+
+
+def sample_chunks(space: AmbientSpace, sample, buf: np.ndarray):
+    """Yield (slice, rows) over the row chunks of a checked sample.
+
+    ``sample`` is what ``as_sample`` returned and ``buf`` a
+    ``chunk_buffer``. Array rows come as views of the array; a row source
+    is read into ``buf``, which the next chunk overwrites, and each chunk
+    read is checked finite. Callers write what they derive from a chunk
+    into ``buf[:len(rows)]``: for a row source that works in place, and an
+    array is never written.
+    """
+    for chunk in row_chunks(space, sample.shape[0]):
+        if not _row_source(sample):
+            yield chunk, sample[chunk]
+            continue
+        rows = buf[: chunk.stop - chunk.start]
+        sample.readinto(chunk.start, rows)
+        _check_finite(rows)
+        yield chunk, rows
 
 
 def kron_rows(factors) -> np.ndarray:
@@ -332,34 +381,41 @@ def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarra
     """Inner products of (optionally centered) sample rows with basis rows.
 
     Returns the (n, N) matrix S[i, l] = <psi_l, Z_i - center>. With
-    ``center=None`` the rows are used as they are. The sample is validated
-    once and then passed through in row chunks; a TensorBasis is applied by
-    mode-n products with its factors, the last axis first.
+    ``center=None`` the rows are used as they are. The sample (an array or
+    a row source) is validated once and then passed through in row chunks;
+    a TensorBasis is applied by mode-n products with its factors, the last
+    axis first.
     """
     data = as_sample(space, sample)
     if center is not None:
         center = as_element(space, center)
-    return _project_scores(space, basis, data, center)
-
-
-def _project_scores(space: AmbientSpace, basis, data, center=None) -> np.ndarray:
-    """``project_scores`` of a sample that ``as_sample`` has already checked
-    and a center that is None or a flat element of the space."""
-    rows = _dense(space, basis)
-    out = np.empty((data.shape[0], basis.n_functions if rows is None else rows.shape[0]))
-    buf = np.empty((min(data.shape[0], _chunk_rows(space)), space.size))
-    for chunk in row_chunks(space, data.shape[0]):
-        x = buf[: chunk.stop - chunk.start]
-        if center is None:
-            np.multiply(data[chunk], space.weights, out=x)
-        else:
-            np.multiply(np.subtract(data[chunk], center, out=x), space.weights, out=x)
-        if rows is not None:
-            out[chunk] = x @ rows.T
-            continue
-        scores = _mode_products(x.reshape(x.shape[0], *space.dims), basis.factors)
-        out[chunk] = scores if basis.kept is None else scores[:, basis.kept]
+    dense = _dense(space, basis)
+    buf = chunk_buffer(space, data.shape[0])
+    out = np.empty((data.shape[0], _n_rows(basis, dense)))
+    for chunk, rows in sample_chunks(space, data, buf):
+        x = buf[: rows.shape[0]]
+        if center is not None:
+            rows = np.subtract(rows, center, out=x)
+        out[chunk] = _weighted_scores(space, basis, dense, rows, out=x)
     return out
+
+
+def _n_rows(basis, dense) -> int:
+    """Number of basis rows, given ``_dense(space, basis)``."""
+    return basis.n_functions if dense is None else dense.shape[0]
+
+
+def _weighted_scores(space: AmbientSpace, basis, dense, rows, out=None) -> np.ndarray:
+    """Basis scores <psi_l, row> of a chunk of grid rows.
+
+    ``dense`` is ``_dense(space, basis)``. The weighted rows are formed in
+    ``out`` (which may be ``rows`` itself) or, without it, in a temporary.
+    """
+    x = np.multiply(rows, space.weights, out=out)
+    if dense is not None:
+        return x @ dense.T
+    scores = _mode_products(x.reshape(x.shape[0], *space.dims), basis.factors)
+    return scores if basis.kept is None else scores[:, basis.kept]
 
 
 def synthesize(space: AmbientSpace, basis, coef) -> np.ndarray:
@@ -371,7 +427,7 @@ def synthesize(space: AmbientSpace, basis, coef) -> np.ndarray:
     """
     coef = np.asarray(coef, dtype=float)
     rows = _dense(space, basis)
-    n_rows = basis.n_functions if rows is None else rows.shape[0]
+    n_rows = _n_rows(basis, rows)
     if coef.ndim != 2 or coef.shape[1] != n_rows:
         raise ConformanceError(
             f"coefficients {coef.shape} do not match {n_rows} basis rows"

@@ -3,7 +3,10 @@
 Grid files ("HSG1") hold one float64 array of any rank: magic ``HSG1``, a
 version byte (1), a rank byte, the extents as little-endian uint64, then the
 values little-endian row-major. Round-trips are bitwise; trailing bytes and
-truncation are format errors carrying the byte offset.
+truncation are format errors carrying the byte offset. ``GridRows`` reads a
+file's leading axis a few rows at a time, so a sample larger than memory
+can be fitted, and ``write_grid_chunks`` writes a payload that arrives in
+chunks.
 
 Tables are plain CSV: UTF-8, header row, ``\\n`` line endings, ``.`` decimal
 separator regardless of locale, floats rendered with shortest round-trip
@@ -18,13 +21,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
 from .errors import ConformanceError, FormatError
-from .util import atomic_write_bytes, atomic_write_text
+from .util import atomic_file, atomic_write_text
 
 GRID_MAGIC = b"HSG1"
 GRID_VERSION = 1
@@ -33,15 +38,127 @@ GRID_VERSION = 1
 def write_grid(path, values) -> None:
     """Write one array (element, sample stack, or any rank) as a grid file."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
+    write_grid_chunks(path, arr.shape, [arr])
+
+
+def write_grid_chunks(path, shape, chunks) -> None:
+    """Write a grid file of ``shape`` from its values in row-major chunks.
+
+    ``chunks`` may be a generator: each chunk is checked finite and written
+    from its own buffer before the next one is drawn, so the whole payload
+    is never held. The chunks must hold exactly prod(shape) values.
+    """
+    shape = tuple(int(d) for d in shape)
+    if len(shape) == 0:
         raise ConformanceError("grid payload must have at least one axis")
-    if arr.ndim > 255:
+    if len(shape) > 255:
         raise ConformanceError("grid rank exceeds the format limit of 255")
-    if not np.all(np.isfinite(arr)):
-        raise ConformanceError("grid payload contains non-finite values")
-    header = GRID_MAGIC + bytes([GRID_VERSION, arr.ndim])
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    atomic_write_bytes(path, header, np.ascontiguousarray(arr, dtype="<f8"))
+    count = math.prod(shape)
+    written = 0
+    with atomic_file(path) as handle:
+        handle.write(GRID_MAGIC + bytes([GRID_VERSION, len(shape)]))
+        handle.write(struct.pack(f"<{len(shape)}Q", *shape))
+        for chunk in chunks:
+            arr = np.asarray(chunk, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ConformanceError("grid payload contains non-finite values")
+            written += arr.size
+            handle.write(np.ascontiguousarray(arr, dtype="<f8"))
+        if written != count:
+            raise ConformanceError(
+                f"grid chunks do not hold the {count} values of shape {shape}"
+            )
+
+
+class GridRows:
+    """A grid file opened for reading its leading axis a few rows at a time.
+
+    The header and the file size are checked on opening, with the same
+    errors and byte offsets as ``read_grid``. ``shape`` is the stored
+    array's shape; ``readinto(start, out)`` fills the float64 array ``out``
+    with rows ``start, start + 1, ...`` of that axis, read straight from the
+    file at their offset. The file stays open until ``close`` (or the end
+    of a ``with`` block).
+    """
+
+    def __init__(self, path):
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self.shape, self._start = _check_grid_header(self._file)
+        except BaseException:
+            self._file.close()
+            raise
+        self._row_bytes = 8 * math.prod(self.shape[1:])
+        self._end = self._start + self._row_bytes * self.shape[0]
+
+    def readinto(self, start: int, out: np.ndarray) -> None:
+        view = memoryview(out).cast("B")
+        rows, extra = divmod(view.nbytes, self._row_bytes)
+        if extra or start < 0 or start + rows > self.shape[0]:
+            raise ConformanceError(
+                f"cannot read {view.nbytes} bytes as whole rows from row {start} "
+                f"of {self.shape[0]}"
+            )
+        pos = self._start + start * self._row_bytes
+        got = 0
+        while got < view.nbytes:
+            self._file.seek(pos + got)
+            step = self._file.readinto(view[got:])
+            if not step:
+                raise FormatError(
+                    f"grid file truncated: expected {self._end} bytes, "
+                    f"found {pos + got}",
+                    offset=pos + got,
+                )
+            got += step
+        if sys.byteorder != "little":
+            out.byteswap(inplace=True)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def _check_grid_header(handle):
+    """Check a grid file's header and size; return (shape, payload offset)."""
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(6)
+    if len(head) < 6:
+        raise FormatError("grid file shorter than its fixed header", offset=len(head))
+    if head[:4] != GRID_MAGIC:
+        raise FormatError(f"bad magic {head[:4]!r}, expected {GRID_MAGIC!r}", offset=0)
+    if head[4] != GRID_VERSION:
+        raise FormatError(f"unsupported grid version {head[4]}", offset=4)
+    ndim = head[5]
+    if ndim == 0:
+        raise FormatError("grid rank must be positive", offset=5)
+    dims_end = 6 + 8 * ndim
+    extents = handle.read(8 * ndim)
+    if len(extents) < 8 * ndim:
+        raise FormatError(
+            "grid file truncated inside its extents", offset=6 + len(extents)
+        )
+    dims = struct.unpack(f"<{ndim}Q", extents)
+    if 0 in dims:
+        raise FormatError(f"zero extent in dims {dims}", offset=6)
+    expected_end = dims_end + 8 * math.prod(dims)
+    if size < expected_end:
+        raise FormatError(
+            f"grid file truncated: expected {expected_end} bytes, found {size}",
+            offset=size,
+        )
+    if size > expected_end:
+        raise FormatError(
+            f"{size - expected_end} trailing byte(s) after the payload",
+            offset=expected_end,
+        )
+    return dims, dims_end
 
 
 def read_grid(path) -> np.ndarray:
@@ -49,50 +166,10 @@ def read_grid(path) -> np.ndarray:
 
     The payload is read once, straight into the returned array.
     """
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        head = handle.read(6)
-        if len(head) < 6:
-            raise FormatError("grid file shorter than its fixed header", offset=len(head))
-        if head[:4] != GRID_MAGIC:
-            raise FormatError(f"bad magic {head[:4]!r}, expected {GRID_MAGIC!r}", offset=0)
-        if head[4] != GRID_VERSION:
-            raise FormatError(f"unsupported grid version {head[4]}", offset=4)
-        ndim = head[5]
-        if ndim == 0:
-            raise FormatError("grid rank must be positive", offset=5)
-        dims_end = 6 + 8 * ndim
-        extents = handle.read(8 * ndim)
-        if len(extents) < 8 * ndim:
-            raise FormatError(
-                "grid file truncated inside its extents", offset=6 + len(extents)
-            )
-        dims = struct.unpack(f"<{ndim}Q", extents)
-        count = 1
-        for d in dims:
-            if d == 0:
-                raise FormatError(f"zero extent in dims {dims}", offset=6)
-            count *= d
-        expected_end = dims_end + 8 * count
-        if size < expected_end:
-            raise FormatError(
-                f"grid file truncated: expected {expected_end} bytes, found {size}",
-                offset=size,
-            )
-        if size > expected_end:
-            raise FormatError(
-                f"{size - expected_end} trailing byte(s) after the payload",
-                offset=expected_end,
-            )
-        values = np.empty(dims, dtype="<f8")
-        got = handle.readinto(memoryview(values).cast("B"))
-        if got != 8 * count:
-            raise FormatError(
-                f"grid file truncated: expected {expected_end} bytes, "
-                f"found {dims_end + got}",
-                offset=dims_end + got,
-            )
-    return values.astype(float, copy=False)
+    with GridRows(path) as grid:
+        values = np.empty(grid.shape)
+        grid.readinto(0, values)
+    return values
 
 
 def format_cell(value) -> str:

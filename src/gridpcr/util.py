@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -16,23 +17,33 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def atomic_write_bytes(path, *parts) -> None:
-    """Write ``parts`` (bytes or contiguous buffers) in order to one file.
+@contextlib.contextmanager
+def atomic_file(path):
+    """A binary handle to a temp file that replaces ``path`` on a clean exit.
 
-    Writes go to a temp file that is then renamed, so readers never see
-    partials; each part is written from its own buffer, without a copy.
+    Readers never see a partial file: an exception inside the block removes
+    the temp file and leaves ``path`` as it was.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gridpcr-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for part in parts:
-                handle.write(part)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, *parts) -> None:
+    """Write ``parts`` (bytes or contiguous buffers) in order to one file.
+
+    Each part is written from its own buffer, without a copy.
+    """
+    with atomic_file(path) as handle:
+        for part in parts:
+            handle.write(part)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,43 @@ def test_regress_level_outside_unit_interval_exits_2(tmp_path, capsys, level):
     assert not (out / "coefficients.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["regress", "bootstrap", "jackknife"])
+def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the sample was fitted before --level was checked")
+
+    monkeypatch.setattr(gridpcr.cli, "fit_subspace_pca", no_fit)
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    rc = main([
+        command, "--data", str(data), "--table", str(table), "--response", "y",
+        "--level", "0", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: level must lie in (0, 1), got 0.0\n"
+
+
+def test_mask_and_data_rank_errors_keep_their_messages(tmp_path, capsys):
+    data = tmp_path / "s.hsg"
+    make_dataset(data, n=10)
+    mask = tmp_path / "m.hsg"
+    write_grid(mask, np.ones((3, 4)))
+    argv = ["diagnose", "--data", str(data), "--mask", str(mask), "--out", str(tmp_path)]
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: mask shape (3, 4) does not match data grid (8, 9)\n"
+    )
+    write_grid(mask, np.ones(12))
+    rc = main(["fit", "--data", str(mask), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: data file {str(mask)!r} holds a single grid; expected sample rows\n"
+    )
+
+
 def test_simulate_plugin_level_one_exits_2(tmp_path, capsys):
     rc = main([
         "simulate", "--n", "60", "--reps", "2", "--inference", "plugin",
@@ -165,6 +203,42 @@ def test_fit_matches_library(tmp_path):
     np.testing.assert_array_equal(
         funcs.reshape(model.n_components, -1), eigenfunctions(space, basis, model)
     )
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose", "regress"])
+def test_grid_commands_stream_the_sample(tmp_path, monkeypatch, command):
+    # One grid row per chunk, so the 40-row sample spans 40 chunks. A
+    # command holds a few rows at a time: never the sample, and for fit
+    # never the J eigenfunctions either.
+    space = AmbientSpace.unit_domain((40, 36, 30))
+    n = 40
+    rng = replicate_rng(9410, 0)
+    xi = rng.standard_normal((n, 2)) * np.sqrt(LAMS)
+    sample = xi @ make_family(space, "quadratic_gauss3d", 2).phis
+    sample += 0.1 * rng.standard_normal(sample.shape)
+    data = tmp_path / "s.hsg"
+    write_grid(data, sample.reshape(n, *space.dims))
+    x = rng.standard_normal((n, 2))
+    write_design(tmp_path / "d.csv", x, x.sum(axis=1) + xi @ [1.5, -1.0])
+    sample_bytes = sample.nbytes
+    del sample
+    argv = [command, "--data", str(data), "--degree", "2", "--knots", "2",
+            "--out", str(tmp_path / "o")]
+    if command == "regress":
+        argv += ["--table", str(tmp_path / "d.csv"), "--response", "y", "--m", "2"]
+    monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", space.size)
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < sample_bytes / 4
+    if command == "fit":
+        j = len(read_table(tmp_path / "o" / "eigenvalues.csv")[1])
+        assert j == n - 1
+        assert peak < j * space.size * 8 / 2
 
 
 def test_manifest_differs_only_in_timing(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 
 from gridpcr import FormatError
 from gridpcr.storage import (
+    GridRows,
     file_sha256,
     format_cell,
     make_manifest,
@@ -19,6 +21,7 @@ from gridpcr.storage import (
     read_manifest,
     read_table,
     write_grid,
+    write_grid_chunks,
     write_manifest,
     write_table,
 )
@@ -65,6 +68,39 @@ def test_grid_write_streams_payload(tmp_path):
     back = read_grid(str(path))
     assert back.shape == values.shape
     assert back.tobytes() == values.tobytes()
+
+
+def test_grid_chunks_write_the_bytes_of_the_whole_array(tmp_path):
+    values = np.random.default_rng(6).standard_normal((5, 3, 4))
+    path = tmp_path / "chunks.hsg"
+    chunks = (values[i : i + 2] for i in range(0, 5, 2))
+    write_grid_chunks(str(path), values.shape, chunks)
+    assert path.read_bytes() == reference_grid_bytes(values)
+    bad = values.copy()
+    bad[4, 2, 3] = np.inf
+    for chunks, message in (
+        ([values[:2], values[2:4]], "do not hold the 60 values"),
+        ([values, values[:1]], "do not hold the 60 values"),
+        ([bad[:2], bad[2:]], "non-finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_grid_chunks(str(tmp_path / "bad.hsg"), values.shape, chunks)
+    assert sorted(os.listdir(tmp_path)) == ["chunks.hsg"]
+
+
+def test_grid_rows_read_any_row_range(tmp_path):
+    values = np.arange(60.0).reshape(5, 3, 4) / 7.0
+    path = tmp_path / "rows.hsg"
+    write_grid(str(path), values)
+    with GridRows(str(path)) as rows:
+        assert rows.shape == (5, 3, 4)
+        out = np.empty((2, 12))
+        for start in (0, 2, 3):
+            rows.readinto(start, out)
+            np.testing.assert_array_equal(out, values[start : start + 2].reshape(2, 12))
+        for start, size in ((4, 24), (-1, 12), (0, 5)):
+            with pytest.raises(ValueError, match="whole rows"):
+                rows.readinto(start, np.empty(size))
 
 
 def test_grid_rejects_nonfinite_and_empty(tmp_path):
