@@ -29,7 +29,6 @@ from .decomp import (
     component_scores,
     centered_scores,
     diagnose_projection,
-    eigenfunction_chunks,
     eigenfunctions,
     eigenvalue_se,
     fit_subspace_pca,
@@ -102,7 +101,6 @@ from .space import (
     whiten,
 )
 from .storage import (
-    GridRows,
     make_manifest,
     numeric_columns,
     read_config,
@@ -110,7 +108,6 @@ from .storage import (
     read_manifest,
     read_table,
     write_grid,
-    write_grid_chunks,
     write_manifest,
     write_table,
 )

@@ -28,6 +28,7 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
+    _add_rows,
     _dense,
     _n_rows,
     _weighted_scores,
@@ -131,7 +132,7 @@ def fit_subspace_pca(
     coordinates, eigendecompose, and flip each eigenvector whose grid row's
     largest-|value| entry (the first of tied maxima) is negative. Components
     with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
-    yields zero components. The sample, an array or a row source such as
+    yields zero components. The sample, an array or an open
     ``storage.GridRows``, passes through in row chunks twice: once for the
     projection and the mean, once for the total variance. No grid row of
     the sample or of the eigenfunctions is kept.
@@ -144,10 +145,7 @@ def fit_subspace_pca(
     scores = np.empty((n, _n_rows(basis, dense)))
     mean = np.zeros(space.size)
     for chunk, rows in sample_chunks(space, data, buf):
-        # Row by row, as data.mean(axis=0) adds them: the mean is bitwise
-        # the same for any chunk size.
-        for row in rows:
-            mean += row
+        _add_rows(mean, rows)
         scores[chunk] = _weighted_scores(
             space, basis, dense, rows, out=buf[: rows.shape[0]]
         )
@@ -304,8 +302,7 @@ def diagnose_projection(
     buf = chunk_buffer(space, n)
     mean = np.zeros(space.size)
     for _, rows in sample_chunks(space, data, buf):
-        for row in rows:
-            mean += row
+        _add_rows(mean, rows)
     mean /= n
     white = np.empty((n, whitener.rank))
     resid_sq = np.empty(n)

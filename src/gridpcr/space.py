@@ -13,8 +13,8 @@ grid rows). Each accepts a dense basis (a ``BasisSet`` or a raw (N, V)
 array) or a factored tensor-product basis (``bases.TensorBasis``), which
 they contract one axis at a time without forming its (N, V) rows. Passes
 over a sample go through it in row chunks of at most ``ROW_CHUNK_VALUES``
-grid values; the sample is an array or a row source such as
-``storage.GridRows``, which is read one chunk at a time.
+grid values; the sample is an array or an open ``storage.GridRows``,
+which is read one chunk at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConformanceError, ConfigurationError, EmptyBasisError
+from .storage import GridRows, read_grid
 
 DEFAULT_DROP_TOL = 1e-10
 # Grid values per row chunk of a pass over a sample: 8 MiB of float64. On a
@@ -138,13 +139,11 @@ def as_element(space: AmbientSpace, x) -> np.ndarray:
 def as_sample(space: AmbientSpace, x):
     """Validate a sample: n rows, each conforming to the grid, finite.
 
-    ``x`` is an array or a row source: an object with a ``shape`` and a
-    ``readinto(start, out)`` that fills ``out`` with rows ``start, ...``
-    (``storage.GridRows``). An array comes back flat as (n, V); a row
-    source comes back as it is, its shape checked here and its values
-    checked by ``sample_chunks`` as they are read.
+    ``x`` is an array or an open ``storage.GridRows``. An array comes back
+    flat as (n, V); a ``GridRows`` comes back as it is, its shape checked
+    here and its values checked by ``sample_chunks`` as they are read.
     """
-    if _row_source(x):
+    if isinstance(x, GridRows):
         shape = tuple(x.shape)
         if shape[1:] not in (space.dims, (space.size,)):
             raise ConformanceError(
@@ -164,11 +163,6 @@ def as_sample(space: AmbientSpace, x):
     for chunk in row_chunks(space, arr.shape[0]):
         _check_finite(arr[chunk])
     return arr
-
-
-def _row_source(x) -> bool:
-    """True for a sample read on demand rather than held as an array."""
-    return hasattr(x, "readinto")
 
 
 def _check_finite(rows) -> None:
@@ -196,20 +190,30 @@ def sample_chunks(space: AmbientSpace, sample, buf: np.ndarray):
     """Yield (slice, rows) over the row chunks of a checked sample.
 
     ``sample`` is what ``as_sample`` returned and ``buf`` a
-    ``chunk_buffer``. Array rows come as views of the array; a row source
-    is read into ``buf``, which the next chunk overwrites, and each chunk
-    read is checked finite. Callers write what they derive from a chunk
-    into ``buf[:len(rows)]``: for a row source that works in place, and an
-    array is never written.
+    ``chunk_buffer``. Array rows come as views of the array; a file's rows
+    are read into ``buf`` by ``storage.read_grid``, the next chunk
+    overwrites them, and each chunk read is checked finite. Callers write
+    what they derive from a chunk into ``buf[:len(rows)]``: for a file that
+    works in place, and an array is never written.
     """
     for chunk in row_chunks(space, sample.shape[0]):
-        if not _row_source(sample):
+        if not isinstance(sample, GridRows):
             yield chunk, sample[chunk]
             continue
-        rows = buf[: chunk.stop - chunk.start]
-        sample.readinto(chunk.start, rows)
+        rows = read_grid(sample, chunk.start, buf[: chunk.stop - chunk.start])
         _check_finite(rows)
         yield chunk, rows
+
+
+def _add_rows(total: np.ndarray, rows) -> None:
+    """Add sample rows into ``total`` one row at a time.
+
+    This is the order in which ``data.mean(axis=0)`` adds them, so a mean
+    summed this way over any row chunks is bitwise equal to it; a sum of
+    each chunk first is not.
+    """
+    for row in rows:
+        total += row
 
 
 def kron_rows(factors) -> np.ndarray:

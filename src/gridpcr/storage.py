@@ -3,10 +3,10 @@
 Grid files ("HSG1") hold one float64 array of any rank: magic ``HSG1``, a
 version byte (1), a rank byte, the extents as little-endian uint64, then the
 values little-endian row-major. Round-trips are bitwise; trailing bytes and
-truncation are format errors carrying the byte offset. ``GridRows`` reads a
-file's leading axis a few rows at a time, so a sample larger than memory
-can be fitted, and ``write_grid_chunks`` writes a payload that arrives in
-chunks.
+truncation are format errors carrying the byte offset. A ``GridRows`` keeps
+a file open so that ``read_grid`` can read its leading axis a few rows at a
+time, and a sample larger than memory can be fitted; ``write_grid_chunks``
+writes a payload that arrives in chunks.
 
 Tables are plain CSV: UTF-8, header row, ``\\n`` line endings, ``.`` decimal
 separator regardless of locale, floats rendered with shortest round-trip
@@ -161,15 +161,25 @@ def _check_grid_header(handle):
     return dims, dims_end
 
 
-def read_grid(path) -> np.ndarray:
+def read_grid(source, start: int = 0, out=None) -> np.ndarray:
     """Read a grid file back into the array shape it was written with.
 
-    The payload is read once, straight into the returned array.
+    ``source`` is a path or an open ``GridRows``. The payload, or its rows
+    from ``start`` on, is read once, straight into the returned array:
+    ``out`` when given (a float64 array of whole rows of the leading axis,
+    every one of which is filled), else a new array. The passes over a
+    sample file read it this way, one row chunk at a time through one open
+    descriptor.
     """
-    with GridRows(path) as grid:
-        values = np.empty(grid.shape)
-        grid.readinto(0, values)
-    return values
+    grid = source if isinstance(source, GridRows) else GridRows(source)
+    try:
+        if out is None:
+            out = np.empty((max(0, grid.shape[0] - start), *grid.shape[1:]))
+        grid.readinto(start, out)
+    finally:
+        if grid is not source:
+            grid.close()
+    return out
 
 
 def format_cell(value) -> str:

@@ -101,6 +101,12 @@ def test_grid_rows_read_any_row_range(tmp_path):
         for start, size in ((4, 24), (-1, 12), (0, 5)):
             with pytest.raises(ValueError, match="whole rows"):
                 rows.readinto(start, np.empty(size))
+        # read_grid reads a row range of the open file into a given buffer.
+        got = read_grid(rows, 3, out)
+        assert got is out
+        np.testing.assert_array_equal(got, values[3:5].reshape(2, 12))
+        np.testing.assert_array_equal(read_grid(rows), values)
+    np.testing.assert_array_equal(read_grid(str(path), 1), values[1:])
 
 
 def test_grid_rejects_nonfinite_and_empty(tmp_path):
