@@ -11,8 +11,10 @@ parent's source tree and on its own, then comparing the two output trees:
 program under test cannot change them: a 20x24 sample with a design table
 (response, two covariates and a treatment column), a disk mask, a noise-free
 12x14x10 sample of mirror-symmetric fields (ties in the peak entry of an
-eigenfunction decide its sign there), a triangulation of the unit square in
-the text mesh format and a ``simulate --config`` JSON file. Each command then
+eigenfunction decide its sign there), a noisy 64x60x56 sample with its own
+design table, large enough that every pass over it spans several row chunks,
+a triangulation of the unit square in the text mesh format and a
+``simulate --config`` JSON file. Each command then
 runs in a fresh interpreter with ``PYTHONPATH=<src>`` and
 ``OPENBLAS_NUM_THREADS=1``; its output files, stdout, stderr and exit code go
 to ``<out>/<case>/``.
@@ -43,6 +45,9 @@ DIMS_2D = (20, 24)
 DIMS_3D = (12, 14, 10)
 N_2D = 120
 N_3D = 40
+# Six row chunks of at most 2**20 values (four rows each) per pass.
+DIMS_CHUNKED = (64, 60, 56)
+N_CHUNKED = 24
 MESH_CELLS = 4
 
 
@@ -76,6 +81,15 @@ def _field(dims, degrees) -> np.ndarray:
     return out
 
 
+def _write_design(path, y, x, a=None) -> None:
+    header = "y," + ",".join(f"x{j + 1}" for j in range(x.shape[1]))
+    cols = [y, *x.T] + ([] if a is None else [a])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + (",a" if a is not None else "") + "\n")
+        for row in zip(*cols):
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def write_inputs(directory) -> None:
     os.makedirs(directory, exist_ok=True)
     rng = np.random.default_rng(20260)
@@ -90,10 +104,7 @@ def write_inputs(directory) -> None:
     a = (rng.random(N_2D) < 0.5).astype(float)
     y = 1.0 + x.sum(axis=1) + scores[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_2D)
     y += a * (0.5 - 0.5 * scores[:, 0])
-    with open(os.path.join(directory, "design.csv"), "w", encoding="utf-8") as handle:
-        handle.write("y,x1,x2,a\n")
-        for row in zip(y, x[:, 0], x[:, 1], a):
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_design(os.path.join(directory, "design.csv"), y, x, a)
 
     cx, cy = np.meshgrid(*[(np.arange(d) + 0.5) / d for d in DIMS_2D], indexing="ij")
     disk = ((cx - 0.5) ** 2 + (cy - 0.5) ** 2 <= 0.45**2).astype(float)
@@ -104,6 +115,17 @@ def write_inputs(directory) -> None:
     scores = rng.standard_normal((N_3D, len(fields))) * np.sqrt([3.0, 2.0, 1.0])
     sample = 1.0 + scores @ np.array(fields)
     _write_hsg(os.path.join(directory, "sample3d.hsg"), sample.reshape(N_3D, *DIMS_3D))
+
+    fields = [_field(DIMS_CHUNKED, d) for d in ((1, 0, 0), (0, 1, 1), (2, 0, 1))]
+    scores = rng.standard_normal((N_CHUNKED, len(fields))) * np.sqrt([3.0, 2.0, 1.0])
+    sample = 1.0 + scores @ np.array(fields)
+    sample += 0.05 * rng.standard_normal(sample.shape)
+    _write_hsg(
+        os.path.join(directory, "chunked3d.hsg"), sample.reshape(N_CHUNKED, *DIMS_CHUNKED)
+    )
+    x = rng.standard_normal((N_CHUNKED, 2))
+    y = 1.0 + x.sum(axis=1) + scores[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_CHUNKED)
+    _write_design(os.path.join(directory, "design3d.csv"), y, x)
 
     k = MESH_CELLS
     ticks = [i / k for i in range(k + 1)]
@@ -128,6 +150,8 @@ def cases(inputs) -> dict:
     """Case name -> CLI arguments (without --out)."""
     d2 = ["--data", os.path.join(inputs, "sample2d.hsg"), "--degree", "3", "--knots", "4"]
     d3 = ["--data", os.path.join(inputs, "sample3d.hsg"), "--degree", "2", "--knots", "2"]
+    chunked = ["--data", os.path.join(inputs, "chunked3d.hsg"), "--degree", "2",
+               "--knots", "2"]
     table = ["--table", os.path.join(inputs, "design.csv"), "--response", "y",
              "--covariates", "x1,x2"]
     arms = {"one": [], "two": ["--treatment", "a"]}
@@ -146,6 +170,10 @@ def cases(inputs) -> dict:
         "diagnose-tri": ["diagnose", *d2[:2], "--basis", "tri",
                          "--mesh", os.path.join(inputs, "mesh.tri")],
         "simulate-config": ["simulate", "--config", os.path.join(inputs, "study.json")],
+        "fit-chunked": ["fit", *chunked],
+        "diagnose-chunked": ["diagnose", *chunked],
+        "regress-chunked": ["regress", *chunked, "--table",
+                            os.path.join(inputs, "design3d.csv"), "--response", "y"],
     }
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
