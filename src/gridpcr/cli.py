@@ -4,13 +4,14 @@ Subcommands: fit, diagnose, pve, regress, bootstrap, jackknife, simulate,
 reproduce. ``main`` creates --out and runs the command, which writes its
 output files there and returns its seed and their names; ``main`` then writes
 the JSON manifest (config echo, seed, version, timing, output checksums). A
-failing command leaves no manifest. Identical flags
-and seeds produce byte-identical outputs for any --threads value; only the
-manifest's timing field varies between runs. Replicate loops run BLAS on one
-thread, so Monte Carlo outputs (simulate, reproduce) also do not depend on the
-BLAS thread setting; point fits (fit, regress, and the point column of
-bootstrap and jackknife) run on the default BLAS threads and can change with
-OPENBLAS_NUM_THREADS.
+failing command leaves no manifest. Every command runs BLAS on one thread,
+so identical flags and seeds produce byte-identical outputs for any
+--threads, GRIDPCR_THREADS and OPENBLAS_NUM_THREADS on the same machine and
+BLAS build; only the manifest's timing field varies between runs. The passes
+over the grid (the mean, projection and residual passes of fit and diagnose
+and the eigenfunction sign pass) use every usable CPU, with the same bytes
+for any worker count; --threads sizes the replicate pools of bootstrap,
+jackknife and the Monte Carlo studies.
 
 Exit codes: 0 success, 2 input/usage/format problems, 3 numerical or
 assumption failures (the message names the violated assumption). Errors and
@@ -86,7 +87,7 @@ from .storage import (
     write_manifest,
     write_table,
 )
-from .util import default_threads
+from .util import _BLAS_PIN, default_threads
 
 MAX_KNOT_REFINEMENTS = 4
 
@@ -124,7 +125,8 @@ def main(argv=None) -> int:
         try:
             started = time.perf_counter()
             os.makedirs(args.out, exist_ok=True)
-            seed, names = args.func(args)
+            with _BLAS_PIN:
+                seed, names = args.func(args)
             checks = {name: file_sha256(_path(args, name)) for name in names}
             config = {k: v for k, v in vars(args).items() if k != "func"}
             manifest = make_manifest(

@@ -28,15 +28,15 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
-    _add_rows,
     _dense,
     _n_rows,
     _weighted_scores,
     as_sample,
-    chunk_buffer,
     gram,
     row_chunks,
-    sample_chunks,
+    run_pass,
+    sample_mean,
+    sample_rows,
     synthesize,
     whiten,
 )
@@ -133,27 +133,29 @@ def fit_subspace_pca(
     largest-|value| entry (the first of tied maxima) is negative. Components
     with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
     yields zero components. The sample, an array or an open
-    ``storage.GridRows``, passes through in row chunks twice: once for the
-    projection and the mean, once for the total variance. No grid row of
-    the sample or of the eigenfunctions is kept.
+    ``storage.GridRows``, passes through twice: once for the mean, split by
+    columns, and once in row chunks for the projection and the total
+    variance. Both passes and the sign pass run on every usable CPU
+    (``space.run_pass``) with the same bytes for any worker count. No grid
+    row of the sample or of the eigenfunctions is kept. BLAS keeps numpy's
+    default thread count here, and the products outside the passes can
+    change in the last bits with it; the CLI pins BLAS to one thread.
     """
     data = as_sample(space, sample)
     n = data.shape[0]
     whitener = whiten(gram(space, basis), drop_tol)
     dense = _dense(space, basis)
-    buf = chunk_buffer(space, n)
+    mean = sample_mean(space, data)
     scores = np.empty((n, _n_rows(basis, dense)))
-    mean = np.zeros(space.size)
-    for chunk, rows in sample_chunks(space, data, buf):
-        _add_rows(mean, rows)
-        scores[chunk] = _weighted_scores(
-            space, basis, dense, rows, out=buf[: rows.shape[0]]
-        )
-    mean /= n
     dev_sq = np.empty(n)
-    for chunk, rows in sample_chunks(space, data, buf):
-        dev = np.subtract(rows, mean, out=buf[: rows.shape[0]])
-        dev_sq[chunk] = _sq_norms(space, dev)
+
+    def project(chunk, buf, work):
+        rows = sample_rows(space, data, chunk, buf)
+        x = work[: rows.shape[0]]
+        scores[chunk] = _weighted_scores(space, basis, dense, rows, out=x)
+        dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=x))
+
+    run_pass(space, n, project, buffers=2)
     return model_from_white(
         space, basis, scores @ whitener.factor.T, whitener, mean, float(dev_sq.mean())
     )
@@ -174,16 +176,22 @@ def model_from_white(
     the sample's pointwise mean and mean squared distance to it. The
     scores are centered and eigendecomposed, and each eigenvector is
     flipped so that its grid row's largest-|value| entry is positive; the
-    rows are synthesized a chunk at a time. Every fit after its projection
-    goes through here: ``fit_subspace_pca`` and the Monte Carlo harness.
+    rows are synthesized a row chunk at a time (``space.run_pass``). Every
+    fit after its projection goes through here: ``fit_subspace_pca`` and
+    the Monte Carlo harness.
     """
     if white.shape[0] < 2:
         raise ConformanceError("subspace fit needs at least two sample rows")
     lams, coords = _eig_from_scores(white - white.mean(axis=0))
-    for chunk in row_chunks(space, coords.shape[0]):
-        phis = synthesize(space, basis, coords[chunk] @ whitener.factor)
-        peaks = phis[np.arange(phis.shape[0]), np.argmax(np.abs(phis), axis=1)]
-        coords[chunk][peaks < 0] *= -1.0
+
+    def fix_signs(chunk, buf):
+        phis = synthesize(
+            space, basis, coords[chunk] @ whitener.factor,
+            out=buf[: chunk.stop - chunk.start],
+        )
+        coords[chunk][_negative_peaks(phis)] *= -1.0
+
+    run_pass(space, coords.shape[0], fix_signs)
     return EigenModel(
         eigenvalues=lams,
         coords=coords,
@@ -192,6 +200,21 @@ def model_from_white(
         whitener=whitener,
         total_variance=total_variance,
     )
+
+
+def _negative_peaks(rows: np.ndarray) -> np.ndarray:
+    """Whether each row's largest-|value| entry (the first of ties) is negative.
+
+    A row's peak is negative exactly when -min > max; only rows with
+    -min == max need the position of the first extreme entry.
+    """
+    high, low = rows.max(axis=1), rows.min(axis=1)
+    negative = -low > high
+    tied = np.flatnonzero(-low == high)
+    if tied.size:
+        ties = rows[tied]
+        negative[tied] = ties[np.arange(tied.size), np.argmax(np.abs(ties), axis=1)] < 0
+    return negative
 
 
 def eigenfunctions(space: AmbientSpace, basis, model: EigenModel) -> np.ndarray:
@@ -288,7 +311,11 @@ def diagnose_projection(
     quantile at 1 - alpha. Levels are restricted to (0, 0.05] because the
     statistic is one-sided and only small levels are meaningful for it.
     The basis is whitened at ``drop_tol`` exactly as ``fit_subspace_pca``
-    whitens it, so both report the same basis rank.
+    whitens it, so both report the same basis rank. The sample passes
+    through twice, for the mean and for the residuals, as in
+    ``fit_subspace_pca``: on every usable CPU, with the same bytes for any
+    worker count, and with numpy's default BLAS threads, which can move the
+    last bits of the scores; the CLI pins BLAS to one thread.
     """
     if not 0.0 < alpha <= 0.05:
         raise ConfigurationError(f"alpha must lie in (0, 0.05], got {alpha}")
@@ -299,20 +326,21 @@ def diagnose_projection(
     whitener = whiten(gram(space, basis), drop_tol)
     factor = whitener.factor
     dense = _dense(space, basis)
-    buf = chunk_buffer(space, n)
-    mean = np.zeros(space.size)
-    for _, rows in sample_chunks(space, data, buf):
-        _add_rows(mean, rows)
-    mean /= n
+    mean = sample_mean(space, data)
     white = np.empty((n, whitener.rank))
     resid_sq = np.empty(n)
     dev_sq = np.empty(n)
-    for chunk, rows in sample_chunks(space, data, buf):
-        dev = np.subtract(rows, mean, out=buf[: rows.shape[0]])
+
+    def residuals(chunk, buf, work):
+        rows = sample_rows(space, data, chunk, buf)
+        k = rows.shape[0]
+        dev = np.subtract(rows, mean, out=buf[:k])
         dev_sq[chunk] = _sq_norms(space, dev)
-        white[chunk] = _weighted_scores(space, basis, dense, dev) @ factor.T
-        resid = synthesize(space, basis, white[chunk] @ factor)
+        white[chunk] = _weighted_scores(space, basis, dense, dev, out=work[:k]) @ factor.T
+        resid = synthesize(space, basis, white[chunk] @ factor, out=work[:k])
         resid_sq[chunk] = _sq_norms(space, np.subtract(dev, resid, out=resid))
+
+    run_pass(space, n, residuals, buffers=2)
     delta_resid = float(resid_sq.mean())
     total = float(dev_sq.mean())
     delta_var = total - float(np.mean(np.sum(white * white, axis=1)))
@@ -369,11 +397,12 @@ def check_gaps(model: EigenModel, m: int, gap_tol=None) -> None:
     """
     tol = gap_tolerance(model, gap_tol)
     lams = model.eigenvalues
-    for j in range(m):
-        for k in range(model.n_components):
-            if k != j and abs(lams[j] - lams[k]) <= tol:
-                raise NearMultiplicityError(
-                    f"eigenvalues {j + 1} and {k + 1} differ by "
-                    f"{abs(lams[j] - lams[k]):.3e} <= gap tolerance {tol:.3e}; "
-                    "the spectral-gap expansion is unstable"
-                )
+    close = np.abs(lams[:m, None] - lams) <= tol
+    np.fill_diagonal(close, False)
+    if close.any():
+        j, k = np.argwhere(close)[0]
+        raise NearMultiplicityError(
+            f"eigenvalues {j + 1} and {k + 1} differ by "
+            f"{abs(lams[j] - lams[k]):.3e} <= gap tolerance {tol:.3e}; "
+            "the spectral-gap expansion is unstable"
+        )

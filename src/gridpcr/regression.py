@@ -284,11 +284,9 @@ def plugin_cov(
     raw = component_scores(model)
     lams = model.eigenvalues
     # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
-    gaps = np.zeros((m, n_comp))
-    for j in range(m):
-        for k in range(n_comp):
-            if k != j:
-                gaps[j, k] = 1.0 / (lams[j] - lams[k])
+    diff = lams[:m, None] - lams
+    np.fill_diagonal(diff, np.inf)
+    gaps = 1.0 / diff
 
     def paired(v: np.ndarray) -> np.ndarray:
         # <v, L_{1j}(K_i)> for every i and j <= m, where v is expressed by

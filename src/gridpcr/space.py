@@ -19,12 +19,14 @@ which is read one chunk at a time.
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConformanceError, ConfigurationError, EmptyBasisError
 from .storage import GridRows, read_grid
+from .util import pool_size, run_indexed
 
 DEFAULT_DROP_TOL = 1e-10
 # Grid values per row chunk of a pass over a sample: 8 MiB of float64. On a
@@ -141,7 +143,7 @@ def as_sample(space: AmbientSpace, x):
 
     ``x`` is an array or an open ``storage.GridRows``. An array comes back
     flat as (n, V); a ``GridRows`` comes back as it is, its shape checked
-    here and its values checked by ``sample_chunks`` as they are read.
+    here and its values checked by ``sample_rows`` as they are read.
     """
     if isinstance(x, GridRows):
         shape = tuple(x.shape)
@@ -186,23 +188,73 @@ def chunk_buffer(space: AmbientSpace, n: int) -> np.ndarray:
     return np.empty((min(n, _chunk_rows(space)), space.size))
 
 
-def sample_chunks(space: AmbientSpace, sample, buf: np.ndarray):
-    """Yield (slice, rows) over the row chunks of a checked sample.
+def sample_rows(space: AmbientSpace, sample, chunk: slice, buf, cols=None):
+    """Rows ``chunk`` of a checked sample, or their values ``cols`` only.
 
     ``sample`` is what ``as_sample`` returned and ``buf`` a
-    ``chunk_buffer``. Array rows come as views of the array; a file's rows
-    are read into ``buf`` by ``storage.read_grid``, the next chunk
-    overwrites them, and each chunk read is checked finite. Callers write
-    what they derive from a chunk into ``buf[:len(rows)]``: for a file that
-    works in place, and an array is never written.
+    ``chunk_buffer``. Array rows come as a view of the array; a file's rows
+    are read into ``buf`` by ``storage.read_grid`` and checked finite.
     """
-    for chunk in row_chunks(space, sample.shape[0]):
-        if not isinstance(sample, GridRows):
-            yield chunk, sample[chunk]
-            continue
-        rows = read_grid(sample, chunk.start, buf[: chunk.stop - chunk.start])
-        _check_finite(rows)
-        yield chunk, rows
+    if not isinstance(sample, GridRows):
+        return sample[chunk] if cols is None else sample[chunk, cols]
+    k = chunk.stop - chunk.start
+    if cols is None:
+        out = buf[:k]
+    else:
+        out = buf.reshape(-1)[: k * (cols.stop - cols.start)].reshape(k, -1)
+    rows = read_grid(sample, chunk.start, out, cols)
+    _check_finite(rows)
+    return rows
+
+
+def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, items=None) -> None:
+    """Run ``task(item, *bufs)`` for every item of a pass over an n-row sample.
+
+    The items, by default the ``row_chunks`` of the sample, are independent
+    tasks on ``util.pool_size(len(items))`` workers, every usable CPU at
+    most, and may finish in any order; each writes only its own part of the
+    result, so the bytes do not depend on the worker count. Every worker holds
+    ``buffers`` chunk buffers while it runs a task. They are allocated here,
+    in the caller's thread, so that worker threads allocate no chunk-sized
+    array (glibc would keep such arrays in per-thread arenas).
+    """
+    items = list(row_chunks(space, n)) if items is None else items
+    workers = pool_size(len(items))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put([chunk_buffer(space, n) for _ in range(buffers)])
+
+    def one(i):
+        bufs = free.get()
+        try:
+            task(items[i], *bufs)
+        finally:
+            free.put(bufs)
+
+    run_indexed(one, len(items), workers)
+
+
+def sample_mean(space: AmbientSpace, sample) -> np.ndarray:
+    """Pointwise mean of a checked sample, bitwise equal to ``mean(axis=0)``.
+
+    The columns are split into one block per worker, and each block adds
+    its values of every row in row order (``_add_rows``), which is the
+    order of numpy's sum for every column; any column split gives the same
+    bits. A file is read one column window of one row chunk at a time.
+    """
+    n = sample.shape[0]
+    chunks = list(row_chunks(space, n))
+    blocks = pool_size(len(chunks))
+    edges = [space.size * b // blocks for b in range(blocks + 1)]
+    total = np.zeros(space.size)
+
+    def add_block(cols, buf):
+        for chunk in chunks:
+            _add_rows(total[cols], sample_rows(space, sample, chunk, buf, cols))
+
+    run_pass(space, n, add_block, items=[slice(*e) for e in zip(edges, edges[1:])])
+    total /= n
+    return total
 
 
 def _add_rows(total: np.ndarray, rows) -> None:
@@ -268,22 +320,29 @@ def _dense(space: AmbientSpace, basis):
     return rows
 
 
-def _mode_products(x: np.ndarray, mats) -> np.ndarray:
+def _mode_products(x: np.ndarray, mats, out=None) -> np.ndarray:
     """Multiply every trailing axis of x by a matrix, the last axis first.
 
     x is (k, n_0, ..., n_{K-1}) and ``mats[a]`` is (m_a, n_a); returns the
     (k, m_0 * ... * m_{K-1}) array of sum over i_a of
     prod_a mats[a][j_a, i_a] x[:, i_0, ..., i_{K-1}] (Kolda & Bader's
-    mode-n products), each axis as one (batched) matrix product.
+    mode-n products), each axis as one (batched) matrix product. The last
+    product is written into ``out`` when given, a C-contiguous array of the
+    result's size.
     """
     shape = list(x.shape)
-    out = x.reshape(int(np.prod(shape[:-1])), shape[-1]) @ mats[-1].T
+    lead = int(np.prod(shape[:-1]))
     shape[-1] = mats[-1].shape[0]
+    last = None if out is None or len(mats) > 1 else out.reshape(lead, shape[-1])
+    y = np.matmul(x.reshape(lead, x.shape[-1]), mats[-1].T, out=last)
     for a in range(len(mats) - 2, -1, -1):
         lead = int(np.prod(shape[: a + 1]))
-        out = mats[a] @ out.reshape(lead, shape[a + 1], int(np.prod(shape[a + 2 :])))
+        rest = int(np.prod(shape[a + 2 :]))
+        y = y.reshape(lead, shape[a + 1], rest)
         shape[a + 1] = mats[a].shape[0]
-    return out.reshape(shape[0], int(np.prod(shape[1:])))
+        last = None if out is None or a else out.reshape(lead, shape[a + 1], rest)
+        y = np.matmul(mats[a], y, out=last)
+    return y.reshape(shape[0], int(np.prod(shape[1:])))
 
 
 def gram(space: AmbientSpace, basis) -> np.ndarray:
@@ -396,7 +455,8 @@ def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarra
     dense = _dense(space, basis)
     buf = chunk_buffer(space, data.shape[0])
     out = np.empty((data.shape[0], _n_rows(basis, dense)))
-    for chunk, rows in sample_chunks(space, data, buf):
+    for chunk in row_chunks(space, data.shape[0]):
+        rows = sample_rows(space, data, chunk, buf)
         x = buf[: rows.shape[0]]
         if center is not None:
             rows = np.subtract(rows, center, out=x)
@@ -422,12 +482,13 @@ def _weighted_scores(space: AmbientSpace, basis, dense, rows, out=None) -> np.nd
     return scores if basis.kept is None else scores[:, basis.kept]
 
 
-def synthesize(space: AmbientSpace, basis, coef) -> np.ndarray:
+def synthesize(space: AmbientSpace, basis, coef, out=None) -> np.ndarray:
     """Grid elements from basis coordinates: (k, N) -> (k, V).
 
     Row i of the result is sum_l coef[i, l] psi_l, i.e. ``coef @
     basis_rows(basis)``; a TensorBasis computes it by mode-n products with
-    its factors and zeroes the cells outside its support.
+    its factors and zeroes the cells outside its support. The rows are
+    written into ``out`` (a C-contiguous (k, V) array) when given.
     """
     coef = np.asarray(coef, dtype=float)
     rows = _dense(space, basis)
@@ -437,14 +498,14 @@ def synthesize(space: AmbientSpace, basis, coef) -> np.ndarray:
             f"coefficients {coef.shape} do not match {n_rows} basis rows"
         )
     if rows is not None:
-        return coef @ rows
+        return np.matmul(coef, rows, out=out)
     sizes = [f.shape[0] for f in basis.factors]
     full = coef
     if basis.kept is not None:
         full = np.zeros((coef.shape[0], int(np.prod(sizes))))
         full[:, basis.kept] = coef
     out = _mode_products(
-        full.reshape(coef.shape[0], *sizes), [f.T for f in basis.factors]
+        full.reshape(coef.shape[0], *sizes), [f.T for f in basis.factors], out
     )
     if basis.support is not None:
         out[:, ~basis.support] = 0.0

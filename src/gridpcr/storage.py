@@ -77,8 +77,11 @@ class GridRows:
     errors and byte offsets as ``read_grid``. ``shape`` is the stored
     array's shape; ``readinto(start, out)`` fills the float64 array ``out``
     with rows ``start, start + 1, ...`` of that axis, read straight from the
-    file at their offset. The file stays open until ``close`` (or the end
-    of a ``with`` block).
+    file at their offset, and ``readinto(start, out, cols)`` fills the
+    (rows, width) array ``out`` with the values ``cols`` of each flattened
+    row. Reads are positional, so threads may read one ``GridRows`` at
+    once. The file stays open until ``close`` (or the end of a ``with``
+    block).
     """
 
     def __init__(self, path):
@@ -88,31 +91,50 @@ class GridRows:
         except BaseException:
             self._file.close()
             raise
-        self._row_bytes = 8 * math.prod(self.shape[1:])
+        self._row_values = math.prod(self.shape[1:])
+        self._row_bytes = 8 * self._row_values
         self._end = self._start + self._row_bytes * self.shape[0]
 
-    def readinto(self, start: int, out: np.ndarray) -> None:
+    def readinto(self, start: int, out: np.ndarray, cols=None) -> None:
         view = memoryview(out).cast("B")
-        rows, extra = divmod(view.nbytes, self._row_bytes)
-        if extra or start < 0 or start + rows > self.shape[0]:
-            raise ConformanceError(
-                f"cannot read {view.nbytes} bytes as whole rows from row {start} "
-                f"of {self.shape[0]}"
-            )
-        pos = self._start + start * self._row_bytes
-        got = 0
-        while got < view.nbytes:
-            self._file.seek(pos + got)
-            step = self._file.readinto(view[got:])
-            if not step:
-                raise FormatError(
-                    f"grid file truncated: expected {self._end} bytes, "
-                    f"found {pos + got}",
-                    offset=pos + got,
+        if cols is None:
+            rows, extra = divmod(view.nbytes, self._row_bytes)
+            if extra or start < 0 or start + rows > self.shape[0]:
+                raise ConformanceError(
+                    f"cannot read {view.nbytes} bytes as whole rows from row {start} "
+                    f"of {self.shape[0]}"
                 )
-            got += step
+            self._pread(view, self._start + start * self._row_bytes)
+        else:
+            lo, hi, _ = cols.indices(self._row_values)
+            if out.ndim != 2 or out.shape[1] != hi - lo or start < 0 or (
+                start + out.shape[0] > self.shape[0]
+            ):
+                raise ConformanceError(
+                    f"cannot read columns {lo}:{hi} of rows {start} to "
+                    f"{start + out.shape[0]} of {self.shape[0]} into {out.shape}"
+                )
+            pos = self._start + start * self._row_bytes + 8 * lo
+            for row in out:
+                self._pread(memoryview(row).cast("B"), pos)
+                pos += self._row_bytes
         if sys.byteorder != "little":
             out.byteswap(inplace=True)
+
+    def _pread(self, view, pos: int) -> None:
+        """Fill ``view`` from file offset ``pos``; the file offset is not used."""
+        got = 0
+        while got < view.nbytes:
+            step = os.preadv(self._file.fileno(), [view[got:]], pos + got)
+            if not step:
+                # A read past the end reports where the file ends, as a
+                # read through its last byte does.
+                found = min(pos + got, os.fstat(self._file.fileno()).st_size)
+                raise FormatError(
+                    f"grid file truncated: expected {self._end} bytes, found {found}",
+                    offset=found,
+                )
+            got += step
 
     def close(self) -> None:
         self._file.close()
@@ -161,21 +183,23 @@ def _check_grid_header(handle):
     return dims, dims_end
 
 
-def read_grid(source, start: int = 0, out=None) -> np.ndarray:
+def read_grid(source, start: int = 0, out=None, cols=None) -> np.ndarray:
     """Read a grid file back into the array shape it was written with.
 
     ``source`` is a path or an open ``GridRows``. The payload, or its rows
     from ``start`` on, is read once, straight into the returned array:
     ``out`` when given (a float64 array of whole rows of the leading axis,
-    every one of which is filled), else a new array. The passes over a
-    sample file read it this way, one row chunk at a time through one open
+    every one of which is filled), else a new array. With ``cols``, a slice
+    of the flattened row, only those values of each row are read, into the
+    (rows, width) array ``out``. The passes over a sample file read it this
+    way, one row chunk or one column window at a time through one open
     descriptor.
     """
     grid = source if isinstance(source, GridRows) else GridRows(source)
     try:
         if out is None:
             out = np.empty((max(0, grid.shape[0] - start), *grid.shape[1:]))
-        grid.readinto(start, out)
+        grid.readinto(start, out, cols)
     finally:
         if grid is not source:
             grid.close()

@@ -206,22 +206,55 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
+_POOL = threading.local()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return cpus or os.cpu_count() or 1
+
+
+def pool_size(count: int, threads=None) -> int:
+    """Workers ``run_indexed`` gives ``count`` calls under a ``threads`` cap.
+
+    That is min(threads, count, usable CPUs), with every usable CPU for
+    ``threads=None``, and 1 inside a ``run_indexed`` call: pools never
+    nest, so a pass inside a replicate runs inline.
+    """
+    if getattr(_POOL, "inside", False):
+        return 1
+    cpus = usable_cpus()
+    cap = cpus if threads is None else max(1, int(threads))
+    return max(1, min(cap, count, cpus))
+
+
+def _inside_pool(fn, i):
+    outer = getattr(_POOL, "inside", False)
+    _POOL.inside = True
+    try:
+        return fn(i)
+    finally:
+        _POOL.inside = outer
+
+
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
-    With ``threads > 1`` the calls run on a thread pool of at most
-    min(threads, count, usable CPUs) workers; each call must be independent
-    (replicate-keyed RNG makes that hold), so the result list is identical
-    for any worker count. BLAS runs single-threaded for every worker count:
-    the pool, not BLAS, uses the cores, and replicate arithmetic does not
-    depend on the BLAS thread setting.
+    With ``threads > 1`` the calls run on a thread pool of ``pool_size``
+    workers; each call must be independent (replicate-keyed RNG makes that
+    hold), so the result list is identical for any worker count. A
+    ``run_indexed`` call made from inside ``fn`` runs inline. BLAS runs
+    single-threaded for every worker count: the pool, not BLAS, uses the
+    cores, and replicate arithmetic does not depend on the BLAS thread
+    setting.
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    threads = min(max(1, int(threads)), count, cpus or os.cpu_count() or 1)
+    threads = pool_size(count, threads)
+    call = functools.partial(_inside_pool, fn)
     with _BLAS_PIN:
         if threads <= 1:
-            return [fn(i) for i in range(count)]
+            return [call(i) for i in range(count)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
+            return list(pool.map(call, range(count)))

@@ -593,3 +593,43 @@ def test_replicate_outputs_independent_of_blas_threads(tmp_path):
     one = _cli_outputs(argv, tmp_path / "blas-1", blas_threads=1)
     two = _cli_outputs(argv, tmp_path / "blas-2", blas_threads=2)
     assert one["metrics.csv"] == two["metrics.csv"]
+
+
+def test_outputs_identical_under_any_blas_and_pool_threads(tmp_path):
+    # 48x48x24 grid values are three row chunks of 18 rows at n = 40, so
+    # every pass over the sample and the sign pass run as several tasks.
+    space = AmbientSpace.unit_domain((48, 48, 24))
+    fam = make_family(space, "quadratic_gauss3d", 2)
+    rng = replicate_rng(9401, 0)
+    n = 40
+    xi = rng.standard_normal((n, 2)) * np.sqrt(LAMS)
+    sample = xi @ fam.phis + 0.1 * rng.standard_normal((n, space.size))
+    data = tmp_path / "s.hsg"
+    write_grid(data, sample.reshape(n, *space.dims))
+    x = rng.standard_normal((n, 2))
+    table = tmp_path / "d.csv"
+    write_design(table, x, 1.0 + x @ [1.0, -0.5] + xi @ [1.5, -1.0] + rng.standard_normal(n))
+    del sample
+    basis = ["--data", str(data), "--degree", "3", "--knots", "3"]
+    design = ["--table", str(table), "--response", "y"]
+    commands = {
+        "fit": ["fit", *basis],
+        "diagnose": ["diagnose", *basis],
+        "regress": ["regress", *basis, *design],
+        "bootstrap": ["bootstrap", *basis, *design, "--reps", "20", "--seed", "5"],
+        "jackknife": ["jackknife", *basis, *design],
+        "simulate": ["simulate", "--n", "100", "--reps", "3", "--inference", "bootstrap",
+                     "--boot-reps", "10", "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        digests = set()
+        for blas in (1, 2, None):
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-{blas}-{threads}"
+                files = _cli_outputs([*argv, "--threads", threads], out, blas)
+                digests.add(tuple(
+                    (f, hashlib.sha256(b).hexdigest()) for f, b in sorted(files.items())
+                ))
+                for path in out.iterdir():
+                    path.unlink()
+        assert len(digests) == 1, name

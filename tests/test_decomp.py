@@ -322,6 +322,44 @@ def test_eigenfunction_cov_guards_near_multiplicity():
     check_gaps(model, 1, gap_tol=min(abs(np.diff(lam))) * 0.5)
 
 
+def test_check_gaps_names_the_first_close_pair():
+    lams = np.array([3.0, 2.0 + 1e-9, 2.0, 1.0, 1.0 - 2e-7])
+    model = EigenModel(
+        eigenvalues=lams, coords=np.eye(5), white=np.zeros((2, 5)),
+        mean=np.zeros(5), whitener=None, total_variance=10.0,
+    )
+    check_gaps(model, 1)
+    message = (
+        r"^eigenvalues 2 and 3 differ by 1\.000e-09 <= gap tolerance 3\.000e-06; "
+        r"the spectral-gap expansion is unstable$"
+    )
+    for m in (2, 3, 5):
+        with pytest.raises(NearMultiplicityError, match=message):
+            check_gaps(model, m)
+    with pytest.raises(
+        NearMultiplicityError, match=r"^eigenvalues 1 and 2 differ by 1\.000e\+00 <= "
+    ):
+        check_gaps(model, 1, gap_tol=1.5)
+
+
+def test_sign_rule_takes_the_first_of_tied_extremes():
+    rows = np.array([
+        [0.5, -2.0, 1.0, 2.0],   # tie, the negative extreme first
+        [0.5, 2.0, 1.0, -2.0],   # tie, the positive extreme first
+        [-3.0, 0.0, 2.0, 1.0],   # negative peak
+        [1.0, -1.0, 3.0, 0.0],   # positive peak
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, -0.0, 0.0, 0.0],
+    ])
+    negative = gridpcr.decomp._negative_peaks(rows)
+    assert negative.tolist() == [True, False, True, False, False, False]
+    # The rule of taking the first largest-|value| entry, on ties by construction.
+    rng = replicate_rng(7800, 0)
+    rows = rng.integers(-3, 4, size=(500, 7)).astype(float)
+    peaks = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    assert np.array_equal(gridpcr.decomp._negative_peaks(rows), peaks < 0)
+
+
 def test_fit_requires_two_rows():
     space = AmbientSpace.unit_domain((4, 4))
     basis = BasisSet(functions=np.ones((1, 16)), provenance={})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gridpcr.space
+import gridpcr.util
 from gridpcr import (
     AmbientSpace,
     ConformanceError,
@@ -18,8 +19,9 @@ from gridpcr import (
     write_grid,
 )
 from gridpcr.bases import mask_space
+from gridpcr.decomp import model_from_white
 from gridpcr.storage import GridRows
-from gridpcr.util import replicate_rng
+from gridpcr.util import replicate_rng, run_indexed
 
 REL = 1e-12
 N = 23
@@ -156,3 +158,57 @@ def test_sample_shape_must_match_the_masked_grid(tmp_path):
         match=r"^sample shape \(23, 9, 8, 7\) does not conform to grid \(20, 24\)$",
     ):
         fit_subspace_pca(other, basis, rows)
+
+
+def fit_bytes(model):
+    return [
+        np.asarray(a).tobytes()
+        for a in (model.eigenvalues, model.coords, model.white, model.mean,
+                  model.total_variance)
+    ]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_passes_same_bytes_for_any_pool_size(tmp_path, small_chunks, monkeypatch, case):
+    # Eight row chunks: every pass (the column-block mean, the projection,
+    # the residuals and the sign pass) runs as tasks on the pool.
+    space, basis, sample, path = make_case(case, tmp_path, CASES.index(case))
+    small_chunks(space)
+    fits, reports = [], []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: cpus)
+        with GridRows(path) as rows:
+            for data in (sample, rows):
+                fits.append(fit_bytes(fit_subspace_pca(space, basis, data)))
+                reports.append(diagnose_projection(space, basis, data))
+    assert fits[0][3] == sample.mean(axis=0).tobytes()
+    assert all(f == fits[0] for f in fits)
+    assert all(r == reports[0] for r in reports)
+
+
+def test_model_from_white_in_a_worker_starts_no_pool(tmp_path, small_chunks, monkeypatch):
+    space, basis, sample, _ = make_case(unmasked_3d, tmp_path, 0)
+    small_chunks(space)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 2)
+    model = fit_subspace_pca(space, basis, sample)
+    assert model.n_components > CHUNK_ROWS  # the sign pass spans several chunks
+    pools = []
+
+    class CountingPool(gridpcr.util.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def refit(i):
+        return model_from_white(
+            space, basis, model.white, model.whitener, model.mean, model.total_variance
+        )
+
+    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", CountingPool)
+    alone = refit(0)
+    assert pools == [2]
+    pools.clear()
+    inside = run_indexed(refit, 2, threads=2)
+    assert pools == [2]  # the replicate pool only
+    for refitted in (alone, *inside):
+        assert fit_bytes(refitted) == fit_bytes(model)

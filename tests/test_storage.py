@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -107,6 +109,59 @@ def test_grid_rows_read_any_row_range(tmp_path):
         np.testing.assert_array_equal(got, values[3:5].reshape(2, 12))
         np.testing.assert_array_equal(read_grid(rows), values)
     np.testing.assert_array_equal(read_grid(str(path), 1), values[1:])
+
+
+def test_grid_rows_read_column_windows(tmp_path):
+    values = np.arange(60.0).reshape(5, 3, 4) / 7.0
+    path = tmp_path / "rows.hsg"
+    write_grid(str(path), values)
+    flat = values.reshape(5, 12)
+    with GridRows(str(path)) as rows:
+        for start, lo, hi in ((0, 0, 12), (1, 3, 8), (4, 11, 12)):
+            out = np.empty((5 - start, hi - lo))
+            assert read_grid(rows, start, out, slice(lo, hi)) is out
+            np.testing.assert_array_equal(out, flat[start:, lo:hi])
+        for start, shape in ((4, (2, 5)), (0, (2, 4)), (0, (2, 5, 1))):
+            with pytest.raises(ValueError, match="cannot read columns 3:8"):
+                rows.readinto(start, np.empty(shape), slice(3, 8))
+        os.truncate(path, os.path.getsize(path) - 8 * 6)
+        # Past the end of the file a window read reports where the file ends.
+        with pytest.raises(FormatError, match="found 462$") as err:
+            rows.readinto(4, np.empty((1, 2)), slice(10, 12))
+    assert err.value.offset == 462
+
+
+def test_grid_rows_reads_from_threads_do_not_interfere(tmp_path):
+    # Each thread reads its own interleaved row ranges of one open file;
+    # a shared file position would let one thread's seek move another's
+    # read. Three threads on two cores, switching often.
+    values = np.random.default_rng(3).standard_normal((64, 2048))
+    path = tmp_path / "rows.hsg"
+    write_grid(str(path), values)
+    mismatches = []
+
+    def reader(rows, phase):
+        out = np.empty((300, 3, 2048))
+        starts = [(3 * rep + phase) % 61 for rep in range(len(out))]
+        for start, rows_out in zip(starts, out):
+            rows.readinto(start, rows_out)
+        for start, rows_out in zip(starts, out):
+            if not np.array_equal(rows_out, values[start : start + 3]):
+                mismatches.append((phase, start))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with GridRows(str(path)) as rows:
+            threads = [threading.Thread(target=reader, args=(rows, p)) for p in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_grid_rejects_nonfinite_and_empty(tmp_path):

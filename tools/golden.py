@@ -81,12 +81,11 @@ def _field(dims, degrees) -> np.ndarray:
     return out
 
 
-def _write_design(path, y, x, a=None) -> None:
-    header = "y," + ",".join(f"x{j + 1}" for j in range(x.shape[1]))
-    cols = [y, *x.T] + ([] if a is None else [a])
+def _write_design(path, columns) -> None:
+    """A CSV table of named float columns."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + (",a" if a is not None else "") + "\n")
-        for row in zip(*cols):
+        handle.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -104,7 +103,8 @@ def write_inputs(directory) -> None:
     a = (rng.random(N_2D) < 0.5).astype(float)
     y = 1.0 + x.sum(axis=1) + scores[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_2D)
     y += a * (0.5 - 0.5 * scores[:, 0])
-    _write_design(os.path.join(directory, "design.csv"), y, x, a)
+    _write_design(os.path.join(directory, "design.csv"),
+                  {"y": y, "x1": x[:, 0], "x2": x[:, 1], "a": a})
 
     cx, cy = np.meshgrid(*[(np.arange(d) + 0.5) / d for d in DIMS_2D], indexing="ij")
     disk = ((cx - 0.5) ** 2 + (cy - 0.5) ** 2 <= 0.45**2).astype(float)
@@ -125,7 +125,8 @@ def write_inputs(directory) -> None:
     )
     x = rng.standard_normal((N_CHUNKED, 2))
     y = 1.0 + x.sum(axis=1) + scores[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_CHUNKED)
-    _write_design(os.path.join(directory, "design3d.csv"), y, x)
+    _write_design(os.path.join(directory, "design3d.csv"),
+                  {"y": y, "x1": x[:, 0], "x2": x[:, 1]})
 
     k = MESH_CELLS
     ticks = [i / k for i in range(k + 1)]
