@@ -4,14 +4,17 @@ Subcommands: fit, diagnose, pve, regress, bootstrap, jackknife, simulate,
 reproduce. ``main`` creates --out and runs the command, which writes its
 output files there and returns its seed and their names; ``main`` then writes
 the JSON manifest (config echo, seed, version, timing, output checksums). A
-failing command leaves no manifest. Every command runs BLAS on one thread,
-so identical flags and seeds produce byte-identical outputs for any
---threads, GRIDPCR_THREADS and OPENBLAS_NUM_THREADS on the same machine and
-BLAS build; only the manifest's timing field varies between runs. The passes
-over the grid (the mean, projection and residual passes of fit and diagnose
-and the eigenfunction sign pass) use every usable CPU, with the same bytes
-for any worker count; --threads sizes the replicate pools of bootstrap,
-jackknife and the Monte Carlo studies.
+failing command leaves no manifest. Every command runs numpy's bundled
+OpenBLAS on one thread, so identical flags and seeds produce byte-identical
+outputs for any --threads, GRIDPCR_THREADS and OPENBLAS_NUM_THREADS on the
+same machine and BLAS build; only the manifest's timing field varies
+between runs. Another BLAS (MKL, Accelerate, a system OpenBLAS) is not
+pinned, and needs its own thread variable set to 1 for the same promise.
+The passes over the grid (the mean, projection and residual passes of fit
+and diagnose and the eigenfunction sign pass) use the usable CPUs, within
+a fixed buffer budget, with the same bytes for any worker count; --threads
+sizes the replicate pools of bootstrap, jackknife and the Monte Carlo
+studies.
 
 Exit codes: 0 success, 2 input/usage/format problems, 3 numerical or
 assumption failures (the message names the violated assumption). Errors and

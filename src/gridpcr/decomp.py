@@ -135,11 +135,12 @@ def fit_subspace_pca(
     yields zero components. The sample, an array or an open
     ``storage.GridRows``, passes through twice: once for the mean, split by
     columns, and once in row chunks for the projection and the total
-    variance. Both passes and the sign pass run on every usable CPU
-    (``space.run_pass``) with the same bytes for any worker count. No grid
-    row of the sample or of the eigenfunctions is kept. BLAS keeps numpy's
-    default thread count here, and the products outside the passes can
-    change in the last bits with it; the CLI pins BLAS to one thread.
+    variance. Both passes and the sign pass run on the usable CPUs, within
+    ``space.run_pass``'s buffer budget, with the same bytes for any worker
+    count. No grid row of the sample or of the eigenfunctions is kept. BLAS
+    keeps numpy's default thread count here, and the products outside the
+    passes can change in the last bits with it; the CLI pins numpy's
+    bundled OpenBLAS to one thread.
     """
     data = as_sample(space, sample)
     n = data.shape[0]
@@ -313,9 +314,10 @@ def diagnose_projection(
     The basis is whitened at ``drop_tol`` exactly as ``fit_subspace_pca``
     whitens it, so both report the same basis rank. The sample passes
     through twice, for the mean and for the residuals, as in
-    ``fit_subspace_pca``: on every usable CPU, with the same bytes for any
+    ``fit_subspace_pca``: on the usable CPUs, with the same bytes for any
     worker count, and with numpy's default BLAS threads, which can move the
-    last bits of the scores; the CLI pins BLAS to one thread.
+    last bits of the scores; the CLI pins numpy's bundled OpenBLAS to one
+    thread.
     """
     if not 0.0 < alpha <= 0.05:
         raise ConfigurationError(f"alpha must lie in (0, 0.05], got {alpha}")

@@ -33,6 +33,11 @@ DEFAULT_DROP_TOL = 1e-10
 # 2-vCPU x86 VM, fit and diagnose on the 79x95x66 grid ran about 10% faster
 # than with 32 MiB chunks.
 ROW_CHUNK_VALUES = 2**20
+# Chunk buffers one pass holds at most, 32 MiB at the size above: passes
+# that use two buffers per worker run on two workers at most, passes that
+# use one on four, however many CPUs there are, so the peak memory of fit
+# and diagnose does not grow with the CPU count.
+PASS_BUFFERS = 4
 
 
 @dataclass(frozen=True)
@@ -188,38 +193,45 @@ def chunk_buffer(space: AmbientSpace, n: int) -> np.ndarray:
     return np.empty((min(n, _chunk_rows(space)), space.size))
 
 
-def sample_rows(space: AmbientSpace, sample, chunk: slice, buf, cols=None):
-    """Rows ``chunk`` of a checked sample, or their values ``cols`` only.
+def sample_rows(space: AmbientSpace, sample, chunk: slice, buf, cols=slice(None)):
+    """Values ``cols`` (by default all) of the rows ``chunk`` of a checked sample.
 
     ``sample`` is what ``as_sample`` returned and ``buf`` a
     ``chunk_buffer``. Array rows come as a view of the array; a file's rows
     are read into ``buf`` by ``storage.read_grid`` and checked finite.
     """
     if not isinstance(sample, GridRows):
-        return sample[chunk] if cols is None else sample[chunk, cols]
+        return sample[chunk, cols]
+    lo, hi, _ = cols.indices(space.size)
     k = chunk.stop - chunk.start
-    if cols is None:
-        out = buf[:k]
-    else:
-        out = buf.reshape(-1)[: k * (cols.stop - cols.start)].reshape(k, -1)
+    out = buf.reshape(-1)[: k * (hi - lo)].reshape(k, -1)
     rows = read_grid(sample, chunk.start, out, cols)
     _check_finite(rows)
     return rows
 
 
-def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, items=None) -> None:
+def run_pass(
+    space: AmbientSpace, n: int, task, buffers: int = 1, by_columns: bool = False
+) -> None:
     """Run ``task(item, *bufs)`` for every item of a pass over an n-row sample.
 
-    The items, by default the ``row_chunks`` of the sample, are independent
-    tasks on ``util.pool_size(len(items))`` workers, every usable CPU at
-    most, and may finish in any order; each writes only its own part of the
-    result, so the bytes do not depend on the worker count. Every worker holds
-    ``buffers`` chunk buffers while it runs a task. They are allocated here,
-    in the caller's thread, so that worker threads allocate no chunk-sized
-    array (glibc would keep such arrays in per-thread arenas).
+    The items are the ``row_chunks`` of the sample or, ``by_columns``, one
+    column block (a slice of the flattened row) per worker. They are
+    independent tasks that may finish in any order; each writes only its
+    own part of the result, so the bytes do not depend on the worker count.
+    That count is worked out once, here: ``util.pool_size`` of the row
+    chunks (every usable CPU at most), capped so that the pass holds at
+    most ``PASS_BUFFERS`` chunk buffers whatever the CPU count. Every
+    worker holds ``buffers`` of them while it runs a task. They are
+    allocated here, in the caller's thread, so that worker threads allocate
+    no chunk-sized array (glibc would keep such arrays in per-thread arenas).
     """
-    items = list(row_chunks(space, n)) if items is None else items
-    workers = pool_size(len(items))
+    items = list(row_chunks(space, n))
+    workers = min(pool_size(len(items)), max(1, PASS_BUFFERS // buffers))
+    if by_columns:
+        workers = min(workers, space.size)
+        edges = [space.size * b // workers for b in range(workers + 1)]
+        items = [slice(*e) for e in zip(edges, edges[1:])]
     free = queue.SimpleQueue()
     for _ in range(workers):
         free.put([chunk_buffer(space, n) for _ in range(buffers)])
@@ -231,6 +243,8 @@ def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, items=None) ->
         finally:
             free.put(bufs)
 
+    # ``workers`` is at most the items and the usable CPUs, so run_indexed's
+    # pool_size under this cap is ``workers`` again: a worker per buffer set.
     run_indexed(one, len(items), workers)
 
 
@@ -244,15 +258,13 @@ def sample_mean(space: AmbientSpace, sample) -> np.ndarray:
     """
     n = sample.shape[0]
     chunks = list(row_chunks(space, n))
-    blocks = pool_size(len(chunks))
-    edges = [space.size * b // blocks for b in range(blocks + 1)]
     total = np.zeros(space.size)
 
     def add_block(cols, buf):
         for chunk in chunks:
             _add_rows(total[cols], sample_rows(space, sample, chunk, buf, cols))
 
-    run_pass(space, n, add_block, items=[slice(*e) for e in zip(edges, edges[1:])])
+    run_pass(space, n, add_block, by_columns=True)
     total /= n
     return total
 

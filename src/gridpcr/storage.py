@@ -25,6 +25,7 @@ import math
 import os
 import struct
 import sys
+import threading
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .util import atomic_file, atomic_write_text
 
 GRID_MAGIC = b"HSG1"
 GRID_VERSION = 1
+_preadv = getattr(os, "preadv", None)
 
 
 def write_grid(path, values) -> None:
@@ -75,13 +77,12 @@ class GridRows:
 
     The header and the file size are checked on opening, with the same
     errors and byte offsets as ``read_grid``. ``shape`` is the stored
-    array's shape; ``readinto(start, out)`` fills the float64 array ``out``
-    with rows ``start, start + 1, ...`` of that axis, read straight from the
-    file at their offset, and ``readinto(start, out, cols)`` fills the
-    (rows, width) array ``out`` with the values ``cols`` of each flattened
-    row. Reads are positional, so threads may read one ``GridRows`` at
-    once. The file stays open until ``close`` (or the end of a ``with``
-    block).
+    array's shape; ``readinto(start, out, cols)`` fills the contiguous
+    float64 array ``out`` with the values ``cols`` (a slice of the
+    flattened row, by default all of it) of rows ``start, start + 1, ...``
+    of that axis in turn, read straight from the file at their offset.
+    Reads are positional, so threads may read one ``GridRows`` at once. The
+    file stays open until ``close`` (or the end of a ``with`` block).
     """
 
     def __init__(self, path):
@@ -94,38 +95,44 @@ class GridRows:
         self._row_values = math.prod(self.shape[1:])
         self._row_bytes = 8 * self._row_values
         self._end = self._start + self._row_bytes * self.shape[0]
+        self._lock = threading.Lock()
 
-    def readinto(self, start: int, out: np.ndarray, cols=None) -> None:
+    def readinto(self, start: int, out: np.ndarray, cols=slice(None)) -> None:
+        lo, hi, _ = cols.indices(self._row_values)
+        rows, extra = divmod(out.size, max(hi - lo, 1))
+        whole = hi - lo == self._row_values
+        if hi <= lo or extra or start < 0 or start + rows > self.shape[0]:
+            what = (
+                f"{out.nbytes} bytes as whole rows" if whole
+                else f"columns {lo}:{hi} into {out.shape}"
+            )
+            raise ConformanceError(
+                f"cannot read {what} from row {start} of {self.shape[0]}"
+            )
         view = memoryview(out).cast("B")
-        if cols is None:
-            rows, extra = divmod(view.nbytes, self._row_bytes)
-            if extra or start < 0 or start + rows > self.shape[0]:
-                raise ConformanceError(
-                    f"cannot read {view.nbytes} bytes as whole rows from row {start} "
-                    f"of {self.shape[0]}"
-                )
-            self._pread(view, self._start + start * self._row_bytes)
-        else:
-            lo, hi, _ = cols.indices(self._row_values)
-            if out.ndim != 2 or out.shape[1] != hi - lo or start < 0 or (
-                start + out.shape[0] > self.shape[0]
-            ):
-                raise ConformanceError(
-                    f"cannot read columns {lo}:{hi} of rows {start} to "
-                    f"{start + out.shape[0]} of {self.shape[0]} into {out.shape}"
-                )
-            pos = self._start + start * self._row_bytes + 8 * lo
-            for row in out:
-                self._pread(memoryview(row).cast("B"), pos)
-                pos += self._row_bytes
+        width = 8 * (hi - lo)
+        if whole:  # the rows are one contiguous range of the file
+            rows, width = 1, view.nbytes
+        pos = self._start + start * self._row_bytes + 8 * lo
+        for r in range(rows):
+            self._pread(view[r * width : (r + 1) * width], pos + r * self._row_bytes)
         if sys.byteorder != "little":
             out.byteswap(inplace=True)
 
     def _pread(self, view, pos: int) -> None:
-        """Fill ``view`` from file offset ``pos``; the file offset is not used."""
+        """Fill ``view`` from file offset ``pos`` without moving a shared offset.
+
+        Where ``os.preadv`` is missing (Windows), a lock keeps each seek
+        together with its read.
+        """
         got = 0
         while got < view.nbytes:
-            step = os.preadv(self._file.fileno(), [view[got:]], pos + got)
+            if _preadv is not None:
+                step = _preadv(self._file.fileno(), [view[got:]], pos + got)
+            else:
+                with self._lock:
+                    self._file.seek(pos + got)
+                    step = self._file.readinto(view[got:])
             if not step:
                 # A read past the end reports where the file ends, as a
                 # read through its last byte does.
@@ -183,16 +190,16 @@ def _check_grid_header(handle):
     return dims, dims_end
 
 
-def read_grid(source, start: int = 0, out=None, cols=None) -> np.ndarray:
+def read_grid(source, start: int = 0, out=None, cols=slice(None)) -> np.ndarray:
     """Read a grid file back into the array shape it was written with.
 
     ``source`` is a path or an open ``GridRows``. The payload, or its rows
     from ``start`` on, is read once, straight into the returned array:
     ``out`` when given (a float64 array of whole rows of the leading axis,
     every one of which is filled), else a new array. With ``cols``, a slice
-    of the flattened row, only those values of each row are read, into the
-    (rows, width) array ``out``. The passes over a sample file read it this
-    way, one row chunk or one column window at a time through one open
+    of the flattened row, only those values of each row are read, in turn,
+    into the given ``out``. The passes over a sample file read it this way,
+    one row chunk or one column window at a time through one open
     descriptor.
     """
     grid = source if isinstance(source, GridRows) else GridRows(source)

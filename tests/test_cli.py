@@ -209,7 +209,9 @@ def test_fit_matches_library(tmp_path):
 def test_grid_commands_stream_the_sample(tmp_path, monkeypatch, command):
     # One grid row per chunk, so the 40-row sample spans 40 chunks. A
     # command holds a few rows at a time: never the sample, and for fit
-    # never the J eigenfunctions either.
+    # never the J eigenfunctions either. Sixteen usable CPUs would be
+    # enough workers to hold more, but a pass holds at most
+    # space.PASS_BUFFERS chunk buffers.
     space = AmbientSpace.unit_domain((40, 36, 30))
     n = 40
     rng = replicate_rng(9410, 0)
@@ -227,6 +229,7 @@ def test_grid_commands_stream_the_sample(tmp_path, monkeypatch, command):
     if command == "regress":
         argv += ["--table", str(tmp_path / "d.csv"), "--response", "y", "--m", "2"]
     monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", space.size)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 16)
     tracemalloc.start()
     try:
         rc = main(argv)

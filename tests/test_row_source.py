@@ -175,7 +175,7 @@ def test_passes_same_bytes_for_any_pool_size(tmp_path, small_chunks, monkeypatch
     space, basis, sample, path = make_case(case, tmp_path, CASES.index(case))
     small_chunks(space)
     fits, reports = [], []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 16):
         monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: cpus)
         with GridRows(path) as rows:
             for data in (sample, rows):
@@ -184,6 +184,33 @@ def test_passes_same_bytes_for_any_pool_size(tmp_path, small_chunks, monkeypatch
     assert fits[0][3] == sample.mean(axis=0).tobytes()
     assert all(f == fits[0] for f in fits)
     assert all(r == reports[0] for r in reports)
+
+
+def test_pass_buffers_do_not_grow_with_the_cpu_count(tmp_path, small_chunks, monkeypatch):
+    # Sixteen usable CPUs and eight chunks: every pass is capped at
+    # PASS_BUFFERS chunk buffers, a worker for each buffer set.
+    space, basis, _, path = make_case(unmasked_3d, tmp_path, 0)
+    small_chunks(space)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 16)
+    held, passes = [], []
+    chunk_buffer, pool = gridpcr.space.chunk_buffer, gridpcr.space.run_indexed
+
+    def counted_buffer(*args):
+        held.append(1)
+        return chunk_buffer(*args)
+
+    def counted_pool(fn, count, threads):
+        passes.append((len(held), threads))
+        held.clear()
+        return pool(fn, count, threads)
+
+    monkeypatch.setattr(gridpcr.space, "chunk_buffer", counted_buffer)
+    monkeypatch.setattr(gridpcr.space, "run_indexed", counted_pool)
+    with GridRows(path) as rows:
+        fit_subspace_pca(space, basis, rows)
+        diagnose_projection(space, basis, rows)
+    # mean, projection, signs; mean, residuals
+    assert passes == [(4, 4), (4, 2), (4, 4), (4, 4), (4, 2)]
 
 
 def test_model_from_white_in_a_worker_starts_no_pool(tmp_path, small_chunks, monkeypatch):

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gridpcr.storage
 from gridpcr import FormatError
 from gridpcr.storage import (
     GridRows,
@@ -121,7 +122,7 @@ def test_grid_rows_read_column_windows(tmp_path):
             out = np.empty((5 - start, hi - lo))
             assert read_grid(rows, start, out, slice(lo, hi)) is out
             np.testing.assert_array_equal(out, flat[start:, lo:hi])
-        for start, shape in ((4, (2, 5)), (0, (2, 4)), (0, (2, 5, 1))):
+        for start, shape in ((4, (2, 5)), (0, (2, 4)), (0, (3, 3))):
             with pytest.raises(ValueError, match="cannot read columns 3:8"):
                 rows.readinto(start, np.empty(shape), slice(3, 8))
         os.truncate(path, os.path.getsize(path) - 8 * 6)
@@ -131,10 +132,14 @@ def test_grid_rows_read_column_windows(tmp_path):
     assert err.value.offset == 462
 
 
-def test_grid_rows_reads_from_threads_do_not_interfere(tmp_path):
+@pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "seek"])
+def test_grid_rows_reads_from_threads_do_not_interfere(tmp_path, monkeypatch, preadv):
     # Each thread reads its own interleaved row ranges of one open file;
     # a shared file position would let one thread's seek move another's
-    # read. Three threads on two cores, switching often.
+    # read. Three threads, switching often, with positional reads and with
+    # the locked seek used where os.preadv is missing.
+    if not preadv:
+        monkeypatch.setattr(gridpcr.storage, "_preadv", None)
     values = np.random.default_rng(3).standard_normal((64, 2048))
     path = tmp_path / "rows.hsg"
     write_grid(str(path), values)
