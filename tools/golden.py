@@ -10,8 +10,9 @@ parent's source tree and on its own, then comparing the two output trees:
 ``run`` writes its inputs with numpy and the standard library only, so the
 program under test cannot change them: a 20x24 sample with a design table
 (response, two covariates and a treatment column), a disk mask, a noise-free
-12x14x10 sample of mirror-symmetric fields (ties in the peak entry of an
-eigenfunction decide its sign there), a noisy 64x60x56 sample with its own
+12x14x10 sample of mirror-symmetric fields with its own design table (ties in
+the peak entry of an eigenfunction decide its sign there, and its whitened
+scores have rank 4 of 125), a noisy 64x60x56 sample with its own
 design table, large enough that every pass over it spans several row chunks,
 a triangulation of the unit square in the text mesh format and a
 ``simulate --config`` JSON file. Each command then
@@ -112,8 +113,8 @@ def write_inputs(directory) -> None:
 
     # Even-degree fields are symmetric under t -> 1 - t on every axis.
     fields = [_field(DIMS_3D, d) for d in ((2, 0, 0), (0, 2, 0), (2, 2, 2))]
-    scores = rng.standard_normal((N_3D, len(fields))) * np.sqrt([3.0, 2.0, 1.0])
-    sample = 1.0 + scores @ np.array(fields)
+    scores3d = rng.standard_normal((N_3D, len(fields))) * np.sqrt([3.0, 2.0, 1.0])
+    sample = 1.0 + scores3d @ np.array(fields)
     _write_hsg(os.path.join(directory, "sample3d.hsg"), sample.reshape(N_3D, *DIMS_3D))
 
     fields = [_field(DIMS_CHUNKED, d) for d in ((1, 0, 0), (0, 1, 1), (2, 0, 1))]
@@ -146,6 +147,15 @@ def write_inputs(directory) -> None:
     with open(os.path.join(directory, "study.json"), "w", encoding="utf-8") as handle:
         json.dump(study, handle)
 
+    # Its own stream, so the inputs above keep their bytes.
+    rng = np.random.default_rng(20261)
+    x = rng.standard_normal((N_3D, 2))
+    a = (rng.random(N_3D) < 0.5).astype(float)
+    y = 1.0 + x.sum(axis=1) + scores3d[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_3D)
+    y += a * (0.5 - 0.5 * scores3d[:, 0])
+    _write_design(os.path.join(directory, "design-sample3d.csv"),
+                  {"y": y, "x1": x[:, 0], "x2": x[:, 1], "a": a})
+
 
 def cases(inputs) -> dict:
     """Case name -> CLI arguments (without --out)."""
@@ -155,6 +165,8 @@ def cases(inputs) -> dict:
                "--knots", "2"]
     table = ["--table", os.path.join(inputs, "design.csv"), "--response", "y",
              "--covariates", "x1,x2"]
+    table3d = ["--table", os.path.join(inputs, "design-sample3d.csv"), "--response", "y",
+               "--covariates", "x1,x2"]
     arms = {"one": [], "two": ["--treatment", "a"]}
     mask = ["--mask", os.path.join(inputs, "disk.hsg")]
     out = {
@@ -175,6 +187,12 @@ def cases(inputs) -> dict:
         "diagnose-chunked": ["diagnose", *chunked],
         "regress-chunked": ["regress", *chunked, "--table",
                             os.path.join(inputs, "design3d.csv"), "--response", "y"],
+        "jackknife-3d": ["jackknife", *d3, *table3d],
+        "bootstrap-3d-coefficients": ["bootstrap", *d3, *table3d, "--treatment", "a",
+                                      "--reps", "40", "--seed", "5"],
+        "bootstrap-3d-eigenvalues": ["bootstrap", *d3, "--target", "eigenvalues",
+                                     "--kind", "nonparametric", "--reps", "40",
+                                     "--seed", "5"],
     }
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
