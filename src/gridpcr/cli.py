@@ -42,6 +42,7 @@ from .bases import (
     tri_pl_basis,
 )
 from .decomp import (
+    check_tau,
     component_scores,
     diagnose_projection,
     eigenfunction_chunks,
@@ -479,6 +480,7 @@ def cmd_diagnose(args):
 
 
 def cmd_pve(args):
+    check_tau(args.tau)
     _, _, model = _fit_model(args)
     selection = select_pve(model, args.tau)
     rows = [
@@ -489,6 +491,14 @@ def cmd_pve(args):
     write_table(_path(args, "pve.csv"), header, rows)
     print(f"pve: m={selection.m} at tau={selection.tau}")
     return None, ["pve.csv"]
+
+
+def _check_selection(args) -> None:
+    """Reject --m below 1, or --tau outside (0, 1) when it picks m, before the fit."""
+    if args.m is None:
+        check_tau(args.tau)
+    elif args.m < 1:
+        raise ConformanceError(f"m={args.m} must be at least 1")
 
 
 def _load_design(args, model):
@@ -549,6 +559,7 @@ def _jackknife(args, model, design):
 
 def cmd_regress(args):
     check_level(args.level)
+    _check_selection(args)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     if design.treatment is None:
@@ -571,6 +582,8 @@ def cmd_bootstrap(args):
     spec = BootstrapSpec(
         kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
     )
+    if args.target == "coefficients":
+        _check_selection(args)
     _, _, model = _fit_model(args)
     if args.target == "eigenvalues":
         res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
@@ -589,6 +602,7 @@ def cmd_bootstrap(args):
 
 def cmd_jackknife(args):
     check_level(args.level)
+    _check_selection(args)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
     res = _jackknife(args, model, design)

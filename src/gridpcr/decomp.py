@@ -169,6 +169,7 @@ def model_from_white(
     whitener: Whitener,
     mean: np.ndarray,
     total_variance: float,
+    frame=None,
 ) -> EigenModel:
     """The fitted model of a sample given its whitened projection scores.
 
@@ -179,11 +180,19 @@ def model_from_white(
     flipped so that its grid row's largest-|value| entry is positive; the
     rows are synthesized a row chunk at a time (``space.run_pass``). Every
     fit after its projection goes through here: ``fit_subspace_pca`` and
-    the Monte Carlo harness.
+    the Monte Carlo harness. ``frame``, when given, is a pair ``(left,
+    right)`` from ``column_space`` with ``white == left @ right`` up to
+    rounding: the k columns of ``left`` are centered and eigendecomposed
+    instead, and the eigenvector rows map back through ``right``.
     """
     if white.shape[0] < 2:
         raise ConformanceError("subspace fit needs at least two sample rows")
-    lams, coords = _eig_from_scores(white - white.mean(axis=0))
+    if frame is None:
+        lams, coords = _eig_from_scores(white - white.mean(axis=0))
+    else:
+        left, right = frame
+        lams, vecs = _eig_from_scores(left - left.mean(axis=0))
+        coords = vecs @ right
 
     def fix_signs(chunk, buf):
         phis = synthesize(
@@ -257,6 +266,22 @@ def _eig_from_scores(centered, weights=None):
     return vals[:j].copy(), vecs[:, :j].T.copy()
 
 
+def column_space(a: np.ndarray):
+    """Factor ``a`` (n, r) as ``left @ right`` in its numerical column space.
+
+    A thin SVD ``a = U S V^T`` keeps the k directions with s_i > max(n, r)
+    * eps * s_0, the default tolerance of ``numpy.linalg.matrix_rank``
+    (Golub & Van Loan, *Matrix Computations*, 5.4.1); the directions below
+    it are rounding in ``a`` itself. Returns ``left = U_k S_k`` (n, k) and
+    ``right = V_k^T`` (k, r), whose rows are orthonormal, so a covariance
+    of ``a``'s rows is ``right^T`` times the covariance of ``left``'s rows
+    times ``right``.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    k = int(np.count_nonzero(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    return u[:, :k] * s[:k], vt[:k]
+
+
 def _sq_norms(space: AmbientSpace, rows: np.ndarray) -> np.ndarray:
     """Squared norms of grid rows under the space inner product."""
     return np.einsum("ij,ij,j->i", rows, rows, space.weights)
@@ -272,6 +297,12 @@ def component_scores(model: EigenModel) -> np.ndarray:
     return model.white @ model.coords.T
 
 
+def check_tau(tau: float) -> None:
+    """Reject an explained-variance target outside (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+
+
 def select_pve(model: EigenModel, tau: float = 0.95) -> PveSelection:
     """Smallest component count explaining more than ``tau`` of total variance.
 
@@ -280,8 +311,7 @@ def select_pve(model: EigenModel, tau: float = 0.95) -> PveSelection:
     components fall short (a sign the projection basis misses real
     variance), ``SelectionInfeasibleError`` reports the achieved fraction.
     """
-    if not 0.0 < tau < 1.0:
-        raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+    check_tau(tau)
     if model.total_variance <= 0.0:
         raise ConfigurationError("selection needs positive total variance")
     cum = np.cumsum(model.eigenvalues) / model.total_variance

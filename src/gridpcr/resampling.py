@@ -7,7 +7,10 @@ Each replicate is one vector of observation weights: multinomial counts for a
 nonparametric bootstrap draw, positive multipliers for a wild draw, and a 0/1
 mask for a jackknife block. The basis Gram matrix and whitener do not depend
 on observation weights, so replicates start from the fitted model's whitened
-scores; this is an exact algebraic shortcut, not an approximation.
+scores; this is an exact algebraic shortcut, not an approximation. When
+those scores have rank k below the basis rank, as in every noise-free
+Karhunen-Loeve simulation, each replicate works in their k-dimensional
+numerical column space (``_replicate_frame``), which is exact up to rounding.
 
 Replicate randomness is keyed by (base_seed, replicate index), making every
 study reproducible for any worker count and any execution order.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomp import EigenModel, _eig_from_scores, component_scores
+from .decomp import EigenModel, _eig_from_scores, column_space, component_scores
 from .errors import (
     ConformanceError,
     ConfigurationError,
@@ -165,35 +168,59 @@ def _check_design(model: EigenModel, design: RegressionDesign) -> None:
         )
 
 
-def _replicate_eigs(model: EigenModel, weights):
-    """Eigenvalues and coords refitted under the observation weights.
+def _replicate_frame(model: EigenModel):
+    """The scores every replicate of ``model`` refits from, built once per study.
 
-    The weighted covariance is divided by n, not by the weight total:
-    bootstrap weights sum to n, and a jackknife replicate's eigenvalues
-    only feed its coords, which the scale does not change.
+    Returns ``(left, ref)``. When the model keeps fewer components than the
+    basis rank, the whitened scores may have rank k below it:
+    ``column_space(model.white)`` gives ``left`` (n, k) and ``right`` (k,
+    rank), and ``ref = model.coords @ right.T`` is the point estimate's
+    coords in the columns of ``left``. A replicate then solves a k x k
+    eigenproblem, and its component scores ``left @ vecs.T`` equal
+    ``model.white @ (vecs @ right).T`` up to rounding. When the scores are
+    full rank (k = rank) the frame is ``(model.white, model.coords)``, and
+    the replicates do the rank-column arithmetic with unchanged bytes.
     """
-    white = model.white
-    centered = white - np.average(white, axis=0, weights=weights)
+    white, coords = model.white, model.coords
+    if model.n_components < white.shape[1]:
+        left, right = column_space(white)
+        if right.shape[0] < white.shape[1]:
+            return left, coords @ right.T
+    return white, coords
+
+
+def _replicate_eigs(left: np.ndarray, weights):
+    """Eigenvalues and eigenvector rows refitted under the observation weights.
+
+    ``left`` is the first entry of ``_replicate_frame``, so the eigenvector
+    rows are coordinates in its k columns. The weighted covariance is
+    divided by n, not by the weight total: bootstrap weights sum to n, and
+    a jackknife replicate's eigenvalues only feed its coords, which the
+    scale does not change.
+    """
+    centered = left - np.average(left, axis=0, weights=weights)
     return _eig_from_scores(centered, weights=weights)
 
 
 def _replicate_theta(
-    model: EigenModel, design: RegressionDesign, weights, label: str
+    frame, design: RegressionDesign, weights, label: str
 ) -> np.ndarray:
     """Coefficients of one replicate: refitted eigenfunctions, then regression.
 
-    Replicate eigenvector signs are flipped to match the point estimate's.
+    ``frame`` is ``_replicate_frame`` of the point fit. Replicate
+    eigenvector signs are flipped to match the point estimate's.
     """
+    left, ref = frame
     m = design.m
-    coords = _replicate_eigs(model, weights)[1]
-    if coords.shape[0] < m:
+    vecs = _replicate_eigs(left, weights)[1]
+    if vecs.shape[0] < m:
         raise GridPcrError(
-            f"{label} retained {coords.shape[0]} components, "
+            f"{label} retained {vecs.shape[0]} components, "
             f"fewer than the {m} the design needs"
         )
-    signs = np.sign(np.sum(coords[:m] * model.coords[:m], axis=1))
+    signs = np.sign(np.sum(vecs[:m] * ref[:m], axis=1))
     signs[signs == 0] = 1.0
-    scores = model.white @ (coords[:m] * signs[:, None]).T
+    scores = left @ (vecs[:m] * signs[:, None]).T
     return fit_pcr(replace(design, scores=scores), weights).theta
 
 
@@ -291,10 +318,11 @@ def bootstrap_theta(
     errors out.
     """
     _check_design(model, design)
+    frame = _replicate_frame(model)
     return _bootstrap(
         spec,
         lambda b: _replicate_theta(
-            model, design, gen_weights(spec, model.n, b), f"replicate {b}"
+            frame, design, gen_weights(spec, model.n, b), f"replicate {b}"
         ),
         coefficient_names(design.d, design.m, design.treatment is not None),
         fit_pcr(design).theta,
@@ -316,8 +344,10 @@ def bootstrap_eigenvalues(
     if j == 0:
         raise ConformanceError("point estimate retains no components")
 
+    left = _replicate_frame(model)[0]
+
     def one(b):
-        lams = _replicate_eigs(model, gen_weights(spec, model.n, b))[0]
+        lams = _replicate_eigs(left, gen_weights(spec, model.n, b))[0]
         out = np.zeros(j)
         take = min(j, lams.size)
         out[:take] = lams[:take]
@@ -373,12 +403,13 @@ def block_jackknife(
             f"observations per block at n = {n}"
         )
     used = spec.r * k
+    frame = _replicate_frame(model)
 
     def one(block):
         weights = np.zeros(n)
         weights[:used] = 1.0
         weights[block:used:spec.r] = 0.0
-        return _replicate_theta(model, design, weights, f"jackknife block {block}")
+        return _replicate_theta(frame, design, weights, f"jackknife block {block}")
 
     reps = np.array(run_indexed(one, spec.r, threads))
     center = reps.mean(axis=0)

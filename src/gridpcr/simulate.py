@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import bspline_tensor_basis
-from .decomp import EigenModel, component_scores, model_from_white, select_pve
+from .decomp import (
+    EigenModel,
+    column_space,
+    component_scores,
+    model_from_white,
+    select_pve,
+)
 from .errors import ConformanceError, ConfigurationError
 from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
@@ -422,6 +428,10 @@ class Study:
     ``family.phis`` and ``family_gram`` (J, J) their Gram matrix under the
     space inner product. Both are exact linear images of the family, so
     ``fit`` reproduces ``fit_subspace_pca`` on a KL sample up to rounding.
+    ``family_frame`` is ``column_space(family_white)``, a pair ``(left,
+    right)`` of shapes (J, k) and (k, rank) with k <= J: every sample's
+    whitened scores lie in the k rows of ``right``, so ``fit`` solves a
+    k x k eigenproblem instead of a rank x rank one.
     """
 
     family: TrueFamily
@@ -429,6 +439,7 @@ class Study:
     whitener: Whitener
     family_white: np.ndarray
     family_gram: np.ndarray
+    family_frame: tuple
 
     @classmethod
     def build(cls, config: ScenarioConfig, options: PipelineOptions) -> "Study":
@@ -436,24 +447,28 @@ class Study:
         family = make_family(space, config.family, config.n_components)
         basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
         whitener = whiten(gram(space, basis))
+        family_white = project_scores(space, basis, family.phis) @ whitener.factor.T
         return cls(
             family=family,
             basis=basis,
             whitener=whitener,
-            family_white=project_scores(space, basis, family.phis) @ whitener.factor.T,
+            family_white=family_white,
             family_gram=(family.phis * space.weights) @ family.phis.T,
+            family_frame=column_space(family_white),
         )
 
     def fit(self, factors: np.ndarray) -> EigenModel:
         """``fit_subspace_pca`` of the sample rows ``factors @ family.phis``.
 
-        The rows' whitened scores are ``factors @ family_white``, their mean
-        is the mean factor times the family, and the squared norm of a
-        centered row f @ phis is f @ family_gram @ f.
+        The rows' whitened scores are ``factors @ family_white``, which is
+        ``(factors @ left) @ right`` in ``family_frame``; their mean is the
+        mean factor times the family, and the squared norm of a centered
+        row f @ phis is f @ family_gram @ f.
         """
         center = factors.mean(axis=0)
         dev = factors - center
         total = float(np.mean(np.sum((dev @ self.family_gram) * dev, axis=1)))
+        left, right = self.family_frame
         return model_from_white(
             self.family.space,
             self.basis,
@@ -461,6 +476,7 @@ class Study:
             self.whitener,
             center @ self.family.phis,
             total,
+            frame=(factors @ left, right),
         )
 
 

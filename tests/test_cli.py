@@ -119,6 +119,54 @@ def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command)
     assert capsys.readouterr().err == "error: level must lie in (0, 1), got 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("pve", ["--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
+        ("regress", ["--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
+        ("bootstrap", ["--tau", "0"], "tau must lie in (0, 1), got 0.0"),
+        ("jackknife", ["--tau", "1"], "tau must lie in (0, 1), got 1.0"),
+        ("regress", ["--m", "0"], "m=0 must be at least 1"),
+        ("bootstrap", ["--m", "-1"], "m=-1 must be at least 1"),
+        ("jackknife", ["--m", "0"], "m=0 must be at least 1"),
+    ],
+)
+def test_selection_is_checked_before_the_fit(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the sample was fitted before --tau or --m was checked")
+
+    monkeypatch.setattr(gridpcr.cli, "fit_subspace_pca", no_fit)
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    argv = [command, "--data", str(data), *flags, "--out", str(tmp_path / "o")]
+    if command != "pve":
+        argv += ["--table", str(table), "--response", "y"]
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tau_is_not_checked_where_it_picks_nothing(tmp_path):
+    # --m fixes the score count, and the eigenvalue bootstrap has none.
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    design = ["--table", str(table), "--response", "y"]
+    runs = [
+        ["regress", *design, "--m", "2"],
+        ["bootstrap", "--target", "eigenvalues", "--reps", "4"],
+    ]
+    for i, argv in enumerate(runs):
+        argv = [*argv, "--data", str(data), "--degree", "2", "--knots", "2",
+                "--tau", "1.5", "--out", str(tmp_path / f"o{i}")]
+        assert main(argv) == 0
+
+
 def test_mask_and_data_rank_errors_keep_their_messages(tmp_path, capsys):
     data = tmp_path / "s.hsg"
     make_dataset(data, n=10)

@@ -1,6 +1,7 @@
 """Bootstrap and block-jackknife inference for the regression pipeline."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,22 +15,31 @@ from gridpcr import (
     DegenerateDesignError,
     GridPcrError,
     JackknifeSpec,
+    PipelineOptions,
     RegressionDesign,
+    ScenarioConfig,
+    Study,
     StudyError,
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
+    bspline_tensor_basis,
     component_scores,
     eigenfunctions,
     fit_pcr,
     fit_precision,
     fit_subspace_pca,
     gen_weights,
+    generate_dataset,
+    kl_factors,
+    make_family,
     percentile_ci,
 )
+import gridpcr.decomp
 import gridpcr.resampling
 import gridpcr.util
-from gridpcr.resampling import CiTable, _replicate_theta
+from gridpcr.decomp import _eig_from_scores
+from gridpcr.resampling import CiTable, _replicate_frame, _replicate_theta
 from gridpcr.util import replicate_rng
 
 
@@ -279,7 +289,8 @@ def test_resample_emptying_an_arm_fails():
     counts[~treatment] = 2.0  # every draw lands in the control arm
     with pytest.raises(DegenerateDesignError, match="treatment arm sizes are 50 and 0"):
         _replicate_theta(
-            model, design_of(model, y, x, 2, treatment), counts, "replicate 0"
+            _replicate_frame(model), design_of(model, y, x, 2, treatment), counts,
+            "replicate 0",
         )
 
 
@@ -401,3 +412,109 @@ def test_design_scores_must_be_the_models():
             bootstrap_theta(model, bad, BootstrapSpec(b_reps=20))
         with pytest.raises(ConformanceError, match=message):
             block_jackknife(model, bad, JackknifeSpec(r=8))
+
+
+def dense_eigs(model, weights):
+    """A replicate's eigenpairs from the weighted covariance of all rank columns."""
+    white = model.white
+    return _eig_from_scores(
+        white - np.average(white, axis=0, weights=weights), weights=weights
+    )
+
+
+def dense_theta(model, design, weights):
+    """A replicate's coefficients through rank-column coords and n x rank scores."""
+    m = design.m
+    coords = dense_eigs(model, weights)[1]
+    signs = np.sign(np.sum(coords[:m] * model.coords[:m], axis=1))
+    signs[signs == 0] = 1.0
+    scores = model.white @ (coords[:m] * signs[:, None]).T
+    return fit_pcr(replace(design, scores=scores), weights).theta
+
+
+def resampled_and_dense(model, design):
+    """(resampler output, its dense oracle) for all three resamplers."""
+    n = model.n
+    spec = BootstrapSpec(kind="wild", b_reps=6, base_seed=3)
+    draws = bootstrap_theta(model, design, spec).draws
+    yield draws, [dense_theta(model, design, gen_weights(spec, n, b)) for b in range(6)]
+    spec = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=4)
+    draws = bootstrap_eigenvalues(model, spec).draws
+    j = model.n_components
+    yield draws, [dense_eigs(model, gen_weights(spec, n, b))[0][:j] for b in range(6)]
+    r = 8
+    reps = block_jackknife(model, design, JackknifeSpec(r=r)).replicates
+    used = r * (n // r)
+    want = []
+    for block in range(r):
+        weights = np.zeros(n)
+        weights[:used] = 1.0
+        weights[block:used:r] = 0.0
+        want.append(dense_theta(model, design, weights))
+    yield reps, want
+
+
+def kl_grid_model(noise):
+    """A fit_subspace_pca of 60 KL rows of three components on a 10x12 grid."""
+    space = AmbientSpace.unit_domain((10, 12))
+    family = make_family(space, "synthetic2d", 3)
+    rng = replicate_rng(9200, 0)
+    factors = kl_factors(family, (3.0, 2.0, 1.0), 60, rng)
+    rows = factors @ family.phis + noise * rng.standard_normal((60, space.size))
+    basis = bspline_tensor_basis(space, 2, 2)
+    model = fit_subspace_pca(space, basis, rows)
+    x = rng.standard_normal((60, 1))
+    y = 1.0 + x[:, 0] + factors[:, :2] @ [1.5, -1.0] + 0.3 * rng.standard_normal(60)
+    return model, design_of(model, y, x, 2)
+
+
+def study_model():
+    """A Monte Carlo fit of 60 rows of two KL components (Study.fit)."""
+    config = ScenarioConfig(
+        family="synthetic2d", dims=(8, 9), lambdas=(3.0, 1.0), alpha0=1.0,
+        beta0=(1.0,), gamma0=(1.5, -1.0), n=60, seed=4,
+    )
+    study = Study.build(config, PipelineOptions(degree=2, interior_knots=2))
+    _, _, sample, x, y, _ = generate_dataset(config, 0, study.family)
+    model = study.fit(sample.factors)
+    return model, design_of(model, y, x, 2)
+
+
+@pytest.mark.parametrize("make", [lambda: kl_grid_model(0.0), study_model],
+                         ids=["grid-sample", "study"])
+def test_rank_deficient_replicates_match_the_dense_formula(make):
+    # Noise-free KL rows have whitened scores of rank k < basis rank: the
+    # replicates run in k columns and match the rank-column formula.
+    model, design = make()
+    left, ref = _replicate_frame(model)
+    assert left.shape[1] < model.white.shape[1]
+    assert ref.shape == (model.n_components, left.shape[1])
+    for got, want in resampled_and_dense(model, design):
+        want = np.array(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_full_rank_replicates_keep_the_dense_bytes():
+    model, design = kl_grid_model(0.05)
+    assert model.n_components == model.white.shape[1]
+    left, ref = _replicate_frame(model)
+    assert left is model.white and ref is model.coords
+    for got, want in resampled_and_dense(model, design):
+        np.testing.assert_array_equal(got, np.array(want))
+
+
+def test_fit_and_replicates_solve_in_the_column_space(monkeypatch):
+    widths = []
+
+    def spy(centered, weights=None):
+        widths.append(centered.shape[1])
+        return _eig_from_scores(centered, weights)
+
+    monkeypatch.setattr(gridpcr.decomp, "_eig_from_scores", spy)
+    monkeypatch.setattr(gridpcr.resampling, "_eig_from_scores", spy)
+    model, design = study_model()
+    assert widths == [2]
+    bootstrap_theta(model, design, BootstrapSpec(b_reps=3))
+    block_jackknife(model, design, JackknifeSpec(r=8))
+    assert widths == [2] * 12
+    assert model.white.shape[1] == 25
