@@ -172,21 +172,20 @@ def _replicate_frame(model: EigenModel):
     """The scores every replicate of ``model`` refits from, built once per study.
 
     Returns ``(left, ref)``. When the model keeps fewer components than the
-    basis rank, the whitened scores may have rank k below it:
+    basis rank, the whitened scores may have a rank k below it:
     ``column_space(model.white)`` gives ``left`` (n, k) and ``right`` (k,
     rank), and ``ref = model.coords @ right.T`` is the point estimate's
     coords in the columns of ``left``. A replicate then solves a k x k
     eigenproblem, and its component scores ``left @ vecs.T`` equal
-    ``model.white @ (vecs @ right).T`` up to rounding. When the scores are
-    full rank (k = rank) the frame is ``(model.white, model.coords)``, and
-    the replicates do the rank-column arithmetic with unchanged bytes.
+    ``model.white @ (vecs @ right).T`` up to rounding. When the model keeps
+    as many components as the basis rank, the scores are full rank, no SVD
+    is taken and the frame is ``(model.white, model.coords)``: the
+    replicates do the rank-column arithmetic with unchanged bytes.
     """
-    white, coords = model.white, model.coords
-    if model.n_components < white.shape[1]:
-        left, right = column_space(white)
-        if right.shape[0] < white.shape[1]:
-            return left, coords @ right.T
-    return white, coords
+    if model.n_components == model.whitener.rank:
+        return model.white, model.coords
+    left, right = column_space(model.white)
+    return left, model.coords @ right.T
 
 
 def _replicate_eigs(left: np.ndarray, weights):
