@@ -128,6 +128,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             started = time.perf_counter()
+            _threads(args)
             os.makedirs(args.out, exist_ok=True)
             with _BLAS_PIN:
                 seed, names = args.func(args)
@@ -317,7 +318,12 @@ def _out_flags(p):
 
 
 def _threads(args) -> int:
-    return args.threads if args.threads is not None else default_threads()
+    """The --threads worker cap, else GRIDPCR_THREADS, else 1; at least 1."""
+    if args.threads is None:
+        return default_threads()
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def _parse_dims(text) -> tuple:

@@ -13,6 +13,7 @@ explained-variance rule picks how many components to carry into regression.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ class EigenModel:
         Coordinates of each eigenfunction in the whitened frame; the grid
         rows are ``eigenfunctions(space, basis, model)``. Signs follow the
         largest-|entry|-positive convention on the grid.
-    white : ndarray, shape (n, rank)
-        Uncentered whitened projection scores of the fitted sample rows.
-        Component scores, plug-in covariances and every resampling
-        replicate derive from these and ``coords`` without the grid.
+    left : ndarray, shape (n, k)
+        Uncentered whitened projection scores of the fitted sample rows,
+        factored as ``white = left @ right``. Without ``right``, ``left``
+        is ``white`` itself (k = rank). Component scores, plug-in
+        covariances and every resampling replicate derive from ``left``
+        and ``coords`` without the grid.
     mean : ndarray, shape (V,)
         Pointwise sample mean.
     whitener : Whitener
@@ -70,19 +73,34 @@ class EigenModel:
     total_variance : float
         Mean squared distance of the sample to its mean (full space, not
         just the projected part); sum(eigenvalues) <= total_variance.
+    right : ndarray, shape (k, rank), or None
+        Orthonormal rows spanning the whitened scores, for a fit that
+        knows them in advance (a Monte Carlo ``Study``, k <= J), else
+        None.
     """
 
     eigenvalues: np.ndarray
     coords: np.ndarray
-    white: np.ndarray
+    left: np.ndarray
     mean: np.ndarray
     whitener: Whitener
     total_variance: float
+    right: np.ndarray | None = None
+
+    @functools.cached_property
+    def white(self) -> np.ndarray:
+        """Uncentered whitened scores (n, rank), formed on first read."""
+        return self.left if self.right is None else self.left @ self.right
+
+    @property
+    def frame_coords(self) -> np.ndarray:
+        """``coords`` in the k columns of ``left``: (J, k)."""
+        return self.coords if self.right is None else self.coords @ self.right.T
 
     @property
     def n(self) -> int:
         """Number of fitted sample rows."""
-        return self.white.shape[0]
+        return self.left.shape[0]
 
     @property
     def n_components(self) -> int:
@@ -165,7 +183,7 @@ def fit_subspace_pca(
 def model_from_white(
     space: AmbientSpace,
     basis,
-    white: np.ndarray,
+    scores: np.ndarray,
     whitener: Whitener,
     mean: np.ndarray,
     total_variance: float,
@@ -173,42 +191,47 @@ def model_from_white(
 ) -> EigenModel:
     """The fitted model of a sample given its whitened projection scores.
 
-    ``white`` holds the uncentered scores (n, rank) of the sample rows in
+    ``scores`` holds the uncentered scores (n, rank) of the sample rows in
     ``whitener``'s frame of ``basis``; ``mean`` and ``total_variance`` are
     the sample's pointwise mean and mean squared distance to it. The
     scores are centered and eigendecomposed, and each eigenvector is
     flipped so that its grid row's largest-|value| entry is positive; the
     rows are synthesized a row chunk at a time (``space.run_pass``). Every
     fit after its projection goes through here: ``fit_subspace_pca`` and
-    the Monte Carlo harness. ``frame``, when given, is a pair ``(left,
-    right)`` from ``column_space`` with ``white == left @ right`` up to
-    rounding: the k columns of ``left`` are centered and eigendecomposed
-    instead, and the eigenvector rows map back through ``right``.
+    the Monte Carlo harness. ``frame``, when given, is a pair ``(right,
+    rows)``: k orthonormal rows (k, rank) that span the whitened scores,
+    and their grid rows ``synthesize(space, basis, right @
+    whitener.factor)`` (k, V). ``scores`` are then the sample's
+    coordinates (n, k) in ``right``: the k x k eigenproblem is solved, the
+    signs are read from the eigenvectors times ``rows`` with nothing
+    synthesized, and the model keeps the scores factored.
     """
-    if white.shape[0] < 2:
+    if scores.shape[0] < 2:
         raise ConformanceError("subspace fit needs at least two sample rows")
+    lams, coords = _eig_from_scores(scores - scores.mean(axis=0))
+    right = None
     if frame is None:
-        lams, coords = _eig_from_scores(white - white.mean(axis=0))
+
+        def fix_signs(chunk, buf):
+            phis = synthesize(
+                space, basis, coords[chunk] @ whitener.factor,
+                out=buf[: chunk.stop - chunk.start],
+            )
+            coords[chunk][_negative_peaks(phis)] *= -1.0
+
+        run_pass(space, coords.shape[0], fix_signs)
     else:
-        left, right = frame
-        lams, vecs = _eig_from_scores(left - left.mean(axis=0))
-        coords = vecs @ right
-
-    def fix_signs(chunk, buf):
-        phis = synthesize(
-            space, basis, coords[chunk] @ whitener.factor,
-            out=buf[: chunk.stop - chunk.start],
-        )
-        coords[chunk][_negative_peaks(phis)] *= -1.0
-
-    run_pass(space, coords.shape[0], fix_signs)
+        right, rows = frame
+        coords[_negative_peaks(coords @ rows)] *= -1.0
+        coords = coords @ right
     return EigenModel(
         eigenvalues=lams,
         coords=coords,
-        white=white,
+        left=scores,
         mean=mean,
         whitener=whitener,
         total_variance=total_variance,
+        right=right,
     )
 
 
@@ -292,9 +315,10 @@ def component_scores(model: EigenModel) -> np.ndarray:
 
     Equal to ``(sample * weights) @ eigenfunctions(...).T`` because each
     eigenfunction is ``coords @ frame`` and the whitened scores are the
-    sample's inner products with the frame.
+    sample's inner products with the frame. They are formed in the k
+    columns of ``model.left``, as ``left @ (coords @ right.T).T``.
     """
-    return model.white @ model.coords.T
+    return model.left @ model.frame_coords.T
 
 
 def check_tau(tau: float) -> None:
@@ -398,7 +422,8 @@ def diagnose_projection(
 
 def centered_scores(model: EigenModel) -> np.ndarray:
     """Scores of the fitted rows against eigenfunctions after centering."""
-    return (model.white - model.white.mean(axis=0)) @ model.coords.T
+    left = model.left
+    return (left - left.mean(axis=0)) @ model.frame_coords.T
 
 
 def eigenvalue_se(model: EigenModel) -> np.ndarray:

@@ -287,25 +287,21 @@ def plugin_cov(
     diff = lams[:m, None] - lams
     np.fill_diagonal(diff, np.inf)
     gaps = 1.0 / diff
-
-    def paired(v: np.ndarray) -> np.ndarray:
-        # <v, L_{1j}(K_i)> for every i and j <= m, where v is expressed by
-        # its projections onto the retained eigenfunctions.
-        return xi[:, :m] * (xi @ (gaps * v).T)
-
-    proj_mean = raw.mean(axis=0)
-    proj_x = design.x.T @ raw / n
-    proj_eps = eps @ raw / n
-    proj_scores = design.scores.T @ raw / n
-    gamma = fit.gamma
-    q1 = -(paired(proj_mean) @ gamma)
-    q2 = np.empty((n, design.d))
-    for l in range(design.d):
-        q2[:, l] = -(paired(proj_x[l]) @ gamma)
-    q3 = paired(proj_eps)
-    for l in range(m):
-        q3[:, l] -= paired(proj_scores[l]) @ gamma
-    correction = np.column_stack([q1, q2, q3])
+    # Every direction the correction pairs with: the mean, each covariate,
+    # the residuals and each score, expressed by their projections onto the
+    # retained eigenfunctions, one row each (2 + d + m rows).
+    proj = np.vstack(
+        [raw.mean(axis=0), design.x.T @ raw / n, eps @ raw / n,
+         design.scores.T @ raw / n]
+    )
+    # paired[p, i, j] = <proj_p, L_{1j}(K_i)> for every i and j <= m, from
+    # one stacked product: a (n, m) block per direction.
+    paired = xi[:, :m] * (xi @ (gaps * proj[:, None, :]).transpose(0, 2, 1))
+    # The correction's columns follow theta: the intercept and covariate
+    # columns pair with gamma, and score column l adds the residual pairing.
+    d = design.d
+    q = -(paired @ fit.gamma)
+    correction = np.column_stack([q[: 1 + d].T, paired[1 + d] + q[2 + d :].T])
     contributions = u * eps[:, None] + correction
     sigma_inv = np.linalg.inv(fit.sigma_hat)
     influence = contributions @ sigma_inv

@@ -10,7 +10,8 @@ on observation weights, so replicates start from the fitted model's whitened
 scores; this is an exact algebraic shortcut, not an approximation. When
 those scores have rank k below the basis rank, as in every noise-free
 Karhunen-Loeve simulation, each replicate works in their k-dimensional
-numerical column space (``_replicate_frame``), which is exact up to rounding.
+numerical column space (``_replicate_frame``), which is exact up to rounding;
+a Monte Carlo fit brings that space with it.
 
 Replicate randomness is keyed by (base_seed, replicate index), making every
 study reproducible for any worker count and any execution order.
@@ -171,19 +172,22 @@ def _check_design(model: EigenModel, design: RegressionDesign) -> None:
 def _replicate_frame(model: EigenModel):
     """The scores every replicate of ``model`` refits from, built once per study.
 
-    Returns ``(left, ref)``. When the model keeps fewer components than the
-    basis rank, the whitened scores may have a rank k below it:
-    ``column_space(model.white)`` gives ``left`` (n, k) and ``right`` (k,
-    rank), and ``ref = model.coords @ right.T`` is the point estimate's
-    coords in the columns of ``left``. A replicate then solves a k x k
-    eigenproblem, and its component scores ``left @ vecs.T`` equal
-    ``model.white @ (vecs @ right).T`` up to rounding. When the model keeps
-    as many components as the basis rank, the scores are full rank, no SVD
-    is taken and the frame is ``(model.white, model.coords)``: the
-    replicates do the rank-column arithmetic with unchanged bytes.
+    Returns ``(left, ref)``: scores (n, k) whose k columns span the
+    model's whitened scores, and ``ref``, the point estimate's coords in
+    those columns. A replicate then solves a k x k eigenproblem, and its
+    component scores ``left @ vecs.T`` equal ``model.white @ (vecs @
+    right).T`` up to rounding. A model that carries its factored scores
+    (a Monte Carlo ``Study`` fit) gives ``model.left`` and
+    ``model.frame_coords``. Otherwise, when the model keeps fewer
+    components than the basis rank, the whitened scores may have a rank k
+    below it: ``column_space(model.white)`` gives ``left`` and ``right``,
+    and ``ref = model.coords @ right.T``. When the model keeps as many
+    components as the basis rank, the scores are full rank, no SVD is
+    taken and the frame is ``(model.white, model.coords)``: the replicates
+    do the rank-column arithmetic with unchanged bytes.
     """
-    if model.n_components == model.whitener.rank:
-        return model.white, model.coords
+    if model.right is not None or model.n_components == model.whitener.rank:
+        return model.left, model.frame_coords
     left, right = column_space(model.white)
     return left, model.coords @ right.T
 

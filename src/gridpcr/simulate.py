@@ -26,6 +26,7 @@ import numpy as np
 from .bases import bspline_tensor_basis
 from .decomp import (
     EigenModel,
+    check_tau,
     column_space,
     component_scores,
     model_from_white,
@@ -35,13 +36,22 @@ from .errors import ConformanceError, ConfigurationError
 from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
     BootstrapSpec,
+    JackknifeSpec,
     block_jackknife,
     bootstrap_theta,
+    check_level,
     jackknife_spec,
     normal_ci,
     run_tolerant,
 )
-from .space import AmbientSpace, Whitener, gram, project_scores, whiten
+from .space import (
+    AmbientSpace,
+    Whitener,
+    gram,
+    project_scores,
+    synthesize,
+    whiten,
+)
 from .util import mix_seed, replicate_rng
 
 FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
@@ -181,7 +191,13 @@ class KLSample:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Estimation settings applied to every Monte Carlo replicate."""
+    """Estimation settings applied to every Monte Carlo replicate.
+
+    Settings that would fail every replicate are rejected here, with the
+    messages the replicates would give, before a study is built: ``tau``
+    where it picks m, the interval ``level``, the bootstrap settings and a
+    jackknife block count below two.
+    """
 
     degree: int = 3
     interior_knots: int = 7
@@ -199,6 +215,14 @@ class PipelineOptions:
                 f"inference must be plugin, bootstrap, jackknife, or None, "
                 f"got {self.inference!r}"
             )
+        if self.m_override is None:
+            check_tau(self.tau)
+        if self.inference == "bootstrap":
+            BootstrapSpec(kind=self.boot_kind, b_reps=self.b_reps, level=self.level)
+        elif self.inference == "jackknife" and self.r_blocks is not None:
+            JackknifeSpec(r=self.r_blocks, level=self.level)
+        elif self.inference is not None:
+            check_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -430,8 +454,11 @@ class Study:
     ``fit`` reproduces ``fit_subspace_pca`` on a KL sample up to rounding.
     ``family_frame`` is ``column_space(family_white)``, a pair ``(left,
     right)`` of shapes (J, k) and (k, rank) with k <= J: every sample's
-    whitened scores lie in the k rows of ``right``, so ``fit`` solves a
-    k x k eigenproblem instead of a rank x rank one.
+    whitened scores lie in the k rows of ``right``, and ``frame_rows``
+    (k, V) are those rows synthesized on the grid. A replicate works in
+    that frame from fit to interval: its model keeps the n x k scores
+    ``factors @ left`` with ``right``, solves a k x k eigenproblem, takes
+    its signs from k grid rows, and no n x rank array is formed.
     """
 
     family: TrueFamily
@@ -440,6 +467,7 @@ class Study:
     family_white: np.ndarray
     family_gram: np.ndarray
     family_frame: tuple
+    frame_rows: np.ndarray
 
     @classmethod
     def build(cls, config: ScenarioConfig, options: PipelineOptions) -> "Study":
@@ -448,13 +476,15 @@ class Study:
         basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
         whitener = whiten(gram(space, basis))
         family_white = project_scores(space, basis, family.phis) @ whitener.factor.T
+        left, right = column_space(family_white)
         return cls(
             family=family,
             basis=basis,
             whitener=whitener,
             family_white=family_white,
             family_gram=(family.phis * space.weights) @ family.phis.T,
-            family_frame=column_space(family_white),
+            family_frame=(left, right),
+            frame_rows=synthesize(space, basis, right @ whitener.factor),
         )
 
     def fit(self, factors: np.ndarray) -> EigenModel:
@@ -472,11 +502,11 @@ class Study:
         return model_from_white(
             self.family.space,
             self.basis,
-            factors @ self.family_white,
+            factors @ left,
             self.whitener,
             center @ self.family.phis,
             total,
-            frame=(factors @ left, right),
+            frame=(right, self.frame_rows),
         )
 
 

@@ -10,7 +10,7 @@ import math
 import os
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from threading import Thread
 
 import numpy as np
 
@@ -144,7 +144,9 @@ def default_threads() -> int:
         raise ConfigurationError(
             f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
-    return max(1, n)
+    if n < 1:
+        raise ConfigurationError(f"{THREADS_ENV_VAR} must be at least 1, got {raw!r}")
+    return n
 
 
 @functools.cache
@@ -229,11 +231,13 @@ def pool_size(count: int, threads=None) -> int:
     return max(1, min(cap, count, cpus))
 
 
-def _inside_pool(fn, i):
+@contextlib.contextmanager
+def _pool_worker():
+    """Mark this thread as running ``run_indexed`` tasks while inside."""
     outer = getattr(_POOL, "inside", False)
     _POOL.inside = True
     try:
-        return fn(i)
+        yield
     finally:
         _POOL.inside = outer
 
@@ -241,20 +245,55 @@ def _inside_pool(fn, i):
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for i in range(count), results in index order.
 
-    With ``threads > 1`` the calls run on a thread pool of ``pool_size``
-    workers; each call must be independent (replicate-keyed RNG makes that
-    hold), so the result list is identical for any worker count. A
-    ``run_indexed`` call made from inside ``fn`` runs inline. BLAS runs
-    single-threaded for every worker count: the pool, not BLAS, uses the
-    cores, and replicate arithmetic does not depend on the BLAS thread
-    setting.
+    The calls run on ``pool_size`` workers: the calling thread and, for
+    ``threads > 1``, that many minus one helper threads, which all take
+    the next index from one shared iterator. Each call must be
+    independent (replicate-keyed RNG makes that hold), so the result list
+    is identical for any worker count. With helpers every call runs even
+    when one raises, and then the exception of the lowest failing index is
+    raised; alone, the caller stops at the first failure, which is that
+    same index. A ``run_indexed`` call made from inside ``fn`` runs
+    inline. BLAS runs single-threaded for every worker count: the workers,
+    not BLAS, use the cores, and replicate arithmetic does not depend on
+    the BLAS thread setting.
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
-    threads = pool_size(count, threads)
-    call = functools.partial(_inside_pool, fn)
+    workers = pool_size(count, threads)
     with _BLAS_PIN:
-        if threads <= 1:
-            return [call(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(call, range(count)))
+        if workers <= 1:
+            with _pool_worker():
+                return [fn(i) for i in range(count)]
+        return _run_shared(fn, count, workers)
+
+
+def _run_shared(fn, count: int, workers: int) -> list:
+    """``run_indexed`` on the calling thread and ``workers - 1`` helpers."""
+    results = [None] * count
+    errors = {}
+    indices = iter(range(count))
+    take = threading.Lock()
+
+    def work():
+        with _pool_worker():
+            while True:
+                with take:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(i)
+                except BaseException as exc:
+                    errors[i] = exc
+
+    helpers = [Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -208,6 +208,49 @@ def test_simulate_single_row_exits_2_before_any_replicate(
     assert not calls
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
+        (["--inference", "plugin", "--level", "1.5"],
+         "level must lie in (0, 1), got 1.5"),
+        (["--inference", "jackknife", "--level", "0"],
+         "level must lie in (0, 1), got 0.0"),
+        (["--inference", "bootstrap", "--level", "1"],
+         "level must lie in (0, 1), got 1.0"),
+        (["--inference", "bootstrap", "--boot-reps", "1"],
+         "bootstrap needs at least two replicates"),
+        (["--inference", "jackknife", "--blocks", "1"],
+         "jackknife needs at least two blocks"),
+    ],
+)
+def test_monte_carlo_settings_are_checked_before_the_study(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was built before its settings were checked")
+
+    monkeypatch.setattr(gridpcr.simulate.Study, "build", no_study)
+    argv = ["simulate", "--n", "60", "--reps", "2", *flags]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_thread_counts_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was built with a thread count below 1")
+
+    monkeypatch.setattr(gridpcr.simulate.Study, "build", no_study)
+    argv = ["simulate", "--n", "60", "--reps", "2"]
+    out = tmp_path / "o"
+    assert main([*argv, "--threads", "-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --threads must be at least 1, got -3\n"
+    monkeypatch.setenv("GRIDPCR_THREADS", "0")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: GRIDPCR_THREADS must be at least 1, got '0'\n"
+    assert not out.exists()
+
+
 def test_degenerate_design_exits_3(tmp_path, capsys):
     # four observations cannot identify intercept + three scores
     rng = replicate_rng(9401, 0)

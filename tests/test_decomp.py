@@ -192,7 +192,7 @@ def test_select_pve_worked_examples():
         return EigenModel(
             eigenvalues=lams,
             coords=np.zeros((lams.size, lams.size)),
-            white=np.zeros((10, lams.size)),
+            left=np.zeros((10, lams.size)),
             mean=np.zeros(4),
             whitener=None,
             total_variance=total,
@@ -325,7 +325,7 @@ def test_eigenfunction_cov_guards_near_multiplicity():
 def test_check_gaps_names_the_first_close_pair():
     lams = np.array([3.0, 2.0 + 1e-9, 2.0, 1.0, 1.0 - 2e-7])
     model = EigenModel(
-        eigenvalues=lams, coords=np.eye(5), white=np.zeros((2, 5)),
+        eigenvalues=lams, coords=np.eye(5), left=np.zeros((2, 5)),
         mean=np.zeros(5), whitener=None, total_variance=10.0,
     )
     check_gaps(model, 1)

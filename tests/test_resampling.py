@@ -347,32 +347,29 @@ def test_jackknife_failing_block_raises(monkeypatch):
 
 
 def test_jackknife_blocks_run_on_the_requested_workers(monkeypatch):
-    # The fake pool records its size and runs the blocks serially, so this
-    # test starts no thread; the replicates must not depend on the count.
-    sizes = []
+    # The fake helpers record themselves and start no thread, so the
+    # caller runs every block; the replicates must not depend on the count.
+    helpers = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class FakeHelper:
+        def __init__(self, target):
+            helpers.append(target)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(gridpcr.util, "Thread", FakeHelper)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     space, basis, sample, y, x, _ = small_problem(7)
     model = fit_subspace_pca(space, basis, sample)
     design = design_of(model, y, x, 2)
     pooled = block_jackknife(model, design, JackknifeSpec(r=8), threads=3)
-    assert sizes == [3]
+    assert len(helpers) == 2  # three workers: the caller and two helpers
     serial = block_jackknife(model, design, JackknifeSpec(r=8))
-    assert sizes == [3]
+    assert len(helpers) == 2
     np.testing.assert_array_equal(pooled.replicates, serial.replicates)
     np.testing.assert_array_equal(pooled.cov, serial.cov)
 

@@ -219,23 +219,23 @@ def test_model_from_white_in_a_worker_starts_no_pool(tmp_path, small_chunks, mon
     monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 2)
     model = fit_subspace_pca(space, basis, sample)
     assert model.n_components > CHUNK_ROWS  # the sign pass spans several chunks
-    pools = []
+    helpers = []
 
-    class CountingPool(gridpcr.util.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    class CountingHelper(gridpcr.util.Thread):
+        def __init__(self, target):
+            helpers.append(target)
+            super().__init__(target=target)
 
     def refit(i):
         return model_from_white(
             space, basis, model.white, model.whitener, model.mean, model.total_variance
         )
 
-    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(gridpcr.util, "Thread", CountingHelper)
     alone = refit(0)
-    assert pools == [2]
-    pools.clear()
+    assert len(helpers) == 1  # the sign pass: the caller and one helper
+    helpers.clear()
     inside = run_indexed(refit, 2, threads=2)
-    assert pools == [2]  # the replicate pool only
+    assert len(helpers) == 1  # the replicate pool's only
     for refitted in (alone, *inside):
         assert fit_bytes(refitted) == fit_bytes(model)

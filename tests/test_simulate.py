@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,16 @@ from gridpcr import (
     scenario_space,
 )
 import gridpcr
+import gridpcr.resampling
 from gridpcr import simulate
+from gridpcr.decomp import (
+    EigenModel,
+    centered_scores,
+    component_scores,
+    eigenvalue_se,
+    model_from_white,
+)
+from gridpcr.regression import RegressionDesign, fit_pcr, plugin_cov
 from gridpcr.space import AmbientSpace
 from gridpcr.util import replicate_rng
 
@@ -257,7 +267,8 @@ def test_scenario_built_once_per_study(monkeypatch):
 
 def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
     # The n x V sample (203 MB here) is never formed: a replicate holds its
-    # n x J factors, n x rank whitened scores and a few grid rows.
+    # n x J factors, its n x k scores in the study's frame and a few grid
+    # rows.
     config = ScenarioConfig(
         family="quadratic_gauss3d",
         dims=(40, 48, 33),
@@ -399,3 +410,88 @@ def test_signs_from_coordinates_match_grid_inner_products(monkeypatch, family, d
         np.testing.assert_array_equal(seen[-1], want)
         flips += int(np.sum(want < 0))
     assert 0 < flips < 8 * config.n_components
+
+
+def frame_free_twin(study, factors, model):
+    """The model of the same rows without the study's frame: n x rank scores."""
+    return EigenModel(
+        eigenvalues=model.eigenvalues,
+        coords=model.coords,
+        left=factors @ study.family_white,
+        mean=model.mean,
+        whitener=model.whitener,
+        total_variance=model.total_variance,
+    )
+
+
+@pytest.mark.parametrize(
+    "family, dims", [("synthetic2d", (8, 9)), ("quadratic_gauss3d", (8, 9, 7))]
+)
+def test_study_model_derives_everything_in_its_frame(family, dims):
+    # Scores, eigenvalue SEs and the plug-in covariance of a Study model
+    # come from its n x k scores; the n x rank formulas are the oracle.
+    config = small_config(family=family, dims=dims, n=120, seed=31)
+    study = simulate.Study.build(config, small_options())
+    _, _, sample, x, y, _ = generate_dataset(config, 2, study.family)
+    model = study.fit(sample.factors)
+    assert model.right is not None and model.left.shape[1] < model.whitener.rank
+    twin = frame_free_twin(study, sample.factors, model)
+    for derive in (component_scores, centered_scores, eigenvalue_se):
+        assert _rel_err(derive(model), derive(twin)) <= 1e-12, derive.__name__
+    assert _rel_err(model.white, twin.white) <= 1e-12
+    design = RegressionDesign(y=y, x=x, scores=component_scores(model))
+    fit = fit_pcr(design)
+    got = plugin_cov(fit, model, design)
+    want = plugin_cov(fit, twin, design)
+    assert _rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, dims", [("synthetic2d", (8, 9)), ("quadratic_gauss3d", (8, 9, 7))]
+)
+def test_frame_row_signs_match_the_grid_sign_pass(family, dims):
+    # Study.fit reads each eigenvector's sign from k synthesized frame rows;
+    # the grid sign pass over the n x rank scores must agree on every seed.
+    config = small_config(family=family, dims=dims, lambdas=(1.1, 1.0), n=60)
+    study = simulate.Study.build(config, small_options())
+    assert study.frame_rows.shape == (
+        study.family_frame[1].shape[0], study.family.space.size,
+    )
+    for seed in range(8):
+        factors = generate_dataset(replace(config, seed=seed), 0, study.family)[2].factors
+        model = study.fit(factors)
+        grid = model_from_white(
+            study.family.space, study.basis, factors @ study.family_white,
+            study.whitener, model.mean, model.total_variance,
+        )
+        assert grid.right is None
+        assert np.all(np.sum(model.coords * grid.coords, axis=1) > 0), seed
+        assert _rel_err(model.coords, grid.coords) <= 1e-12
+
+
+def test_replicates_keep_their_scores_in_the_study_frame(monkeypatch):
+    # A replicate never reads the n x rank whitened scores, a bootstrap or
+    # jackknife inside it takes no SVD of them, and nothing of their size
+    # (2 MB here) is allocated.
+    def formed(self):
+        raise AssertionError("the n x rank whitened scores were formed")
+
+    def svd(a):
+        raise AssertionError("a replicate took an SVD of its scores")
+
+    monkeypatch.setattr(EigenModel, "white", property(formed))
+    monkeypatch.setattr(gridpcr.resampling, "column_space", svd)
+    config = small_config(
+        family="quadratic_gauss3d", dims=(12, 14, 10), n=2000, seed=5
+    )
+    for inference in ("plugin", "bootstrap", "jackknife"):
+        options = small_options(inference=inference, b_reps=3)
+        study = simulate.Study.build(config, options)
+        assert study.whitener.rank == 125
+        tracemalloc.start()
+        try:
+            run_replicate(config, options, 0, study)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < config.n * study.whitener.rank * 8, inference

@@ -2,7 +2,9 @@
 
 import math
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy.stats
 
 import gridpcr.util
 
+from gridpcr.errors import ConfigurationError
 from gridpcr.util import (
     atomic_write_bytes,
     default_threads,
@@ -79,38 +82,118 @@ def test_run_indexed_propagates_errors():
         run_indexed(job, 10, 2)
 
 
+class FakeHelper:
+    """Stands in for a helper thread and starts none; the caller runs every call."""
+
+    made = []
+
+    def __init__(self, target):
+        FakeHelper.made.append(target)
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def workers_per_call(fn, *args):
+    """(result, workers) of one ``run_indexed`` call under ``FakeHelper``."""
+    FakeHelper.made.clear()
+    result = run_indexed(fn, *args)
+    return result, len(FakeHelper.made) + 1
+
+
 def test_run_indexed_caps_workers(monkeypatch):
-    # A huge thread count must not start that many OS threads: the pool is
-    # capped at min(threads, count, usable CPUs). The fake pool records its
-    # size and runs the calls serially, so this test starts no thread.
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(gridpcr.util, "ThreadPoolExecutor", SerialPool)
+    # A huge thread count must not start that many OS threads: the caller
+    # and its helpers are capped at min(threads, count, usable CPUs). The
+    # fake helpers record themselves and start no thread.
+    monkeypatch.setattr(gridpcr.util, "Thread", FakeHelper)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert run_indexed(lambda i: i * i, 50, 10**6) == [i * i for i in range(50)]
-    assert run_indexed(lambda i: i, 3, 10**6) == [0, 1, 2]
-    assert sizes == [4, 3]
+    squares = [i * i for i in range(50)]
+    assert workers_per_call(lambda i: i * i, 50, 10**6) == (squares, 4)
+    assert workers_per_call(lambda i: i, 3, 10**6) == ([0, 1, 2], 3)
 
-    sizes.clear()
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert run_indexed(lambda i: i, 50, 10**6) == list(range(50))
+    assert workers_per_call(lambda i: i, 50, 10**6) == (list(range(50)), 6)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_indexed(lambda i: i, 50, 10**6) == list(range(50))
-    assert sizes == [6]
+    assert workers_per_call(lambda i: i, 50, 10**6) == (list(range(50)), 1)
+
+
+def test_run_indexed_runs_calls_on_the_caller(monkeypatch):
+    # Helpers that never start leave every call to the calling thread.
+    monkeypatch.setattr(gridpcr.util, "Thread", FakeHelper)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    got = workers_per_call(lambda i: threading.get_ident(), 6, 2)
+    assert got == ([caller] * 6, 2)
+
+
+def test_run_indexed_caller_works_beside_its_helper(monkeypatch):
+    # Two calls that wait for each other need two threads at once; with
+    # one helper, the caller must be the other.
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=10)
+
+    def job(i):
+        both.wait()
+        return threading.get_ident()
+
+    idents = run_indexed(job, 2, 2)
+    assert threading.get_ident() in idents and len(set(idents)) == 2
+
+
+def test_run_indexed_never_exceeds_the_cap(monkeypatch):
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 3)
+    lock = threading.Lock()
+    active, peak, seen = [0], [0], set()
+
+    def job(i):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            seen.add(threading.get_ident())
+        time.sleep(0.002)
+        with lock:
+            active[0] -= 1
+        return i
+
+    assert run_indexed(job, 30, 10**6) == list(range(30))
+    assert peak[0] <= 3 and len(seen) <= 3
+    assert threading.get_ident() in seen
+
+
+def test_run_indexed_hands_out_every_index_once_under_contention(monkeypatch):
+    # More workers than cores and a tiny switch interval: a lost update on
+    # the shared index iterator would run an index twice or skip one.
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 8)
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_indexed(lambda i: ran.append(i) or i, 3000, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(3000))
+    assert sorted(ran) == list(range(3000))
+
+
+def test_run_indexed_raises_the_lowest_failure_after_every_call(monkeypatch):
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 2)
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        if i in (3, 7):
+            raise ValueError(f"call {i}")
+        return i
+
+    for threads in (2, 1):
+        ran.clear()
+        with pytest.raises(ValueError, match="^call 3$"):
+            run_indexed(job, 10, threads)
+        assert sorted(ran) == (list(range(10)) if threads == 2 else [0, 1, 2, 3])
 
 
 @pytest.fixture
@@ -204,6 +287,10 @@ def test_default_threads_env(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "zero")
     with pytest.raises(ValueError):
         default_threads()
+    for raw in ("0", "-3"):
+        monkeypatch.setenv(THREADS_ENV_VAR, raw)
+        with pytest.raises(ConfigurationError, match=f"at least 1, got '{raw}'"):
+            default_threads()
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
