@@ -46,6 +46,8 @@ from .util import norm_ppf
 RETAIN_REL_TOL = 1e-12
 DEFAULT_GAP_REL_TOL = 1e-6
 _IDENTITY_TOL = 1e-8
+# Subspace-iteration sweeps of a replicate eigensolve before the direct solve.
+_MAX_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -267,14 +269,27 @@ def eigenfunction_chunks(space: AmbientSpace, basis, model: EigenModel):
         yield synthesize(space, basis, coef[chunk])
 
 
-def _eig_from_scores(centered, weights=None):
+def _eig_from_scores(centered, weights=None, *, wanted=None, start=None):
     """Eigendecompose the (optionally weighted) covariance of whitened scores.
 
-    ``centered`` is (n, rank), already centered under the same weights.
+    ``centered`` is (n, k), already centered under the same weights.
     Returns nonincreasing positive eigenvalues and eigenvector rows, signs
     not yet normalized. Shared by the direct fit and resampling replicates.
+
+    Without ``start`` the k x k covariance is formed and fully solved. A
+    resampling replicate passes ``wanted``, the count m of leading pairs
+    it uses, and ``start``, the point fit's eigenvector rows (J, k): with
+    a block of b = min(k, J, m + 4) < k vectors, ``_leading_pairs`` finds
+    the m pairs by subspace iteration from ``start[:b]`` and returns those
+    of them that pass the retention rule; they agree with the direct solve
+    up to rounding. If b >= k, or the iteration does not converge within
+    ``_MAX_SWEEPS`` sweeps, the direct solve runs.
     """
     n = centered.shape[0]
+    if start is not None and min(start.shape[0], wanted + 4) < centered.shape[1]:
+        pairs = _leading_pairs(centered, weights, start[: wanted + 4], wanted)
+        if pairs is not None:
+            return pairs
     if weights is None:
         cov = centered.T @ centered / n
     else:
@@ -287,6 +302,52 @@ def _eig_from_scores(centered, weights=None):
     keep = (vals > 0.0) & (vals > RETAIN_REL_TOL * max(top, 0.0))
     j = int(np.count_nonzero(keep))
     return vals[:j].copy(), vecs[:, :j].T.copy()
+
+
+def _leading_pairs(centered, weights, start, wanted):
+    """The ``wanted`` leading eigenpairs of the weighted covariance, or None.
+
+    Subspace iteration with Rayleigh-Ritz (Golub & Van Loan, *Matrix
+    Computations*, 8.2.4; Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, ch. 5) on a block of b vectors, started from the b rows of
+    ``start``. The covariance is applied as two skinny products and never
+    formed. Each sweep orthonormalizes the block the last product gave,
+    applies the covariance to it and solves the b x b Rayleigh-Ritz
+    problem; the first sweep works on the covariance times ``start``. It
+    stops when every wanted Ritz pair's residual norm is at most 4 eps
+    sqrt(k) times the largest Ritz value, which the block approaches at
+    the rate of the (b + 1)-th eigenvalue over the m-th. The sweep count
+    depends only on the data. Returns None after ``_MAX_SWEEPS`` sweeps
+    without convergence, or sooner, from the second sweep on, when the
+    residual's decay over the last sweep, repeated for the sweeps left,
+    would not reach the target.
+    """
+    n, k = centered.shape
+    scale = np.full((n, 1), 1.0 / n) if weights is None else np.asarray(weights)[:, None] / n
+    tol = 4.0 * np.finfo(float).eps * np.sqrt(k)
+    z = centered.T @ (centered @ start.T * scale)
+    last = None
+    for remaining in range(_MAX_SWEEPS - 1, -1, -1):
+        q = np.linalg.qr(z)[0]
+        z = centered.T @ (centered @ q * scale)
+        h = q.T @ z
+        vals, rot = np.linalg.eigh(0.5 * (h + h.T))
+        vals, lead = vals[: -wanted - 1 : -1], rot[:, : -wanted - 1 : -1]
+        top = max(vals[0], 0.0)
+        resid = z @ lead - q @ (lead * vals)
+        worst, target = np.einsum("ij,ij->j", resid, resid).max(), (tol * top) ** 2
+        if worst <= target:
+            keep = (vals > 0.0) & (vals > RETAIN_REL_TOL * top)
+            j = int(np.count_nonzero(keep))
+            return vals[:j].copy(), (q @ lead[:, :j]).T.copy()
+        # Give up early when the decay of the last sweep, kept up for the
+        # sweeps left, would not reach the target: no spectral gap.
+        if last is not None and (
+            worst >= last or worst * (worst / last) ** remaining > target
+        ):
+            return None
+        last = worst
+    return None
 
 
 def column_space(a: np.ndarray):

@@ -11,7 +11,9 @@ scores; this is an exact algebraic shortcut, not an approximation. When
 those scores have rank k below the basis rank, as in every noise-free
 Karhunen-Loeve simulation, each replicate works in their k-dimensional
 numerical column space (``_replicate_frame``), which is exact up to rounding;
-a Monte Carlo fit brings that space with it.
+a Monte Carlo fit brings that space with it. Each replicate solves only the
+leading eigenpairs it uses, by subspace iteration from the point fit
+(``_replicate_pairs``).
 
 Replicate randomness is keyed by (base_seed, replicate index), making every
 study reproducible for any worker count and any execution order.
@@ -183,8 +185,9 @@ def _replicate_frame(model: EigenModel):
     below it: ``column_space(model.white)`` gives ``left`` and ``right``,
     and ``ref = model.coords @ right.T``. When the model keeps as many
     components as the basis rank, the scores are full rank, no SVD is
-    taken and the frame is ``(model.white, model.coords)``: the replicates
-    do the rank-column arithmetic with unchanged bytes.
+    taken and the frame is ``(model.white, model.coords)``. The rows of
+    ``ref`` also start each replicate's subspace iteration
+    (``_replicate_pairs``), and give its eigenvector signs.
     """
     if model.right is not None or model.n_components == model.whitener.rank:
         return model.left, model.frame_coords
@@ -192,17 +195,23 @@ def _replicate_frame(model: EigenModel):
     return left, model.coords @ right.T
 
 
-def _replicate_eigs(left: np.ndarray, weights):
-    """Eigenvalues and eigenvector rows refitted under the observation weights.
+def _replicate_pairs(frame, weights, wanted: int):
+    """The ``wanted`` leading eigenpairs refitted under the observation weights.
 
-    ``left`` is the first entry of ``_replicate_frame``, so the eigenvector
-    rows are coordinates in its k columns. The weighted covariance is
-    divided by n, not by the weight total: bootstrap weights sum to n, and
-    a jackknife replicate's eigenvalues only feed its coords, which the
-    scale does not change.
+    ``frame`` is ``_replicate_frame`` of the point fit, so the eigenvector
+    rows are coordinates in the k columns of its ``left``. This is the one
+    replicate solver of all three resamplers: ``_eig_from_scores`` finds
+    the leading pairs by subspace iteration from the point fit's ``ref``,
+    and solves the k x k weighted covariance only when its block of
+    min(J, ``wanted`` + 4) vectors would have k or more, or the iteration
+    does not converge. Up to ``wanted`` pairs come back, those that pass the
+    retention rule. The weighted covariance is divided by n, not by the
+    weight total: bootstrap weights sum to n, and a jackknife replicate's
+    eigenvalues only feed its coords, which the scale does not change.
     """
+    left, ref = frame
     centered = left - np.average(left, axis=0, weights=weights)
-    return _eig_from_scores(centered, weights=weights)
+    return _eig_from_scores(centered, weights, wanted=wanted, start=ref)
 
 
 def _replicate_theta(
@@ -215,7 +224,7 @@ def _replicate_theta(
     """
     left, ref = frame
     m = design.m
-    vecs = _replicate_eigs(left, weights)[1]
+    vecs = _replicate_pairs(frame, weights, m)[1]
     if vecs.shape[0] < m:
         raise GridPcrError(
             f"{label} retained {vecs.shape[0]} components, "
@@ -347,10 +356,10 @@ def bootstrap_eigenvalues(
     if j == 0:
         raise ConformanceError("point estimate retains no components")
 
-    left = _replicate_frame(model)[0]
+    frame = _replicate_frame(model)
 
     def one(b):
-        lams = _replicate_eigs(left, gen_weights(spec, model.n, b))[0]
+        lams = _replicate_pairs(frame, gen_weights(spec, model.n, b), j)[0]
         out = np.zeros(j)
         take = min(j, lams.size)
         out[:take] = lams[:take]

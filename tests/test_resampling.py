@@ -411,44 +411,73 @@ def test_design_scores_must_be_the_models():
             block_jackknife(model, bad, JackknifeSpec(r=8))
 
 
-def dense_eigs(model, weights):
-    """A replicate's eigenpairs from the weighted covariance of all rank columns."""
-    white = model.white
+def direct_eigs(frame, weights):
+    """A replicate's eigenpairs from the full k x k weighted covariance of a frame."""
+    left = frame[0]
     return _eig_from_scores(
-        white - np.average(white, axis=0, weights=weights), weights=weights
+        left - np.average(left, axis=0, weights=weights), weights=weights
     )
 
 
-def dense_theta(model, design, weights):
-    """A replicate's coefficients through rank-column coords and n x rank scores."""
+def direct_theta(frame, design, weights):
+    """A replicate's coefficients through the full eigensolve in a frame."""
+    left, ref = frame
     m = design.m
-    coords = dense_eigs(model, weights)[1]
-    signs = np.sign(np.sum(coords[:m] * model.coords[:m], axis=1))
+    coords = direct_eigs(frame, weights)[1]
+    signs = np.sign(np.sum(coords[:m] * ref[:m], axis=1))
     signs[signs == 0] = 1.0
-    scores = model.white @ (coords[:m] * signs[:, None]).T
+    scores = left @ (coords[:m] * signs[:, None]).T
     return fit_pcr(replace(design, scores=scores), weights).theta
 
 
-def resampled_and_dense(model, design):
-    """(resampler output, its dense oracle) for all three resamplers."""
+def dense_frame(model):
+    """The rank columns of the whitened scores and the point coords in them."""
+    return model.white, model.coords
+
+
+BOOT_SPEC = BootstrapSpec(kind="wild", b_reps=6, base_seed=3)
+EIG_SPEC = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=4)
+BLOCKS = 8
+
+
+RESAMPLERS = (
+    lambda model, design: bootstrap_theta(model, design, BOOT_SPEC).draws,
+    lambda model, design: bootstrap_eigenvalues(model, EIG_SPEC).draws,
+    lambda model, design: block_jackknife(model, design, JackknifeSpec(r=BLOCKS)).replicates,
+)
+
+
+def resampled(model, design):
+    """Outputs of the three resamplers: theta draws, eigenvalue draws, blocks."""
+    return [run(model, design) for run in RESAMPLERS]
+
+
+def directly_solved(model, design, frame):
+    """What ``resampled`` gives with each replicate's full eigensolve in ``frame``."""
     n = model.n
-    spec = BootstrapSpec(kind="wild", b_reps=6, base_seed=3)
-    draws = bootstrap_theta(model, design, spec).draws
-    yield draws, [dense_theta(model, design, gen_weights(spec, n, b)) for b in range(6)]
-    spec = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=4)
-    draws = bootstrap_eigenvalues(model, spec).draws
     j = model.n_components
-    yield draws, [dense_eigs(model, gen_weights(spec, n, b))[0][:j] for b in range(6)]
-    r = 8
-    reps = block_jackknife(model, design, JackknifeSpec(r=r)).replicates
-    used = r * (n // r)
-    want = []
-    for block in range(r):
+    used = BLOCKS * (n // BLOCKS)
+    blocks = []
+    for block in range(BLOCKS):
         weights = np.zeros(n)
         weights[:used] = 1.0
-        weights[block:used:r] = 0.0
-        want.append(dense_theta(model, design, weights))
-    yield reps, want
+        weights[block:used:BLOCKS] = 0.0
+        blocks.append(direct_theta(frame, design, weights))
+    return [
+        np.array([direct_theta(frame, design, gen_weights(BOOT_SPEC, n, b)) for b in range(6)]),
+        np.array([direct_eigs(frame, gen_weights(EIG_SPEC, n, b))[0][:j] for b in range(6)]),
+        np.array(blocks),
+    ]
+
+
+def resampled_and_direct(model, design, frame):
+    """(resampler output, its direct solve in ``frame``) for all three resamplers."""
+    return zip(resampled(model, design), directly_solved(model, design, frame))
+
+
+def assert_close_to_column_max(got, want):
+    want = np.array(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def kl_grid_model(noise):
@@ -486,26 +515,122 @@ def test_rank_deficient_replicates_match_the_dense_formula(make):
     left, ref = _replicate_frame(model)
     assert left.shape[1] < model.white.shape[1]
     assert ref.shape == (model.n_components, left.shape[1])
-    for got, want in resampled_and_dense(model, design):
-        want = np.array(want)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for got, want in resampled_and_direct(model, design, dense_frame(model)):
+        assert_close_to_column_max(got, want)
 
 
 def test_full_rank_replicates_keep_the_dense_bytes():
+    # Where the block of min(J, m + 4) vectors would span all k columns the
+    # replicate solves the k x k covariance directly, with the parent's
+    # bytes: the eigenvalue bootstrap of a full-rank fit (m = J = k) and
+    # every resampler of a Monte Carlo fit (k = 2). The m + 4 < k case is
+    # checked against the dense oracle in
+    # test_replicates_solve_only_the_leading_pairs.
     model, design = kl_grid_model(0.05)
     assert model.n_components == model.white.shape[1]
-    left, ref = _replicate_frame(model)
-    assert left is model.white and ref is model.coords
-    for got, want in resampled_and_dense(model, design):
-        np.testing.assert_array_equal(got, np.array(want))
+    frame = _replicate_frame(model)
+    assert frame[0] is model.white and frame[1] is model.coords
+    np.testing.assert_array_equal(
+        RESAMPLERS[1](model, design), directly_solved(model, design, frame)[1]
+    )
+    model, design = study_model()
+    frame = _replicate_frame(model)
+    assert frame[0].shape[1] == 2
+    for got, want in resampled_and_direct(model, design, frame):
+        np.testing.assert_array_equal(got, want)
+
+
+def eigh_widths(monkeypatch):
+    """Spy on numpy.linalg.eigh; returns the list of solved matrix widths."""
+    widths = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return widths
+
+
+def test_replicates_solve_only_the_leading_pairs(monkeypatch):
+    # A full-rank noisy fit (k = r = 25) with m = 2: each replicate finds
+    # its 2 leading pairs on a block of m + 4 vectors, never a 25-wide
+    # eigenproblem, within 1e-12 of the dense oracle.
+    model, design = kl_grid_model(0.05)
+    k = model.white.shape[1]
+    assert model.n_components == k and design.m == 2
+    truncated = replace(
+        model, eigenvalues=model.eigenvalues[:3], coords=model.coords[:3]
+    )
+    widths = eigh_widths(monkeypatch)
+    outputs = []
+    for i, run in enumerate(RESAMPLERS):
+        outputs.append(run(model, design))
+        # The eigenvalue bootstrap wants all J = k pairs, so m + 4 >= k.
+        assert widths and max(widths) <= (k if i == 1 else design.m + 4)
+        widths.clear()
+    for got, want in zip(outputs, directly_solved(model, design, dense_frame(model))):
+        assert_close_to_column_max(got, want)
+    widths.clear()
+    # With J = 3 < k the eigenvalue bootstrap iterates on a block of 3.
+    got = bootstrap_eigenvalues(truncated, EIG_SPEC).draws
+    assert set(widths) == {3}
+    frame = dense_frame(model)
+    want = [direct_eigs(frame, gen_weights(EIG_SPEC, model.n, b))[0][:3] for b in range(6)]
+    assert_close_to_column_max(got, want)
+
+
+def isotropic_model(n=200, width=30):
+    """A fit whose whitened scores are standard normal: no spectral gap."""
+    space = AmbientSpace.unit_domain((6, 5))
+    rng = replicate_rng(9300, 0)
+    raw = rng.standard_normal((width, space.size))
+    q = np.linalg.qr((raw * np.sqrt(space.weights)).T)[0].T
+    basis = BasisSet(functions=q / np.sqrt(space.weights), provenance={})
+    model = fit_subspace_pca(space, basis, rng.standard_normal((n, width)) @ basis.functions)
+    x = rng.standard_normal((n, 1))
+    return model, design_of(model, rng.standard_normal(n), x, 2)
+
+
+def test_replicates_without_a_spectral_gap_take_the_direct_solve(monkeypatch):
+    model, design = isotropic_model()
+    k = model.white.shape[1]
+    assert model.n_components == k == 30
+    widths = eigh_widths(monkeypatch)
+    outputs = resampled(model, design)
+    # Each replicate (6 + 6 draws, 8 blocks) solved one k x k problem, the
+    # theta replicates after two sweeps of subspace iteration showed that
+    # its residual would not reach the target.
+    assert widths.count(k) == 6 + 6 + 8
+    assert widths.count(design.m + 4) == 2 * (6 + 8)
+    for got, want in zip(outputs, directly_solved(model, design, dense_frame(model))):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_replicate_keeping_too_few_directions_fails_on_either_path(monkeypatch):
+    # Weight on two rows leaves one positive direction, fewer than m = 2:
+    # the full-rank fit finds it by iteration on 6 vectors, the Monte Carlo
+    # fit (k = 2) by the direct solve, and both fail with the same message.
+    widths = eigh_widths(monkeypatch)
+    for (model, design), width in ((kl_grid_model(0.05), 6), (study_model(), 2)):
+        weights = np.zeros(model.n)
+        weights[:2] = 1.0
+        widths.clear()
+        with pytest.raises(
+            GridPcrError,
+            match="^replicate 0 retained 1 components, fewer than the 2 the design needs$",
+        ):
+            _replicate_theta(_replicate_frame(model), design, weights, "replicate 0")
+        assert set(widths) == {width}
 
 
 def test_fit_and_replicates_solve_in_the_column_space(monkeypatch):
     widths = []
 
-    def spy(centered, weights=None):
+    def spy(centered, weights=None, **kwargs):
         widths.append(centered.shape[1])
-        return _eig_from_scores(centered, weights)
+        return _eig_from_scores(centered, weights, **kwargs)
 
     monkeypatch.setattr(gridpcr.decomp, "_eig_from_scores", spy)
     monkeypatch.setattr(gridpcr.resampling, "_eig_from_scores", spy)
