@@ -43,7 +43,7 @@ config = ScenarioConfig(
 space, family, sample, x, y, _ = generate_dataset(config, 0)
 
 basis = bspline_tensor_basis(space, 3, 7)
-model = fit_subspace_pca(space, basis, sample)
+model = fit_subspace_pca(space, basis, sample.factors @ family.phis)
 m = select_pve(model, 0.95).m
 scores = component_scores(model)[:, :m]
 design = RegressionDesign(y=y, x=x, scores=scores)

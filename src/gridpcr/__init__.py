@@ -94,7 +94,6 @@ from .space import (
     Whitener,
     as_element,
     as_sample,
-    basis_rows,
     gram,
     project_scores,
     synthesize,

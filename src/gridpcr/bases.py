@@ -4,9 +4,12 @@ Two constructions are provided: tensor-product B-splines on the full
 rectangular grid, and continuous piecewise-linear hat functions on a simplex
 mesh for irregular (masked) domains. The mesh basis is a ``BasisSet`` whose
 rows are basis functions sampled at grid cell centers; the B-spline basis is
-a ``TensorBasis`` that keeps only its per-axis factors. Downstream fitting
-goes through ``space.gram``, ``space.project_scores`` and
-``space.synthesize`` and is agnostic to which of the two it gets.
+a ``TensorBasis`` that keeps only its per-axis factors. Both answer one
+protocol, which keeps their storage formats to themselves: ``n_functions``,
+``shape`` (N, V), ``gram(weights)``, ``scores(weighted_rows)``,
+``synthesize(coef, out=None)`` and ``rows()``, the dense oracle for tests.
+Fitting code reaches a basis only through ``space.gram``,
+``space.project_scores`` and ``space.synthesize``.
 
 Coordinates: basis constructions and mesh vertices live in unit-cube
 coordinates, with grid cell i of an axis of extent d at (i + 0.5) / d (see
@@ -28,7 +31,7 @@ from .errors import (
     EmptyBasisError,
     FormatError,
 )
-from .space import ROW_CHUNK_VALUES, AmbientSpace, kron_rows
+from .space import ROW_CHUNK_VALUES, AmbientSpace
 from .util import atomic_write_text
 
 NEGLIGIBLE_ROW_TOL = 1e-12
@@ -39,8 +42,10 @@ _BARY_TOL = 1e-9
 class BasisSet:
     """Basis functions sampled on a grid: row l is psi_l at the cell centers.
 
-    ``provenance`` records how the rows were built (construction kind and its
-    parameters); it travels with the basis for manifests and reports.
+    The rows are stored dense, and each map of the basis protocol is one
+    matrix product with them. ``provenance`` records how the rows were
+    built (construction kind and its parameters); it travels with the basis
+    for manifests and reports.
     """
 
     functions: np.ndarray
@@ -58,6 +63,25 @@ class BasisSet:
     def n_functions(self) -> int:
         return self.functions.shape[0]
 
+    @property
+    def shape(self) -> tuple:
+        return self.functions.shape
+
+    def gram(self, weights) -> np.ndarray:
+        """Products <psi_l, psi_l'> under the cell weights (V,), unsymmetrized."""
+        return (self.functions * weights) @ self.functions.T
+
+    def scores(self, weighted_rows) -> np.ndarray:
+        """Products (k, N) of weighted grid rows (k, V) with the basis rows."""
+        return weighted_rows @ self.functions.T
+
+    def synthesize(self, coef, out=None) -> np.ndarray:
+        """Grid rows ``coef @ rows()`` (k, V), written into ``out`` when given."""
+        return np.matmul(coef, self.functions, out=out)
+
+    def rows(self) -> np.ndarray:
+        return self.functions
+
 
 @dataclass(frozen=True)
 class TensorBasis:
@@ -69,9 +93,8 @@ class TensorBasis:
     (N_a, d_a) for an axis of d_a cells; ``kept`` lists the rows kept, in
     order (None when none is dropped); ``support`` marks the cells with
     positive weight (None when every cell has). The dense (N, V) rows are
-    never stored: ``space.basis_rows`` builds them on request, while
-    ``space.gram``, ``space.project_scores`` and ``space.synthesize``
-    contract the factors one axis at a time.
+    never stored: ``rows()`` builds them on request, while ``gram``,
+    ``scores`` and ``synthesize`` contract the factors one axis at a time.
     """
 
     factors: tuple
@@ -88,6 +111,90 @@ class TensorBasis:
     @property
     def shape(self) -> tuple:
         return (self.n_functions, int(np.prod([f.shape[1] for f in self.factors])))
+
+    def gram(self, weights) -> np.ndarray:
+        """Products <psi_l, psi_l'> under the cell weights (V,), unsymmetrized:
+        the weight tensor contracted with each axis's row products
+        B_a[l] * B_a[l'] in turn, exact for any weights."""
+        g = weights.reshape([f.shape[1] for f in self.factors])
+        for rows in self.factors:
+            g = np.tensordot(g, rows[:, None, :] * rows[None, :, :], axes=([0], [2]))
+        # g's axes are now (l_0, l'_0, l_1, l'_1, ...).
+        twice = 2 * len(self.factors)
+        g = g.transpose(list(range(0, twice, 2)) + list(range(1, twice, 2)))
+        side = int(np.prod([f.shape[0] for f in self.factors]))
+        g = g.reshape(side, side)
+        return g if self.kept is None else g[np.ix_(self.kept, self.kept)]
+
+    def scores(self, weighted_rows) -> np.ndarray:
+        """Products (k, N) of weighted grid rows (k, V) with the basis rows,
+        by mode-n products with the factors, the last axis first."""
+        x = weighted_rows.reshape(-1, *[f.shape[1] for f in self.factors])
+        scores = _mode_products(x, self.factors)
+        return scores if self.kept is None else scores[:, self.kept]
+
+    def synthesize(self, coef, out=None) -> np.ndarray:
+        """Grid rows ``coef @ rows()`` (k, V) by mode-n products with the
+        factors, zero outside the support; written into ``out`` (a
+        C-contiguous (k, V) array) when given."""
+        sizes = [f.shape[0] for f in self.factors]
+        full = coef
+        if self.kept is not None:
+            full = np.zeros((coef.shape[0], int(np.prod(sizes))))
+            full[:, self.kept] = coef
+        out = _mode_products(
+            full.reshape(coef.shape[0], *sizes), [f.T for f in self.factors], out
+        )
+        if self.support is not None:
+            out[:, ~self.support] = 0.0
+        return out
+
+    def rows(self) -> np.ndarray:
+        """The dense (N, V) rows: the outer-product construction, zeroed
+        outside the support and cut to the kept rows. This costs N x V
+        memory and serves tests, not the fitting code."""
+        rows = _kron_rows(self.factors)
+        if self.support is not None:
+            rows = np.where(self.support, rows, 0.0)
+        return rows if self.kept is None else rows[self.kept]
+
+
+def _kron_rows(factors) -> np.ndarray:
+    """Dense rows of a tensor product: all products of per-axis rows.
+
+    Rows and columns are in row-major order of the per-axis indices.
+    """
+    rows = factors[0]
+    for axis_rows in factors[1:]:
+        rows = (rows[:, None, :, None] * axis_rows[None, :, None, :]).reshape(
+            rows.shape[0] * axis_rows.shape[0], rows.shape[1] * axis_rows.shape[1]
+        )
+    return rows
+
+
+def _mode_products(x: np.ndarray, mats, out=None) -> np.ndarray:
+    """Multiply every trailing axis of x by a matrix, the last axis first.
+
+    x is (k, n_0, ..., n_{K-1}) and ``mats[a]`` is (m_a, n_a); returns the
+    (k, m_0 * ... * m_{K-1}) array of sum over i_a of
+    prod_a mats[a][j_a, i_a] x[:, i_0, ..., i_{K-1}] (Kolda & Bader's
+    mode-n products), each axis as one (batched) matrix product. The last
+    product is written into ``out`` when given, a C-contiguous array of the
+    result's size.
+    """
+    shape = list(x.shape)
+    lead = int(np.prod(shape[:-1]))
+    shape[-1] = mats[-1].shape[0]
+    last = None if out is None or len(mats) > 1 else out.reshape(lead, shape[-1])
+    y = np.matmul(x.reshape(lead, x.shape[-1]), mats[-1].T, out=last)
+    for a in range(len(mats) - 2, -1, -1):
+        lead = int(np.prod(shape[: a + 1]))
+        rest = int(np.prod(shape[a + 2 :]))
+        y = y.reshape(lead, shape[a + 1], rest)
+        shape[a + 1] = mats[a].shape[0]
+        last = None if out is None or a else out.reshape(lead, shape[a + 1], rest)
+        y = np.matmul(mats[a], y, out=last)
+    return y.reshape(shape[0], int(np.prod(shape[1:])))
 
 
 @dataclass(frozen=True)
@@ -178,7 +285,7 @@ def bspline_tensor_basis(space: AmbientSpace, degrees, interior_knots) -> Tensor
     Each axis gets interior_knots + degree + 1 functions on uniform clamped
     knots over [0, 1]; rows are all products across axes, in row-major order
     of the per-axis indices. Rows sum to one at every cell inside the domain.
-    The basis is kept factored (see ``TensorBasis``); ``basis_rows`` builds
+    The basis is kept factored (see ``TensorBasis``); its ``rows()`` builds
     the dense rows when they are wanted.
     """
     degrees = _per_axis(space, degrees, "degrees")
@@ -234,7 +341,7 @@ def _tensor_keep(factors, support) -> np.ndarray:
         inside = support.reshape(first.shape[1], width)
         peak = np.zeros(n_rows)
         for lo in range(0, first.shape[1], step):
-            slab = kron_rows((first[:, lo : lo + step],) + rest)
+            slab = _kron_rows((first[:, lo : lo + step],) + rest)
             slab = np.where(inside[lo : lo + step].ravel(), slab, 0.0)
             np.maximum(peak, np.max(np.abs(slab), axis=1, initial=0.0), out=peak)
     return peak >= NEGLIGIBLE_ROW_TOL

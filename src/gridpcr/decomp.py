@@ -29,8 +29,6 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
-    _dense,
-    _n_rows,
     _weighted_scores,
     as_sample,
     gram,
@@ -165,15 +163,14 @@ def fit_subspace_pca(
     data = as_sample(space, sample)
     n = data.shape[0]
     whitener = whiten(gram(space, basis), drop_tol)
-    dense = _dense(space, basis)
     mean = sample_mean(space, data)
-    scores = np.empty((n, _n_rows(basis, dense)))
+    scores = np.empty((n, basis.n_functions))
     dev_sq = np.empty(n)
 
     def project(chunk, buf, work):
         rows = sample_rows(space, data, chunk, buf)
         x = work[: rows.shape[0]]
-        scores[chunk] = _weighted_scores(space, basis, dense, rows, out=x)
+        scores[chunk] = _weighted_scores(space, basis, rows, out=x)
         dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=x))
 
     run_pass(space, n, project, buffers=2)
@@ -442,7 +439,6 @@ def diagnose_projection(
         raise ConformanceError("projection diagnostic needs at least two rows")
     whitener = whiten(gram(space, basis), drop_tol)
     factor = whitener.factor
-    dense = _dense(space, basis)
     mean = sample_mean(space, data)
     white = np.empty((n, whitener.rank))
     resid_sq = np.empty(n)
@@ -453,7 +449,7 @@ def diagnose_projection(
         k = rows.shape[0]
         dev = np.subtract(rows, mean, out=buf[:k])
         dev_sq[chunk] = _sq_norms(space, dev)
-        white[chunk] = _weighted_scores(space, basis, dense, dev, out=work[:k]) @ factor.T
+        white[chunk] = _weighted_scores(space, basis, dev, out=work[:k]) @ factor.T
         resid = synthesize(space, basis, white[chunk] @ factor, out=work[:k])
         resid_sq[chunk] = _sq_norms(space, np.subtract(dev, resid, out=resid))
 

@@ -176,17 +176,14 @@ class TrueFamily:
 class KLSample:
     """Sample rows held as scaled KL factors: row i is ``factors[i] @ phis``.
 
-    ``factors`` is (n, J) with column j scaled by sqrt(lambda_j).
-    ``np.asarray(sample)`` forms the (n, V) rows, the same bytes
-    ``kl_sample`` returns, so a KLSample is accepted wherever a sample is;
-    the Monte Carlo harness reads only ``factors``.
+    ``factors`` is (n, J) with column j scaled by sqrt(lambda_j). The
+    Monte Carlo harness reads only ``factors``; a caller that wants the
+    (n, V) grid rows forms ``sample.factors @ sample.family.phis``, the
+    same bytes ``kl_sample`` returns.
     """
 
     family: TrueFamily
     factors: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.factors @ self.family.phis, dtype=dtype)
 
 
 @dataclass(frozen=True)

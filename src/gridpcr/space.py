@@ -9,12 +9,12 @@ a bounding grid are ordinary elements of a smaller space.
 
 A basis reaches the grid through three maps: ``gram``, ``project_scores``
 (grid rows to basis coordinates) and ``synthesize`` (basis coordinates to
-grid rows). Each accepts a dense basis (a ``BasisSet`` or a raw (N, V)
-array) or a factored tensor-product basis (``bases.TensorBasis``), which
-they contract one axis at a time without forming its (N, V) rows. Passes
-over a sample go through it in row chunks of at most ``ROW_CHUNK_VALUES``
-grid values; the sample is an array or an open ``storage.GridRows``,
-which is read one chunk at a time.
+grid rows). Each checks once that the basis width conforms to the grid and
+hands the work to the basis, through the protocol that ``bases.BasisSet``
+and ``bases.TensorBasis`` share (see ``bases``); how a basis stores its
+rows is its own affair. Passes over a sample go through it in row chunks
+of at most ``ROW_CHUNK_VALUES`` grid values; the sample is an array or an
+open ``storage.GridRows``, which is read one chunk at a time.
 """
 
 from __future__ import annotations
@@ -280,106 +280,24 @@ def _add_rows(total: np.ndarray, rows) -> None:
         total += row
 
 
-def kron_rows(factors) -> np.ndarray:
-    """Dense rows of a tensor product: all products of per-axis rows.
-
-    Rows and columns are in row-major order of the per-axis indices.
-    """
-    rows = factors[0]
-    for axis_rows in factors[1:]:
-        rows = (rows[:, None, :, None] * axis_rows[None, :, None, :]).reshape(
-            rows.shape[0] * axis_rows.shape[0], rows.shape[1] * axis_rows.shape[1]
-        )
-    return rows
-
-
-def _factored(basis) -> bool:
-    """True for a ``bases.TensorBasis`` (tested by attribute: bases imports
-    this module)."""
-    return hasattr(basis, "factors")
-
-
-def basis_rows(basis) -> np.ndarray:
-    """Dense (N, V) rows of a BasisSet, a TensorBasis or a raw array.
-
-    A TensorBasis is expanded with the outer-product construction, zeroed
-    outside its support and cut to its kept rows; this costs N x V memory
-    and serves dense callers and tests, not the fitting code.
-    """
-    if _factored(basis):
-        rows = kron_rows(basis.factors)
-        if basis.support is not None:
-            rows = np.where(basis.support, rows, 0.0)
-        return rows if basis.kept is None else rows[basis.kept]
-    rows = getattr(basis, "functions", basis)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ConformanceError("basis must be a nonempty (N, V) array")
-    if not np.all(np.isfinite(rows)):
-        raise ConformanceError("basis contains non-finite values")
-    return rows
-
-
-def _dense(space: AmbientSpace, basis):
-    """Dense rows of a dense basis, or None for a TensorBasis; either way
-    the basis width must match the grid."""
-    rows = None if _factored(basis) else basis_rows(basis)
-    width = basis.shape[1] if rows is None else rows.shape[1]
+def _conform(space: AmbientSpace, basis) -> None:
+    """Raise unless the basis rows are as wide as the grid."""
+    width = basis.shape[1]
     if width != space.size:
         raise ConformanceError(
             f"basis width {width} does not conform to grid {space.dims}"
         )
-    return rows
-
-
-def _mode_products(x: np.ndarray, mats, out=None) -> np.ndarray:
-    """Multiply every trailing axis of x by a matrix, the last axis first.
-
-    x is (k, n_0, ..., n_{K-1}) and ``mats[a]`` is (m_a, n_a); returns the
-    (k, m_0 * ... * m_{K-1}) array of sum over i_a of
-    prod_a mats[a][j_a, i_a] x[:, i_0, ..., i_{K-1}] (Kolda & Bader's
-    mode-n products), each axis as one (batched) matrix product. The last
-    product is written into ``out`` when given, a C-contiguous array of the
-    result's size.
-    """
-    shape = list(x.shape)
-    lead = int(np.prod(shape[:-1]))
-    shape[-1] = mats[-1].shape[0]
-    last = None if out is None or len(mats) > 1 else out.reshape(lead, shape[-1])
-    y = np.matmul(x.reshape(lead, x.shape[-1]), mats[-1].T, out=last)
-    for a in range(len(mats) - 2, -1, -1):
-        lead = int(np.prod(shape[: a + 1]))
-        rest = int(np.prod(shape[a + 2 :]))
-        y = y.reshape(lead, shape[a + 1], rest)
-        shape[a + 1] = mats[a].shape[0]
-        last = None if out is None or a else out.reshape(lead, shape[a + 1], rest)
-        y = np.matmul(mats[a], y, out=last)
-    return y.reshape(shape[0], int(np.prod(shape[1:])))
 
 
 def gram(space: AmbientSpace, basis) -> np.ndarray:
     """Gram matrix of basis rows under the space inner product.
 
     Returns the symmetric PSD matrix G[l, l'] = <psi_l, psi_l'>. Symmetry is
-    enforced exactly by averaging the product with its transpose, which only
-    removes floating-point asymmetry. For a TensorBasis the weight tensor is
-    contracted with each axis's row products B_a[l] * B_a[l'] in turn, which
-    is exact for any weights (masks and non-uniform spacing included).
+    enforced exactly by averaging the basis's product with its transpose,
+    which only removes floating-point asymmetry.
     """
-    rows = _dense(space, basis)
-    if rows is not None:
-        g = (rows * space.weights) @ rows.T
-        return 0.5 * (g + g.T)
-    g = space.weights.reshape(space.dims)
-    for rows in basis.factors:
-        g = np.tensordot(g, rows[:, None, :] * rows[None, :, :], axes=([0], [2]))
-    # g's axes are now (l_0, l'_0, l_1, l'_1, ...).
-    twice = 2 * len(basis.factors)
-    g = g.transpose(list(range(0, twice, 2)) + list(range(1, twice, 2)))
-    side = int(np.prod([f.shape[0] for f in basis.factors]))
-    g = g.reshape(side, side)
-    if basis.kept is not None:
-        g = g[np.ix_(basis.kept, basis.kept)]
+    _conform(space, basis)
+    g = basis.gram(space.weights)
     return 0.5 * (g + g.T)
 
 
@@ -457,68 +375,44 @@ def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarra
 
     Returns the (n, N) matrix S[i, l] = <psi_l, Z_i - center>. With
     ``center=None`` the rows are used as they are. The sample (an array or
-    a row source) is validated once and then passed through in row chunks;
-    a TensorBasis is applied by mode-n products with its factors, the last
-    axis first.
+    a row source) is validated once and then passed through in row chunks.
     """
     data = as_sample(space, sample)
     if center is not None:
         center = as_element(space, center)
-    dense = _dense(space, basis)
+    _conform(space, basis)
     buf = chunk_buffer(space, data.shape[0])
-    out = np.empty((data.shape[0], _n_rows(basis, dense)))
+    out = np.empty((data.shape[0], basis.n_functions))
     for chunk in row_chunks(space, data.shape[0]):
         rows = sample_rows(space, data, chunk, buf)
         x = buf[: rows.shape[0]]
         if center is not None:
             rows = np.subtract(rows, center, out=x)
-        out[chunk] = _weighted_scores(space, basis, dense, rows, out=x)
+        out[chunk] = _weighted_scores(space, basis, rows, out=x)
     return out
 
 
-def _n_rows(basis, dense) -> int:
-    """Number of basis rows, given ``_dense(space, basis)``."""
-    return basis.n_functions if dense is None else dense.shape[0]
+def _weighted_scores(space: AmbientSpace, basis, rows, out=None) -> np.ndarray:
+    """Basis scores <psi_l, row> of a chunk of grid rows, width unchecked.
 
-
-def _weighted_scores(space: AmbientSpace, basis, dense, rows, out=None) -> np.ndarray:
-    """Basis scores <psi_l, row> of a chunk of grid rows.
-
-    ``dense`` is ``_dense(space, basis)``. The weighted rows are formed in
-    ``out`` (which may be ``rows`` itself) or, without it, in a temporary.
+    The weighted rows are formed in ``out`` (which may be ``rows`` itself)
+    or, without it, in a temporary.
     """
-    x = np.multiply(rows, space.weights, out=out)
-    if dense is not None:
-        return x @ dense.T
-    scores = _mode_products(x.reshape(x.shape[0], *space.dims), basis.factors)
-    return scores if basis.kept is None else scores[:, basis.kept]
+    return basis.scores(np.multiply(rows, space.weights, out=out))
 
 
 def synthesize(space: AmbientSpace, basis, coef, out=None) -> np.ndarray:
     """Grid elements from basis coordinates: (k, N) -> (k, V).
 
     Row i of the result is sum_l coef[i, l] psi_l, i.e. ``coef @
-    basis_rows(basis)``; a TensorBasis computes it by mode-n products with
-    its factors and zeroes the cells outside its support. The rows are
-    written into ``out`` (a C-contiguous (k, V) array) when given.
+    basis.rows()``, computed by the basis without its dense rows when it
+    keeps none. The rows are written into ``out`` (a C-contiguous (k, V)
+    array) when given.
     """
     coef = np.asarray(coef, dtype=float)
-    rows = _dense(space, basis)
-    n_rows = _n_rows(basis, rows)
-    if coef.ndim != 2 or coef.shape[1] != n_rows:
+    _conform(space, basis)
+    if coef.ndim != 2 or coef.shape[1] != basis.n_functions:
         raise ConformanceError(
-            f"coefficients {coef.shape} do not match {n_rows} basis rows"
+            f"coefficients {coef.shape} do not match {basis.n_functions} basis rows"
         )
-    if rows is not None:
-        return np.matmul(coef, rows, out=out)
-    sizes = [f.shape[0] for f in basis.factors]
-    full = coef
-    if basis.kept is not None:
-        full = np.zeros((coef.shape[0], int(np.prod(sizes))))
-        full[:, basis.kept] = coef
-    out = _mode_products(
-        full.reshape(coef.shape[0], *sizes), [f.T for f in basis.factors], out
-    )
-    if basis.support is not None:
-        out[:, ~basis.support] = 0.0
-    return out
+    return basis.synthesize(coef, out)

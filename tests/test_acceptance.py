@@ -44,7 +44,6 @@ from gridpcr import (
 )
 from gridpcr.cli import main
 from gridpcr.simulate import PipelineOptions
-from gridpcr.space import basis_rows
 from gridpcr.util import mix_seed, replicate_rng
 
 LAMBDAS_2D = (3.5, 3.0, 2.5, 2.0, 1.5, 1.0)
@@ -182,7 +181,7 @@ def test_projection_residual_identity():
         n = int(rng.integers(3, 31))
         data = rng.standard_normal((n, space.size))
         reportd = diagnose_projection(space, basis, data, 0.05)
-        frame = whiten(gram(space, basis)).factor @ basis_rows(basis)
+        frame = whiten(gram(space, basis)).factor @ basis.rows()
         centered = data - data.mean(axis=0)
         proj = (centered * space.weights) @ frame.T @ frame
         resid_form = float(
@@ -229,7 +228,7 @@ def test_eigenvalue_mse_decay_2d():
         errs = []
         for rep in range(100):
             sample = generate_dataset(config, rep)[2]
-            model = fit_subspace_pca(space, basis, sample)
+            model = fit_subspace_pca(space, basis, sample.factors @ sample.family.phis)
             errs.append((model.eigenvalues[0] - LAMBDAS_2D[0]) ** 2)
         medians.append(float(np.median(errs)))
     elapsed = time.perf_counter() - started
@@ -285,7 +284,7 @@ def test_oracle_regression_recovery():
         dims = tuple(int(v) for v in rng.integers(8, 14, size=2))
         space = AmbientSpace.unit_domain(dims)
         basis = bspline_tensor_basis(space, 2, 2)
-        frame = whiten(gram(space, basis)).factor @ basis_rows(basis)
+        frame = whiten(gram(space, basis)).factor @ basis.rows()
         q = np.linalg.qr(rng.standard_normal((frame.shape[0], 4)))[0]
         phis = q.T @ frame
         raw = rng.standard_normal((n, 4))
@@ -389,7 +388,7 @@ def test_se_methods_cross_validate():
     plug, boot, jack = [], [], []
     for rep in range(20):
         _, _, sample, x, y, _ = generate_dataset(config, rep)
-        model = fit_subspace_pca(space, basis, sample)
+        model = fit_subspace_pca(space, basis, sample.factors @ sample.family.phis)
         m = select_pve(model, 0.95).m
         scores = component_scores(model)[:, :m]
         design = RegressionDesign(y=y, x=x, scores=scores)

@@ -24,7 +24,6 @@ from gridpcr.bases import (
     tri_pl_basis,
     write_triangulation,
 )
-from gridpcr.space import basis_rows
 
 
 def scipy_rows(kv, x):
@@ -86,7 +85,7 @@ def test_tensor_basis_matches_outer_product():
     r0 = bspline_values(KnotVector.uniform(2, 1), cen[0])
     r1 = bspline_values(KnotVector.uniform(2, 2), cen[1])
     ref = np.einsum("ax,by->abxy", r0, r1).reshape(r0.shape[0] * r1.shape[0], -1)
-    np.testing.assert_array_equal(basis_rows(basis), ref)
+    np.testing.assert_array_equal(basis.rows(), ref)
     assert basis.provenance["kind"] == "bspline"
     assert basis.provenance["degrees"] == [2, 2]
     assert basis.provenance["interior_knots"] == [1, 2]
@@ -116,9 +115,9 @@ def test_mask_space_and_masked_basis():
     with pytest.warns(UserWarning):
         basis = bspline_tensor_basis(masked, 1, 6)
     # rows supported only on the masked-out corner are dropped
-    assert basis_rows(basis).shape[0] < 64
+    assert basis.rows().shape[0] < 64
     assert basis.provenance["dropped_rows"]
-    assert np.all(basis_rows(basis)[:, ~mask.ravel()] == 0)
+    assert np.all(basis.rows()[:, ~mask.ravel()] == 0)
 
 
 def unit_square_mesh():

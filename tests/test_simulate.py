@@ -189,7 +189,7 @@ def test_generate_dataset_keyed_by_replicate():
     np.testing.assert_array_equal(arm, arm2)
     assert fam2 is fam and space2 is space
     assert sample.factors.shape == (80, 2)
-    assert np.asarray(sample).shape == (80, space.size)
+    assert (sample.factors @ sample.family.phis).shape == (80, space.size)
     assert x.shape == (80, 2) and y.shape == (80,)
     assert arm.dtype == bool and 0 < arm.sum() < 80
     other = generate_dataset(config, 4)[2]
@@ -221,7 +221,6 @@ def test_factored_replicate_matches_dense_fit(family, dims, two_arm):
         x, simulate.ar_covariates(config.n, config.d, config.corr, rng)
     )
     rows = kl_sample(fam, config.lambdas, config.n, rng)
-    np.testing.assert_array_equal(rows, np.asarray(sample))
     np.testing.assert_array_equal(rows, sample.factors @ fam.phis)
     dense_y = (
         config.alpha0
@@ -402,7 +401,8 @@ def test_signs_from_coordinates_match_grid_inner_products(monkeypatch, family, d
         m = run_replicate(config, options, rep)["m"]
         space, fam, sample, *_ = generate_dataset(config, rep)
         basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
-        phis = eigenfunctions(space, basis, fit_subspace_pca(space, basis, sample))
+        rows = sample.factors @ fam.phis
+        phis = eigenfunctions(space, basis, fit_subspace_pca(space, basis, rows))
         k = min(m, config.n_components)
         inner = np.sum(phis[:k] * fam.phis[:k] * space.weights, axis=1)
         want = np.ones(config.n_components)

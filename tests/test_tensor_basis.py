@@ -1,16 +1,19 @@
-"""The factored B-spline basis against its dense rows, and its memory use."""
+"""The basis protocol against each basis's dense rows, and the factored
+B-spline basis's memory use."""
 
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-import gridpcr
 from gridpcr import (
     AmbientSpace,
     BasisSet,
+    ConformanceError,
     TensorBasis,
+    Triangulation,
     bspline_tensor_basis,
     diagnose_projection,
     eigenfunctions,
@@ -21,9 +24,8 @@ from gridpcr import (
     write_grid,
     write_table,
 )
-from gridpcr.bases import NEGLIGIBLE_ROW_TOL, mask_space
+from gridpcr.bases import NEGLIGIBLE_ROW_TOL, mask_space, tri_pl_basis
 from gridpcr.cli import main
-from gridpcr.space import basis_rows, kron_rows
 from gridpcr.util import replicate_rng
 
 REL = 1e-12
@@ -37,14 +39,16 @@ def assert_rel(actual, expected):
 
 
 def unit_2d():
-    return AmbientSpace.regular((12, 10)), 2, (2, 3)
+    space = AmbientSpace.regular((12, 10))
+    return space, bspline_tensor_basis(space, 2, (2, 3))
 
 
 def nonuniform_3d():
     rng = replicate_rng(9600, 0)
     spacings = [0.2 + rng.random(d) for d in (7, 8, 6)]
     weights = np.einsum("i,j,k->ijk", *spacings)
-    return AmbientSpace(dims=(7, 8, 6), weights=weights), 2, (2, 1, 1)
+    space = AmbientSpace(dims=(7, 8, 6), weights=weights)
+    return space, bspline_tensor_basis(space, 2, (2, 1, 1))
 
 
 def masked_2d():
@@ -52,54 +56,78 @@ def masked_2d():
     mask = np.ones(space.dims, dtype=bool)
     mask[:7, :6] = False
     mask[12:, 10:] = False
-    return mask_space(space, mask), 1, 6
+    space = mask_space(space, mask)
+    return space, bspline_tensor_basis(space, 1, 6)
+
+
+def masked_tri():
+    """Hat functions of a 4 x 4 square mesh on a disk that leaves two corner
+    vertices without support: a dense basis with dropped rows."""
+    space = AmbientSpace.unit_domain((20, 24))
+    cx, cy = np.meshgrid(*space.centers(), indexing="ij")
+    space = mask_space(space, (cx - 0.5) ** 2 + (cy - 0.5) ** 2 <= 0.45**2)
+    ticks = np.linspace(0.0, 1.0, 5)
+    vertices = np.array([[u, v] for u in ticks for v in ticks])
+    cells = []
+    for v00 in (5 * i + j for i in range(4) for j in range(4)):
+        cells += [[v00, v00 + 5, v00 + 6], [v00, v00 + 6, v00 + 1]]
+    basis = tri_pl_basis(space, Triangulation(vertices, np.array(cells)))
+    assert len(basis.provenance["kept_vertices"]) == 23
+    return space, basis
 
 
 def build(case):
-    space, degree, knots = case()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        basis = bspline_tensor_basis(space, degree, knots)
+        space, basis = case()
     return space, basis, caught
 
 
 CASES = [unit_2d, nonuniform_3d, masked_2d]
 
 
-def in_span_sample(space, dense, n=40, seed=0):
+def in_span_sample(space, basis, n=40, seed=0):
     """Rank-4 sample inside the basis span, with well-separated variances."""
     rng = replicate_rng(9601, seed)
-    elements = rng.standard_normal((4, dense.n_functions)) @ dense.functions
+    elements = rng.standard_normal((4, basis.n_functions)) @ basis.rows()
     xi = rng.standard_normal((n, 4)) * np.sqrt([9.0, 4.0, 1.0, 0.25])
     return xi @ elements + rng.standard_normal(space.size)
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", CASES + [masked_tri], ids=lambda c: c.__name__)
 def test_factored_maps_match_dense_rows(case):
     space, basis, _ = build(case)
-    assert isinstance(basis, TensorBasis)
-    assert not hasattr(basis, "functions")
-    dense = BasisSet(functions=basis_rows(basis))
-    assert basis.shape == dense.functions.shape == (basis.n_functions, space.size)
+    assert isinstance(basis, TensorBasis) != hasattr(basis, "functions")
+    rows = basis.rows()
+    assert basis.shape == rows.shape == (basis.n_functions, space.size)
     rng = replicate_rng(9602, 0)
     sample = rng.standard_normal((9, space.size))
     center = rng.standard_normal(space.size)
     coef = rng.standard_normal((5, basis.n_functions))
-    assert_rel(gram(space, basis), gram(space, dense))
-    assert_rel(project_scores(space, basis, sample), project_scores(space, dense, sample))
+    g = (rows * space.weights) @ rows.T
+    assert_rel(gram(space, basis), 0.5 * (g + g.T))
+    assert_rel(project_scores(space, basis, sample), (sample * space.weights) @ rows.T)
     assert_rel(
         project_scores(space, basis, sample, center=center),
-        project_scores(space, dense, sample, center=center),
+        ((sample - center) * space.weights) @ rows.T,
     )
-    assert_rel(synthesize(space, basis, coef), synthesize(space, dense, coef))
-    assert_rel(synthesize(space, dense, coef), coef @ dense.functions)
+    assert_rel(synthesize(space, basis, coef), coef @ rows)
+
+    other = AmbientSpace.regular((space.size + 1,))
+    message = re.escape(f"basis width {space.size} does not conform to grid {other.dims}")
+    with pytest.raises(ConformanceError, match=message):
+        gram(other, basis)
+    with pytest.raises(ConformanceError, match=message):
+        project_scores(other, basis, np.zeros((1, other.size)))
+    with pytest.raises(ConformanceError, match=message):
+        synthesize(other, basis, coef)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
 def test_fit_and_diagnostic_match_dense_rows(case):
     space, basis, _ = build(case)
-    dense = BasisSet(functions=basis_rows(basis))
-    sample = in_span_sample(space, dense)
+    dense = BasisSet(functions=basis.rows())
+    sample = in_span_sample(space, basis)
     a = fit_subspace_pca(space, basis, sample)
     b = fit_subspace_pca(space, dense, sample)
     assert a.n_components == b.n_components == 4
@@ -118,7 +146,7 @@ def test_fit_and_diagnostic_match_dense_rows(case):
 def test_masked_basis_drops_unsupported_rows():
     space, basis, caught = build(masked_2d)
     support = space.weights > 0
-    full = np.where(support, kron_rows(basis.factors), 0.0)
+    full = TensorBasis(factors=basis.factors, support=basis.support).rows()
     keep = np.max(np.abs(full), axis=1) >= NEGLIGIBLE_ROW_TOL
     dropped = np.flatnonzero(~keep).tolist()
     assert dropped
@@ -128,10 +156,9 @@ def test_masked_basis_drops_unsupported_rows():
         f"dropped {len(dropped)} basis row(s) with no support on the domain"
     ]
     assert caught[0].filename == __file__
-    np.testing.assert_array_equal(basis_rows(basis), full[keep])
+    np.testing.assert_array_equal(basis.rows(), full[keep])
 
-    dense = BasisSet(functions=basis_rows(basis))
-    model = fit_subspace_pca(space, basis, in_span_sample(space, dense))
+    model = fit_subspace_pca(space, basis, in_span_sample(space, basis))
     assert np.all(eigenfunctions(space, basis, model)[:, ~support] == 0.0)
 
 
@@ -143,16 +170,10 @@ def test_unmasked_basis_keeps_every_row():
 
 
 def test_no_dense_rows_on_the_fitting_paths(tmp_path, monkeypatch):
-    dense_rows = basis_rows
-
     def guarded(basis):
-        if isinstance(basis, TensorBasis):
-            raise AssertionError("dense rows built for a TensorBasis")
-        return dense_rows(basis)
+        raise AssertionError("dense rows built for a TensorBasis")
 
-    for module in vars(gridpcr).values():
-        if getattr(module, "basis_rows", None) is dense_rows:
-            monkeypatch.setattr(module, "basis_rows", guarded)
+    monkeypatch.setattr(TensorBasis, "rows", guarded)
 
     dims = (40, 36, 30)
     space = AmbientSpace.unit_domain(dims)

@@ -182,6 +182,12 @@ def cases(inputs) -> dict:
                     "--mesh", os.path.join(inputs, "mesh.tri")],
         "diagnose-tri": ["diagnose", *d2[:2], "--basis", "tri",
                          "--mesh", os.path.join(inputs, "mesh.tri")],
+        # The disk drops two corner vertices of the mesh: a dense basis with
+        # dropped rows.
+        "fit-tri-mask": ["fit", *d2[:2], "--basis", "tri",
+                         "--mesh", os.path.join(inputs, "mesh.tri"), *mask],
+        "regress-tri": ["regress", *d2[:2], "--basis", "tri",
+                        "--mesh", os.path.join(inputs, "mesh.tri"), *table],
         "simulate-config": ["simulate", "--config", os.path.join(inputs, "study.json")],
         "fit-chunked": ["fit", *chunked],
         "diagnose-chunked": ["diagnose", *chunked],
