@@ -385,8 +385,8 @@ def mask_space(space: AmbientSpace, mask) -> AmbientSpace:
     """Restrict a space to the cells where ``mask`` is true.
 
     Weights outside the mask are zeroed, so masked cells contribute nothing
-    to any inner product. An all-false mask is an empty domain and is
-    rejected.
+    to any inner product. A mask that leaves no cell of positive weight is
+    an empty domain and is rejected.
     """
     m = np.asarray(mask, dtype=bool)
     if m.shape == space.dims:
@@ -395,11 +395,10 @@ def mask_space(space: AmbientSpace, mask) -> AmbientSpace:
         raise ConformanceError(
             f"mask shape {np.shape(mask)} does not conform to grid {space.dims}"
         )
-    if space.mask is not None:
-        m = m & space.mask
-    if not np.any(m):
+    weights = np.where(m, space.weights, 0.0)
+    if not np.any(weights > 0):
         raise ConfigurationError("mask removes every cell: empty domain")
-    return AmbientSpace(dims=space.dims, weights=np.where(m, space.weights, 0.0), mask=m)
+    return AmbientSpace(dims=space.dims, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -451,11 +450,17 @@ class Triangulation:
                 raise ConformanceError(
                     f"cell {k} is degenerate or negatively oriented (signed volume {vol:.3e})"
                 )
+        # Duplicate cells share their sorted vertex tuple; report the first
+        # cell that has a duplicate and its first duplicate.
+        first, duplicates = {}, []
+        for k, key in enumerate(map(tuple, np.sort(cells, axis=1).tolist())):
+            a = first.setdefault(key, k)
+            if a != k:
+                duplicates.append((a, k))
+        if duplicates:
+            a, b = min(duplicates)
+            raise ConformanceError(f"cells {a} and {b} are duplicates")
         vertex_sets = [set(c.tolist()) for c in cells]
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                if len(vertex_sets[a] & vertex_sets[b]) == self.ndim + 1:
-                    raise ConformanceError(f"cells {a} and {b} are duplicates")
         # Hanging nodes and overlaps: a vertex foreign to a cell may not lie
         # inside it or strictly inside its boundary facets.
         bary = barycentric_coordinates(self, verts)

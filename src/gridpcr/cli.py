@@ -67,6 +67,7 @@ from .resampling import (
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
+    check_blocks,
     check_level,
     jackknife_spec,
     normal_ci,
@@ -553,6 +554,12 @@ def _write_ci_table(args, name, names, point, lower, upper, se) -> None:
     write_table(_path(args, name), ["term", "estimate", "lower", "upper", "se"], rows)
 
 
+def _check_blocks(args) -> None:
+    """Reject --blocks below 2, when given, before the fit."""
+    if args.blocks is not None:
+        check_blocks(args.blocks)
+
+
 def _jackknife(args, model, design):
     """Block jackknife with --blocks blocks, or the default count."""
     return block_jackknife(
@@ -565,6 +572,8 @@ def _jackknife(args, model, design):
 
 def cmd_regress(args):
     check_level(args.level)
+    if args.treatment is not None:
+        _check_blocks(args)
     _check_selection(args)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)
@@ -608,6 +617,7 @@ def cmd_bootstrap(args):
 
 def cmd_jackknife(args):
     check_level(args.level)
+    _check_blocks(args)
     _check_selection(args)
     _, _, model = _fit_model(args)
     design = _load_design(args, model)

@@ -29,6 +29,7 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
+    _negative_peaks,
     _weighted_scores,
     as_sample,
     gram,
@@ -232,21 +233,6 @@ def model_from_white(
         total_variance=total_variance,
         right=right,
     )
-
-
-def _negative_peaks(rows: np.ndarray) -> np.ndarray:
-    """Whether each row's largest-|value| entry (the first of ties) is negative.
-
-    A row's peak is negative exactly when -min > max; only rows with
-    -min == max need the position of the first extreme entry.
-    """
-    high, low = rows.max(axis=1), rows.min(axis=1)
-    negative = -low > high
-    tied = np.flatnonzero(-low == high)
-    if tied.size:
-        ties = rows[tied]
-        negative[tied] = ties[np.arange(tied.size), np.argmax(np.abs(ties), axis=1)] < 0
-    return negative
 
 
 def eigenfunctions(space: AmbientSpace, basis, model: EigenModel) -> np.ndarray:

@@ -130,10 +130,11 @@ class RegressionFit:
 
 
 def design_matrix(design: RegressionDesign) -> np.ndarray:
-    """Stack intercept, scalar covariates, and scores into the regressor matrix."""
-    return np.column_stack(
-        [np.ones(design.n), design.x, design.scores]
-    )
+    """The regressor matrix: U = (1, X, scores), or (U, A * U) for two arms."""
+    u = np.column_stack([np.ones(design.n), design.x, design.scores])
+    if design.treatment is None:
+        return u
+    return np.column_stack([u, u * design.treatment[:, None]])
 
 
 def coefficient_names(d: int, m: int, treatment: bool = False) -> list:
@@ -145,27 +146,31 @@ def coefficient_names(d: int, m: int, treatment: bool = False) -> list:
     return names
 
 
-def _solve_ls(u: np.ndarray, y: np.ndarray, weights=None):
-    """Weighted least squares with the nondegeneracy check.
+def _weights(n: int, weights) -> np.ndarray:
+    """Observation weights of a fit: one nonnegative value per row, or all ones."""
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,) or np.any(w < 0):
+        raise ConformanceError("weights must be one nonnegative value per row")
+    return w
 
-    Returns (theta, sigma_hat, condition); raises when the second-moment
-    matrix of the (weighted) design is numerically singular. One SVD of the
-    weighted design gives both the solution and the condition of sigma_hat,
-    which is the squared ratio of its extreme singular values.
+
+def _fit(design: RegressionDesign, weights: np.ndarray) -> RegressionFit:
+    """Weighted least squares of y on ``design_matrix(design)``.
+
+    ``weights`` come checked from ``_weights``. One SVD of the weighted
+    design gives both the solution and the condition of sigma_hat, which
+    is the squared ratio of its extreme singular values; a condition above
+    ``CONDITION_LIMIT`` (a numerically singular design) raises.
     """
-    n = u.shape[0]
-    if weights is None:
-        uw, yw = u, y
-        sigma = u.T @ u / n
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w < 0):
-            raise ConformanceError("weights must be one nonnegative value per row")
-        root = np.sqrt(w)
-        uw = u * root[:, None]
-        yw = y * root
-        sigma = uw.T @ uw / n
-    sigma = 0.5 * (sigma + sigma.T)
+    u = design_matrix(design)
+    n, p = u.shape
+    if n <= p:
+        raise DegenerateDesignError(
+            f"need more than {p} observations to fit {p} coefficients, got {n}"
+        )
+    root = np.sqrt(weights)
+    uw = u * root[:, None]
+    sigma = uw.T @ uw / n
     left, sv, right = np.linalg.svd(uw, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = float((sv[0] / sv[-1]) ** 2)
@@ -174,24 +179,13 @@ def _solve_ls(u: np.ndarray, y: np.ndarray, weights=None):
             f"design second-moment matrix has condition {condition:.3e} "
             f"(limit {CONDITION_LIMIT:.0e}); the nondegeneracy assumption fails"
         )
-    theta = right.T @ ((left.T @ yw) / sv)
-    return theta, sigma, condition
-
-
-def _fit(design: RegressionDesign, u: np.ndarray, weights) -> RegressionFit:
-    """Least squares of y on the regressor matrix ``u``."""
-    p = u.shape[1]
-    if design.n <= p:
-        raise DegenerateDesignError(
-            f"need more than {p} observations to fit {p} coefficients, got {design.n}"
-        )
-    theta, sigma, condition = _solve_ls(u, design.y, weights)
+    theta = right.T @ ((left.T @ (design.y * root)) / sv)
     return RegressionFit(
         theta=theta,
-        sigma_hat=sigma,
+        sigma_hat=0.5 * (sigma + sigma.T),
         residuals=design.y - u @ theta,
         condition=condition,
-        n=design.n,
+        n=n,
         d=design.d,
         m=design.m,
     )
@@ -202,11 +196,12 @@ def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
 
     A design with a treatment indicator gets the two-arm fit of
     ``fit_precision``. ``weights`` reweights the empirical measure (used by
-    resampling); the stored residuals are always the unweighted y - U theta.
+    resampling; None is unit weights); the stored residuals are always the
+    unweighted y - U theta.
     """
     if design.treatment is not None:
         return fit_precision(design, weights)
-    return _fit(design, design_matrix(design), weights)
+    return _fit(design, _weights(design.n, weights))
 
 
 def fit_precision(design: RegressionDesign, weights=None) -> RegressionFit:
@@ -218,18 +213,15 @@ def fit_precision(design: RegressionDesign, weights=None) -> RegressionFit:
     """
     if design.treatment is None:
         raise ConformanceError("two-arm fit needs a treatment indicator")
+    w = _weights(design.n, weights)
     a = design.treatment.astype(float)
-    w = np.ones(design.n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (design.n,):
-        raise ConformanceError("weights must be one nonnegative value per row")
     n_treat, n_control = float(w @ a), float(w @ (1.0 - a))
     if n_treat == 0 or n_control == 0:
         raise DegenerateDesignError(
             f"treatment arm sizes are {n_control:.15g} and {n_treat:.15g}; "
             "both arms must be populated for the modifier block"
         )
-    u = design_matrix(design)
-    return _fit(design, np.column_stack([u, u * a[:, None]]), weights)
+    return _fit(design, w)
 
 
 def coefficient_element(fit: RegressionFit, model: EigenModel, space, basis):
@@ -310,7 +302,11 @@ def plugin_cov(
 
 
 def sandwich_cov(fit: RegressionFit, design: RegressionDesign) -> np.ndarray:
-    """Classical heteroscedasticity-robust covariance, no score correction."""
+    """Classical heteroscedasticity-robust (HC0) covariance, no score correction.
+
+    It covers one- and two-arm fits: the bread is the fit's sigma_hat and
+    the meat is built from ``design_matrix(design)``.
+    """
     u = design_matrix(design)
     n = design.n
     meat = (u * fit.residuals[:, None] ** 2).T @ u / n

@@ -45,6 +45,12 @@ def check_level(level: float) -> None:
         raise ConfigurationError(f"level must lie in (0, 1), got {level}")
 
 
+def check_blocks(r: int) -> None:
+    """Reject a jackknife block count below two."""
+    if int(r) < 2:
+        raise ConfigurationError("jackknife needs at least two blocks")
+
+
 @dataclass(frozen=True)
 class BootstrapSpec:
     """Configuration of a bootstrap study.
@@ -79,8 +85,7 @@ class JackknifeSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        if int(self.r) < 2:
-            raise ConfigurationError("jackknife needs at least two blocks")
+        check_blocks(self.r)
         check_level(self.level)
         object.__setattr__(self, "r", int(self.r))
 

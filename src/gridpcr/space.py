@@ -49,15 +49,12 @@ class AmbientSpace:
     dims : tuple of int
         Grid extent per axis, all positive.
     weights : ndarray, shape (prod(dims),)
-        Nonnegative cell weights, not all zero. Masked cells carry weight 0.
-    mask : ndarray of bool, optional
-        Domain membership per cell. When given, every cell outside the mask
-        must have weight exactly 0.
+        Nonnegative cell weights, not all zero. The domain is the cells of
+        positive weight; masked cells carry weight 0.
     """
 
     dims: tuple
     weights: np.ndarray
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -74,13 +71,6 @@ class AmbientSpace:
         if not np.any(w > 0):
             raise ConformanceError("weights must not all be zero")
         object.__setattr__(self, "weights", w)
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool).ravel()
-            if m.shape != w.shape:
-                raise ConformanceError("mask length does not match grid size")
-            if np.any(w[~m] != 0.0):
-                raise ConformanceError("cells outside the mask must have weight 0")
-            object.__setattr__(self, "mask", m)
 
     @classmethod
     def regular(cls, dims, spacing=None) -> "AmbientSpace":
@@ -352,7 +342,7 @@ def whiten(gram_matrix, drop_tol: float = DEFAULT_DROP_TOL) -> Whitener:
         )
     vals = vals[:rank]
     vecs = vecs[:, :rank]
-    vecs = _fix_signs(vecs)
+    vecs[:, _negative_peaks(vecs.T)] *= -1.0
     factor = (vecs / np.sqrt(vals)).T
     return Whitener(
         factor=factor,
@@ -362,33 +352,38 @@ def whiten(gram_matrix, drop_tol: float = DEFAULT_DROP_TOL) -> Whitener:
     )
 
 
-def _fix_signs(columns: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-|entry| coordinate is positive."""
-    idx = np.argmax(np.abs(columns), axis=0)
-    signs = np.sign(columns[idx, np.arange(columns.shape[1])])
-    signs[signs == 0] = 1.0
-    return columns * signs
+def _negative_peaks(rows: np.ndarray) -> np.ndarray:
+    """Whether each row's largest-|value| entry (the first of ties) is negative.
+
+    This is the one sign rule of the package: a whitener's eigenvectors and
+    a model's eigenfunctions are flipped where it holds, so that their
+    largest-|value| entry is positive. A row's peak is negative exactly
+    when -min > max; only rows with -min == max need the position of the
+    first extreme entry.
+    """
+    high, low = rows.max(axis=1), rows.min(axis=1)
+    negative = -low > high
+    tied = np.flatnonzero(-low == high)
+    if tied.size:
+        ties = rows[tied]
+        negative[tied] = ties[np.arange(tied.size), np.argmax(np.abs(ties), axis=1)] < 0
+    return negative
 
 
-def project_scores(space: AmbientSpace, basis, sample, center=None) -> np.ndarray:
-    """Inner products of (optionally centered) sample rows with basis rows.
+def project_scores(space: AmbientSpace, basis, sample) -> np.ndarray:
+    """Inner products of sample rows with basis rows.
 
-    Returns the (n, N) matrix S[i, l] = <psi_l, Z_i - center>. With
-    ``center=None`` the rows are used as they are. The sample (an array or
-    a row source) is validated once and then passed through in row chunks.
+    Returns the (n, N) matrix S[i, l] = <psi_l, Z_i>. The sample (an array
+    or a row source) is validated once and then passed through in row
+    chunks.
     """
     data = as_sample(space, sample)
-    if center is not None:
-        center = as_element(space, center)
     _conform(space, basis)
     buf = chunk_buffer(space, data.shape[0])
     out = np.empty((data.shape[0], basis.n_functions))
     for chunk in row_chunks(space, data.shape[0]):
         rows = sample_rows(space, data, chunk, buf)
-        x = buf[: rows.shape[0]]
-        if center is not None:
-            rows = np.subtract(rows, center, out=x)
-        out[chunk] = _weighted_scores(space, basis, rows, out=x)
+        out[chunk] = _weighted_scores(space, basis, rows, out=buf[: rows.shape[0]])
     return out
 
 

@@ -140,6 +140,19 @@ def test_triangulation_validation():
         Triangulation(vertices=verts, cells=np.array([[0, 1, 1]]))  # repeated vertex
 
 
+def test_triangulation_names_the_first_duplicate_pair():
+    # Two groups of duplicates, {1, 2} and {0, 5, 6}, each cell positively
+    # oriented: the report names the smallest cell with a duplicate, then
+    # its smallest duplicate.
+    vertices = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)
+    cells = np.array([[0, 1, 4], [1, 2, 4], [4, 1, 2], [2, 3, 4], [3, 0, 4],
+                      [1, 4, 0], [4, 0, 1]])
+    with pytest.raises(ConformanceError, match=r"^cells 0 and 5 are duplicates$"):
+        Triangulation(vertices=vertices, cells=cells)
+    with pytest.raises(ConformanceError, match=r"^cells 1 and 2 are duplicates$"):
+        Triangulation(vertices=vertices, cells=cells[:5])
+
+
 def test_triangulation_rejects_hanging_node():
     # vertex 4 sits on the shared edge of cells (0,1,2) and (0,2,3): nonconforming
     vertices = np.array(

@@ -129,13 +129,16 @@ def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command)
         ("regress", ["--m", "0"], "m=0 must be at least 1"),
         ("bootstrap", ["--m", "-1"], "m=-1 must be at least 1"),
         ("jackknife", ["--m", "0"], "m=0 must be at least 1"),
+        ("jackknife", ["--blocks", "1"], "jackknife needs at least two blocks"),
+        ("regress", ["--treatment", "a", "--blocks", "0"],
+         "jackknife needs at least two blocks"),
     ],
 )
 def test_selection_is_checked_before_the_fit(
     tmp_path, capsys, monkeypatch, command, flags, message
 ):
     def no_fit(*args, **kwargs):
-        raise AssertionError("the sample was fitted before --tau or --m was checked")
+        raise AssertionError("the sample was fitted before --tau, --m or --blocks was checked")
 
     monkeypatch.setattr(gridpcr.cli, "fit_subspace_pca", no_fit)
     data = tmp_path / "s.hsg"
@@ -151,14 +154,15 @@ def test_selection_is_checked_before_the_fit(
 
 
 def test_tau_is_not_checked_where_it_picks_nothing(tmp_path):
-    # --m fixes the score count, and the eigenvalue bootstrap has none.
+    # --m fixes the score count, and the eigenvalue bootstrap has none; a
+    # one-arm regress has plug-in intervals and uses no --blocks.
     data = tmp_path / "s.hsg"
     _, _, _, x, y = make_dataset(data)
     table = tmp_path / "d.csv"
     write_design(table, x, y)
     design = ["--table", str(table), "--response", "y"]
     runs = [
-        ["regress", *design, "--m", "2"],
+        ["regress", *design, "--m", "2", "--blocks", "0"],
         ["bootstrap", "--target", "eigenvalues", "--reps", "4"],
     ]
     for i, argv in enumerate(runs):

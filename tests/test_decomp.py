@@ -351,13 +351,13 @@ def test_sign_rule_takes_the_first_of_tied_extremes():
         [0.0, 0.0, 0.0, 0.0],
         [0.0, -0.0, 0.0, 0.0],
     ])
-    negative = gridpcr.decomp._negative_peaks(rows)
+    negative = gridpcr.space._negative_peaks(rows)
     assert negative.tolist() == [True, False, True, False, False, False]
     # The rule of taking the first largest-|value| entry, on ties by construction.
     rng = replicate_rng(7800, 0)
     rows = rng.integers(-3, 4, size=(500, 7)).astype(float)
     peaks = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
-    assert np.array_equal(gridpcr.decomp._negative_peaks(rows), peaks < 0)
+    assert np.array_equal(gridpcr.space._negative_peaks(rows), peaks < 0)
 
 
 def test_fit_requires_two_rows():

@@ -138,6 +138,33 @@ def test_precision_fit_requires_both_arms():
         fit_precision(one_arm)
 
 
+def test_weights_are_checked_once_for_both_arms():
+    message = "weights must be one nonnegative value per row"
+    for treatment in (False, True):
+        design = toy_design(5, treatment=treatment)
+        bad_sign = np.ones(design.n)
+        bad_sign[3] = -1.0
+        for weights in (np.ones(design.n - 1), bad_sign):
+            with pytest.raises(ConformanceError, match=message):
+                fit_pcr(design, weights)
+        unit = fit_pcr(design, np.ones(design.n))
+        np.testing.assert_array_equal(unit.theta, fit_pcr(design).theta)
+
+
+def test_sandwich_cov_covers_two_arm_fits():
+    design = toy_design(6, n=80, treatment=True)
+    fit = fit_precision(design)
+    u = umat(design.x, design.scores)
+    full = np.column_stack([u, u * design.treatment[:, None]])
+    bread = np.linalg.inv(full.T @ full / design.n)
+    meat = (full * fit.residuals[:, None] ** 2).T @ full / design.n
+    hc0 = bread @ meat @ bread / design.n
+    np.testing.assert_allclose(
+        sandwich_cov(fit, design), hc0, rtol=0, atol=1e-12 * np.abs(hc0).max()
+    )
+    np.testing.assert_array_equal(design_matrix(design), full)
+
+
 def fitted_pipeline(seed, n=300):
     """Full pipeline on in-span data so plug-in pieces are well defined."""
     rng = replicate_rng(8400, seed)
