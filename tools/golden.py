@@ -18,7 +18,9 @@ a triangulation of the unit square in the text mesh format and a
 ``simulate --config`` JSON file. Each command then
 runs in a fresh interpreter with ``PYTHONPATH=<src>`` and
 ``OPENBLAS_NUM_THREADS=1``; its output files, stdout, stderr and exit code go
-to ``<out>/<case>/``.
+to ``<out>/<case>/``. The ``*-unknown-response``, ``*-missing-table`` and
+``*-few-blocks`` cases exit 2 on purpose, so that their error messages and
+exit codes are compared too.
 
 ``compare`` reports, for each case and file, ``identical`` or the largest
 deviation relative to the largest |value| of its column (CSV columns, each
@@ -199,6 +201,10 @@ def cases(inputs) -> dict:
         "bootstrap-3d-eigenvalues": ["bootstrap", *d3, "--target", "eigenvalues",
                                      "--kind", "nonparametric", "--reps", "40",
                                      "--seed", "5"],
+        "regress-unknown-response": ["regress", *d2, *table[:2], "--response", "nope"],
+        "bootstrap-missing-table": ["bootstrap", *d2, "--table",
+                                    os.path.join(inputs, "missing.csv"), "--response", "y"],
+        "jackknife-few-blocks": ["jackknife", *d2, *table, "--m", "2", "--blocks", "3"],
     }
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
