@@ -67,6 +67,8 @@ from .resampling import (
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
+    check_intervals,
+    coefficient_intervals,
     gen_weights,
     percentile_ci,
 )

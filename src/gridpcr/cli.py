@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import operator
 import os
 import sys
 import time
@@ -56,21 +55,13 @@ from .errors import (
     FormatError,
     GridPcrError,
 )
-from .regression import (
-    RegressionDesign,
-    coefficient_names,
-    fit_pcr,
-    plugin_cov,
-)
+from .regression import RegressionDesign, coefficient_names, fit_pcr
 from .resampling import (
     BootstrapSpec,
-    block_jackknife,
     bootstrap_eigenvalues,
-    bootstrap_theta,
     check_blocks,
-    check_level,
-    jackknife_spec,
-    normal_ci,
+    check_intervals,
+    coefficient_intervals,
 )
 from .simulate import (
     PipelineOptions,
@@ -119,7 +110,6 @@ FAMILY_DEFAULTS = {
 }
 STUDY_SIZES = (100, 500, 2000)
 BETA_DEFAULT = (1.0, 1.0, 1.0, 1.0)
-CI_COLUMNS = operator.attrgetter("names", "point", "lower", "upper", "se")
 
 
 def main(argv=None) -> int:
@@ -508,25 +498,20 @@ def _check_selection(args) -> None:
         raise ConformanceError(f"m={args.m} must be at least 1")
 
 
-def _load_design(args, model):
+def _read_design(args, n: int):
+    """The response, covariates and treatment of --table, checked against n rows.
+
+    Returns ``(y, x, treatment)``; the scores wait for the fit.
+    """
     header, rows = read_table(args.table)
     if args.response not in header:
         raise FormatError(f"response column {args.response!r} not in {header}")
-    names = (
-        [tok for tok in args.covariates.split(",") if tok]
-        if args.covariates is not None
-        else [
-            h
-            for h in header
-            if h != args.response and h != args.treatment
-        ]
-    )
+    if args.covariates is not None:
+        names = [tok for tok in args.covariates.split(",") if tok]
+    else:
+        names = [h for h in header if h not in (args.response, args.treatment)]
     y = numeric_columns(header, rows, [args.response])[:, 0]
-    x = (
-        numeric_columns(header, rows, names)
-        if names
-        else np.zeros((len(rows), 0))
-    )
+    x = numeric_columns(header, rows, names)
     treatment = None
     if args.treatment is not None:
         col = numeric_columns(header, rows, [args.treatment])[:, 0]
@@ -535,79 +520,90 @@ def _load_design(args, model):
                 f"treatment column {args.treatment!r} must be binary"
             )
         treatment = col.astype(bool)
-    if y.size != model.n:
+    if y.size != n:
         raise ConformanceError(
-            f"table has {y.size} rows but the data file has {model.n}"
+            f"table has {y.size} rows but the data file has {n}"
         )
+    return y, x, treatment
+
+
+def _write_ci_table(args, name, table) -> None:
+    """Write the columns of one ``CiTable``."""
+    columns = (table.names, table.point, table.lower, table.upper, table.se)
+    rows = [list(row) for row in zip(*columns)]
+    write_table(_path(args, name), ["term", "estimate", "lower", "upper", "se"], rows)
+
+
+def _interval_settings(args):
+    """The command's interval method and the settings it takes.
+
+    ``regress`` gives plug-in intervals for one arm and jackknife intervals
+    for two; a one-arm ``regress`` ignores --blocks.
+    """
+    if args.command == "bootstrap":
+        return "bootstrap", {"reps": args.reps, "kind": args.kind, "seed": args.seed}
+    if args.command == "regress" and args.treatment is None:
+        return "plugin", {}
+    return "jackknife", {"blocks": args.blocks}
+
+
+def _coefficients(args):
+    """The body of regress, bootstrap --target coefficients and jackknife.
+
+    The interval settings, the selection and the design table (against the
+    row count in the --data header) are checked before the sample is
+    fitted, and so is --blocks against the row count and, with --m, the
+    coefficient count; only the choice of m and the score columns wait for
+    the fit. Writes coefficients.csv and returns the design and
+    ``coefficient_intervals``' table and result.
+    """
+    method, settings = _interval_settings(args)
+    check_intervals(method, args.level, **settings)
+    _check_selection(args)
+    with _load_space_sample(args) as (space, sample):
+        basis = _build_basis(args, space, _basis_knots(args, space))
+        n = sample.shape[0]
+        y, x, treatment = _read_design(args, n)
+        if method == "jackknife" and args.blocks is not None:
+            width = None
+            if args.m is not None:
+                width = len(coefficient_names(x.shape[1], args.m, treatment is not None))
+            check_blocks(args.blocks, width, n)
+        model = fit_subspace_pca(space, basis, sample, args.drop_tol)
     m = args.m if args.m is not None else select_pve(model, args.tau).m
     if not 1 <= m <= model.n_components:
         raise ConformanceError(
             f"m={m} outside the retained range 1..{model.n_components}"
         )
     scores = component_scores(model)[:, :m]
-    return RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
-
-
-def _write_ci_table(args, name, names, point, lower, upper, se) -> None:
-    """Write one interval table from the columns of a ``CiTable``."""
-    rows = [list(row) for row in zip(names, point, lower, upper, se)]
-    write_table(_path(args, name), ["term", "estimate", "lower", "upper", "se"], rows)
-
-
-def _check_blocks(args) -> None:
-    """Reject --blocks below 2, when given, before the fit."""
-    if args.blocks is not None:
-        check_blocks(args.blocks)
-
-
-def _jackknife(args, model, design):
-    """Block jackknife with --blocks blocks, or the default count."""
-    return block_jackknife(
-        model,
-        design,
-        jackknife_spec(design, args.blocks, args.level),
-        threads=_threads(args),
+    design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
+    table, res = coefficient_intervals(
+        model, design, fit_pcr(design), method, args.level,
+        threads=_threads(args), **settings,
     )
+    _write_ci_table(args, "coefficients.csv", table)
+    return design, table, res
 
 
 def cmd_regress(args):
-    check_level(args.level)
-    if args.treatment is not None:
-        _check_blocks(args)
-    _check_selection(args)
-    _, _, model = _fit_model(args)
-    design = _load_design(args, model)
-    if design.treatment is None:
-        fit = fit_pcr(design)
-        se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
-        lower, upper = normal_ci(fit.theta, se, args.level)
-        columns = (coefficient_names(design.d, design.m), fit.theta, lower, upper, se)
-        method = "plugin"
-    else:
-        table = _jackknife(args, model, design).table
-        columns, method = CI_COLUMNS(table), table.method
-    _write_ci_table(args, "coefficients.csv", *columns)
-    print(f"regress: m={design.m}, intervals={method}, level={args.level}")
+    design, table, _ = _coefficients(args)
+    print(f"regress: m={design.m}, intervals={table.method}, level={args.level}")
     return None, ["coefficients.csv"]
 
 
 def cmd_bootstrap(args):
-    if args.target == "coefficients" and (args.table is None or args.response is None):
-        raise ConfigurationError("--target coefficients needs --table and --response")
-    spec = BootstrapSpec(
-        kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
-    )
     if args.target == "coefficients":
-        _check_selection(args)
-    _, _, model = _fit_model(args)
-    if args.target == "eigenvalues":
-        res = bootstrap_eigenvalues(model, spec, threads=_threads(args))
-        name = "eigenvalues.csv"
-    else:
-        design = _load_design(args, model)
-        res = bootstrap_theta(model, design, spec, threads=_threads(args))
+        if args.table is None or args.response is None:
+            raise ConfigurationError("--target coefficients needs --table and --response")
+        _, _, res = _coefficients(args)
         name = "coefficients.csv"
-    _write_ci_table(args, name, *CI_COLUMNS(res.table))
+    else:
+        spec = BootstrapSpec(
+            kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
+        )
+        res = bootstrap_eigenvalues(_fit_model(args)[2], spec, threads=_threads(args))
+        name = "eigenvalues.csv"
+        _write_ci_table(args, name, res.table)
     print(
         f"bootstrap: kind={args.kind}, completed={res.table.completed}/{args.reps}, "
         f"failures={len(res.failures)}"
@@ -616,16 +612,8 @@ def cmd_bootstrap(args):
 
 
 def cmd_jackknife(args):
-    check_level(args.level)
-    _check_blocks(args)
-    _check_selection(args)
-    _, _, model = _fit_model(args)
-    design = _load_design(args, model)
-    res = _jackknife(args, model, design)
-    _write_ci_table(args, "coefficients.csv", *CI_COLUMNS(res.table))
-    print(
-        f"jackknife: r={res.table.completed}, kept {res.kept} of {design.n} observations"
-    )
+    design, table, res = _coefficients(args)
+    print(f"jackknife: r={table.completed}, kept {res.kept} of {design.n} observations")
     return None, ["coefficients.csv"]
 
 

@@ -32,10 +32,17 @@ from .errors import (
     GridPcrError,
     StudyError,
 )
-from .regression import RegressionDesign, coefficient_names, fit_pcr
+from .regression import (
+    RegressionDesign,
+    RegressionFit,
+    coefficient_names,
+    fit_pcr,
+    plugin_cov,
+)
 from .util import norm_ppf, replicate_rng, run_indexed
 
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
+INTERVAL_METHODS = ("plugin", "bootstrap", "jackknife")
 MAX_FAILURE_FRACTION = 0.05
 
 
@@ -45,10 +52,27 @@ def check_level(level: float) -> None:
         raise ConfigurationError(f"level must lie in (0, 1), got {level}")
 
 
-def check_blocks(r: int) -> None:
-    """Reject a jackknife block count below two."""
-    if int(r) < 2:
+def check_blocks(r: int, width: int | None = None, n: int | None = None) -> int:
+    """The jackknife block count ``r`` as an int, checked.
+
+    Rejects fewer than two blocks; given the coefficient count ``width``,
+    a count not above width + 1; and given the row count ``n``, a count
+    that leaves fewer than two rows per block.
+    """
+    r = int(r)
+    if r < 2:
         raise ConfigurationError("jackknife needs at least two blocks")
+    if width is not None and r <= width + 1:
+        raise ConfigurationError(
+            f"jackknife needs more blocks than coefficients + 1 "
+            f"(r = {r}, coefficients = {width})"
+        )
+    if n is not None and n // r < 2:
+        raise ConfigurationError(
+            f"jackknife with r = {r} blocks leaves fewer than two "
+            f"observations per block at n = {n}"
+        )
+    return r
 
 
 @dataclass(frozen=True)
@@ -85,14 +109,17 @@ class JackknifeSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        check_blocks(self.r)
+        object.__setattr__(self, "r", check_blocks(self.r))
         check_level(self.level)
-        object.__setattr__(self, "r", int(self.r))
 
 
 @dataclass(frozen=True)
 class CiTable:
-    """Per-parameter point estimates, interval bounds, and standard errors."""
+    """Per-parameter point estimates, interval bounds, and standard errors.
+
+    ``method`` names how the intervals were made and ``completed`` counts
+    the replicates behind them (0 for plug-in intervals).
+    """
 
     names: list
     point: np.ndarray
@@ -300,6 +327,21 @@ def normal_ci(point, se, level: float):
     return point - z * se, point + z * se
 
 
+def _normal_table(names, point, se, level: float, method: str, completed: int):
+    """The ``CiTable`` of normal intervals ``normal_ci(point, se, level)``."""
+    lower, upper = normal_ci(point, se, level)
+    return CiTable(
+        names=names,
+        point=point.copy(),
+        lower=lower,
+        upper=upper,
+        se=se,
+        level=level,
+        method=method,
+        completed=completed,
+    )
+
+
 def _bootstrap(spec: BootstrapSpec, fn, names: list, point, threads: int):
     """Run ``fn(b)`` for every replicate b and tabulate percentile intervals."""
     draws, failures = run_tolerant(fn, spec.b_reps, threads, "bootstrap")
@@ -323,15 +365,17 @@ def bootstrap_theta(
     design: RegressionDesign,
     spec: BootstrapSpec,
     threads: int = 1,
+    fit: RegressionFit | None = None,
 ) -> BootstrapResult:
     """Bootstrap the full pipeline and return percentile intervals for theta.
 
     ``model`` is the point fit of the sample whose rows ``design``
     describes, and the design's scores are the model's first m component
-    scores. Each replicate re-estimates the eigenfunctions under its
-    weights (signs aligned to the point estimate), rebuilds the scores, and
-    refits the regression; m stays fixed at the design's. Failed replicates
-    are tolerated up to 5% of the study and reported; beyond that the study
+    scores. ``fit`` is ``fit_pcr(design)``, fitted here when not given.
+    Each replicate re-estimates the eigenfunctions under its weights
+    (signs aligned to the point estimate), rebuilds the scores, and refits
+    the regression; m stays fixed at the design's. Failed replicates are
+    tolerated up to 5% of the study and reported; beyond that the study
     errors out.
     """
     _check_design(model, design)
@@ -342,7 +386,7 @@ def bootstrap_theta(
             frame, design, gen_weights(spec, model.n, b), f"replicate {b}"
         ),
         coefficient_names(design.d, design.m, design.treatment is not None),
-        fit_pcr(design).theta,
+        (fit_pcr(design) if fit is None else fit).theta,
         threads,
     )
 
@@ -374,51 +418,32 @@ def bootstrap_eigenvalues(
     return _bootstrap(spec, one, names, model.eigenvalues, threads)
 
 
-def jackknife_spec(design: RegressionDesign, blocks, level: float) -> JackknifeSpec:
-    """Jackknife spec with ``blocks`` blocks, or by default the fewest allowed.
-
-    ``block_jackknife`` needs more blocks than coefficients + 1, so the
-    default is the design's coefficient count plus two.
-    """
-    if blocks is None:
-        arms = 1 if design.treatment is None else 2
-        blocks = arms * (1 + design.d + design.m) + 2
-    return JackknifeSpec(r=blocks, level=level)
-
-
 def block_jackknife(
     model: EigenModel,
     design: RegressionDesign,
     spec: JackknifeSpec,
     threads: int = 1,
+    fit: RegressionFit | None = None,
 ) -> JackknifeResult:
     """Grouped-jackknife covariance of theta from r systematic blocks.
 
-    ``model`` and ``design`` are as for ``bootstrap_theta``. With k =
-    floor(n / r), block l gives weight zero to observations {l, l + r,
-    l + 2r, ...} (k of them) of the first r * k rows and to every trailing
-    row beyond r * k, and weight one to the rest. Each replicate reruns the
-    eigendecomposition and regression under those weights, as a bootstrap
-    draw does; a failing block raises. The covariance is ((r - 1) / r)
-    times the replicate scatter around the replicate mean, and intervals
-    are normal around the full-sample point estimate. Blocks run on up to
-    ``threads`` pool workers; the result does not depend on the count.
+    ``model``, ``design`` and ``fit`` are as for ``bootstrap_theta``, and
+    ``check_blocks`` rejects r against the coefficient and row counts.
+    With k = floor(n / r), block l gives weight zero to observations {l,
+    l + r, l + 2r, ...} (k of them) of the first r * k rows and to every
+    trailing row beyond r * k, and weight one to the rest. Each replicate
+    reruns the eigendecomposition and regression under those weights, as a
+    bootstrap draw does; a failing block raises. The covariance is
+    ((r - 1) / r) times the replicate scatter around the replicate mean,
+    and intervals are normal around the full-sample point estimate. Blocks
+    run on up to ``threads`` pool workers; the result does not depend on
+    the count.
     """
     _check_design(model, design)
-    point = fit_pcr(design).theta
-    width = point.size
-    if spec.r <= width + 1:
-        raise ConfigurationError(
-            f"jackknife needs more blocks than coefficients + 1 "
-            f"(r = {spec.r}, coefficients = {width})"
-        )
+    point = (fit_pcr(design) if fit is None else fit).theta
     n = design.n
+    check_blocks(spec.r, point.size, n)
     k = n // spec.r
-    if k < 2:
-        raise ConfigurationError(
-            f"jackknife with r = {spec.r} blocks leaves fewer than two "
-            f"observations per block at n = {n}"
-        )
     used = spec.r * k
     frame = _replicate_frame(model)
 
@@ -432,16 +457,78 @@ def block_jackknife(
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)
-    se = np.sqrt(np.diag(cov))
-    lower, upper = normal_ci(point, se, spec.level)
-    table = CiTable(
-        names=coefficient_names(design.d, design.m, design.treatment is not None),
-        point=point.copy(),
-        lower=lower,
-        upper=upper,
-        se=se,
-        level=spec.level,
-        method=f"jackknife-r{spec.r}",
-        completed=spec.r,
+    table = _normal_table(
+        coefficient_names(design.d, design.m, design.treatment is not None),
+        point, np.sqrt(np.diag(cov)), spec.level, f"jackknife-r{spec.r}", spec.r,
     )
     return JackknifeResult(replicates=reps, cov=cov, table=table, kept=used - k)
+
+
+def check_intervals(
+    method, level: float, reps: int = 300, kind: str = "wild", seed: int = 0,
+    blocks=None,
+) -> None:
+    """Reject the settings ``coefficient_intervals`` would reject, before any fit.
+
+    ``method`` None asks for no intervals and is not checked further. A
+    bootstrap checks ``kind``, ``reps``, ``seed`` and ``level`` as
+    ``BootstrapSpec`` does; a jackknife checks ``blocks``, when given, and
+    ``level`` as ``JackknifeSpec`` does. The block count against the
+    coefficient and row counts is ``check_blocks``, once they are known.
+    """
+    if method is None:
+        return
+    if method not in INTERVAL_METHODS:
+        raise ConfigurationError(
+            f"inference must be plugin, bootstrap, jackknife, or None, got {method!r}"
+        )
+    if method == "bootstrap":
+        BootstrapSpec(kind=kind, b_reps=reps, base_seed=seed, level=level)
+    elif method == "jackknife" and blocks is not None:
+        JackknifeSpec(r=blocks, level=level)
+    else:
+        check_level(level)
+
+
+def coefficient_intervals(
+    model: EigenModel,
+    design: RegressionDesign,
+    fit: RegressionFit,
+    method: str,
+    level: float,
+    reps: int = 300,
+    kind: str = "wild",
+    seed: int = 0,
+    blocks=None,
+    threads: int = 1,
+):
+    """Intervals for the coefficients of ``fit`` by one of ``INTERVAL_METHODS``.
+
+    ``fit`` is ``fit_pcr(design)``, the point estimate of every method, and
+    ``model`` and ``design`` are as for ``bootstrap_theta``. "plugin" gives
+    normal intervals from ``plugin_cov`` (one arm only); "bootstrap" gives
+    the percentile intervals of ``bootstrap_theta`` with ``reps`` draws of
+    ``kind`` keyed by ``seed``; "jackknife" gives the normal intervals of
+    ``block_jackknife`` with ``blocks`` blocks, by default the fewest
+    allowed (coefficients + 2). Replicates run on up to ``threads``
+    workers. Returns the ``CiTable`` and the ``BootstrapResult`` or
+    ``JackknifeResult`` behind it, None for plug-in intervals, whose table
+    counts no completed replicates. ``check_intervals`` takes the same
+    settings and rejects them before any fit.
+    """
+    if method == "bootstrap":
+        spec = BootstrapSpec(kind=kind, b_reps=reps, base_seed=seed, level=level)
+        res = bootstrap_theta(model, design, spec, threads, fit)
+    elif method == "jackknife":
+        r = fit.theta.size + 2 if blocks is None else blocks
+        spec = JackknifeSpec(r=r, level=level)
+        res = block_jackknife(model, design, spec, threads, fit)
+    elif method == "plugin":
+        se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
+        names = coefficient_names(design.d, design.m)
+        return _normal_table(names, fit.theta, se, level, "plugin", 0), None
+    else:
+        raise ConfigurationError(
+            f"interval method must be one of {INTERVAL_METHODS}, got {method!r}"
+        )
+    return res.table, res

@@ -33,17 +33,8 @@ from .decomp import (
     select_pve,
 )
 from .errors import ConformanceError, ConfigurationError
-from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
-from .resampling import (
-    BootstrapSpec,
-    JackknifeSpec,
-    block_jackknife,
-    bootstrap_theta,
-    check_level,
-    jackknife_spec,
-    normal_ci,
-    run_tolerant,
-)
+from .regression import RegressionDesign, coefficient_names, fit_pcr
+from .resampling import check_intervals, coefficient_intervals, run_tolerant
 from .space import (
     AmbientSpace,
     Whitener,
@@ -190,10 +181,14 @@ class KLSample:
 class PipelineOptions:
     """Estimation settings applied to every Monte Carlo replicate.
 
-    Settings that would fail every replicate are rejected here, with the
-    messages the replicates would give, before a study is built: ``tau``
-    where it picks m, the interval ``level``, the bootstrap settings and a
-    jackknife block count below two.
+    ``inference`` is None or one of the methods of
+    ``resampling.coefficient_intervals``, which each replicate calls with
+    ``level`` and the settings of its method: ``b_reps`` and ``boot_kind``
+    for a bootstrap, ``r_blocks`` (by default the fewest allowed) for a
+    jackknife. Settings that would fail every replicate are rejected here,
+    with the messages the replicates would give, before a study is built:
+    ``tau`` where it picks m, then the interval settings, by
+    ``resampling.check_intervals``.
     """
 
     degree: int = 3
@@ -207,19 +202,11 @@ class PipelineOptions:
     r_blocks: int | None = None
 
     def __post_init__(self):
-        if self.inference not in (None, "plugin", "bootstrap", "jackknife"):
-            raise ConfigurationError(
-                f"inference must be plugin, bootstrap, jackknife, or None, "
-                f"got {self.inference!r}"
-            )
         if self.m_override is None:
             check_tau(self.tau)
-        if self.inference == "bootstrap":
-            BootstrapSpec(kind=self.boot_kind, b_reps=self.b_reps, level=self.level)
-        elif self.inference == "jackknife" and self.r_blocks is not None:
-            JackknifeSpec(r=self.r_blocks, level=self.level)
-        elif self.inference is not None:
-            check_level(self.level)
+        check_intervals(
+            self.inference, self.level, self.b_reps, self.boot_kind, blocks=self.r_blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -559,8 +546,11 @@ def run_replicate(
 
     covered = np.full(truth.size, np.nan)
     if options.inference is not None:
-        lower, upper = _interval_bounds(config, options, model, fit, design, replicate)
-        lo, hi = sign * lower[src], sign * upper[src]
+        table, _ = coefficient_intervals(
+            model, design, fit, options.inference, options.level, options.b_reps,
+            options.boot_kind, mix_seed(config.seed, replicate), options.r_blocks,
+        )
+        lo, hi = sign * table.lower[src], sign * table.upper[src]
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         covered[dest] = ((lo <= truth[dest]) & (truth[dest] <= hi)).astype(float)
     return {
@@ -588,25 +578,6 @@ def _fit_to_truth(config: ScenarioConfig, signs, m: int, two_arm: bool):
     src = np.concatenate([arm * (1 + d + m) + block for arm in arms])
     sign = np.concatenate([np.ones(1 + d), signs[:k]] * len(arms))
     return dest, src, sign
-
-
-def _interval_bounds(config, options, model, fit, design, replicate):
-    """Lower/upper interval bounds in the fit's own coordinate layout."""
-    if options.inference == "bootstrap":
-        spec = BootstrapSpec(
-            kind=options.boot_kind,
-            b_reps=options.b_reps,
-            base_seed=mix_seed(config.seed, replicate),
-            level=options.level,
-        )
-        res = bootstrap_theta(model, design, spec)
-        return res.table.lower, res.table.upper
-    if options.inference == "jackknife":
-        spec = jackknife_spec(design, options.r_blocks, options.level)
-        res = block_jackknife(model, design, spec)
-        return res.table.lower, res.table.upper
-    cov = plugin_cov(fit, model, design)
-    return normal_ci(fit.theta, np.sqrt(np.diag(cov)), options.level)
 
 
 def run_monte_carlo(

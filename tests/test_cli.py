@@ -132,25 +132,48 @@ def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command)
         ("jackknife", ["--blocks", "1"], "jackknife needs at least two blocks"),
         ("regress", ["--treatment", "a", "--blocks", "0"],
          "jackknife needs at least two blocks"),
+        ("regress", ["--response", "nope"],
+         "response column 'nope' not in ['y', 'x1', 'x2', 'a']"),
+        ("bootstrap", ["--table", "{tmp}/missing.csv"],
+         "[Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+        ("jackknife", ["--covariates", "x1,x3"],
+         "column 'x3' not in header ['y', 'x1', 'x2', 'a']"),
+        ("bootstrap", ["--table", "{tmp}/text.csv"],
+         "column 'x1', row 3: 'n/a' is not numeric"),
+        ("regress", ["--treatment", "x1"], "treatment column 'x1' must be binary"),
+        ("jackknife", ["--table", "{tmp}/short.csv"],
+         "table has 49 rows but the data file has 50"),
+        ("jackknife", ["--m", "2", "--blocks", "3"],
+         "jackknife needs more blocks than coefficients + 1 (r = 3, coefficients = 5)"),
+        ("regress", ["--treatment", "a", "--m", "2", "--blocks", "4"],
+         "jackknife needs more blocks than coefficients + 1 (r = 4, coefficients = 10)"),
+        ("jackknife", ["--blocks", "30"],
+         "jackknife with r = 30 blocks leaves fewer than two observations per "
+         "block at n = 50"),
     ],
 )
 def test_selection_is_checked_before_the_fit(
     tmp_path, capsys, monkeypatch, command, flags, message
 ):
     def no_fit(*args, **kwargs):
-        raise AssertionError("the sample was fitted before --tau, --m or --blocks was checked")
+        raise AssertionError("the sample was fitted before a setting or the table was checked")
 
     monkeypatch.setattr(gridpcr.cli, "fit_subspace_pca", no_fit)
     data = tmp_path / "s.hsg"
     _, _, _, x, y = make_dataset(data)
-    table = tmp_path / "d.csv"
-    write_design(table, x, y)
-    argv = [command, "--data", str(data), *flags, "--out", str(tmp_path / "o")]
+    rows = [[float(y[i]), float(x[i, 0]), float(x[i, 1]), i % 2] for i in range(len(y))]
+    lines = ["y,x1,x2,a"] + [",".join(map(repr, row)) for row in rows]
+    (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
+    lines[3] = lines[3].replace(f",{rows[2][1]!r},", ",n/a,")
+    (tmp_path / "text.csv").write_text("\n".join(lines) + "\n")
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "o")]
     if command != "pve":
-        argv += ["--table", str(table), "--response", "y"]
-    rc = main(argv)
+        argv += ["--table", str(tmp_path / "d.csv"), "--response", "y",
+                 "--covariates", "x1,x2"]
+    rc = main(argv + [flag.format(tmp=tmp_path) for flag in flags])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
 
 
 def test_tau_is_not_checked_where_it_picks_nothing(tmp_path):

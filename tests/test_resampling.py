@@ -24,6 +24,8 @@ from gridpcr import (
     bootstrap_eigenvalues,
     bootstrap_theta,
     bspline_tensor_basis,
+    coefficient_intervals,
+    coefficient_names,
     component_scores,
     eigenfunctions,
     fit_pcr,
@@ -34,12 +36,13 @@ from gridpcr import (
     kl_factors,
     make_family,
     percentile_ci,
+    plugin_cov,
 )
 import gridpcr.decomp
 import gridpcr.resampling
 import gridpcr.util
 from gridpcr.decomp import _eig_from_scores
-from gridpcr.resampling import CiTable, _replicate_frame, _replicate_theta
+from gridpcr.resampling import CiTable, _replicate_frame, _replicate_theta, normal_ci
 from gridpcr.util import replicate_rng
 
 
@@ -372,6 +375,48 @@ def test_jackknife_blocks_run_on_the_requested_workers(monkeypatch):
     assert len(helpers) == 2
     np.testing.assert_array_equal(pooled.replicates, serial.replicates)
     np.testing.assert_array_equal(pooled.cov, serial.cov)
+
+
+def assert_tables_equal(table, direct):
+    """Every field of two interval tables equal, the arrays byte for byte."""
+    for name in ("point", "lower", "upper", "se"):
+        assert getattr(table, name).tobytes() == getattr(direct, name).tobytes(), name
+    for name in ("names", "level", "method", "completed"):
+        assert getattr(table, name) == getattr(direct, name), name
+
+
+def test_coefficient_intervals_match_the_direct_calls():
+    space, basis, sample, y, x, _ = small_problem(3)
+    model = fit_subspace_pca(space, basis, sample)
+    one = design_of(model, y, x, 2)
+    two = design_of(model, y, x, 2, treatment=np.arange(y.size) % 3 == 0)
+    fit = fit_pcr(one)
+
+    table, res = coefficient_intervals(model, one, fit, "plugin", 0.9)
+    se = np.sqrt(np.diag(plugin_cov(fit, model, one)))
+    lower, upper = normal_ci(fit.theta, se, 0.9)
+    direct = CiTable(coefficient_names(1, 2), fit.theta, lower, upper, se, 0.9, "plugin", 0)
+    assert res is None
+    assert_tables_equal(table, direct)
+
+    table, res = coefficient_intervals(
+        model, two, fit_pcr(two), "bootstrap", 0.9, reps=20, kind="wild", seed=7
+    )
+    direct = bootstrap_theta(
+        model, two, BootstrapSpec(kind="wild", b_reps=20, base_seed=7, level=0.9)
+    )
+    assert_tables_equal(table, direct.table)
+    assert res.draws.tobytes() == direct.draws.tobytes()
+
+    for blocks, r in ((8, 8), (None, 6)):  # by default coefficients + 2
+        table, res = coefficient_intervals(model, one, fit, "jackknife", 0.9, blocks=blocks)
+        direct = block_jackknife(model, one, JackknifeSpec(r=r, level=0.9))
+        assert_tables_equal(table, direct.table)
+        assert res.cov.tobytes() == direct.cov.tobytes()
+
+    for method in ("delta", None):
+        with pytest.raises(ConfigurationError, match="interval method must be"):
+            coefficient_intervals(model, one, fit, method, 0.9)
 
 
 def test_design_rows_must_match_model():
