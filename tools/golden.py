@@ -205,6 +205,13 @@ def cases(inputs) -> dict:
         "bootstrap-missing-table": ["bootstrap", *d2, "--table",
                                     os.path.join(inputs, "missing.csv"), "--response", "y"],
         "jackknife-few-blocks": ["jackknife", *d2, *table, "--m", "2", "--blocks", "3"],
+        # Replicate counts that are not a multiple of the resampling batch,
+        # on a pool that actually runs two workers.
+        "bootstrap-wild-threads": ["bootstrap", *d2, *table, "--treatment", "a",
+                                   "--kind", "wild", "--reps", "21", "--seed", "5",
+                                   "--threads", "2"],
+        "jackknife-threads": ["jackknife", *d2, *table, "--treatment", "a", "--m", "2",
+                              "--blocks", "13", "--threads", "2"],
     }
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
