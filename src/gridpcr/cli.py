@@ -552,10 +552,11 @@ def _coefficients(args):
 
     The interval settings, the selection and the design table (against the
     row count in the --data header) are checked before the sample is
-    fitted, and so is --blocks against the row count and, with --m, the
-    coefficient count; only the choice of m and the score columns wait for
-    the fit. Writes coefficients.csv and returns the design and
-    ``coefficient_intervals``' table and result.
+    fitted, and so is the jackknife block count against the row count and,
+    with --m, the coefficient count: --blocks when given, else, with --m,
+    the default coefficients + 2. Only the choice of m and the score
+    columns wait for the fit. Writes coefficients.csv and returns the
+    design and ``coefficient_intervals``' table and result.
     """
     method, settings = _interval_settings(args)
     check_intervals(method, args.level, **settings)
@@ -564,11 +565,11 @@ def _coefficients(args):
         basis = _build_basis(args, space, _basis_knots(args, space))
         n = sample.shape[0]
         y, x, treatment = _read_design(args, n)
-        if method == "jackknife" and args.blocks is not None:
+        if method == "jackknife" and (args.blocks is not None or args.m is not None):
             width = None
             if args.m is not None:
                 width = len(coefficient_names(x.shape[1], args.m, treatment is not None))
-            check_blocks(args.blocks, width, n)
+            check_blocks(width + 2 if args.blocks is None else args.blocks, width, n)
         model = fit_subspace_pca(space, basis, sample, args.drop_tol)
     m = args.m if args.m is not None else select_pve(model, args.tau).m
     if not 1 <= m <= model.n_components:

@@ -252,27 +252,44 @@ def eigenfunction_chunks(space: AmbientSpace, basis, model: EigenModel):
         yield synthesize(space, basis, coef[chunk])
 
 
-def _eig_from_scores(centered, weights=None, *, wanted=None, start=None):
-    """Eigendecompose the (optionally weighted) covariance of whitened scores.
+def _eig_from_scores(scores, weights=None, *, wanted=None, start=None):
+    """Eigenpairs of the weighted covariance of whitened scores: one fit, or a batch.
 
-    ``centered`` is (n, k), already centered under the same weights.
+    With ``weights`` None or one value per row, ``scores`` is (n, k),
+    already centered under the same weights: the k x k covariance is formed
+    and fully solved (``_direct_pairs``). This is the point fit's solve.
+
+    A batch of B resampling replicates passes a (B, n) stack of ``weights``,
+    ``wanted``, the count m of leading pairs each draw uses, and ``start``,
+    the point fit's eigenvector rows (J, k); ``scores`` are then the
+    replicate frame's uncentered scores. With a block of b = min(k, J, m +
+    4) < k vectors, ``_leading_pairs`` iterates every draw of the batch at
+    once from ``start[:b]`` and returns, for each draw that converges, those
+    of its m leading pairs that pass the retention rule; they agree with the
+    direct solve up to rounding. A draw that does not converge within
+    ``_MAX_SWEEPS`` sweeps, and every draw when b >= k, takes the direct
+    solve of its own weighted covariance, centered at its weighted mean.
+    Returns one (eigenvalues, eigenvector rows) pair per draw.
+    """
+    if weights is None or np.ndim(weights) == 1:
+        return _direct_pairs(scores, weights)
+    pairs = [None] * len(weights)
+    if min(start.shape[0], wanted + 4) < scores.shape[1]:
+        pairs = _leading_pairs(scores, weights, start[: wanted + 4], wanted)
+    return [
+        _direct_pairs(scores - np.average(scores, axis=0, weights=w), w)
+        if pair is None else pair
+        for w, pair in zip(weights, pairs)
+    ]
+
+
+def _direct_pairs(centered, weights):
+    """The retained eigenpairs of the full k x k covariance of ``centered``.
+
     Returns nonincreasing positive eigenvalues and eigenvector rows, signs
-    not yet normalized. Shared by the direct fit and resampling replicates.
-
-    Without ``start`` the k x k covariance is formed and fully solved. A
-    resampling replicate passes ``wanted``, the count m of leading pairs
-    it uses, and ``start``, the point fit's eigenvector rows (J, k): with
-    a block of b = min(k, J, m + 4) < k vectors, ``_leading_pairs`` finds
-    the m pairs by subspace iteration from ``start[:b]`` and returns those
-    of them that pass the retention rule; they agree with the direct solve
-    up to rounding. If b >= k, or the iteration does not converge within
-    ``_MAX_SWEEPS`` sweeps, the direct solve runs.
+    not yet normalized.
     """
     n = centered.shape[0]
-    if start is not None and min(start.shape[0], wanted + 4) < centered.shape[1]:
-        pairs = _leading_pairs(centered, weights, start[: wanted + 4], wanted)
-        if pairs is not None:
-            return pairs
     if weights is None:
         cov = centered.T @ centered / n
     else:
@@ -287,50 +304,75 @@ def _eig_from_scores(centered, weights=None, *, wanted=None, start=None):
     return vals[:j].copy(), vecs[:, :j].T.copy()
 
 
-def _leading_pairs(centered, weights, start, wanted):
-    """The ``wanted`` leading eigenpairs of the weighted covariance, or None.
+def _leading_pairs(scores, weights, start, wanted):
+    """The ``wanted`` leading eigenpairs of each draw's weighted covariance.
 
     Subspace iteration with Rayleigh-Ritz (Golub & Van Loan, *Matrix
     Computations*, 8.2.4; Saad, *Numerical Methods for Large Eigenvalue
-    Problems*, ch. 5) on a block of b vectors, started from the b rows of
-    ``start``. The covariance is applied as two skinny products and never
-    formed. Each sweep orthonormalizes the block the last product gave,
-    applies the covariance to it and solves the b x b Rayleigh-Ritz
-    problem; the first sweep works on the covariance times ``start``. It
-    stops when every wanted Ritz pair's residual norm is at most 4 eps
-    sqrt(k) times the largest Ritz value, which the block approaches at
-    the rate of the (b + 1)-th eigenvalue over the m-th. The sweep count
-    depends only on the data. Returns None after ``_MAX_SWEEPS`` sweeps
-    without convergence, or sooner, from the second sweep on, when the
-    residual's decay over the last sweep, repeated for the sweeps left,
-    would not reach the target.
+    Problems*, ch. 5) on a block of b vectors per draw, started from the b
+    rows of ``start``. ``scores`` (n, k) are centered once, at their
+    unweighted mean; draw i's weighted mean is then a shift d_i = w_i
+    centered / sum(w_i), and its covariance (centered - d_i)^T W_i
+    (centered - d_i) / n is applied as two skinny products that serve the
+    blocks of all draws still iterating, side by side, with the shift
+    subtracted after each. It is never formed, nor is any (B, n, k) copy
+    of the scores. Each sweep orthonormalizes every draw's block, applies
+    the covariances and solves the b x b Rayleigh-Ritz problems, all
+    stacked; the first sweep works on the covariance times ``start``. A
+    draw stops when every wanted Ritz pair's residual norm is at most 4 eps
+    sqrt(k) times its largest Ritz value, which its block approaches at the
+    rate of its (b + 1)-th eigenvalue over its m-th. Its sweep count depends
+    only on its own data. Returns one entry per draw: its retained pairs,
+    or None after ``_MAX_SWEEPS`` sweeps without convergence, or sooner,
+    from the second sweep on, when its residual's decay over the last
+    sweep, repeated for the sweeps left, would not reach the target.
     """
-    n, k = centered.shape
-    scale = np.full((n, 1), 1.0 / n) if weights is None else np.asarray(weights)[:, None] / n
+    n, k = scores.shape
+    b = start.shape[0]
+    centered = scores - scores.mean(axis=0)
+    shift = weights @ centered / weights.sum(axis=1)[:, None]
+    scale = weights.T / n
     tol = 4.0 * np.finfo(float).eps * np.sqrt(k)
-    z = centered.T @ (centered @ start.T * scale)
+
+    def cov_times(live, cq, q):
+        """The live draws' covariances times their blocks q (A, k, b).
+
+        ``cq`` is ``centered @ q`` for each draw, (n, A, b).
+        """
+        y = (cq - np.einsum("ak,akb->ab", shift[live], q)) * scale[:, live, None]
+        z = (centered.T @ y.reshape(n, -1)).reshape(k, live.size, b).transpose(1, 0, 2)
+        return z - shift[live][:, :, None] * y.sum(axis=0)[:, None, :]
+
+    pairs = [None] * len(weights)
+    live = np.arange(len(weights))
+    blocks = np.broadcast_to(start.T, (live.size, k, b))
+    z = cov_times(live, (centered @ start.T)[:, None, :], blocks)
     last = None
     for remaining in range(_MAX_SWEEPS - 1, -1, -1):
         q = np.linalg.qr(z)[0]
-        z = centered.T @ (centered @ q * scale)
-        h = q.T @ z
-        vals, rot = np.linalg.eigh(0.5 * (h + h.T))
-        vals, lead = vals[: -wanted - 1 : -1], rot[:, : -wanted - 1 : -1]
-        top = max(vals[0], 0.0)
-        resid = z @ lead - q @ (lead * vals)
-        worst, target = np.einsum("ij,ij->j", resid, resid).max(), (tol * top) ** 2
-        if worst <= target:
-            keep = (vals > 0.0) & (vals > RETAIN_REL_TOL * top)
-            j = int(np.count_nonzero(keep))
-            return vals[:j].copy(), (q @ lead[:, :j]).T.copy()
-        # Give up early when the decay of the last sweep, kept up for the
-        # sweeps left, would not reach the target: no spectral gap.
-        if last is not None and (
-            worst >= last or worst * (worst / last) ** remaining > target
-        ):
-            return None
-        last = worst
-    return None
+        cq = (centered @ q.transpose(1, 0, 2).reshape(k, -1)).reshape(n, live.size, b)
+        z = cov_times(live, cq, q)
+        h = np.swapaxes(q, 1, 2) @ z
+        vals, rot = np.linalg.eigh(0.5 * (h + np.swapaxes(h, 1, 2)))
+        vals, lead = vals[:, : -wanted - 1 : -1], rot[:, :, : -wanted - 1 : -1]
+        top = np.maximum(vals[:, 0], 0.0)
+        resid = z @ lead - q @ (lead * vals[:, None, :])
+        worst, target = np.einsum("akj,akj->aj", resid, resid).max(axis=1), (tol * top) ** 2
+        done = worst <= target
+        vecs = q[done] @ lead[done]
+        for draw, lams, top_i, rows in zip(live[done], vals[done], top[done], vecs):
+            j = int(np.count_nonzero((lams > 0.0) & (lams > RETAIN_REL_TOL * top_i)))
+            pairs[draw] = lams[:j].copy(), rows[:, :j].T.copy()
+        # A draw gives up early when the decay of its last sweep, kept up
+        # for the sweeps left, would not reach its target: no spectral gap.
+        going = ~done
+        if last is not None:
+            with np.errstate(over="ignore"):
+                going &= (worst < last) & (worst * (worst / last) ** remaining <= target)
+        if not going.any():
+            break
+        live, z, last = live[going], z[going], worst[going]
+    return pairs
 
 
 def column_space(a: np.ndarray):

@@ -30,7 +30,8 @@ class RegressionDesign:
 
     ``y`` is (n,), ``x`` is (n, d) scalar covariates (d may be 0), ``scores``
     is (n, m) component scores, and ``treatment`` is an optional boolean arm
-    indicator for two-arm fits.
+    indicator for two-arm fits. A batch of resampling replicates stacks its
+    draws' scores as (B, n, m), and ``fit_pcr`` fits them together.
     """
 
     y: np.ndarray
@@ -53,10 +54,10 @@ class RegressionDesign:
             scores = scores[:, None]
         if n == 0:
             raise ConformanceError("design must contain at least one observation")
-        if x.shape[0] != n or scores.shape[0] != n:
+        if x.shape[0] != n or scores.shape[-2] != n:
             raise ConformanceError(
                 f"design rows disagree: y has {n}, x has {x.shape[0]}, "
-                f"scores has {scores.shape[0]}"
+                f"scores has {scores.shape[-2]}"
             )
         for name, arr in (("y", y), ("x", x), ("scores", scores)):
             if not np.all(np.isfinite(arr)):
@@ -82,7 +83,7 @@ class RegressionDesign:
 
     @property
     def m(self) -> int:
-        return self.scores.shape[1]
+        return self.scores.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,28 @@ class RegressionFit:
 
 
 def design_matrix(design: RegressionDesign) -> np.ndarray:
-    """The regressor matrix: U = (1, X, scores), or (U, A * U) for two arms."""
-    u = np.column_stack([np.ones(design.n), design.x, design.scores])
-    if design.treatment is None:
-        return u
-    return np.column_stack([u, u * design.treatment[:, None]])
+    """The regressor matrix: U = (1, X, scores), or (U, A * U) for two arms.
+
+    Stacked scores (B, n, m) give one matrix per draw, (B, n, p).
+    """
+    return _regressors(design, 0)
+
+
+def _regressors(design: RegressionDesign, extra: int) -> np.ndarray:
+    """``design_matrix(design)`` in the first p of (..., n, p + extra) new columns.
+
+    The columns are filled as contiguous rows of the transposed array, and
+    the matrices come back as its transposed view.
+    """
+    q = 1 + design.d + design.m
+    p = q if design.treatment is None else 2 * q
+    u = np.empty(design.scores.shape[:-2] + (p + extra, design.n))
+    u[..., 0, :] = 1.0
+    u[..., 1 : 1 + design.d, :] = design.x.T
+    u[..., 1 + design.d : q, :] = np.swapaxes(design.scores, -1, -2)
+    if design.treatment is not None:
+        np.multiply(u[..., :q, :], design.treatment, out=u[..., q:p, :])
+    return np.swapaxes(u, -1, -2)
 
 
 def coefficient_names(d: int, m: int, treatment: bool = False) -> list:
@@ -146,82 +164,122 @@ def coefficient_names(d: int, m: int, treatment: bool = False) -> list:
     return names
 
 
-def _weights(n: int, weights) -> np.ndarray:
-    """Observation weights of a fit: one nonnegative value per row, or all ones."""
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,) or np.any(w < 0):
+def _weights(design: RegressionDesign, weights) -> np.ndarray:
+    """Observation weights of a fit: one nonnegative value per row, or all ones.
+
+    A design with stacked scores takes one row of weights per draw, (B, n).
+    """
+    rows = design.scores.shape[:-1]
+    w = np.ones(rows) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != rows or np.any(w < 0):
         raise ConformanceError("weights must be one nonnegative value per row")
     return w
 
 
-def _fit(design: RegressionDesign, weights: np.ndarray) -> RegressionFit:
-    """Weighted least squares of y on ``design_matrix(design)``.
+def _fit(design: RegressionDesign, weights: np.ndarray) -> list:
+    """Weighted least squares of y on ``design_matrix(design)``, for every draw.
 
-    ``weights`` come checked from ``_weights``. One SVD of the weighted
-    design gives both the solution and the condition of sigma_hat, which
-    is the squared ratio of its extreme singular values; a condition above
-    ``CONDITION_LIMIT`` (a numerically singular design) raises.
+    ``weights`` come checked from ``_weights``, and a design with unstacked
+    scores is a stack of one draw. A Householder QR (Golub & Van Loan,
+    *Matrix Computations*, 5.3) of each draw's weighted regressors,
+    augmented with its weighted response, gives R and Q^T y at once: theta
+    solves the triangular system, with an error that grows like the
+    design's condition times eps, not like its square as with the normal
+    equations. R has the singular values of the weighted design, so the
+    condition of sigma_hat = R^T R / n is the squared ratio of its extreme
+    ones; a condition above ``CONDITION_LIMIT`` (a numerically singular
+    design) fails that draw alone. Returns one entry per draw: its
+    ``RegressionFit``, or the ``DegenerateDesignError`` it fails with.
     """
-    u = design_matrix(design)
-    n, p = u.shape
+    n = design.n
+    w = weights.reshape(-1, n)
+    aug = _regressors(design, 1).reshape(len(w), n, -1)
+    p = aug.shape[2] - 1
     if n <= p:
-        raise DegenerateDesignError(
-            f"need more than {p} observations to fit {p} coefficients, got {n}"
-        )
-    root = np.sqrt(weights)
-    uw = u * root[:, None]
-    sigma = uw.T @ uw / n
-    left, sv, right = np.linalg.svd(uw, full_matrices=False)
+        return [
+            DegenerateDesignError(
+                f"need more than {p} observations to fit {p} coefficients, got {n}"
+            )
+        ] * len(w)
+    aug[:, :, p] = design.y
+    # numpy's qr factors a copy of its input, so each draw's weighted system
+    # is formed and factored on its own: a batch holds one (B, n, p + 1)
+    # array, the unweighted one the residuals are read from.
+    r = np.array([
+        np.linalg.qr(system * root[:, None], mode="r")
+        for system, root in zip(aug, np.sqrt(w))
+    ])
+    tri, qty = r[:, :p, :p], r[:, :p, p:]
+    sv = np.linalg.svd(tri, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        condition = float((sv[0] / sv[-1]) ** 2)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise DegenerateDesignError(
-            f"design second-moment matrix has condition {condition:.3e} "
+        condition = (sv[:, 0] / sv[:, -1]) ** 2
+    solvable = np.isfinite(condition) & (condition <= CONDITION_LIMIT)
+    theta = np.zeros((len(w), p, 1))
+    theta[solvable] = np.linalg.solve(tri[solvable], qty[solvable])
+    residuals = design.y - (aug[:, :, :p] @ theta)[:, :, 0]
+    sigma = np.swapaxes(tri, 1, 2) @ tri / n
+    sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+    return [
+        RegressionFit(
+            theta=theta[i, :, 0], sigma_hat=sigma[i], residuals=residuals[i],
+            condition=float(condition[i]), n=n, d=design.d, m=design.m,
+        )
+        if solvable[i]
+        else DegenerateDesignError(
+            f"design second-moment matrix has condition {condition[i]:.3e} "
             f"(limit {CONDITION_LIMIT:.0e}); the nondegeneracy assumption fails"
         )
-    theta = right.T @ ((left.T @ (design.y * root)) / sv)
-    return RegressionFit(
-        theta=theta,
-        sigma_hat=0.5 * (sigma + sigma.T),
-        residuals=design.y - u @ theta,
-        condition=condition,
-        n=n,
-        d=design.d,
-        m=design.m,
-    )
+        for i in range(len(w))
+    ]
 
 
-def fit_pcr(design: RegressionDesign, weights=None) -> RegressionFit:
+def _unstacked(design: RegressionDesign, fits: list):
+    """The fit of an unstacked design, raising its error; a stack's list as is."""
+    if design.scores.ndim == 3:
+        return fits
+    if isinstance(fits[0], DegenerateDesignError):
+        raise fits[0]
+    return fits[0]
+
+
+def fit_pcr(design: RegressionDesign, weights=None):
     """Least squares of y on (1, X, scores), per arm when the design has one.
 
     A design with a treatment indicator gets the two-arm fit of
     ``fit_precision``. ``weights`` reweights the empirical measure (used by
     resampling; None is unit weights); the stored residuals are always the
-    unweighted y - U theta.
+    unweighted y - U theta. Returns the ``RegressionFit``, or raises its
+    ``DegenerateDesignError``. A design with stacked scores (B, n, m) takes
+    (B, n) weights and returns one entry per draw: its ``RegressionFit``, or
+    the ``DegenerateDesignError`` that draw fails with, so that one
+    degenerate draw does not fail its batch.
     """
     if design.treatment is not None:
         return fit_precision(design, weights)
-    return _fit(design, _weights(design.n, weights))
+    return _unstacked(design, _fit(design, _weights(design, weights)))
 
 
-def fit_precision(design: RegressionDesign, weights=None) -> RegressionFit:
+def fit_precision(design: RegressionDesign, weights=None):
     """Two-arm least squares: y on (U, A * U) with U = (1, X, scores).
 
     Both treatment arms must carry positive weight, otherwise the modifier
     block is inestimable; arm sizes are weight totals (row counts when
-    ``weights`` is None).
+    ``weights`` is None). Stacked scores are fitted and returned as by
+    ``fit_pcr``, each draw's arms checked on its own weights.
     """
     if design.treatment is None:
         raise ConformanceError("two-arm fit needs a treatment indicator")
-    w = _weights(design.n, weights)
+    w = _weights(design, weights)
     a = design.treatment.astype(float)
-    n_treat, n_control = float(w @ a), float(w @ (1.0 - a))
-    if n_treat == 0 or n_control == 0:
-        raise DegenerateDesignError(
-            f"treatment arm sizes are {n_control:.15g} and {n_treat:.15g}; "
-            "both arms must be populated for the modifier block"
-        )
-    return _fit(design, w)
+    fits = _fit(design, w)
+    for i, wi in enumerate(w.reshape(-1, design.n)):
+        n_treat, n_control = float(wi @ a), float(wi @ (1.0 - a))
+        if n_treat == 0 or n_control == 0:
+            fits[i] = DegenerateDesignError(
+                f"treatment arm sizes are {n_control:.15g} and {n_treat:.15g}; "
+                "both arms must be populated for the modifier block"
+            )
+    return _unstacked(design, fits)
 
 
 def coefficient_element(fit: RegressionFit, model: EigenModel, space, basis):

@@ -11,12 +11,18 @@ scores; this is an exact algebraic shortcut, not an approximation. When
 those scores have rank k below the basis rank, as in every noise-free
 Karhunen-Loeve simulation, each replicate works in their k-dimensional
 numerical column space (``_replicate_frame``), which is exact up to rounding;
-a Monte Carlo fit brings that space with it. Each replicate solves only the
-leading eigenpairs it uses, by subspace iteration from the point fit
-(``_replicate_pairs``).
+a Monte Carlo fit brings that space with it.
 
-Replicate randomness is keyed by (base_seed, replicate index), making every
-study reproducible for any worker count and any execution order.
+Replicates are solved in fixed batches of ``BATCH`` consecutive draws, one
+pool task each: one stacked eigensolve (``decomp._eig_from_scores``), which
+finds only the leading eigenpairs each draw uses, by subspace iteration from
+the point fit, and one stacked least-squares fit (``fit_pcr``) per batch
+(``_replicate_thetas``). A draw that fails (too few components, a degenerate
+design, an empty arm) fails alone, with its own message.
+
+Replicate randomness is keyed by (base_seed, replicate index), and a batch is
+a fixed range of indices, making every study reproducible for any worker
+count and any execution order.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ from .util import norm_ppf, replicate_rng, run_indexed
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
 INTERVAL_METHODS = ("plugin", "bootstrap", "jackknife")
 MAX_FAILURE_FRACTION = 0.05
+# Draws per pool task and per stacked solve, chosen by measurement: 200 wild
+# draws of bootstrap-2d input set 1 (n = 500, k = 121, p = 18) on two
+# workers took 1.56, 0.72, 0.54, 0.49 and 0.52 ms per draw in batches of
+# 1, 4, 8, 16 and 25, at a peak RSS of 46.3, 46.8, 48.0, 50.3 and 53.7 MiB.
+BATCH = 8
 
 
 def check_level(level: float) -> None:
@@ -219,7 +230,7 @@ def _replicate_frame(model: EigenModel):
     components as the basis rank, the scores are full rank, no SVD is
     taken and the frame is ``(model.white, model.coords)``. The rows of
     ``ref`` also start each replicate's subspace iteration
-    (``_replicate_pairs``), and give its eigenvector signs.
+    (``_replicate_thetas``), and give its eigenvector signs.
     """
     if model.right is not None or model.n_components == model.whitener.rank:
         return model.left, model.frame_coords
@@ -227,45 +238,41 @@ def _replicate_frame(model: EigenModel):
     return left, model.coords @ right.T
 
 
-def _replicate_pairs(frame, weights, wanted: int):
-    """The ``wanted`` leading eigenpairs refitted under the observation weights.
+def _replicate_thetas(frame, design: RegressionDesign, weights, labels) -> list:
+    """Coefficients of a batch of replicates: refitted eigenfunctions, then regression.
 
-    ``frame`` is ``_replicate_frame`` of the point fit, so the eigenvector
-    rows are coordinates in the k columns of its ``left``. This is the one
-    replicate solver of all three resamplers: ``_eig_from_scores`` finds
-    the leading pairs by subspace iteration from the point fit's ``ref``,
-    and solves the k x k weighted covariance only when its block of
-    min(J, ``wanted`` + 4) vectors would have k or more, or the iteration
-    does not converge. Up to ``wanted`` pairs come back, those that pass the
-    retention rule. The weighted covariance is divided by n, not by the
-    weight total: bootstrap weights sum to n, and a jackknife replicate's
-    eigenvalues only feed its coords, which the scale does not change.
-    """
-    left, ref = frame
-    centered = left - np.average(left, axis=0, weights=weights)
-    return _eig_from_scores(centered, weights, wanted=wanted, start=ref)
-
-
-def _replicate_theta(
-    frame, design: RegressionDesign, weights, label: str
-) -> np.ndarray:
-    """Coefficients of one replicate: refitted eigenfunctions, then regression.
-
-    ``frame`` is ``_replicate_frame`` of the point fit. Replicate
-    eigenvector signs are flipped to match the point estimate's.
+    ``frame`` is ``_replicate_frame`` of the point fit, ``weights`` holds
+    one row of observation weights per draw (B, n), and ``labels`` names
+    each draw in its error message. One stacked ``_eig_from_scores``
+    refits every draw's m leading eigenpairs from the point fit's ``ref``,
+    and each draw's eigenvectors are flipped to match the signs of ``ref``;
+    one stacked ``fit_pcr`` then fits the draws' scores. The weighted
+    covariance is divided by n, not by the weight total: bootstrap weights
+    sum to n, and a jackknife replicate's eigenvalues only feed its coords,
+    which the scale does not change. Returns one entry per draw: its theta,
+    or the ``GridPcrError`` it fails with (fewer than m components
+    retained, a degenerate design, an empty arm).
     """
     left, ref = frame
     m = design.m
-    vecs = _replicate_pairs(frame, weights, m)[1]
-    if vecs.shape[0] < m:
-        raise GridPcrError(
-            f"{label} retained {vecs.shape[0]} components, "
-            f"fewer than the {m} the design needs"
-        )
-    signs = np.sign(np.sum(vecs[:m] * ref[:m], axis=1))
-    signs[signs == 0] = 1.0
-    scores = left @ (vecs[:m] * signs[:, None]).T
-    return fit_pcr(replace(design, scores=scores), weights).theta
+    out, flips = [None] * len(weights), []
+    for i, (_, vecs) in enumerate(_eig_from_scores(left, weights, wanted=m, start=ref)):
+        if vecs.shape[0] < m:
+            out[i] = GridPcrError(
+                f"{labels[i]} retained {vecs.shape[0]} components, "
+                f"fewer than the {m} the design needs"
+            )
+            continue
+        signs = np.sign(np.sum(vecs[:m] * ref[:m], axis=1))
+        signs[signs == 0] = 1.0
+        flips.append(vecs[:m] * signs[:, None])
+    solved = [i for i, res in enumerate(out) if res is None]
+    if solved:
+        scores = left @ np.swapaxes(np.array(flips), 1, 2)
+        fits = fit_pcr(replace(design, scores=scores), weights[solved])
+        for i, fit in zip(solved, fits):
+            out[i] = fit if isinstance(fit, GridPcrError) else fit.theta
+    return out
 
 
 def percentile_ci(draws, level: float):
@@ -287,27 +294,45 @@ def percentile_ci(draws, level: float):
     return lower, upper
 
 
-def run_tolerant(fn, count: int, threads: int, what: str):
-    """Evaluate ``fn(i)`` for every i < count, tolerating a few failures.
+def _run_batches(solve, count: int, threads: int, batch: int) -> list:
+    """Outcomes of every index below ``count``, solved in fixed ranges of ``batch``.
 
-    A replicate raising ``GridPcrError`` is recorded as (i, message). A
-    ``ConfigurationError`` propagates at once: a setting that fails one
-    replicate fails them all. Returns the results in index order and the failures; more than
-    ``MAX_FAILURE_FRACTION`` of ``count`` failing raises ``StudyError``.
+    Each range of ``batch`` consecutive indices is one ``run_indexed`` task,
+    so the ranges, and the outcomes, do not depend on ``threads``.
+    ``solve(indices)`` returns one outcome per index of its range: a
+    result, or the ``GridPcrError`` that index fails with. A
+    ``GridPcrError`` that ``solve`` raises becomes the outcome of every
+    index of its range; a ``ConfigurationError`` propagates.
     """
 
-    def one(i):
+    def task(t):
+        indices = range(t * batch, min(count, (t + 1) * batch))
         try:
-            return fn(i)
+            return solve(indices)
         except ConfigurationError:
             raise
         except GridPcrError as exc:
-            return (i, str(exc))
+            return [exc] * len(indices)
 
+    parts = run_indexed(task, -(-count // batch), threads)
+    return [outcome for part in parts for outcome in part]
+
+
+def run_tolerant(solve, count: int, threads: int, what: str, batch: int = 1):
+    """Evaluate ``solve`` on every index below ``count``, tolerating a few failures.
+
+    The indices run as ``_run_batches`` runs them: ``solve(indices)`` takes
+    a fixed range of ``batch`` consecutive indices and returns one outcome
+    per index. A ``GridPcrError`` outcome is recorded as (i, message). A
+    ``ConfigurationError`` propagates at once: a setting that fails one
+    replicate fails them all. Returns the results in index order and the
+    failures; more than ``MAX_FAILURE_FRACTION`` of ``count`` failing
+    raises ``StudyError``.
+    """
     done, failures = [], []
-    for res in run_indexed(one, count, threads):
-        if isinstance(res, tuple):
-            failures.append(res)
+    for i, res in enumerate(_run_batches(solve, count, threads, batch)):
+        if isinstance(res, GridPcrError):
+            failures.append((i, str(res)))
         else:
             done.append(res)
     if len(failures) > MAX_FAILURE_FRACTION * count:
@@ -342,9 +367,16 @@ def _normal_table(names, point, se, level: float, method: str, completed: int):
     )
 
 
-def _bootstrap(spec: BootstrapSpec, fn, names: list, point, threads: int):
-    """Run ``fn(b)`` for every replicate b and tabulate percentile intervals."""
-    draws, failures = run_tolerant(fn, spec.b_reps, threads, "bootstrap")
+def _bootstrap(spec: BootstrapSpec, n: int, solve, names: list, point, threads: int):
+    """Solve every replicate in batches and tabulate percentile intervals.
+
+    ``solve(weights, draws)`` returns one outcome per draw of the range
+    ``draws``, whose ``gen_weights`` over n rows are the rows of ``weights``.
+    """
+    draws, failures = run_tolerant(
+        lambda b: solve(np.array([gen_weights(spec, n, i) for i in b]), b),
+        spec.b_reps, threads, "bootstrap", BATCH,
+    )
     draws = np.array(draws).reshape(len(draws), len(names))
     lower, upper = percentile_ci(draws, spec.level)
     table = CiTable(
@@ -374,16 +406,18 @@ def bootstrap_theta(
     scores. ``fit`` is ``fit_pcr(design)``, fitted here when not given.
     Each replicate re-estimates the eigenfunctions under its weights
     (signs aligned to the point estimate), rebuilds the scores, and refits
-    the regression; m stays fixed at the design's. Failed replicates are
-    tolerated up to 5% of the study and reported; beyond that the study
-    errors out.
+    the regression; m stays fixed at the design's. Replicates run in
+    batches of ``BATCH`` on up to ``threads`` pool workers; the draws do
+    not depend on the count. Failed replicates are tolerated up to 5% of
+    the study and reported; beyond that the study errors out.
     """
     _check_design(model, design)
     frame = _replicate_frame(model)
     return _bootstrap(
         spec,
-        lambda b: _replicate_theta(
-            frame, design, gen_weights(spec, model.n, b), f"replicate {b}"
+        model.n,
+        lambda weights, draws: _replicate_thetas(
+            frame, design, weights, [f"replicate {b}" for b in draws]
         ),
         coefficient_names(design.d, design.m, design.treatment is not None),
         (fit_pcr(design) if fit is None else fit).theta,
@@ -404,18 +438,18 @@ def bootstrap_eigenvalues(
     j = model.n_components
     if j == 0:
         raise ConformanceError("point estimate retains no components")
+    left, ref = _replicate_frame(model)
 
-    frame = _replicate_frame(model)
-
-    def one(b):
-        lams = _replicate_pairs(frame, gen_weights(spec, model.n, b), j)[0]
-        out = np.zeros(j)
-        take = min(j, lams.size)
-        out[:take] = lams[:take]
-        return out
+    def solve(weights, draws):
+        out = np.zeros((len(draws), j))
+        pairs = _eig_from_scores(left, weights, wanted=j, start=ref)
+        for row, (lams, _) in zip(out, pairs):
+            take = min(j, lams.size)
+            row[:take] = lams[:take]
+        return list(out)
 
     names = [f"lambda{k + 1}" for k in range(j)]
-    return _bootstrap(spec, one, names, model.eigenvalues, threads)
+    return _bootstrap(spec, model.n, solve, names, model.eigenvalues, threads)
 
 
 def block_jackknife(
@@ -433,11 +467,11 @@ def block_jackknife(
     l + r, l + 2r, ...} (k of them) of the first r * k rows and to every
     trailing row beyond r * k, and weight one to the rest. Each replicate
     reruns the eigendecomposition and regression under those weights, as a
-    bootstrap draw does; a failing block raises. The covariance is
-    ((r - 1) / r) times the replicate scatter around the replicate mean,
+    bootstrap draw does; the lowest failing block raises. The covariance
+    is ((r - 1) / r) times the replicate scatter around the replicate mean,
     and intervals are normal around the full-sample point estimate. Blocks
-    run on up to ``threads`` pool workers; the result does not depend on
-    the count.
+    run in batches of ``BATCH`` on up to ``threads`` pool workers; the
+    result does not depend on the count.
     """
     _check_design(model, design)
     point = (fit_pcr(design) if fit is None else fit).theta
@@ -447,13 +481,19 @@ def block_jackknife(
     used = spec.r * k
     frame = _replicate_frame(model)
 
-    def one(block):
-        weights = np.zeros(n)
-        weights[:used] = 1.0
-        weights[block:used:spec.r] = 0.0
-        return _replicate_theta(frame, design, weights, f"jackknife block {block}")
+    def solve(blocks):
+        weights = np.zeros((len(blocks), n))
+        weights[:, :used] = 1.0
+        for row, block in zip(weights, blocks):
+            row[block:used:spec.r] = 0.0
+        labels = [f"jackknife block {block}" for block in blocks]
+        return _replicate_thetas(frame, design, weights, labels)
 
-    reps = np.array(run_indexed(one, spec.r, threads))
+    reps = _run_batches(solve, spec.r, threads, BATCH)
+    for rep in reps:
+        if isinstance(rep, GridPcrError):
+            raise rep
+    reps = np.array(reps)
     center = reps.mean(axis=0)
     dev = reps - center
     cov = (spec.r - 1) / spec.r * (dev.T @ dev)

@@ -599,7 +599,7 @@ def run_monte_carlo(
     options = options or PipelineOptions()
     study = Study.build(config, options)
     metrics, failures = run_tolerant(
-        lambda b: run_replicate(config, options, b, study),
+        lambda indices: [run_replicate(config, options, b, study) for b in indices],
         reps,
         threads,
         "Monte Carlo",

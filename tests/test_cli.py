@@ -150,6 +150,12 @@ def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command)
         ("jackknife", ["--blocks", "30"],
          "jackknife with r = 30 blocks leaves fewer than two observations per "
          "block at n = 50"),
+        ("jackknife", ["--m", "22"],
+         "jackknife with r = 27 blocks leaves fewer than two observations per "
+         "block at n = 50"),
+        ("regress", ["--treatment", "a", "--m", "10"],
+         "jackknife with r = 28 blocks leaves fewer than two observations per "
+         "block at n = 50"),
     ],
 )
 def test_selection_is_checked_before_the_fit(

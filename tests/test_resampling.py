@@ -42,7 +42,7 @@ import gridpcr.decomp
 import gridpcr.resampling
 import gridpcr.util
 from gridpcr.decomp import _eig_from_scores
-from gridpcr.resampling import CiTable, _replicate_frame, _replicate_theta, normal_ci
+from gridpcr.resampling import BATCH, CiTable, _replicate_frame, _replicate_thetas, normal_ci
 from gridpcr.util import replicate_rng
 
 
@@ -290,11 +290,42 @@ def test_resample_emptying_an_arm_fails():
     model = fit_subspace_pca(space, basis, sample)
     counts = np.zeros(n)
     counts[~treatment] = 2.0  # every draw lands in the control arm
+    (failure,) = _replicate_thetas(
+        _replicate_frame(model), design_of(model, y, x, 2, treatment), counts[None],
+        ["replicate 0"],
+    )
     with pytest.raises(DegenerateDesignError, match="treatment arm sizes are 50 and 0"):
-        _replicate_theta(
-            _replicate_frame(model), design_of(model, y, x, 2, treatment), counts,
-            "replicate 0",
-        )
+        raise failure
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (3, "treatment arm sizes are 50 and 0; both arms must be populated for the "
+            "modifier block"),
+        (10, "replicate 10 retained 1 components, fewer than the 2 the design needs"),
+    ],
+    ids=["empty-arm", "one-direction"],
+)
+def test_a_failing_draw_fails_alone_in_its_batch(monkeypatch, bad, message):
+    # Handmade weights for one draw: every weight in the control arm, or
+    # weight on two rows only. The other 20 draws of the study succeed.
+    space, basis, sample, y, x, _ = small_problem(10)
+    n = y.size
+    treatment = np.arange(n) % 2 == 0
+    model = fit_subspace_pca(space, basis, sample)
+    design = design_of(model, y, x, 2, treatment)
+    spec = BootstrapSpec(kind="wild", b_reps=21, base_seed=8)
+    handmade = [gen_weights(spec, n, b) for b in range(spec.b_reps)]
+    handmade[bad] = np.where(treatment, 0.0, 2.0) if bad == 3 else (np.arange(n) < 2) * 1.0
+    monkeypatch.setattr(gridpcr.resampling, "gen_weights", lambda spec, n, b: handmade[b])
+    runs = [bootstrap_theta(model, design, spec, threads) for threads in (1, 2, 3)]
+    for res in runs:
+        assert res.failures == [(bad, message)]
+        assert res.draws.tobytes() == runs[0].draws.tobytes()
+    frame = _replicate_frame(model)
+    want = [direct_theta(frame, design, w) for b, w in enumerate(handmade) if b != bad]
+    assert_close_to_column_max(runs[0].draws, want)
 
 
 def test_jackknife_covariance_formula():
@@ -339,12 +370,15 @@ def test_jackknife_failing_block_raises(monkeypatch):
     space, basis, sample, y, x, _ = small_problem(7)
     model = fit_subspace_pca(space, basis, sample)
 
-    def flaky(model, design, weights, label):
-        if label == "jackknife block 3":
-            raise GridPcrError(f"{label} retained too few components")
-        return _replicate_theta(model, design, weights, label)
+    def flaky(frame, design, weights, labels):
+        out = _replicate_thetas(frame, design, weights, labels)
+        return [
+            GridPcrError(f"{label} retained too few components")
+            if label == "jackknife block 3" else res
+            for label, res in zip(labels, out)
+        ]
 
-    monkeypatch.setattr(gridpcr.resampling, "_replicate_theta", flaky)
+    monkeypatch.setattr(gridpcr.resampling, "_replicate_thetas", flaky)
     with pytest.raises(GridPcrError, match="jackknife block 3"):
         block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=8))
 
@@ -369,9 +403,10 @@ def test_jackknife_blocks_run_on_the_requested_workers(monkeypatch):
     space, basis, sample, y, x, _ = small_problem(7)
     model = fit_subspace_pca(space, basis, sample)
     design = design_of(model, y, x, 2)
-    pooled = block_jackknife(model, design, JackknifeSpec(r=8), threads=3)
+    spec = JackknifeSpec(r=2 * BATCH + 4)  # three batches, one for each worker
+    pooled = block_jackknife(model, design, spec, threads=3)
     assert len(helpers) == 2  # three workers: the caller and two helpers
-    serial = block_jackknife(model, design, JackknifeSpec(r=8))
+    serial = block_jackknife(model, design, spec)
     assert len(helpers) == 2
     np.testing.assert_array_equal(pooled.replicates, serial.replicates)
     np.testing.assert_array_equal(pooled.cov, serial.cov)
@@ -480,21 +515,38 @@ def dense_frame(model):
     return model.white, model.coords
 
 
-BOOT_SPEC = BootstrapSpec(kind="wild", b_reps=6, base_seed=3)
-EIG_SPEC = BootstrapSpec(kind="nonparametric", b_reps=6, base_seed=4)
-BLOCKS = 8
+# Neither the draw counts nor the block count is a multiple of the batch.
+BOOT_SPECS = (
+    BootstrapSpec(kind="wild", b_reps=21, base_seed=3),
+    BootstrapSpec(kind="nonparametric", b_reps=21, base_seed=5),
+)
+EIG_SPEC = BootstrapSpec(kind="nonparametric", b_reps=21, base_seed=4)
+BLOCKS = 13
+THETA_REPLICATES = BOOT_SPECS[0].b_reps + BOOT_SPECS[1].b_reps + BLOCKS
+EIGENVALUES = 2  # the index of the eigenvalue bootstrap in RESAMPLERS
 
 
 RESAMPLERS = (
-    lambda model, design: bootstrap_theta(model, design, BOOT_SPEC).draws,
-    lambda model, design: bootstrap_eigenvalues(model, EIG_SPEC).draws,
-    lambda model, design: block_jackknife(model, design, JackknifeSpec(r=BLOCKS)).replicates,
+    lambda model, design, threads: bootstrap_theta(
+        model, design, BOOT_SPECS[0], threads).draws,
+    lambda model, design, threads: bootstrap_theta(
+        model, design, BOOT_SPECS[1], threads).draws,
+    lambda model, design, threads: bootstrap_eigenvalues(model, EIG_SPEC, threads).draws,
+    lambda model, design, threads: block_jackknife(
+        model, design, JackknifeSpec(r=BLOCKS), threads).replicates,
 )
 
 
 def resampled(model, design):
-    """Outputs of the three resamplers: theta draws, eigenvalue draws, blocks."""
-    return [run(model, design) for run in RESAMPLERS]
+    """Outputs of the resamplers: wild and nonparametric theta draws, eigenvalue
+    draws, blocks; each the same bytes on 1, 2 and 3 pool workers."""
+    outputs = []
+    for run in RESAMPLERS:
+        first, *others = (run(model, design, threads) for threads in (1, 2, 3))
+        for other in others:
+            assert other.shape == first.shape and other.tobytes() == first.tobytes()
+        outputs.append(first)
+    return outputs
 
 
 def directly_solved(model, design, frame):
@@ -508,11 +560,14 @@ def directly_solved(model, design, frame):
         weights[:used] = 1.0
         weights[block:used:BLOCKS] = 0.0
         blocks.append(direct_theta(frame, design, weights))
-    return [
-        np.array([direct_theta(frame, design, gen_weights(BOOT_SPEC, n, b)) for b in range(6)]),
-        np.array([direct_eigs(frame, gen_weights(EIG_SPEC, n, b))[0][:j] for b in range(6)]),
-        np.array(blocks),
+    thetas = [
+        np.array([direct_theta(frame, design, gen_weights(spec, n, b))
+                  for b in range(spec.b_reps)])
+        for spec in BOOT_SPECS
     ]
+    eigs = [direct_eigs(frame, gen_weights(EIG_SPEC, n, b))[0][:j]
+            for b in range(EIG_SPEC.b_reps)]
+    return [*thetas, np.array(eigs), np.array(blocks)]
 
 
 def resampled_and_direct(model, design, frame):
@@ -525,7 +580,7 @@ def assert_close_to_column_max(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def kl_grid_model(noise):
+def kl_grid_model(noise, two_arm=False):
     """A fit_subspace_pca of 60 KL rows of three components on a 10x12 grid."""
     space = AmbientSpace.unit_domain((10, 12))
     family = make_family(space, "synthetic2d", 3)
@@ -536,7 +591,7 @@ def kl_grid_model(noise):
     model = fit_subspace_pca(space, basis, rows)
     x = rng.standard_normal((60, 1))
     y = 1.0 + x[:, 0] + factors[:, :2] @ [1.5, -1.0] + 0.3 * rng.standard_normal(60)
-    return model, design_of(model, y, x, 2)
+    return model, design_of(model, y, x, 2, np.arange(60) % 2 == 0 if two_arm else None)
 
 
 def study_model():
@@ -551,8 +606,10 @@ def study_model():
     return model, design_of(model, y, x, 2)
 
 
-@pytest.mark.parametrize("make", [lambda: kl_grid_model(0.0), study_model],
-                         ids=["grid-sample", "study"])
+@pytest.mark.parametrize(
+    "make", [lambda: kl_grid_model(0.0), lambda: kl_grid_model(0.0, True), study_model],
+    ids=["grid-sample", "grid-sample-two-arm", "study"],
+)
 def test_rank_deficient_replicates_match_the_dense_formula(make):
     # Noise-free KL rows have whitened scores of rank k < basis rank: the
     # replicates run in k columns and match the rank-column formula.
@@ -576,7 +633,8 @@ def test_full_rank_replicates_keep_the_dense_bytes():
     frame = _replicate_frame(model)
     assert frame[0] is model.white and frame[1] is model.coords
     np.testing.assert_array_equal(
-        RESAMPLERS[1](model, design), directly_solved(model, design, frame)[1]
+        RESAMPLERS[EIGENVALUES](model, design, 1),
+        directly_solved(model, design, frame)[EIGENVALUES],
     )
     model, design = study_model()
     frame = _replicate_frame(model)
@@ -586,12 +644,16 @@ def test_full_rank_replicates_keep_the_dense_bytes():
 
 
 def eigh_widths(monkeypatch):
-    """Spy on numpy.linalg.eigh; returns the list of solved matrix widths."""
+    """Spy on numpy.linalg.eigh; returns the list of solved matrix widths.
+
+    A stacked call adds the width once for every matrix of its stack, so the
+    list counts solves per draw however the draws are batched.
+    """
     widths = []
     eigh = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        widths.append(a.shape[0])
+        widths.extend([a.shape[-1]] * int(np.prod(a.shape[:-2], dtype=int)))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
@@ -599,30 +661,32 @@ def eigh_widths(monkeypatch):
 
 
 def test_replicates_solve_only_the_leading_pairs(monkeypatch):
-    # A full-rank noisy fit (k = r = 25) with m = 2: each replicate finds
-    # its 2 leading pairs on a block of m + 4 vectors, never a 25-wide
-    # eigenproblem, within 1e-12 of the dense oracle.
-    model, design = kl_grid_model(0.05)
-    k = model.white.shape[1]
-    assert model.n_components == k and design.m == 2
+    # A full-rank noisy fit (k = r = 25) with m = 2, one and two arms: each
+    # replicate finds its 2 leading pairs on a block of m + 4 vectors, never
+    # a 25-wide eigenproblem, within 1e-12 of the dense oracle.
+    widths = eigh_widths(monkeypatch)
+    for two_arm in (False, True):
+        model, design = kl_grid_model(0.05, two_arm)
+        k = model.white.shape[1]
+        assert model.n_components == k and design.m == 2
+        outputs = []
+        for i, run in enumerate(RESAMPLERS):
+            widths.clear()
+            outputs.append(run(model, design, 1))
+            # The eigenvalue bootstrap wants all J = k pairs, so m + 4 >= k.
+            assert widths and max(widths) <= (k if i == EIGENVALUES else design.m + 4)
+        for got, want in zip(outputs, directly_solved(model, design, dense_frame(model))):
+            assert_close_to_column_max(got, want)
     truncated = replace(
         model, eigenvalues=model.eigenvalues[:3], coords=model.coords[:3]
     )
-    widths = eigh_widths(monkeypatch)
-    outputs = []
-    for i, run in enumerate(RESAMPLERS):
-        outputs.append(run(model, design))
-        # The eigenvalue bootstrap wants all J = k pairs, so m + 4 >= k.
-        assert widths and max(widths) <= (k if i == 1 else design.m + 4)
-        widths.clear()
-    for got, want in zip(outputs, directly_solved(model, design, dense_frame(model))):
-        assert_close_to_column_max(got, want)
     widths.clear()
     # With J = 3 < k the eigenvalue bootstrap iterates on a block of 3.
     got = bootstrap_eigenvalues(truncated, EIG_SPEC).draws
     assert set(widths) == {3}
     frame = dense_frame(model)
-    want = [direct_eigs(frame, gen_weights(EIG_SPEC, model.n, b))[0][:3] for b in range(6)]
+    want = [direct_eigs(frame, gen_weights(EIG_SPEC, model.n, b))[0][:3]
+            for b in range(EIG_SPEC.b_reps)]
     assert_close_to_column_max(got, want)
 
 
@@ -643,12 +707,12 @@ def test_replicates_without_a_spectral_gap_take_the_direct_solve(monkeypatch):
     k = model.white.shape[1]
     assert model.n_components == k == 30
     widths = eigh_widths(monkeypatch)
-    outputs = resampled(model, design)
-    # Each replicate (6 + 6 draws, 8 blocks) solved one k x k problem, the
-    # theta replicates after two sweeps of subspace iteration showed that
-    # its residual would not reach the target.
-    assert widths.count(k) == 6 + 6 + 8
-    assert widths.count(design.m + 4) == 2 * (6 + 8)
+    outputs = [run(model, design, 1) for run in RESAMPLERS]
+    # Each replicate (21 + 21 + 21 draws, 13 blocks) solved one k x k
+    # problem, the theta replicates after two sweeps of subspace iteration
+    # showed that its residual would not reach the target.
+    assert widths.count(k) == THETA_REPLICATES + EIG_SPEC.b_reps
+    assert widths.count(design.m + 4) == 2 * THETA_REPLICATES
     for got, want in zip(outputs, directly_solved(model, design, dense_frame(model))):
         np.testing.assert_array_equal(got, want)
 
@@ -662,20 +726,24 @@ def test_replicate_keeping_too_few_directions_fails_on_either_path(monkeypatch):
         weights = np.zeros(model.n)
         weights[:2] = 1.0
         widths.clear()
+        (failure,) = _replicate_thetas(
+            _replicate_frame(model), design, weights[None], ["replicate 0"]
+        )
         with pytest.raises(
             GridPcrError,
             match="^replicate 0 retained 1 components, fewer than the 2 the design needs$",
         ):
-            _replicate_theta(_replicate_frame(model), design, weights, "replicate 0")
+            raise failure
         assert set(widths) == {width}
 
 
 def test_fit_and_replicates_solve_in_the_column_space(monkeypatch):
     widths = []
 
-    def spy(centered, weights=None, **kwargs):
-        widths.append(centered.shape[1])
-        return _eig_from_scores(centered, weights, **kwargs)
+    def spy(scores, weights=None, **kwargs):
+        # One width per solve: the point fit's, and each draw's of a batch.
+        widths.extend([scores.shape[1]] * (len(weights) if np.ndim(weights) == 2 else 1))
+        return _eig_from_scores(scores, weights, **kwargs)
 
     monkeypatch.setattr(gridpcr.decomp, "_eig_from_scores", spy)
     monkeypatch.setattr(gridpcr.resampling, "_eig_from_scores", spy)
