@@ -231,6 +231,19 @@ def cases(inputs) -> dict:
                 "simulate", "--family", family, "--n", "150", "--reps", "3",
                 "--inference", inference, "--boot-reps", "30", "--seed", "3",
             ]
+        # 19 replicates on a two-worker pool: Monte Carlo batches of 8, 8
+        # and 3.
+        for inference in ("none", "plugin"):
+            out[f"simulate-{family}-{inference}-threads"] = [
+                "simulate", "--family", family, "--n", "150", "--reps", "19",
+                "--inference", inference, "--seed", "3", "--threads", "2",
+            ]
+    # --tau 0.5 selects m = 2 for some replicates and m = 3 for others,
+    # within every batch.
+    out["simulate-mixed-m"] = [
+        "simulate", "--family", "synthetic2d", "--n", "150", "--reps", "19",
+        "--inference", "plugin", "--tau", "0.5", "--seed", "3", "--threads", "2",
+    ]
     for table_id in range(1, 6):
         out[f"reproduce-{table_id}"] = [
             "reproduce", "--table", str(table_id), "--reps", "2", "--boot-reps", "20",
