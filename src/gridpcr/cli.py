@@ -41,6 +41,7 @@ from .bases import (
     tri_pl_basis,
 )
 from .decomp import (
+    check_score_count,
     check_tau,
     component_scores,
     diagnose_projection,
@@ -572,10 +573,7 @@ def _coefficients(args):
             check_blocks(width + 2 if args.blocks is None else args.blocks, width, n)
         model = fit_subspace_pca(space, basis, sample, args.drop_tol)
     m = args.m if args.m is not None else select_pve(model, args.tau).m
-    if not 1 <= m <= model.n_components:
-        raise ConformanceError(
-            f"m={m} outside the retained range 1..{model.n_components}"
-        )
+    m = check_score_count(m, model)
     scores = component_scores(model)[:, :m]
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
     table, res = coefficient_intervals(

@@ -186,9 +186,9 @@ def model_from_white(
     scores: np.ndarray,
     whitener: Whitener,
     mean: np.ndarray,
-    total_variance: float,
+    total_variance,
     frame=None,
-) -> EigenModel:
+):
     """The fitted model of a sample given its whitened projection scores.
 
     ``scores`` holds the uncentered scores (n, rank) of the sample rows in
@@ -204,35 +204,46 @@ def model_from_white(
     whitener.factor)`` (k, V). ``scores`` are then the sample's
     coordinates (n, k) in ``right``: the k x k eigenproblem is solved, the
     signs are read from the eigenvectors times ``rows`` with nothing
-    synthesized, and the model keeps the scores factored.
+    synthesized, and the model keeps the scores factored. B samples of n
+    rows each may come as one stack: scores (B, n, k), means (B, V) and
+    total variances (B,). They are centered and solved together, each
+    slice with the bytes of its own fit, and a list of B models is
+    returned.
     """
-    if scores.shape[0] < 2:
+    if scores.shape[-2] < 2:
         raise ConformanceError("subspace fit needs at least two sample rows")
-    lams, coords = _eig_from_scores(scores - scores.mean(axis=0))
-    right = None
-    if frame is None:
+    solved = _eig_from_scores(scores - scores.mean(axis=-2, keepdims=True))
+    stacked = scores.ndim == 3
+    if not stacked:
+        scores, mean, total_variance = scores[None], [mean], [total_variance]
+        solved = [solved]
+    models = []
+    for (lams, coords), left, mu, total in zip(solved, scores, mean, total_variance):
+        right = None
+        if frame is None:
 
-        def fix_signs(chunk, buf):
-            phis = synthesize(
-                space, basis, coords[chunk] @ whitener.factor,
-                out=buf[: chunk.stop - chunk.start],
-            )
-            coords[chunk][_negative_peaks(phis)] *= -1.0
+            def fix_signs(chunk, buf):
+                phis = synthesize(
+                    space, basis, coords[chunk] @ whitener.factor,
+                    out=buf[: chunk.stop - chunk.start],
+                )
+                coords[chunk][_negative_peaks(phis)] *= -1.0
 
-        run_pass(space, coords.shape[0], fix_signs)
-    else:
-        right, rows = frame
-        coords[_negative_peaks(coords @ rows)] *= -1.0
-        coords = coords @ right
-    return EigenModel(
-        eigenvalues=lams,
-        coords=coords,
-        left=scores,
-        mean=mean,
-        whitener=whitener,
-        total_variance=total_variance,
-        right=right,
-    )
+            run_pass(space, coords.shape[0], fix_signs)
+        else:
+            right, rows = frame
+            coords[_negative_peaks(coords @ rows)] *= -1.0
+            coords = coords @ right
+        models.append(EigenModel(
+            eigenvalues=lams,
+            coords=coords,
+            left=left,
+            mean=mu,
+            whitener=whitener,
+            total_variance=float(total),
+            right=right,
+        ))
+    return models if stacked else models[0]
 
 
 def eigenfunctions(space: AmbientSpace, basis, model: EigenModel) -> np.ndarray:
@@ -257,7 +268,9 @@ def _eig_from_scores(scores, weights=None, *, wanted=None, start=None):
 
     With ``weights`` None or one value per row, ``scores`` is (n, k),
     already centered under the same weights: the k x k covariance is formed
-    and fully solved (``_direct_pairs``). This is the point fit's solve.
+    and fully solved (``_direct_pairs``). This is the point fit's solve. A
+    stack of B centered samples (B, n, k) with ``weights`` None is solved
+    the same way, slice by slice, and gives one pair per sample.
 
     A batch of B resampling replicates passes a (B, n) stack of ``weights``,
     ``wanted``, the count m of leading pairs each draw uses, and ``start``,
@@ -287,17 +300,24 @@ def _direct_pairs(centered, weights):
     """The retained eigenpairs of the full k x k covariance of ``centered``.
 
     Returns nonincreasing positive eigenvalues and eigenvector rows, signs
-    not yet normalized.
+    not yet normalized. Unweighted centered scores may come as a stack (B,
+    n, k); each slice's covariance is formed and solved with the bytes of
+    its own call, and a list of B pairs is returned.
     """
-    n = centered.shape[0]
+    n = centered.shape[-2]
     if weights is None:
-        cov = centered.T @ centered / n
+        cov = np.swapaxes(centered, -1, -2) @ centered / n
     else:
         cov = (centered * np.asarray(weights)[:, None]).T @ centered / n
-    cov = 0.5 * (cov + cov.T)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     vals, vecs = np.linalg.eigh(cov)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    if cov.ndim == 2:
+        return _retained(vals[::-1], vecs[:, ::-1])
+    return [_retained(v[::-1], u[:, ::-1]) for v, u in zip(vals, vecs)]
+
+
+def _retained(vals, vecs):
+    """The pairs of nonincreasing ``vals`` and columns ``vecs`` that pass retention."""
     top = vals[0] if vals.size else 0.0
     keep = (vals > 0.0) & (vals > RETAIN_REL_TOL * max(top, 0.0))
     j = int(np.count_nonzero(keep))
@@ -360,9 +380,8 @@ def _leading_pairs(scores, weights, start, wanted):
         worst, target = np.einsum("akj,akj->aj", resid, resid).max(axis=1), (tol * top) ** 2
         done = worst <= target
         vecs = q[done] @ lead[done]
-        for draw, lams, top_i, rows in zip(live[done], vals[done], top[done], vecs):
-            j = int(np.count_nonzero((lams > 0.0) & (lams > RETAIN_REL_TOL * top_i)))
-            pairs[draw] = lams[:j].copy(), rows[:, :j].T.copy()
+        for draw, lams, rows in zip(live[done], vals[done], vecs):
+            pairs[draw] = _retained(lams, rows)
         # A draw gives up early when the decay of its last sweep, kept up
         # for the sweeps left, would not reach its target: no spectral gap.
         going = ~done
@@ -411,6 +430,16 @@ def check_tau(tau: float) -> None:
     """Reject an explained-variance target outside (0, 1)."""
     if not 0.0 < tau < 1.0:
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+
+
+def check_score_count(m: int, model: EigenModel) -> int:
+    """The score count ``m`` as an int, rejected unless 1 <= m <= retained components."""
+    m = int(m)
+    if not 1 <= m <= model.n_components:
+        raise ConformanceError(
+            f"score count m={m} outside the retained range 1..{model.n_components}"
+        )
+    return m
 
 
 def select_pve(model: EigenModel, tau: float = 0.95) -> PveSelection:

@@ -17,8 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import EigenModel, centered_scores, check_gaps, component_scores
-from .errors import ConfigurationError, ConformanceError, DegenerateDesignError
+from .decomp import (
+    EigenModel,
+    centered_scores,
+    check_gaps,
+    check_score_count,
+    component_scores,
+)
+from .errors import (
+    ConfigurationError,
+    ConformanceError,
+    DegenerateDesignError,
+    NearMultiplicityError,
+)
 from .space import synthesize
 
 CONDITION_LIMIT = 1e12
@@ -30,8 +41,10 @@ class RegressionDesign:
 
     ``y`` is (n,), ``x`` is (n, d) scalar covariates (d may be 0), ``scores``
     is (n, m) component scores, and ``treatment`` is an optional boolean arm
-    indicator for two-arm fits. A batch of resampling replicates stacks its
-    draws' scores as (B, n, m), and ``fit_pcr`` fits them together.
+    indicator for two-arm fits. A batch of replicates stacks its draws'
+    scores as (B, n, m), and ``fit_pcr`` fits them together: resampling
+    draws share the rest, while Monte Carlo replicates stack ``y`` (B, n),
+    ``x`` (B, n, d) and ``treatment`` (B, n) too.
     """
 
     y: np.ndarray
@@ -40,25 +53,32 @@ class RegressionDesign:
     treatment: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        n = y.size
+        scores = np.asarray(self.scores, dtype=float)
+        stack = scores.shape[:-2] if scores.ndim == 3 else ()
+        y = np.asarray(self.y, dtype=float)
+        y = y if stack and y.ndim == 2 else y.ravel()
+        n = y.shape[-1]
         x = np.asarray(self.x, dtype=float)
-        if x.size == 0:
+        if x.size == 0 and x.ndim < 3:
             x = x.reshape(n, 0)
         if x.ndim == 1:
             x = x[:, None]
-        scores = np.asarray(self.scores, dtype=float)
-        if scores.size == 0:
+        if scores.size == 0 and not stack:
             scores = scores.reshape(n, 0)
         if scores.ndim == 1:
             scores = scores[:, None]
         if n == 0:
             raise ConformanceError("design must contain at least one observation")
-        if x.shape[0] != n or scores.shape[-2] != n:
+        if x.shape[-2] != n or scores.shape[-2] != n:
             raise ConformanceError(
-                f"design rows disagree: y has {n}, x has {x.shape[0]}, "
+                f"design rows disagree: y has {n}, x has {x.shape[-2]}, "
                 f"scores has {scores.shape[-2]}"
             )
+        for name, arr in (("y", y[..., None]), ("x", x)):
+            if arr.shape[:-2] not in ((), stack):
+                raise ConformanceError(
+                    f"{name} stacks {arr.shape[:-2]} draws, but the scores {stack}"
+                )
         for name, arr in (("y", y), ("x", x), ("scores", scores)):
             if not np.all(np.isfinite(arr)):
                 raise ConformanceError(f"{name} contains non-finite values")
@@ -67,7 +87,7 @@ class RegressionDesign:
         object.__setattr__(self, "scores", scores)
         if self.treatment is not None:
             a = np.asarray(self.treatment)
-            if a.shape != (n,):
+            if a.shape not in ((n,), stack + (n,)):
                 raise ConformanceError("treatment must be one indicator per row")
             if a.dtype != bool and not np.all(np.isin(a, (0, 1))):
                 raise ConformanceError("treatment must be binary")
@@ -75,11 +95,11 @@ class RegressionDesign:
 
     @property
     def n(self) -> int:
-        return self.y.size
+        return self.y.shape[-1]
 
     @property
     def d(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     @property
     def m(self) -> int:
@@ -148,10 +168,10 @@ def _regressors(design: RegressionDesign, extra: int) -> np.ndarray:
     p = q if design.treatment is None else 2 * q
     u = np.empty(design.scores.shape[:-2] + (p + extra, design.n))
     u[..., 0, :] = 1.0
-    u[..., 1 : 1 + design.d, :] = design.x.T
+    u[..., 1 : 1 + design.d, :] = np.swapaxes(design.x, -1, -2)
     u[..., 1 + design.d : q, :] = np.swapaxes(design.scores, -1, -2)
     if design.treatment is not None:
-        np.multiply(u[..., :q, :], design.treatment, out=u[..., q:p, :])
+        np.multiply(u[..., :q, :], design.treatment[..., None, :], out=u[..., q:p, :])
     return np.swapaxes(u, -1, -2)
 
 
@@ -270,9 +290,9 @@ def fit_precision(design: RegressionDesign, weights=None):
     if design.treatment is None:
         raise ConformanceError("two-arm fit needs a treatment indicator")
     w = _weights(design, weights)
-    a = design.treatment.astype(float)
     fits = _fit(design, w)
-    for i, wi in enumerate(w.reshape(-1, design.n)):
+    arms = np.broadcast_to(design.treatment, w.shape).reshape(-1, design.n).astype(float)
+    for i, (wi, a) in enumerate(zip(w.reshape(-1, design.n), arms)):
         n_treat, n_control = float(wi @ a), float(wi @ (1.0 - a))
         if n_treat == 0 or n_control == 0:
             fits[i] = DegenerateDesignError(
@@ -287,20 +307,12 @@ def coefficient_element(fit: RegressionFit, model: EigenModel, space, basis):
 
     It is synthesized from the model's coordinates; ``basis`` is the fit's.
     """
-    if fit.m > model.n_components:
-        raise ConformanceError(
-            f"fit used {fit.m} scores but the model retains only "
-            f"{model.n_components} components"
-        )
+    check_score_count(fit.m, model)
     coef = (fit.gamma @ model.coords[: fit.m]) @ model.whitener.factor
     return synthesize(space, basis, coef[None, :])[0]
 
 
-def plugin_cov(
-    fit: RegressionFit,
-    model: EigenModel,
-    design: RegressionDesign,
-) -> np.ndarray:
+def plugin_cov(fit, model, design: RegressionDesign):
     """Influence-function covariance of the fitted coefficients.
 
     Each observation contributes sigma_hat^{-1} (U_i eps_i + L0(K_i)) where
@@ -312,51 +324,78 @@ def plugin_cov(
     residual noise the correction vanishes and the classical sandwich is
     recovered. The design's rows must be the rows ``model`` was fitted on,
     and the fit single-arm: two-arm fits raise ``ConfigurationError``.
+
+    A design with stacked rows (B, n, ...) takes a sequence of B fits and
+    one of B models, all retaining the same number of components, and
+    returns one entry per draw: its covariance, or the
+    ``NearMultiplicityError`` its gap check fails with. Every draw is
+    solved in one pass over the stack, with the bytes of its own call.
     """
-    if design.treatment is not None or fit.modifier.size:
+    stacked = design.scores.ndim == 3
+    fits, models = (list(fit), list(model)) if stacked else ([fit], [model])
+    if design.treatment is not None or any(f.modifier.size for f in fits):
         raise ConfigurationError(
             "plugin intervals cover the single-arm fit; use bootstrap or "
             "jackknife for two-arm designs"
         )
-    if model.n != design.n:
-        raise ConformanceError("model and design have different row counts")
-    m = design.m
-    n = design.n
-    n_comp = model.n_components
-    if m > n_comp:
-        raise ConformanceError(
-            f"design uses {m} scores but the model retains {n_comp} components"
+    n, m, d = design.n, design.m, design.d
+    failed = {}
+    for i, md in enumerate(models):
+        if md.n != n:
+            raise ConformanceError("model and design have different row counts")
+        if md.n_components != models[0].n_components:
+            raise ConformanceError("stacked models retain different component counts")
+        check_score_count(m, md)
+        try:
+            check_gaps(md, m)
+        except NearMultiplicityError as exc:
+            if not stacked:
+                raise
+            failed[i] = exc
+    scores = design.scores.reshape(len(fits), n, m)
+    eps = np.array([f.residuals for f in fits])
+    xi = np.array([centered_scores(md) for md in models])
+    raw = np.array([component_scores(md) for md in models])
+    lams = np.array([md.eigenvalues for md in models])
+    # A draw that failed its gap check is solved with the others and
+    # dropped; only its own slices can hold inf or NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
+        diff = lams[:, :m, None] - lams[:, None, :]
+        diff[:, np.arange(m), np.arange(m)] = np.inf
+        gaps = 1.0 / diff
+        # Every direction the correction pairs with: the mean, each
+        # covariate, the residuals and each score, expressed by their
+        # projections onto the retained eigenfunctions, one row each (2 + d
+        # + m rows).
+        proj = np.concatenate(
+            [raw.mean(axis=1, keepdims=True), np.swapaxes(design.x, -1, -2) @ raw / n,
+             eps[:, None, :] @ raw / n, np.swapaxes(scores, -1, -2) @ raw / n],
+            axis=1,
         )
-    check_gaps(model, m)
-    u = design_matrix(design)
-    eps = fit.residuals
-    xi = centered_scores(model)
-    raw = component_scores(model)
-    lams = model.eigenvalues
-    # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
-    diff = lams[:m, None] - lams
-    np.fill_diagonal(diff, np.inf)
-    gaps = 1.0 / diff
-    # Every direction the correction pairs with: the mean, each covariate,
-    # the residuals and each score, expressed by their projections onto the
-    # retained eigenfunctions, one row each (2 + d + m rows).
-    proj = np.vstack(
-        [raw.mean(axis=0), design.x.T @ raw / n, eps @ raw / n,
-         design.scores.T @ raw / n]
-    )
-    # paired[p, i, j] = <proj_p, L_{1j}(K_i)> for every i and j <= m, from
-    # one stacked product: a (n, m) block per direction.
-    paired = xi[:, :m] * (xi @ (gaps * proj[:, None, :]).transpose(0, 2, 1))
-    # The correction's columns follow theta: the intercept and covariate
-    # columns pair with gamma, and score column l adds the residual pairing.
-    d = design.d
-    q = -(paired @ fit.gamma)
-    correction = np.column_stack([q[: 1 + d].T, paired[1 + d] + q[2 + d :].T])
-    contributions = u * eps[:, None] + correction
-    sigma_inv = np.linalg.inv(fit.sigma_hat)
-    influence = contributions @ sigma_inv
-    influence = influence - influence.mean(axis=0)
-    return (influence.T @ influence / n) / n
+        # paired[p, i, j] = <proj_p, L_{1j}(K_i)> for every i and j <= m,
+        # from one stacked product: a (n, m) block per direction.
+        paired = xi[:, None] @ np.swapaxes(gaps[:, None] * proj[:, :, None, :], -1, -2)
+        paired *= xi[:, None, :, :m]
+        # The correction's columns follow theta: the intercept and covariate
+        # columns pair with gamma, and score column l adds the residual
+        # pairing.
+        gamma = np.array([f.gamma for f in fits])
+        q = paired @ gamma[:, None, :, None]
+        q = np.negative(q, out=q)[..., 0]
+        contributions = np.concatenate(
+            [np.swapaxes(q[:, : 1 + d], -1, -2),
+             paired[:, 1 + d] + np.swapaxes(q[:, 2 + d :], -1, -2)],
+            axis=-1,
+        )
+        contributions += design_matrix(design).reshape(len(fits), n, -1) * eps[..., None]
+        sigma_inv = np.linalg.inv(np.array([f.sigma_hat for f in fits]))
+        influence = contributions @ sigma_inv
+        influence -= influence.mean(axis=1, keepdims=True)
+        cov = (np.swapaxes(influence, -1, -2) @ influence / n) / n
+    if not stacked:
+        return cov[0]
+    return [failed.get(i, c) for i, c in enumerate(cov)]
 
 
 def sandwich_cov(fit: RegressionFit, design: RegressionDesign) -> np.ndarray:

@@ -31,7 +31,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomp import EigenModel, _eig_from_scores, column_space, component_scores
+from .decomp import (
+    EigenModel,
+    _eig_from_scores,
+    check_score_count,
+    column_space,
+    component_scores,
+)
 from .errors import (
     ConformanceError,
     ConfigurationError,
@@ -54,6 +60,7 @@ MAX_FAILURE_FRACTION = 0.05
 # draws of bootstrap-2d input set 1 (n = 500, k = 121, p = 18) on two
 # workers took 1.56, 0.72, 0.54, 0.49 and 0.52 ms per draw in batches of
 # 1, 4, 8, 16 and 25, at a peak RSS of 46.3, 46.8, 48.0, 50.3 and 53.7 MiB.
+# Monte Carlo replicates run in the same batches (simulate.run_monte_carlo).
 BATCH = 8
 
 
@@ -203,10 +210,7 @@ def _check_design(model: EigenModel, design: RegressionDesign) -> None:
         raise ConformanceError(
             f"design has {design.n} rows, but the model was fitted on {model.n}"
         )
-    if not 1 <= design.m <= model.n_components:
-        raise ConformanceError(
-            f"score count m={design.m} outside 1..{model.n_components}"
-        )
+    check_score_count(design.m, model)
     ref = component_scores(model)[:, : design.m]
     if np.max(np.abs(design.scores - ref)) > 1e-12 * np.max(np.abs(ref)):
         raise ConformanceError(

@@ -14,27 +14,37 @@ interval coverage, and the distribution of the selected component count.
 It builds the family, basis and whitener once per study, and each replicate
 works from its n x J KL factors: a KL sample has rank J, and the projection
 is linear, so every quantity the fit needs follows from the factors and the
-family's own projection without forming the n x V sample.
+family's own projection without forming the n x V sample. Replicates are
+solved in fixed batches of ``resampling.BATCH`` consecutive indices: one
+stacked fit, one regression and one plug-in covariance per batch and
+selected m.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bases import bspline_tensor_basis
 from .decomp import (
-    EigenModel,
+    check_score_count,
     check_tau,
     column_space,
     component_scores,
     model_from_white,
     select_pve,
 )
-from .errors import ConformanceError, ConfigurationError
-from .regression import RegressionDesign, coefficient_names, fit_pcr
-from .resampling import check_intervals, coefficient_intervals, run_tolerant
+from .errors import ConformanceError, ConfigurationError, GridPcrError
+from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
+from .resampling import (
+    BATCH,
+    check_intervals,
+    coefficient_intervals,
+    normal_ci,
+    run_tolerant,
+)
 from .space import (
     AmbientSpace,
     Whitener,
@@ -182,13 +192,14 @@ class PipelineOptions:
     """Estimation settings applied to every Monte Carlo replicate.
 
     ``inference`` is None or one of the methods of
-    ``resampling.coefficient_intervals``, which each replicate calls with
-    ``level`` and the settings of its method: ``b_reps`` and ``boot_kind``
-    for a bootstrap, ``r_blocks`` (by default the fewest allowed) for a
-    jackknife. Settings that would fail every replicate are rejected here,
-    with the messages the replicates would give, before a study is built:
-    ``tau`` where it picks m, then the interval settings, by
-    ``resampling.check_intervals``.
+    ``resampling.coefficient_intervals``, at ``level``: plug-in intervals
+    come from ``plugin_cov``, and a bootstrap or jackknife replicate calls
+    the routine with the settings of its method: ``b_reps`` and
+    ``boot_kind`` for a bootstrap, ``r_blocks`` (by default the fewest
+    allowed) for a jackknife. Settings that would fail every replicate are
+    rejected here, with the messages the replicates would give, before a
+    study is built: ``tau`` where it picks m, then the interval settings,
+    by ``resampling.check_intervals``.
     """
 
     degree: int = 3
@@ -329,9 +340,20 @@ def ar_covariates(
         return np.zeros((n, 0))
     if not -1.0 < corr < 1.0:
         raise ConfigurationError(f"corr must lie in (-1, 1), got {corr}")
+    return rng.standard_normal((n, d)) @ _ar_factor(d, corr).T
+
+
+@functools.lru_cache(maxsize=None)
+def _ar_factor(d: int, corr: float) -> np.ndarray:
+    """The Cholesky factor of the d x d AR(1) correlation corr^|l - l'|, read-only.
+
+    Every replicate of a study draws its covariates with the same factor,
+    so it is computed once per (d, corr).
+    """
     omega = corr ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     root = np.linalg.cholesky(omega)
-    return rng.standard_normal((n, d)) @ root.T
+    root.flags.writeable = False
+    return root
 
 
 def gen_response(
@@ -471,17 +493,20 @@ class Study:
             frame_rows=synthesize(space, basis, right @ whitener.factor),
         )
 
-    def fit(self, factors: np.ndarray) -> EigenModel:
+    def fit(self, factors: np.ndarray):
         """``fit_subspace_pca`` of the sample rows ``factors @ family.phis``.
 
         The rows' whitened scores are ``factors @ family_white``, which is
         ``(factors @ left) @ right`` in ``family_frame``; their mean is the
         mean factor times the family, and the squared norm of a centered
-        row f @ phis is f @ family_gram @ f.
+        row f @ phis is f @ family_gram @ f. A stack of B replicates'
+        factors (B, n, J) is fitted in one pass, each slice with the bytes
+        of its own fit apart from the pointwise mean, and gives a list of B
+        models.
         """
-        center = factors.mean(axis=0)
-        dev = factors - center
-        total = float(np.mean(np.sum((dev @ self.family_gram) * dev, axis=1)))
+        center = factors.mean(axis=-2)
+        dev = factors - center[..., None, :]
+        total = np.mean(np.sum((dev @ self.family_gram) * dev, axis=-1), axis=-1)
         left, right = self.family_frame
         return model_from_white(
             self.family.space,
@@ -494,40 +519,123 @@ class Study:
         )
 
 
+def _outcome(step, *args):
+    """``step(*args)``, or the ``GridPcrError`` it raises.
+
+    A ``ConfigurationError`` propagates: a setting that fails one replicate
+    fails them all.
+    """
+    try:
+        return step(*args)
+    except ConfigurationError:
+        raise
+    except GridPcrError as exc:
+        return exc
+
+
+def _stacked_design(data, scores, members, m) -> RegressionDesign:
+    """The regression design of the replicates ``members``, stacked in that order.
+
+    ``data`` holds each replicate's (sample, x, y, treatment) and ``scores``
+    its component scores, of which the first m columns are used, so every
+    slice keeps the layout of a replicate's own design.
+    """
+    _, x, y, treatment = zip(*(data[i] for i in members))
+    return RegressionDesign(
+        y=np.array(y),
+        x=np.array(x),
+        scores=np.array([scores[i] for i in members])[:, :, :m],
+        treatment=None if treatment[0] is None else np.array(treatment),
+    )
+
+
 def run_replicate(
     config: ScenarioConfig,
     options: PipelineOptions,
-    replicate: int,
+    replicates,
     study: Study | None = None,
-) -> dict:
-    """Generate one dataset, run the estimation chain, and score it.
+) -> list:
+    """Generate a batch of datasets, run the estimation chain, and score each.
 
-    Returns the selected component count, squared errors for every true
-    parameter (eigenvalues first, then coefficients), and interval coverage
-    indicators where inference was requested. Eigen-block comparisons are
+    ``replicates`` is a range of replicate indices; an int is a range of
+    one. Returns one outcome per index: a dict with the selected component
+    count, squared errors for every true parameter (eigenvalues first, then
+    coefficients) and interval coverage indicators where inference was
+    requested, or the ``GridPcrError`` that replicate fails with; a
+    ``ConfigurationError`` propagates. Eigen-block comparisons are
     sign-aligned to the true eigenfunctions; components beyond the selected
     count are scored as zero estimates and skipped for coverage. ``study``
     is the scenario's ``Study``, built here when not given.
+
+    Each dataset comes from its own ``generate_dataset`` call, and
+    ``Study.fit`` fits them all in one stacked pass. Replicates that select
+    the same m, and retain as many components, are regressed by one
+    ``fit_pcr`` call and get their plug-in covariances from one
+    ``plugin_cov`` call; a bootstrap or jackknife runs per replicate. Each
+    replicate's numbers are those of a range of one.
     """
     if study is None:
         study = Study.build(config, options)
-    _, _, sample, x, y, treatment = generate_dataset(config, replicate, study.family)
-    model = study.fit(sample.factors)
-    if options.m_override is not None:
-        m = int(options.m_override)
-        if not 1 <= m <= model.n_components:
-            raise ConformanceError(
-                f"m_override {m} outside 1..{model.n_components}"
+    if isinstance(replicates, int):
+        replicates = range(replicates, replicates + 1)
+    data = [generate_dataset(config, r, study.family)[2:] for r in replicates]
+    models = study.fit(np.array([sample.factors for sample, *_ in data]))
+    out, groups = [None] * len(data), {}
+    for i, model in enumerate(models):
+        if options.m_override is None:
+            out[i] = _outcome(lambda: select_pve(model, options.tau).m)
+        else:
+            out[i] = _outcome(check_score_count, options.m_override, model)
+        if not isinstance(out[i], GridPcrError):
+            groups.setdefault((out[i], model.n_components), []).append(i)
+    truth = _true_theta(config)
+    for (m, _), members in groups.items():
+        scores = {i: component_scores(models[i]) for i in members}
+        design = _stacked_design(data, scores, members, m)
+        fits = dict(zip(members, fit_pcr(design)))
+        solved = [i for i in members if not isinstance(fits[i], GridPcrError)]
+        bounds = dict.fromkeys(solved)
+        if options.inference == "plugin" and solved:
+            if len(solved) < len(members):
+                design = _stacked_design(data, scores, solved, m)
+            covs = plugin_cov([fits[i] for i in solved], [models[i] for i in solved], design)
+            for i, cov in zip(solved, covs):
+                bounds[i] = cov if isinstance(cov, GridPcrError) else normal_ci(
+                    fits[i].theta, np.sqrt(np.diag(cov)), options.level
+                )
+        elif options.inference is not None:
+            for i in solved:
+                _, x, y, treatment = data[i]
+                design = RegressionDesign(
+                    y=y, x=x, scores=scores[i][:, :m], treatment=treatment
+                )
+                table = _outcome(
+                    lambda: coefficient_intervals(
+                        models[i], design, fits[i], options.inference, options.level,
+                        options.b_reps, options.boot_kind,
+                        mix_seed(config.seed, replicates[i]), options.r_blocks,
+                    )[0]
+                )
+                bounds[i] = table if isinstance(table, GridPcrError) else (
+                    table.lower, table.upper
+                )
+        for i in members:
+            outcome = bounds.get(i, fits[i])
+            out[i] = outcome if isinstance(outcome, GridPcrError) else _score(
+                config, study, models[i], m, fits[i].theta, truth, outcome
             )
-    else:
-        m = select_pve(model, options.tau).m
-    j_true = config.n_components
-    scores = component_scores(model)[:, :m]
-    design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
-    fit = fit_pcr(design)
+    return out
 
+
+def _score(config, study, model, m, theta, truth, bounds) -> dict:
+    """One replicate's metrics from its model, selected m, coefficients and bounds.
+
+    ``bounds`` is the (lower, upper) pair of the coefficient intervals, or
+    None without inference.
+    """
     # Sign alignment of estimated components to the true family, in whitened
     # coordinates: <phi_hat_j, phi_j> is coords[j] . (whitened scores of phi_j).
+    j_true = config.n_components
     k = min(m, j_true)
     inner = np.sum(model.coords[:k] * study.family_white[:k], axis=1)
     signs = np.ones(j_true)
@@ -538,19 +646,14 @@ def run_replicate(
         est = model.eigenvalues[j] if j < model.n_components else 0.0
         lam_err[j] = (est - config.lambdas[j]) ** 2
 
-    truth = _true_theta(config)
-    dest, src, sign = _fit_to_truth(config, signs, m, treatment is not None)
+    dest, src, sign = _fit_to_truth(config, signs, m, config.treatment is not None)
     est_theta = np.zeros(truth.size)
-    est_theta[dest] = sign * fit.theta[src]
+    est_theta[dest] = sign * theta[src]
     theta_err = (est_theta - truth) ** 2
 
     covered = np.full(truth.size, np.nan)
-    if options.inference is not None:
-        table, _ = coefficient_intervals(
-            model, design, fit, options.inference, options.level, options.b_reps,
-            options.boot_kind, mix_seed(config.seed, replicate), options.r_blocks,
-        )
-        lo, hi = sign * table.lower[src], sign * table.upper[src]
+    if bounds is not None:
+        lo, hi = sign * bounds[0][src], sign * bounds[1][src]
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         covered[dest] = ((lo <= truth[dest]) & (truth[dest] <= hi)).astype(float)
     return {
@@ -589,8 +692,9 @@ def run_monte_carlo(
     """Repeat the scenario ``reps`` times and aggregate the metrics.
 
     The scenario's ``Study`` is built once and shared by every replicate.
-    Replicates are keyed by (config.seed, replicate), so results are
-    bitwise-reproducible for any thread count. Replicate failures are
+    Replicates are keyed by (config.seed, replicate) and solved by
+    ``run_replicate`` in fixed ranges of ``resampling.BATCH``, so results
+    are bitwise-reproducible for any thread count. Replicate failures are
     tolerated up to 5% of the study and listed in the result; more than
     that raises ``StudyError``.
     """
@@ -599,10 +703,11 @@ def run_monte_carlo(
     options = options or PipelineOptions()
     study = Study.build(config, options)
     metrics, failures = run_tolerant(
-        lambda indices: [run_replicate(config, options, b, study) for b in indices],
+        lambda indices: run_replicate(config, options, indices, study),
         reps,
         threads,
         "Monte Carlo",
+        BATCH,
     )
     j_true = config.n_components
     names = _metric_names(config)

@@ -67,6 +67,51 @@ def test_tri_without_mesh_exits_2(tmp_path, capsys):
     assert "--mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["regress", "run_replicate", "bootstrap_theta", "plugin_cov", "coefficient_element"],
+)
+def test_every_entry_point_checks_the_score_count_alike(tmp_path, capsys, entry):
+    # The sample has two components, and each entry point is asked for three.
+    message = "score count m=3 outside the retained range 1..2"
+    data = tmp_path / "s.hsg"
+    space, _, sample, x, y = make_dataset(data)
+    if entry == "regress":
+        table = tmp_path / "d.csv"
+        write_design(table, x, y)
+        rc = main([
+            "regress", "--data", str(data), "--degree", "2", "--knots", "2",
+            "--table", str(table), "--response", "y", "--m", "3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
+        return
+    if entry == "run_replicate":
+        config = gridpcr.ScenarioConfig(
+            family="synthetic2d", dims=DIMS, lambdas=LAMS, alpha0=1.0,
+            beta0=(1.0,), gamma0=(1.5, -1.0), n=50,
+        )
+        options = gridpcr.PipelineOptions(degree=2, interior_knots=2, m_override=3)
+        outcome = gridpcr.run_replicate(config, options, 0)[0]
+        assert type(outcome) is gridpcr.ConformanceError and str(outcome) == message
+        return
+    basis = bspline_tensor_basis(space, 2, 2)
+    model = fit_subspace_pca(space, basis, sample)
+    design = RegressionDesign(y=y, x=x, scores=np.column_stack([component_scores(model), y]))
+    calls = {
+        "bootstrap_theta": lambda: gridpcr.bootstrap_theta(
+            model, design, gridpcr.BootstrapSpec(b_reps=4)
+        ),
+        "plugin_cov": lambda: gridpcr.plugin_cov(fit_pcr(design), model, design),
+        "coefficient_element": lambda: gridpcr.coefficient_element(
+            fit_pcr(design), model, space, basis
+        ),
+    }
+    with pytest.raises(gridpcr.ConformanceError) as excinfo:
+        calls[entry]()
+    assert str(excinfo.value) == message
+
+
 def test_out_of_range_m_exits_2(tmp_path, capsys):
     data = tmp_path / "s.hsg"
     _, _, _, x, y = make_dataset(data)

@@ -1,5 +1,7 @@
 """Principal-component regression and plug-in covariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gridpcr import (
     ConfigurationError,
     ConformanceError,
     DegenerateDesignError,
+    NearMultiplicityError,
     RegressionDesign,
     coefficient_element,
     coefficient_names,
@@ -269,3 +272,53 @@ def test_coefficient_element_reconstruction():
     elem = coefficient_element(fit, model, space, basis)
     manual = fit.gamma @ eigenfunctions(space, basis, model)[: design.m]
     np.testing.assert_allclose(elem, manual, atol=1e-12)
+
+
+def stack_of(pipelines):
+    """One design stacking the rows of every pipeline's design."""
+    designs = [design for *_, design in pipelines]
+    return RegressionDesign(
+        y=np.array([d.y for d in designs]),
+        x=np.array([d.x for d in designs]),
+        scores=np.array([d.scores for d in designs]),
+    )
+
+
+def test_stacked_fits_and_plugin_covs_keep_each_draws_bytes():
+    # Monte Carlo replicates stack y, x and the scores. Each draw's fit and
+    # plug-in covariance are those of its own call, byte for byte, and a
+    # draw whose eigenvalues are too close fails alone, with its message.
+    pipelines = [fitted_pipeline(seed) for seed in (4, 5, 6)]
+    space, basis, close, design = pipelines[1]
+    lams = close.eigenvalues.copy()
+    lams[1] = lams[0] * (1.0 - 1e-9)
+    pipelines[1] = (space, basis, replace(close, eigenvalues=lams), design)
+    models = [model for _, _, model, _ in pipelines]
+    stacked = stack_of(pipelines)
+    fits = fit_pcr(stacked)
+    covs = plugin_cov(fits, models, stacked)
+    for (*_, model, design), fit, cov in zip(pipelines, fits, covs):
+        own = fit_pcr(design)
+        for name in ("theta", "residuals", "sigma_hat"):
+            assert getattr(fit, name).tobytes() == getattr(own, name).tobytes(), name
+        if model is models[1]:
+            with pytest.raises(NearMultiplicityError) as excinfo:
+                plugin_cov(own, model, design)
+            assert type(cov) is NearMultiplicityError
+            assert str(cov) == str(excinfo.value)
+        else:
+            assert cov.tobytes() == plugin_cov(own, model, design).tobytes()
+
+
+def test_stacked_design_validation():
+    pipelines = [fitted_pipeline(seed) for seed in (4, 5)]
+    stacked = stack_of(pipelines)
+    assert (stacked.n, stacked.d, stacked.m) == (300, 2, 3)
+    with pytest.raises(ConformanceError, match="y stacks"):
+        replace(stacked, y=stacked.y[:1])
+    with pytest.raises(ConformanceError, match="x stacks"):
+        replace(stacked, x=np.zeros((3, 300, 2)))
+    with pytest.raises(ConformanceError, match="x stacks"):
+        replace(pipelines[0][3], x=stacked.x)
+    with pytest.raises(ConformanceError, match="one indicator per row"):
+        replace(stacked, treatment=np.zeros((3, 300), dtype=bool))

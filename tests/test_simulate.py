@@ -398,7 +398,7 @@ def test_signs_from_coordinates_match_grid_inner_products(monkeypatch, family, d
     options = small_options()
     flips = 0
     for rep in range(8):
-        m = run_replicate(config, options, rep)["m"]
+        m = run_replicate(config, options, rep)[0]["m"]
         space, fam, sample, *_ = generate_dataset(config, rep)
         basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
         rows = sample.factors @ fam.phis
@@ -495,3 +495,82 @@ def test_replicates_keep_their_scores_in_the_study_frame(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < config.n * study.whitener.rank * 8, inference
+
+
+def test_ar_covariates_keep_their_bytes_with_one_factor_per_setting():
+    for n, d, corr in ((50, 3, 0.6), (20, 4, -0.3), (7, 1, 0.0)):
+        omega = corr ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        want = replicate_rng(9303, d).standard_normal((n, d)) @ np.linalg.cholesky(omega).T
+        got = ar_covariates(n, d, corr, replicate_rng(9303, d))
+        assert got.tobytes() == want.tobytes()
+        assert simulate._ar_factor(d, corr) is simulate._ar_factor(d, corr)
+
+
+def constant_covariate_at(monkeypatch, replicate):
+    """Make ``generate_dataset`` give ``replicate`` a constant first covariate."""
+    generate = simulate.generate_dataset
+
+    def patched(config, r, family=None):
+        space, fam, sample, x, y, treatment = generate(config, r, family)
+        if r == replicate:
+            x = x.copy()
+            x[:, 0] = 1.0
+        return space, fam, sample, x, y, treatment
+
+    monkeypatch.setattr(simulate, "generate_dataset", patched)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got["m"] == want["m"]
+    for key in ("lam_err", "theta_err", "covered"):
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("inference", [None, "plugin", "jackknife"])
+def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
+    # One replicate of the batch has a singular design. It fails with the
+    # message it has alone, and every other replicate, whichever m it
+    # selects (tau = 0.75 gives m = 1 and m = 2 here), keeps the numbers of
+    # a range of one.
+    constant_covariate_at(monkeypatch, 3)
+    config = small_config(n=60, seed=2)
+    options = small_options(tau=0.75, inference=inference)
+    study = simulate.Study.build(config, options)
+    batch = run_replicate(config, options, range(8), study)
+    alone = [run_replicate(config, options, r, study)[0] for r in range(8)]
+    assert isinstance(alone[3], gridpcr.DegenerateDesignError)
+    assert len({out["m"] for out in alone if isinstance(out, dict)}) == 2
+    for got, want in zip(batch, alone):
+        assert_same_outcome(got, want)
+
+
+def test_a_failing_replicate_gives_the_failures_of_replicates_solved_alone(monkeypatch):
+    constant_covariate_at(monkeypatch, 3)
+    config = small_config(n=60, seed=2)
+    options = small_options(inference="plugin")
+    with pytest.raises(StudyError) as batched:
+        run_monte_carlo(config, 10, options, threads=2)
+    study = simulate.Study.build(config, options)
+    with pytest.raises(StudyError) as alone:
+        gridpcr.resampling.run_tolerant(
+            lambda indices: [run_replicate(config, options, r, study)[0] for r in indices],
+            10, 1, "Monte Carlo",
+        )
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.failures == alone.value.failures
+    assert [i for i, _ in batched.value.failures] == [3]
+
+
+@pytest.mark.parametrize("reps", [10, 17])
+def test_monte_carlo_output_identical_for_any_thread_count(reps):
+    config = small_config(n=50, seed=13)
+    options = small_options(tau=0.75, inference="plugin")
+    tables = [run_monte_carlo(config, reps, options, threads=t) for t in (1, 2, 3)]
+    for table in tables[1:]:
+        for name in ("mse", "coverage", "covered_reps"):
+            assert getattr(table, name).tobytes() == getattr(tables[0], name).tobytes()
+        assert table.mhat_counts == tables[0].mhat_counts
+        assert table.completed == tables[0].completed == reps
