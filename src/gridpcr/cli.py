@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -148,6 +149,9 @@ def _path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+# Built on the first call and reused: parse_args keeps no state between
+# calls, and one build costs a few ms, a large share of a short command.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridpcr",

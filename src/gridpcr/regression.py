@@ -28,7 +28,6 @@ from .errors import (
     ConfigurationError,
     ConformanceError,
     DegenerateDesignError,
-    NearMultiplicityError,
 )
 from .space import synthesize
 
@@ -196,7 +195,7 @@ def _weights(design: RegressionDesign, weights) -> np.ndarray:
     return w
 
 
-def _fit(design: RegressionDesign, weights: np.ndarray) -> list:
+def _fit(design: RegressionDesign, weights: np.ndarray):
     """Weighted least squares of y on ``design_matrix(design)``, for every draw.
 
     ``weights`` come checked from ``_weights``, and a design with unstacked
@@ -207,20 +206,18 @@ def _fit(design: RegressionDesign, weights: np.ndarray) -> list:
     design's condition times eps, not like its square as with the normal
     equations. R has the singular values of the weighted design, so the
     condition of sigma_hat = R^T R / n is the squared ratio of its extreme
-    ones; a condition above ``CONDITION_LIMIT`` (a numerically singular
-    design) fails that draw alone. Returns one entry per draw: its
-    ``RegressionFit``, or the ``DegenerateDesignError`` it fails with.
+    ones. Returns the ``RegressionFit``, or one per draw of a stack; a
+    condition above ``CONDITION_LIMIT`` (a numerically singular design)
+    raises the ``DegenerateDesignError`` of the first such draw.
     """
     n = design.n
     w = weights.reshape(-1, n)
     aug = _regressors(design, 1).reshape(len(w), n, -1)
     p = aug.shape[2] - 1
     if n <= p:
-        return [
-            DegenerateDesignError(
-                f"need more than {p} observations to fit {p} coefficients, got {n}"
-            )
-        ] * len(w)
+        raise DegenerateDesignError(
+            f"need more than {p} observations to fit {p} coefficients, got {n}"
+        )
     aug[:, :, p] = design.y
     # numpy's qr factors a copy of its input, so each draw's weighted system
     # is formed and factored on its own: a batch holds one (B, n, p + 1)
@@ -233,33 +230,24 @@ def _fit(design: RegressionDesign, weights: np.ndarray) -> list:
     sv = np.linalg.svd(tri, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = (sv[:, 0] / sv[:, -1]) ** 2
-    solvable = np.isfinite(condition) & (condition <= CONDITION_LIMIT)
-    theta = np.zeros((len(w), p, 1))
-    theta[solvable] = np.linalg.solve(tri[solvable], qty[solvable])
+    for c in condition:
+        if not c <= CONDITION_LIMIT:
+            raise DegenerateDesignError(
+                f"design second-moment matrix has condition {c:.3e} "
+                f"(limit {CONDITION_LIMIT:.0e}); the nondegeneracy assumption fails"
+            )
+    theta = np.linalg.solve(tri, qty)
     residuals = design.y - (aug[:, :, :p] @ theta)[:, :, 0]
     sigma = np.swapaxes(tri, 1, 2) @ tri / n
     sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
-    return [
+    fits = [
         RegressionFit(
             theta=theta[i, :, 0], sigma_hat=sigma[i], residuals=residuals[i],
             condition=float(condition[i]), n=n, d=design.d, m=design.m,
         )
-        if solvable[i]
-        else DegenerateDesignError(
-            f"design second-moment matrix has condition {condition[i]:.3e} "
-            f"(limit {CONDITION_LIMIT:.0e}); the nondegeneracy assumption fails"
-        )
         for i in range(len(w))
     ]
-
-
-def _unstacked(design: RegressionDesign, fits: list):
-    """The fit of an unstacked design, raising its error; a stack's list as is."""
-    if design.scores.ndim == 3:
-        return fits
-    if isinstance(fits[0], DegenerateDesignError):
-        raise fits[0]
-    return fits[0]
+    return fits if design.scores.ndim == 3 else fits[0]
 
 
 def fit_pcr(design: RegressionDesign, weights=None):
@@ -270,13 +258,13 @@ def fit_pcr(design: RegressionDesign, weights=None):
     resampling; None is unit weights); the stored residuals are always the
     unweighted y - U theta. Returns the ``RegressionFit``, or raises its
     ``DegenerateDesignError``. A design with stacked scores (B, n, m) takes
-    (B, n) weights and returns one entry per draw: its ``RegressionFit``, or
-    the ``DegenerateDesignError`` that draw fails with, so that one
-    degenerate draw does not fail its batch.
+    (B, n) weights and returns one ``RegressionFit`` per draw, or raises
+    the error of the first draw that fails; the caller that solves draws in
+    batches (``resampling.solve_alone_on_failure``) refits each draw alone.
     """
     if design.treatment is not None:
         return fit_precision(design, weights)
-    return _unstacked(design, _fit(design, _weights(design, weights)))
+    return _fit(design, _weights(design, weights))
 
 
 def fit_precision(design: RegressionDesign, weights=None):
@@ -284,22 +272,23 @@ def fit_precision(design: RegressionDesign, weights=None):
 
     Both treatment arms must carry positive weight, otherwise the modifier
     block is inestimable; arm sizes are weight totals (row counts when
-    ``weights`` is None). Stacked scores are fitted and returned as by
-    ``fit_pcr``, each draw's arms checked on its own weights.
+    ``weights`` is None). The arms are checked before the fit, so an empty
+    arm raises its own ``DegenerateDesignError``. Stacked scores are fitted
+    and returned as by ``fit_pcr``, each draw's arms checked on its own
+    weights.
     """
     if design.treatment is None:
         raise ConformanceError("two-arm fit needs a treatment indicator")
     w = _weights(design, weights)
-    fits = _fit(design, w)
     arms = np.broadcast_to(design.treatment, w.shape).reshape(-1, design.n).astype(float)
-    for i, (wi, a) in enumerate(zip(w.reshape(-1, design.n), arms)):
+    for wi, a in zip(w.reshape(-1, design.n), arms):
         n_treat, n_control = float(wi @ a), float(wi @ (1.0 - a))
         if n_treat == 0 or n_control == 0:
-            fits[i] = DegenerateDesignError(
+            raise DegenerateDesignError(
                 f"treatment arm sizes are {n_control:.15g} and {n_treat:.15g}; "
                 "both arms must be populated for the modifier block"
             )
-    return _unstacked(design, fits)
+    return _fit(design, w)
 
 
 def coefficient_element(fit: RegressionFit, model: EigenModel, space, basis):
@@ -327,9 +316,9 @@ def plugin_cov(fit, model, design: RegressionDesign):
 
     A design with stacked rows (B, n, ...) takes a sequence of B fits and
     one of B models, all retaining the same number of components, and
-    returns one entry per draw: its covariance, or the
-    ``NearMultiplicityError`` its gap check fails with. Every draw is
-    solved in one pass over the stack, with the bytes of its own call.
+    returns one covariance per draw, or raises the ``NearMultiplicityError``
+    of the first draw whose gap check fails. Every draw is solved in one
+    pass over the stack, with the bytes of its own call.
     """
     stacked = design.scores.ndim == 3
     fits, models = (list(fit), list(model)) if stacked else ([fit], [model])
@@ -339,63 +328,51 @@ def plugin_cov(fit, model, design: RegressionDesign):
             "jackknife for two-arm designs"
         )
     n, m, d = design.n, design.m, design.d
-    failed = {}
-    for i, md in enumerate(models):
+    for md in models:
         if md.n != n:
             raise ConformanceError("model and design have different row counts")
         if md.n_components != models[0].n_components:
             raise ConformanceError("stacked models retain different component counts")
         check_score_count(m, md)
-        try:
-            check_gaps(md, m)
-        except NearMultiplicityError as exc:
-            if not stacked:
-                raise
-            failed[i] = exc
+        check_gaps(md, m)
     scores = design.scores.reshape(len(fits), n, m)
     eps = np.array([f.residuals for f in fits])
     xi = np.array([centered_scores(md) for md in models])
     raw = np.array([component_scores(md) for md in models])
     lams = np.array([md.eigenvalues for md in models])
-    # A draw that failed its gap check is solved with the others and
-    # dropped; only its own slices can hold inf or NaN.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
-        diff = lams[:, :m, None] - lams[:, None, :]
-        diff[:, np.arange(m), np.arange(m)] = np.inf
-        gaps = 1.0 / diff
-        # Every direction the correction pairs with: the mean, each
-        # covariate, the residuals and each score, expressed by their
-        # projections onto the retained eigenfunctions, one row each (2 + d
-        # + m rows).
-        proj = np.concatenate(
-            [raw.mean(axis=1, keepdims=True), np.swapaxes(design.x, -1, -2) @ raw / n,
-             eps[:, None, :] @ raw / n, np.swapaxes(scores, -1, -2) @ raw / n],
-            axis=1,
-        )
-        # paired[p, i, j] = <proj_p, L_{1j}(K_i)> for every i and j <= m,
-        # from one stacked product: a (n, m) block per direction.
-        paired = xi[:, None] @ np.swapaxes(gaps[:, None] * proj[:, :, None, :], -1, -2)
-        paired *= xi[:, None, :, :m]
-        # The correction's columns follow theta: the intercept and covariate
-        # columns pair with gamma, and score column l adds the residual
-        # pairing.
-        gamma = np.array([f.gamma for f in fits])
-        q = paired @ gamma[:, None, :, None]
-        q = np.negative(q, out=q)[..., 0]
-        contributions = np.concatenate(
-            [np.swapaxes(q[:, : 1 + d], -1, -2),
-             paired[:, 1 + d] + np.swapaxes(q[:, 2 + d :], -1, -2)],
-            axis=-1,
-        )
-        contributions += design_matrix(design).reshape(len(fits), n, -1) * eps[..., None]
-        sigma_inv = np.linalg.inv(np.array([f.sigma_hat for f in fits]))
-        influence = contributions @ sigma_inv
-        influence -= influence.mean(axis=1, keepdims=True)
-        cov = (np.swapaxes(influence, -1, -2) @ influence / n) / n
-    if not stacked:
-        return cov[0]
-    return [failed.get(i, c) for i, c in enumerate(cov)]
+    # Inverse spectral gaps, zero on the diagonal: gaps[j, k] = 1/(l_j - l_k).
+    # check_gaps has ruled out a zero gap off the diagonal, and 1/inf is 0.
+    diff = lams[:, :m, None] - lams[:, None, :]
+    diff[:, np.arange(m), np.arange(m)] = np.inf
+    gaps = 1.0 / diff
+    # Every direction the correction pairs with: the mean, each covariate,
+    # the residuals and each score, expressed by their projections onto the
+    # retained eigenfunctions, one row each (2 + d + m rows).
+    proj = np.concatenate(
+        [raw.mean(axis=1, keepdims=True), np.swapaxes(design.x, -1, -2) @ raw / n,
+         eps[:, None, :] @ raw / n, np.swapaxes(scores, -1, -2) @ raw / n],
+        axis=1,
+    )
+    # paired[p, i, j] = <proj_p, L_{1j}(K_i)> for every i and j <= m, from
+    # one stacked product: a (n, m) block per direction.
+    paired = xi[:, None] @ np.swapaxes(gaps[:, None] * proj[:, :, None, :], -1, -2)
+    paired *= xi[:, None, :, :m]
+    # The correction's columns follow theta: the intercept and covariate
+    # columns pair with gamma, and score column l adds the residual pairing.
+    gamma = np.array([f.gamma for f in fits])
+    q = paired @ gamma[:, None, :, None]
+    q = np.negative(q, out=q)[..., 0]
+    contributions = np.concatenate(
+        [np.swapaxes(q[:, : 1 + d], -1, -2),
+         paired[:, 1 + d] + np.swapaxes(q[:, 2 + d :], -1, -2)],
+        axis=-1,
+    )
+    contributions += design_matrix(design).reshape(len(fits), n, -1) * eps[..., None]
+    sigma_inv = np.linalg.inv(np.array([f.sigma_hat for f in fits]))
+    influence = contributions @ sigma_inv
+    influence -= influence.mean(axis=1, keepdims=True)
+    cov = (np.swapaxes(influence, -1, -2) @ influence / n) / n
+    return list(cov) if stacked else cov[0]
 
 
 def sandwich_cov(fit: RegressionFit, design: RegressionDesign) -> np.ndarray:

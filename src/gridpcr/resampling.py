@@ -17,8 +17,12 @@ Replicates are solved in fixed batches of ``BATCH`` consecutive draws, one
 pool task each: one stacked eigensolve (``decomp._eig_from_scores``), which
 finds only the leading eigenpairs each draw uses, by subspace iteration from
 the point fit, and one stacked least-squares fit (``fit_pcr``) per batch
-(``_replicate_thetas``). A draw that fails (too few components, a degenerate
-design, an empty arm) fails alone, with its own message.
+(``_replicate_thetas``). A batch solver returns one result per draw of its
+range, or raises the ``GridPcrError`` of a failing draw (too few
+components, a degenerate design, an empty arm). ``solve_alone_on_failure``
+then solves each draw of that range again on its own, so a failing draw
+fails alone, with its own message, and the others keep the numbers they
+have in a failure-free batch.
 
 Replicate randomness is keyed by (base_seed, replicate index), and a batch is
 a fixed range of indices, making every study reproducible for any worker
@@ -253,30 +257,24 @@ def _replicate_thetas(frame, design: RegressionDesign, weights, labels) -> list:
     one stacked ``fit_pcr`` then fits the draws' scores. The weighted
     covariance is divided by n, not by the weight total: bootstrap weights
     sum to n, and a jackknife replicate's eigenvalues only feed its coords,
-    which the scale does not change. Returns one entry per draw: its theta,
-    or the ``GridPcrError`` it fails with (fewer than m components
+    which the scale does not change. Returns one theta per draw, or raises
+    the ``GridPcrError`` of a failing draw (fewer than m components
     retained, a degenerate design, an empty arm).
     """
     left, ref = frame
     m = design.m
-    out, flips = [None] * len(weights), []
-    for i, (_, vecs) in enumerate(_eig_from_scores(left, weights, wanted=m, start=ref)):
+    flips = []
+    for label, (_, vecs) in zip(labels, _eig_from_scores(left, weights, wanted=m, start=ref)):
         if vecs.shape[0] < m:
-            out[i] = GridPcrError(
-                f"{labels[i]} retained {vecs.shape[0]} components, "
+            raise GridPcrError(
+                f"{label} retained {vecs.shape[0]} components, "
                 f"fewer than the {m} the design needs"
             )
-            continue
         signs = np.sign(np.sum(vecs[:m] * ref[:m], axis=1))
         signs[signs == 0] = 1.0
         flips.append(vecs[:m] * signs[:, None])
-    solved = [i for i, res in enumerate(out) if res is None]
-    if solved:
-        scores = left @ np.swapaxes(np.array(flips), 1, 2)
-        fits = fit_pcr(replace(design, scores=scores), weights[solved])
-        for i, fit in zip(solved, fits):
-            out[i] = fit if isinstance(fit, GridPcrError) else fit.theta
-    return out
+    scores = left @ np.swapaxes(np.array(flips), 1, 2)
+    return [fit.theta for fit in fit_pcr(replace(design, scores=scores), weights)]
 
 
 def percentile_ci(draws, level: float):
@@ -298,43 +296,57 @@ def percentile_ci(draws, level: float):
     return lower, upper
 
 
-def _run_batches(solve, count: int, threads: int, batch: int) -> list:
-    """Outcomes of every index below ``count``, solved in fixed ranges of ``batch``.
+def solve_alone_on_failure(solve, indices) -> list:
+    """Outcomes of the range ``indices``: ``solve(indices)``, or each index alone.
 
-    Each range of ``batch`` consecutive indices is one ``run_indexed`` task,
-    so the ranges, and the outcomes, do not depend on ``threads``.
-    ``solve(indices)`` returns one outcome per index of its range: a
-    result, or the ``GridPcrError`` that index fails with. A
-    ``GridPcrError`` that ``solve`` raises becomes the outcome of every
-    index of its range; a ``ConfigurationError`` propagates.
+    ``solve`` returns one result per index of its range, or raises the
+    ``GridPcrError`` of a failing index. Then each index of the range is
+    solved again as a range of one, and an index that still fails gets
+    that error as its outcome: a failing draw fails alone, with its own
+    message. This is the one place where a raised error becomes an
+    outcome. A ``ConfigurationError`` propagates at once: a setting that
+    fails one replicate fails them all.
     """
+    try:
+        return solve(indices)
+    except ConfigurationError:
+        raise
+    except GridPcrError as exc:
+        if len(indices) == 1:
+            return [exc]
+    alone = (indices[k : k + 1] for k in range(len(indices)))
+    return [solve_alone_on_failure(solve, one)[0] for one in alone]
 
-    def task(t):
-        indices = range(t * batch, min(count, (t + 1) * batch))
-        try:
-            return solve(indices)
-        except ConfigurationError:
-            raise
-        except GridPcrError as exc:
-            return [exc] * len(indices)
 
-    parts = run_indexed(task, -(-count // batch), threads)
+def _run_batches(solve, count: int, threads: int) -> list:
+    """Outcomes of every index below ``count``, solved in fixed ranges of ``BATCH``.
+
+    Each range of ``BATCH`` consecutive indices is one ``run_indexed``
+    task, so the ranges, and the outcomes, do not depend on ``threads``.
+    ``solve(indices)`` returns one result per index of its range or raises,
+    and ``solve_alone_on_failure`` turns a range's failure into the
+    outcomes of its indices solved alone: a result, or the ``GridPcrError``
+    that index fails with.
+    """
+    ranges = [range(i, min(count, i + BATCH)) for i in range(0, count, BATCH)]
+    parts = run_indexed(
+        lambda t: solve_alone_on_failure(solve, ranges[t]), len(ranges), threads
+    )
     return [outcome for part in parts for outcome in part]
 
 
-def run_tolerant(solve, count: int, threads: int, what: str, batch: int = 1):
+def run_tolerant(solve, count: int, threads: int, what: str):
     """Evaluate ``solve`` on every index below ``count``, tolerating a few failures.
 
     The indices run as ``_run_batches`` runs them: ``solve(indices)`` takes
-    a fixed range of ``batch`` consecutive indices and returns one outcome
-    per index. A ``GridPcrError`` outcome is recorded as (i, message). A
-    ``ConfigurationError`` propagates at once: a setting that fails one
-    replicate fails them all. Returns the results in index order and the
-    failures; more than ``MAX_FAILURE_FRACTION`` of ``count`` failing
-    raises ``StudyError``.
+    a fixed range of ``BATCH`` consecutive indices and returns one result
+    per index, or raises. A ``GridPcrError`` outcome is recorded as (i,
+    message). A ``ConfigurationError`` propagates at once. Returns the
+    results in index order and the failures; more than
+    ``MAX_FAILURE_FRACTION`` of ``count`` failing raises ``StudyError``.
     """
     done, failures = [], []
-    for i, res in enumerate(_run_batches(solve, count, threads, batch)):
+    for i, res in enumerate(_run_batches(solve, count, threads)):
         if isinstance(res, GridPcrError):
             failures.append((i, str(res)))
         else:
@@ -374,12 +386,13 @@ def _normal_table(names, point, se, level: float, method: str, completed: int):
 def _bootstrap(spec: BootstrapSpec, n: int, solve, names: list, point, threads: int):
     """Solve every replicate in batches and tabulate percentile intervals.
 
-    ``solve(weights, draws)`` returns one outcome per draw of the range
-    ``draws``, whose ``gen_weights`` over n rows are the rows of ``weights``.
+    ``solve(weights, draws)`` returns one result per draw of the range
+    ``draws``, whose ``gen_weights`` over n rows are the rows of ``weights``,
+    or raises the ``GridPcrError`` of a failing draw.
     """
     draws, failures = run_tolerant(
         lambda b: solve(np.array([gen_weights(spec, n, i) for i in b]), b),
-        spec.b_reps, threads, "bootstrap", BATCH,
+        spec.b_reps, threads, "bootstrap",
     )
     draws = np.array(draws).reshape(len(draws), len(names))
     lower, upper = percentile_ci(draws, spec.level)
@@ -493,7 +506,7 @@ def block_jackknife(
         labels = [f"jackknife block {block}" for block in blocks]
         return _replicate_thetas(frame, design, weights, labels)
 
-    reps = _run_batches(solve, spec.r, threads, BATCH)
+    reps = _run_batches(solve, spec.r, threads)
     for rep in reps:
         if isinstance(rep, GridPcrError):
             raise rep

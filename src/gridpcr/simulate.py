@@ -17,7 +17,9 @@ is linear, so every quantity the fit needs follows from the factors and the
 family's own projection without forming the n x V sample. Replicates are
 solved in fixed batches of ``resampling.BATCH`` consecutive indices: one
 stacked fit, one regression and one plug-in covariance per batch and
-selected m.
+selected m. A batch that holds a failing replicate raises its error, and
+``resampling.solve_alone_on_failure`` solves each of its replicates again
+alone, so the failing one fails with its own message.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from .decomp import (
     model_from_white,
     select_pve,
 )
-from .errors import ConformanceError, ConfigurationError, GridPcrError
+from .errors import ConformanceError, ConfigurationError
 from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
-    BATCH,
     check_intervals,
     coefficient_intervals,
     normal_ci,
@@ -519,20 +520,6 @@ class Study:
         )
 
 
-def _outcome(step, *args):
-    """``step(*args)``, or the ``GridPcrError`` it raises.
-
-    A ``ConfigurationError`` propagates: a setting that fails one replicate
-    fails them all.
-    """
-    try:
-        return step(*args)
-    except ConfigurationError:
-        raise
-    except GridPcrError as exc:
-        return exc
-
-
 def _stacked_design(data, scores, members, m) -> RegressionDesign:
     """The regression design of the replicates ``members``, stacked in that order.
 
@@ -558,14 +545,15 @@ def run_replicate(
     """Generate a batch of datasets, run the estimation chain, and score each.
 
     ``replicates`` is a range of replicate indices; an int is a range of
-    one. Returns one outcome per index: a dict with the selected component
-    count, squared errors for every true parameter (eigenvalues first, then
+    one. Returns one dict per index, with the selected component count,
+    squared errors for every true parameter (eigenvalues first, then
     coefficients) and interval coverage indicators where inference was
-    requested, or the ``GridPcrError`` that replicate fails with; a
-    ``ConfigurationError`` propagates. Eigen-block comparisons are
-    sign-aligned to the true eigenfunctions; components beyond the selected
-    count are scored as zero estimates and skipped for coverage. ``study``
-    is the scenario's ``Study``, built here when not given.
+    requested, or raises the ``GridPcrError`` of a failing replicate;
+    ``run_monte_carlo`` then solves each replicate of the range alone.
+    Eigen-block comparisons are sign-aligned to the true eigenfunctions;
+    components beyond the selected count are scored as zero estimates and
+    skipped for coverage. ``study`` is the scenario's ``Study``, built here
+    when not given.
 
     Each dataset comes from its own ``generate_dataset`` call, and
     ``Study.fit`` fits them all in one stacked pass. Replicates that select
@@ -580,50 +568,40 @@ def run_replicate(
         replicates = range(replicates, replicates + 1)
     data = [generate_dataset(config, r, study.family)[2:] for r in replicates]
     models = study.fit(np.array([sample.factors for sample, *_ in data]))
-    out, groups = [None] * len(data), {}
+    groups = {}
     for i, model in enumerate(models):
         if options.m_override is None:
-            out[i] = _outcome(lambda: select_pve(model, options.tau).m)
+            m = select_pve(model, options.tau).m
         else:
-            out[i] = _outcome(check_score_count, options.m_override, model)
-        if not isinstance(out[i], GridPcrError):
-            groups.setdefault((out[i], model.n_components), []).append(i)
+            m = options.m_override
+            check_score_count(m, model)
+        groups.setdefault((m, model.n_components), []).append(i)
     truth = _true_theta(config)
+    out = [None] * len(data)
     for (m, _), members in groups.items():
         scores = {i: component_scores(models[i]) for i in members}
         design = _stacked_design(data, scores, members, m)
-        fits = dict(zip(members, fit_pcr(design)))
-        solved = [i for i in members if not isinstance(fits[i], GridPcrError)]
-        bounds = dict.fromkeys(solved)
-        if options.inference == "plugin" and solved:
-            if len(solved) < len(members):
-                design = _stacked_design(data, scores, solved, m)
-            covs = plugin_cov([fits[i] for i in solved], [models[i] for i in solved], design)
-            for i, cov in zip(solved, covs):
-                bounds[i] = cov if isinstance(cov, GridPcrError) else normal_ci(
-                    fits[i].theta, np.sqrt(np.diag(cov)), options.level
-                )
+        fits = fit_pcr(design)
+        bounds = [None] * len(members)
+        if options.inference == "plugin":
+            covs = plugin_cov(fits, [models[i] for i in members], design)
+            bounds = [
+                normal_ci(fit.theta, np.sqrt(np.diag(cov)), options.level)
+                for fit, cov in zip(fits, covs)
+            ]
         elif options.inference is not None:
-            for i in solved:
+            for k, (i, fit) in enumerate(zip(members, fits)):
                 _, x, y, treatment = data[i]
-                design = RegressionDesign(
-                    y=y, x=x, scores=scores[i][:, :m], treatment=treatment
-                )
-                table = _outcome(
-                    lambda: coefficient_intervals(
-                        models[i], design, fits[i], options.inference, options.level,
-                        options.b_reps, options.boot_kind,
-                        mix_seed(config.seed, replicates[i]), options.r_blocks,
-                    )[0]
-                )
-                bounds[i] = table if isinstance(table, GridPcrError) else (
-                    table.lower, table.upper
-                )
-        for i in members:
-            outcome = bounds.get(i, fits[i])
-            out[i] = outcome if isinstance(outcome, GridPcrError) else _score(
-                config, study, models[i], m, fits[i].theta, truth, outcome
-            )
+                table = coefficient_intervals(
+                    models[i],
+                    RegressionDesign(y=y, x=x, scores=scores[i][:, :m], treatment=treatment),
+                    fit, options.inference, options.level, options.b_reps,
+                    options.boot_kind, mix_seed(config.seed, replicates[i]),
+                    options.r_blocks,
+                )[0]
+                bounds[k] = (table.lower, table.upper)
+        for i, fit, bound in zip(members, fits, bounds):
+            out[i] = _score(config, study, models[i], m, fit.theta, truth, bound)
     return out
 
 
@@ -694,9 +672,10 @@ def run_monte_carlo(
     The scenario's ``Study`` is built once and shared by every replicate.
     Replicates are keyed by (config.seed, replicate) and solved by
     ``run_replicate`` in fixed ranges of ``resampling.BATCH``, so results
-    are bitwise-reproducible for any thread count. Replicate failures are
-    tolerated up to 5% of the study and listed in the result; more than
-    that raises ``StudyError``.
+    are bitwise-reproducible for any thread count. A range that raises is
+    solved again replicate by replicate (``resampling.run_tolerant``), and
+    replicate failures are tolerated up to 5% of the study and listed in
+    the result; more than that raises ``StudyError``.
     """
     if reps < 1:
         raise ConfigurationError("need at least one replicate")
@@ -707,7 +686,6 @@ def run_monte_carlo(
         reps,
         threads,
         "Monte Carlo",
-        BATCH,
     )
     j_true = config.n_components
     names = _metric_names(config)

@@ -28,7 +28,7 @@ from gridpcr import (
     write_grid,
     write_table,
 )
-from gridpcr.cli import main
+from gridpcr.cli import build_parser, main
 from gridpcr.util import replicate_rng
 
 DIMS = (8, 9)
@@ -92,8 +92,10 @@ def test_every_entry_point_checks_the_score_count_alike(tmp_path, capsys, entry)
             beta0=(1.0,), gamma0=(1.5, -1.0), n=50,
         )
         options = gridpcr.PipelineOptions(degree=2, interior_knots=2, m_override=3)
-        outcome = gridpcr.run_replicate(config, options, 0)[0]
-        assert type(outcome) is gridpcr.ConformanceError and str(outcome) == message
+        with pytest.raises(gridpcr.ConformanceError) as excinfo:
+            gridpcr.run_replicate(config, options, 0)
+        assert type(excinfo.value) is gridpcr.ConformanceError
+        assert str(excinfo.value) == message
         return
     basis = bspline_tensor_basis(space, 2, 2)
     model = fit_subspace_pca(space, basis, sample)
@@ -562,6 +564,27 @@ def test_simulate_config_override(tmp_path):
     assert sum(int(r[1]) for r in mhat_rows) == 3
     manifest = read_manifest(out / "manifest.json")
     assert manifest["config"]["n"] == 25 and manifest["seed"] == 3
+
+
+def test_a_cached_parser_keeps_no_config_between_commands(tmp_path):
+    # The parser is built once per process; a --config run must leave
+    # nothing behind for the next command to read.
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"n": 25, "reps": 2, "seed": 3, "corr": 0.5}))
+    flags = [
+        "simulate", "--dims", "8x9", "--lambdas", "3,1", "--gamma0", "1.5,-1",
+        "--beta0", "1", "--degree", "2", "--knots", "2", "--n", "20", "--reps", "2",
+        "--out", str(tmp_path / "o"),
+    ]
+    assert main([*flags[:-2], "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert main(flags) == 0
+    after = read_manifest(tmp_path / "o" / "manifest.json")["config"]
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    assert main(flags) == 0
+    alone = read_manifest(tmp_path / "o" / "manifest.json")["config"]
+    assert after == alone
+    assert (alone["n"], alone["seed"], alone["corr"], alone["config"]) == (20, 0, 0.0, None)
 
 
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):

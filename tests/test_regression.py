@@ -286,8 +286,9 @@ def stack_of(pipelines):
 
 def test_stacked_fits_and_plugin_covs_keep_each_draws_bytes():
     # Monte Carlo replicates stack y, x and the scores. Each draw's fit and
-    # plug-in covariance are those of its own call, byte for byte, and a
-    # draw whose eigenvalues are too close fails alone, with its message.
+    # plug-in covariance are those of its own call, byte for byte. A stack
+    # that holds a draw whose eigenvalues are too close raises that draw's
+    # own message, and the other draws, stacked without it, keep their bytes.
     pipelines = [fitted_pipeline(seed) for seed in (4, 5, 6)]
     space, basis, close, design = pipelines[1]
     lams = close.eigenvalues.copy()
@@ -296,18 +297,21 @@ def test_stacked_fits_and_plugin_covs_keep_each_draws_bytes():
     models = [model for _, _, model, _ in pipelines]
     stacked = stack_of(pipelines)
     fits = fit_pcr(stacked)
-    covs = plugin_cov(fits, models, stacked)
-    for (*_, model, design), fit, cov in zip(pipelines, fits, covs):
+    with pytest.raises(NearMultiplicityError) as alone:
+        plugin_cov(fit_pcr(pipelines[1][3]), models[1], pipelines[1][3])
+    with pytest.raises(NearMultiplicityError) as batch:
+        plugin_cov(fits, models, stacked)
+    assert type(batch.value) is NearMultiplicityError
+    assert str(batch.value) == str(alone.value)
+    for (*_, design), fit in zip(pipelines, fits):
         own = fit_pcr(design)
         for name in ("theta", "residuals", "sigma_hat"):
             assert getattr(fit, name).tobytes() == getattr(own, name).tobytes(), name
-        if model is models[1]:
-            with pytest.raises(NearMultiplicityError) as excinfo:
-                plugin_cov(own, model, design)
-            assert type(cov) is NearMultiplicityError
-            assert str(cov) == str(excinfo.value)
-        else:
-            assert cov.tobytes() == plugin_cov(own, model, design).tobytes()
+    kept = [pipelines[0], pipelines[2]]
+    kept_stack = stack_of(kept)
+    covs = plugin_cov(fit_pcr(kept_stack), [models[0], models[2]], kept_stack)
+    for (*_, model, design), cov in zip(kept, covs):
+        assert cov.tobytes() == plugin_cov(fit_pcr(design), model, design).tobytes()
 
 
 def test_stacked_design_validation():

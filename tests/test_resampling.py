@@ -42,7 +42,14 @@ import gridpcr.decomp
 import gridpcr.resampling
 import gridpcr.util
 from gridpcr.decomp import _eig_from_scores
-from gridpcr.resampling import BATCH, CiTable, _replicate_frame, _replicate_thetas, normal_ci
+from gridpcr.resampling import (
+    BATCH,
+    CiTable,
+    _replicate_frame,
+    _replicate_thetas,
+    _run_batches,
+    normal_ci,
+)
 from gridpcr.util import replicate_rng
 
 
@@ -290,12 +297,11 @@ def test_resample_emptying_an_arm_fails():
     model = fit_subspace_pca(space, basis, sample)
     counts = np.zeros(n)
     counts[~treatment] = 2.0  # every draw lands in the control arm
-    (failure,) = _replicate_thetas(
-        _replicate_frame(model), design_of(model, y, x, 2, treatment), counts[None],
-        ["replicate 0"],
-    )
     with pytest.raises(DegenerateDesignError, match="treatment arm sizes are 50 and 0"):
-        raise failure
+        _replicate_thetas(
+            _replicate_frame(model), design_of(model, y, x, 2, treatment), counts[None],
+            ["replicate 0"],
+        )
 
 
 @pytest.mark.parametrize(
@@ -365,18 +371,51 @@ def test_jackknife_needs_enough_blocks():
         block_jackknife(model, design_of(model, y, x, 2), JackknifeSpec(r=30))
 
 
+def solve_spy(failing, error=GridPcrError):
+    """A batch solver that records its ranges and raises for one holding ``failing``."""
+    calls = []
+
+    def solve(indices):
+        calls.append((indices.start, indices.stop))
+        if failing in indices:
+            raise error(f"draw {failing} fails")
+        return [10 * i for i in indices]
+
+    return solve, calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_range_is_solved_again_draw_by_draw(threads):
+    solve, calls = solve_spy(failing=None)
+    assert _run_batches(solve, 20, threads) == [10 * i for i in range(20)]
+    assert sorted(calls) == [(0, 8), (8, 16), (16, 20)]
+
+    solve, calls = solve_spy(failing=10)
+    outcomes = _run_batches(solve, 20, threads)
+    assert [type(out) for out in outcomes].count(GridPcrError) == 1
+    assert str(outcomes[10]) == "draw 10 fails"
+    assert outcomes[:10] + outcomes[11:] == [10 * i for i in range(20) if i != 10]
+    alone = [(i, i + 1) for i in range(8, 16)]
+    assert sorted(calls) == sorted([(0, 8), (8, 16), (16, 20)] + alone)
+    eight_to_sixteen = [c for c in calls if 8 <= c[0] < 16]
+    assert eight_to_sixteen == [(8, 16)] + alone
+
+    solve, calls = solve_spy(failing=10, error=ConfigurationError)
+    with pytest.raises(ConfigurationError, match="draw 10 fails"):
+        _run_batches(solve, 20, threads)
+    assert calls.count((8, 16)) == 1
+    assert all(stop - start > 1 for start, stop in calls)
+
+
 def test_jackknife_failing_block_raises(monkeypatch):
     # Unlike a bootstrap draw, a jackknife block is not tolerated as a failure.
     space, basis, sample, y, x, _ = small_problem(7)
     model = fit_subspace_pca(space, basis, sample)
 
     def flaky(frame, design, weights, labels):
-        out = _replicate_thetas(frame, design, weights, labels)
-        return [
-            GridPcrError(f"{label} retained too few components")
-            if label == "jackknife block 3" else res
-            for label, res in zip(labels, out)
-        ]
+        if "jackknife block 3" in labels:
+            raise GridPcrError("jackknife block 3 retained too few components")
+        return _replicate_thetas(frame, design, weights, labels)
 
     monkeypatch.setattr(gridpcr.resampling, "_replicate_thetas", flaky)
     with pytest.raises(GridPcrError, match="jackknife block 3"):
@@ -726,14 +765,11 @@ def test_replicate_keeping_too_few_directions_fails_on_either_path(monkeypatch):
         weights = np.zeros(model.n)
         weights[:2] = 1.0
         widths.clear()
-        (failure,) = _replicate_thetas(
-            _replicate_frame(model), design, weights[None], ["replicate 0"]
-        )
         with pytest.raises(
             GridPcrError,
             match="^replicate 0 retained 1 components, fewer than the 2 the design needs$",
         ):
-            raise failure
+            _replicate_thetas(_replicate_frame(model), design, weights[None], ["replicate 0"])
         assert set(widths) == {width}
 
 

@@ -37,6 +37,7 @@ from gridpcr.decomp import (
     model_from_white,
 )
 from gridpcr.regression import RegressionDesign, fit_pcr, plugin_cov
+from gridpcr.resampling import solve_alone_on_failure
 from gridpcr.space import AmbientSpace
 from gridpcr.util import replicate_rng
 
@@ -539,8 +540,12 @@ def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
     config = small_config(n=60, seed=2)
     options = small_options(tau=0.75, inference=inference)
     study = simulate.Study.build(config, options)
-    batch = run_replicate(config, options, range(8), study)
-    alone = [run_replicate(config, options, r, study)[0] for r in range(8)]
+
+    def solve(indices):
+        return run_replicate(config, options, indices, study)
+
+    batch = solve_alone_on_failure(solve, range(8))
+    alone = [solve_alone_on_failure(solve, range(r, r + 1))[0] for r in range(8)]
     assert isinstance(alone[3], gridpcr.DegenerateDesignError)
     assert len({out["m"] for out in alone if isinstance(out, dict)}) == 2
     for got, want in zip(batch, alone):
