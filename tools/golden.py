@@ -14,6 +14,8 @@ program under test cannot change them: a 20x24 sample with a design table
 the peak entry of an eigenfunction decide its sign there, and its whitened
 scores have rank 4 of 125), a noisy 64x60x56 sample with its own
 design table, large enough that every pass over it spans several row chunks,
+a copy of the 2D sample whose row 0 lies far from the rest (a fit's total
+variance then needs its exact second read),
 a triangulation of the unit square in the text mesh format and a
 ``simulate --config`` JSON file. Each command then
 runs in a fresh interpreter with ``PYTHONPATH=<src>`` and
@@ -102,6 +104,9 @@ def write_inputs(directory) -> None:
     sample = 1.0 + 0.5 * _field(DIMS_2D, (2, 1)) + scores @ np.array(fields)
     sample += 0.1 * rng.standard_normal(sample.shape)
     _write_hsg(os.path.join(directory, "sample2d.hsg"), sample.reshape(N_2D, *DIMS_2D))
+    far = sample.copy()
+    far[0] += 100.0
+    _write_hsg(os.path.join(directory, "sample2d-far.hsg"), far.reshape(N_2D, *DIMS_2D))
     x = rng.standard_normal((N_2D, 2))
     a = (rng.random(N_2D) < 0.5).astype(float)
     y = 1.0 + x.sum(axis=1) + scores[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_2D)
@@ -193,6 +198,9 @@ def cases(inputs) -> dict:
         "simulate-config": ["simulate", "--config", os.path.join(inputs, "study.json")],
         "fit-chunked": ["fit", *chunked],
         "diagnose-chunked": ["diagnose", *chunked],
+        "diagnose-auto-chunked": ["diagnose", *chunked[:4], "--knots", "1", "--auto-knots"],
+        "fit-far-first-row": ["fit", "--data", os.path.join(inputs, "sample2d-far.hsg"),
+                              *d2[2:]],
         "regress-chunked": ["regress", *chunked, "--table",
                             os.path.join(inputs, "design3d.csv"), "--response", "y"],
         "jackknife-3d": ["jackknife", *d3, *table3d],
