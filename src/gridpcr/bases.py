@@ -7,9 +7,11 @@ rows are basis functions sampled at grid cell centers; the B-spline basis is
 a ``TensorBasis`` that keeps only its per-axis factors. Both answer one
 protocol, which keeps their storage formats to themselves: ``n_functions``,
 ``shape`` (N, V), ``gram(weights)``, ``scores(weighted_rows)``,
-``synthesize(coef, out=None)`` and ``rows()``, the dense oracle for tests.
-Fitting code reaches a basis only through ``space.gram``,
-``space.project_scores`` and ``space.synthesize``.
+``synthesize(coef, out=None)``, ``synthesize_tiles(coef, buf, values)``
+(the same rows a tile of columns at a time, carved from ``buf``) and
+``rows()``, the dense oracle for tests. Fitting code reaches a basis only
+through ``space.gram``, ``space.project_scores``, ``space.synthesize`` and
+``space.synthesize_tiles``.
 
 Coordinates: basis constructions and mesh vertices live in unit-cube
 coordinates, with grid cell i of an axis of extent d at (i + 0.5) / d (see
@@ -79,6 +81,16 @@ class BasisSet:
         """Grid rows ``coef @ rows()`` (k, V), written into ``out`` when given."""
         return np.matmul(coef, self.functions, out=out)
 
+    def synthesize_tiles(self, coef, buf, values):
+        """Grid rows ``coef @ rows()`` as ``(cols, tile)`` pairs: blocks of
+        columns of about ``values`` values each, carved from ``buf`` in turn."""
+        k, width = coef.shape[0], self.functions.shape[1]
+        step = max(1, min(values, buf.size) // k)
+        for lo in range(0, width, step):
+            cols = slice(lo, min(lo + step, width))
+            tile = buf.reshape(-1)[: k * (cols.stop - lo)].reshape(k, -1)
+            yield cols, np.matmul(coef, self.functions[:, cols], out=tile)
+
     def rows(self) -> np.ndarray:
         return self.functions
 
@@ -137,17 +149,42 @@ class TensorBasis:
         """Grid rows ``coef @ rows()`` (k, V) by mode-n products with the
         factors, zero outside the support; written into ``out`` (a
         C-contiguous (k, V) array) when given."""
+        out = _mode_products(self._coef_tensor(coef), [f.T for f in self.factors], out)
+        if self.support is not None:
+            out[:, ~self.support] = 0.0
+        return out
+
+    def synthesize_tiles(self, coef, buf, values):
+        """Grid rows ``synthesize(coef)`` as ``(cols, tile)`` pairs, one tile
+        of whole slabs of the leading axis at a time, about ``values``
+        values each, carved from ``buf`` in turn. Every axis but the leading
+        one is contracted once, with the products ``synthesize`` makes; each
+        tile then multiplies by its slabs' columns of the leading factor."""
+        k = coef.shape[0]
+        first, rest = self.factors[0], self.factors[1:]
+        x = self._coef_tensor(coef)
+        x = x.reshape(k * first.shape[0], *x.shape[2:])
+        slab = int(np.prod([f.shape[1] for f in rest]))
+        y = _mode_products(x, [f.T for f in rest]) if rest else x
+        y = y.reshape(k, first.shape[0], slab)
+        step = max(1, min(values, buf.size) // (k * slab))
+        for lo in range(0, first.shape[1], step):
+            hi = min(lo + step, first.shape[1])
+            tile = buf.reshape(-1)[: k * (hi - lo) * slab].reshape(k, hi - lo, slab)
+            tile = np.matmul(first.T[lo:hi], y, out=tile).reshape(k, -1)
+            cols = slice(lo * slab, hi * slab)
+            if self.support is not None:
+                tile[:, ~self.support[cols]] = 0.0
+            yield cols, tile
+
+    def _coef_tensor(self, coef) -> np.ndarray:
+        """Coefficients (k, N) as a (k, N_0, ..., N_{K-1}) tensor, dropped rows 0."""
         sizes = [f.shape[0] for f in self.factors]
         full = coef
         if self.kept is not None:
             full = np.zeros((coef.shape[0], int(np.prod(sizes))))
             full[:, self.kept] = coef
-        out = _mode_products(
-            full.reshape(coef.shape[0], *sizes), [f.T for f in self.factors], out
-        )
-        if self.support is not None:
-            out[:, ~self.support] = 0.0
-        return out
+        return full.reshape(coef.shape[0], *sizes)
 
     def rows(self) -> np.ndarray:
         """The dense (N, V) rows: the outer-product construction, zeroed

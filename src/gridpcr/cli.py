@@ -42,6 +42,7 @@ from .bases import (
     tri_pl_basis,
 )
 from .decomp import (
+    check_alpha,
     check_score_count,
     check_tau,
     component_scores,
@@ -71,7 +72,7 @@ from .simulate import (
     TreatmentConfig,
     run_monte_carlo,
 )
-from .space import AmbientSpace
+from .space import AmbientSpace, as_sample, sample_mean
 from .storage import (
     GridRows,
     file_sha256,
@@ -447,10 +448,13 @@ def cmd_diagnose(args):
     rows = []
     with _load_space_sample(args) as (space, sample):
         knots = _basis_knots(args, space)
+        basis = _build_basis(args, space, knots)
+        check_alpha(args.alpha)
+        # The mean does not depend on the basis: one read serves every step.
+        mean = sample_mean(space, as_sample(space, sample))
         for step in range(MAX_KNOT_REFINEMENTS + 1):
-            basis = _build_basis(args, space, knots)
             report = diagnose_projection(
-                space, basis, sample, args.alpha, drop_tol=args.drop_tol
+                space, basis, sample, args.alpha, drop_tol=args.drop_tol, mean=mean
             )
             label = ",".join(map(str, knots)) if knots is not None else "mesh"
             rows.append(
@@ -473,6 +477,7 @@ def cmd_diagnose(args):
             if not (args.auto_knots and report.reject):
                 break
             knots = refine_knots(knots)
+            basis = _build_basis(args, space, knots)
     write_table(
         _path(args, "diagnostic.csv"),
         ["step", "knots", "rank", "delta_hat", "s2_hat", "t_stat", "critical", "reject"],

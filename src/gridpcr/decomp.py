@@ -29,15 +29,19 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
+    _check_finite,
     _negative_peaks,
     _weighted_scores,
     as_sample,
+    check_sums,
     gram,
     row_chunks,
     run_pass,
     sample_mean,
     sample_rows,
     synthesize,
+    synthesize_tiles,
+    synthesized_negative_peaks,
     whiten,
 )
 from .util import norm_ppf
@@ -47,6 +51,17 @@ DEFAULT_GAP_REL_TOL = 1e-6
 _IDENTITY_TOL = 1e-8
 # Subspace-iteration sweeps of a replicate eigensolve before the direct solve.
 _MAX_SWEEPS = 8
+# The total variance T of a fit comes from its one read by the shifted-data
+# formula T = mean_i |x_i - x_0|^2 - B, B = |mean - x_0|^2, with x_0 the
+# sample's first row (Chan, Golub & LeVeque, "Algorithms for computing the
+# sample variance", Am. Stat. 37, 1983). Cancellation makes its relative
+# rounding grow like (1 + 2 B / T) eps. Up to B = 16 T that is at most 33
+# eps, some 7e-15, far inside the 1e-12 relative agreement the outputs are
+# held to. Beyond it (a first row far from the rest: with row 0 100 sd out
+# at n = 2000, B / T is about 1700 and the formula was off by 4.7e-13) the
+# sample is read again and the deviations from the mean are summed as a
+# two-pass formula sums them.
+_SHIFT_LIMIT = 16.0
 
 
 @dataclass(frozen=True)
@@ -152,32 +167,57 @@ def fit_subspace_pca(
     largest-|value| entry (the first of tied maxima) is negative. Components
     with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
     yields zero components. The sample, an array or an open
-    ``storage.GridRows``, passes through twice: once for the mean, split by
-    columns, and once in row chunks for the projection and the total
-    variance. Both passes and the sign pass run on the usable CPUs, within
-    ``space.run_pass``'s buffer budget, with the same bytes for any worker
-    count. No grid row of the sample or of the eigenfunctions is kept. BLAS
-    keeps numpy's default thread count here, and the products outside the
-    passes can change in the last bits with it; the CLI pins numpy's
-    bundled OpenBLAS to one thread.
+    ``storage.GridRows``, is read once in row chunks, after its first row
+    x_0: each chunk gives its projection scores and its rows' squared
+    distances to x_0, which check them finite (``space.check_sums``), and
+    is added into the mean in row order, so the mean is bitwise
+    ``mean(axis=0)``. The total variance follows by the shifted-data
+    formula, or from a second read when the mean lies far from x_0
+    (``_SHIFT_LIMIT``). The pass and the sign pass run on the usable CPUs,
+    within ``space.run_pass``'s buffer budget, with the same bytes for any
+    worker count. No grid row of the sample or of the eigenfunctions is
+    kept beyond x_0 and the mean. BLAS keeps numpy's default thread count
+    here, and the products outside the passes can change in the last bits
+    with it; the CLI pins numpy's bundled OpenBLAS to one thread.
     """
     data = as_sample(space, sample)
     n = data.shape[0]
     whitener = whiten(gram(space, basis), drop_tol)
-    mean = sample_mean(space, data)
+    first = sample_rows(space, data, slice(0, 1), np.empty(space.size))[0]
+    _check_finite(first)
+    mean = np.zeros(space.size)
     scores = np.empty((n, basis.n_functions))
-    dev_sq = np.empty(n)
+    shifted_sq = np.empty(n)
 
     def project(chunk, buf, work):
         rows = sample_rows(space, data, chunk, buf)
         x = work[: rows.shape[0]]
         scores[chunk] = _weighted_scores(space, basis, rows, out=x)
-        dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=x))
+        shifted_sq[chunk] = _sq_norms(space, np.subtract(rows, first, out=x))
+        check_sums(space, data, chunk, buf, shifted_sq[chunk])
+        return rows
 
-    run_pass(space, n, project, buffers=2)
-    return model_from_white(
-        space, basis, scores @ whitener.factor.T, whitener, mean, float(dev_sq.mean())
-    )
+    run_pass(space, n, project, buffers=2, total=mean)
+    mean /= n
+    far = float(_sq_norms(space, (mean - first)[None])[0])
+    del first, project
+    total = float(shifted_sq.mean()) - far
+    if not far <= _SHIFT_LIMIT * total:
+        total = _total_variance(space, data, mean)
+    return model_from_white(space, basis, scores @ whitener.factor.T, whitener, mean, total)
+
+
+def _total_variance(space: AmbientSpace, sample, mean) -> float:
+    """Mean squared distance of a checked sample's rows to ``mean``, by a row pass."""
+    dev_sq = np.empty(sample.shape[0])
+
+    def exact(chunk, buf, work):
+        rows = sample_rows(space, sample, chunk, buf)
+        dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=work[: rows.shape[0]]))
+        check_sums(space, sample, chunk, buf, dev_sq[chunk])
+
+    run_pass(space, sample.shape[0], exact, buffers=2)
+    return float(dev_sq.mean())
 
 
 def model_from_white(
@@ -196,7 +236,8 @@ def model_from_white(
     the sample's pointwise mean and mean squared distance to it. The
     scores are centered and eigendecomposed, and each eigenvector is
     flipped so that its grid row's largest-|value| entry is positive; the
-    rows are synthesized a row chunk at a time (``space.run_pass``). Every
+    rows are synthesized a row chunk at a time (``space.run_pass``), each
+    chunk a tile at a time (``space.synthesized_negative_peaks``). Every
     fit after its projection goes through here: ``fit_subspace_pca`` and
     the Monte Carlo harness. ``frame``, when given, is a pair ``(right,
     rows)``: k orthonormal rows (k, rank) that span the whitened scores,
@@ -223,11 +264,8 @@ def model_from_white(
         if frame is None:
 
             def fix_signs(chunk, buf):
-                phis = synthesize(
-                    space, basis, coords[chunk] @ whitener.factor,
-                    out=buf[: chunk.stop - chunk.start],
-                )
-                coords[chunk][_negative_peaks(phis)] *= -1.0
+                coef = coords[chunk] @ whitener.factor
+                coords[chunk][synthesized_negative_peaks(space, basis, coef, buf)] *= -1.0
 
             run_pass(space, coords.shape[0], fix_signs)
         else:
@@ -410,9 +448,22 @@ def column_space(a: np.ndarray):
     return u[:, :k] * s[:k], vt[:k]
 
 
-def _sq_norms(space: AmbientSpace, rows: np.ndarray) -> np.ndarray:
-    """Squared norms of grid rows under the space inner product."""
-    return np.einsum("ij,ij,j->i", rows, rows, space.weights)
+def _sq_norms(space: AmbientSpace, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Squared norms of grid rows, or of their values ``cols``, under the space inner product."""
+    return np.einsum("ij,ij,j->i", rows, rows, space.weights[cols])
+
+
+def _residual_sq_norms(space: AmbientSpace, basis, dev, coef, buf) -> np.ndarray:
+    """Squared norms of ``dev - synthesize(space, basis, coef)``, tile by tile.
+
+    Each tile of the synthesized rows (``space.synthesize_tiles``, carved
+    from ``buf``) is subtracted from its columns of ``dev`` and reduced
+    while it is in cache; the norms add up over the tiles.
+    """
+    out = np.zeros(dev.shape[0])
+    for cols, tile in synthesize_tiles(space, basis, coef, buf):
+        out += _sq_norms(space, np.subtract(dev[:, cols], tile, out=tile), cols)
+    return out
 
 
 def component_scores(model: EigenModel) -> np.ndarray:
@@ -430,6 +481,12 @@ def check_tau(tau: float) -> None:
     """Reject an explained-variance target outside (0, 1)."""
     if not 0.0 < tau < 1.0:
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a diagnostic level outside (0, 0.05]."""
+    if not 0.0 < alpha <= 0.05:
+        raise ConfigurationError(f"alpha must lie in (0, 0.05], got {alpha}")
 
 
 def check_score_count(m: int, model: EigenModel) -> int:
@@ -471,6 +528,8 @@ def diagnose_projection(
     sample,
     alpha: float = 0.05,
     drop_tol: float = DEFAULT_DROP_TOL,
+    *,
+    mean=None,
 ) -> DiagnosticReport:
     """Test whether the basis span captures the sample's variation.
 
@@ -482,21 +541,23 @@ def diagnose_projection(
     statistic is one-sided and only small levels are meaningful for it.
     The basis is whitened at ``drop_tol`` exactly as ``fit_subspace_pca``
     whitens it, so both report the same basis rank. The sample passes
-    through twice, for the mean and for the residuals, as in
-    ``fit_subspace_pca``: on the usable CPUs, with the same bytes for any
-    worker count, and with numpy's default BLAS threads, which can move the
-    last bits of the scores; the CLI pins numpy's bundled OpenBLAS to one
-    thread.
+    through twice, for its mean (``space.sample_mean``) and for the
+    residuals, each projection synthesized and reduced a tile at a time:
+    on the usable CPUs, with the same bytes for any worker count, and with
+    numpy's default BLAS threads, which can move the last bits of the
+    scores; the CLI pins numpy's bundled OpenBLAS to one thread. ``mean``,
+    when given, is the sample's ``sample_mean``, so that a caller that
+    diagnoses one sample through several bases reads it for the mean once.
     """
-    if not 0.0 < alpha <= 0.05:
-        raise ConfigurationError(f"alpha must lie in (0, 0.05], got {alpha}")
+    check_alpha(alpha)
     data = as_sample(space, sample)
     n = data.shape[0]
     if n < 2:
         raise ConformanceError("projection diagnostic needs at least two rows")
     whitener = whiten(gram(space, basis), drop_tol)
     factor = whitener.factor
-    mean = sample_mean(space, data)
+    if mean is None:
+        mean = sample_mean(space, data)
     white = np.empty((n, whitener.rank))
     resid_sq = np.empty(n)
     dev_sq = np.empty(n)
@@ -506,9 +567,9 @@ def diagnose_projection(
         k = rows.shape[0]
         dev = np.subtract(rows, mean, out=buf[:k])
         dev_sq[chunk] = _sq_norms(space, dev)
+        check_sums(space, data, chunk, work, dev_sq[chunk])
         white[chunk] = _weighted_scores(space, basis, dev, out=work[:k]) @ factor.T
-        resid = synthesize(space, basis, white[chunk] @ factor, out=work[:k])
-        resid_sq[chunk] = _sq_norms(space, np.subtract(dev, resid, out=resid))
+        resid_sq[chunk] = _residual_sq_norms(space, basis, dev, white[chunk] @ factor, work)
 
     run_pass(space, n, residuals, buffers=2)
     delta_resid = float(resid_sq.mean())

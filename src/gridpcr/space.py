@@ -7,24 +7,29 @@ nonnegative cell weights, typically the product of grid spacings. Cells can
 be masked out of the domain by zeroing their weight, so irregular regions of
 a bounding grid are ordinary elements of a smaller space.
 
-A basis reaches the grid through three maps: ``gram``, ``project_scores``
-(grid rows to basis coordinates) and ``synthesize`` (basis coordinates to
-grid rows). Each checks once that the basis width conforms to the grid and
-hands the work to the basis, through the protocol that ``bases.BasisSet``
-and ``bases.TensorBasis`` share (see ``bases``); how a basis stores its
-rows is its own affair. Passes over a sample go through it in row chunks
-of at most ``ROW_CHUNK_VALUES`` grid values; the sample is an array or an
-open ``storage.GridRows``, which is read one chunk at a time.
+A basis reaches the grid through four maps: ``gram``, ``project_scores``
+(grid rows to basis coordinates), ``synthesize`` (basis coordinates to
+grid rows) and ``synthesize_tiles`` (the same rows, a tile of columns at a
+time, for passes that only reduce them). Each checks once that the basis
+width conforms to the grid and hands the work to the basis, through the
+protocol that ``bases.BasisSet`` and ``bases.TensorBasis`` share (see
+``bases``); how a basis stores its rows is its own affair. Passes over a
+sample go through it in row chunks of at most ``ROW_CHUNK_VALUES`` grid
+values; the sample is an array or an open ``storage.GridRows``, which is
+read one chunk at a time. A pass checks the rows finite through sums it
+forms from them anyway (``check_sums``) and scans the rows themselves only
+when one of those sums is not finite.
 """
 
 from __future__ import annotations
 
 import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConformanceError, ConfigurationError, EmptyBasisError
+from .errors import ConformanceError, ConfigurationError, EmptyBasisError, FormatError
 from .storage import GridRows, read_grid
 from .util import pool_size, run_indexed
 
@@ -38,6 +43,20 @@ ROW_CHUNK_VALUES = 2**20
 # use one on four, however many CPUs there are, so the peak memory of fit
 # and diagnose does not grow with the CPU count.
 PASS_BUFFERS = 4
+# Grid values per tile of rows synthesized only to be reduced (the sign
+# pass, the residual pass), 1 MiB of float64, carved from a pass buffer.
+# On a 2-vCPU x86 VM the sign pass over 99 eigenfunctions of the 79x95x66
+# grid took a median 34 ms with these tiles, against 44 ms with 2**16, 39
+# ms with 2**18, 47 ms with 2**19, 75 ms with 2**15 and 46 ms for whole row
+# chunks (7 runs each).
+TILE_VALUES = 2**17
+# Rows whose max and -min agree within this fraction of the larger are
+# synthesized whole for the sign rule, since a tile may differ from
+# synthesize in the last bits (see synthesize_tiles). The two differ only
+# in the rounding of the last product, a sum of N_0 terms weighted by a
+# partition of unity (B-spline factors, hat functions): a few N_0 eps of
+# the terms' size, some 1e-14 of the peak, six orders inside this margin.
+PEAK_TIE_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,7 +157,7 @@ def as_sample(space: AmbientSpace, x):
 
     ``x`` is an array or an open ``storage.GridRows``. An array comes back
     flat as (n, V); a ``GridRows`` comes back as it is, its shape checked
-    here and its values checked by ``sample_rows`` as they are read.
+    here and its values checked by the passes that read it (``check_sums``).
     """
     if isinstance(x, GridRows):
         shape = tuple(x.shape)
@@ -183,54 +202,83 @@ def chunk_buffer(space: AmbientSpace, n: int) -> np.ndarray:
     return np.empty((min(n, _chunk_rows(space)), space.size))
 
 
-def sample_rows(space: AmbientSpace, sample, chunk: slice, buf, cols=slice(None)):
-    """Values ``cols`` (by default all) of the rows ``chunk`` of a checked sample.
+def sample_rows(space: AmbientSpace, sample, chunk: slice, buf):
+    """The rows ``chunk`` of a checked sample, read but not checked finite.
 
     ``sample`` is what ``as_sample`` returned and ``buf`` a
-    ``chunk_buffer``. Array rows come as a view of the array; a file's rows
-    are read into ``buf`` by ``storage.read_grid`` and checked finite.
+    ``chunk_buffer`` (or any C-contiguous array with room for the rows).
+    Array rows come as a view of the array; a file's rows are read into
+    ``buf`` by ``storage.read_grid``, and the pass that reads them checks
+    them finite through its sums (``check_sums``).
     """
     if not isinstance(sample, GridRows):
-        return sample[chunk, cols]
-    lo, hi, _ = cols.indices(space.size)
-    k = chunk.stop - chunk.start
-    out = buf.reshape(-1)[: k * (hi - lo)].reshape(k, -1)
-    rows = read_grid(sample, chunk.start, out, cols)
-    _check_finite(rows)
-    return rows
+        return sample[chunk]
+    out = buf.reshape(-1)[: (chunk.stop - chunk.start) * space.size]
+    return read_grid(sample, chunk.start, out.reshape(-1, space.size))
 
 
-def run_pass(
-    space: AmbientSpace, n: int, task, buffers: int = 1, by_columns: bool = False
-) -> None:
-    """Run ``task(item, *bufs)`` for every item of a pass over an n-row sample.
+def check_sums(space: AmbientSpace, sample, chunk: slice, buf, sums) -> None:
+    """Raise ``ConformanceError`` if rows ``chunk`` of a sample hold a non-finite value.
 
-    The items are the ``row_chunks`` of the sample or, ``by_columns``, one
-    column block (a slice of the flattened row) per worker. They are
-    independent tasks that may finish in any order; each writes only its
-    own part of the result, so the bytes do not depend on the worker count.
-    That count is worked out once, here: ``util.pool_size`` of the row
-    chunks (every usable CPU at most), capped so that the pass holds at
-    most ``PASS_BUFFERS`` chunk buffers whatever the CPU count. Every
-    worker holds ``buffers`` of them while it runs a task. They are
-    allocated here, in the caller's thread, so that worker threads allocate
-    no chunk-sized array (glibc would keep such arrays in per-thread arenas).
+    ``sums`` are sums a pass formed from those rows (weighted sums of
+    squares, or products with basis rows), which are not finite when a
+    row is not. Only then are the rows read again, into ``buf``, and
+    scanned, since finite rows can overflow a sum too.
+    """
+    if not np.all(np.isfinite(sums)):
+        _check_finite(sample_rows(space, sample, chunk, buf))
+
+
+def _scan_rows(space: AmbientSpace, sample) -> None:
+    """Read a sample's row chunks in order, raising at the first bad one."""
+    buf = chunk_buffer(space, sample.shape[0])
+    for chunk in row_chunks(space, sample.shape[0]):
+        _check_finite(sample_rows(space, sample, chunk, buf))
+
+
+def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, total=None) -> None:
+    """Run ``task(chunk, *bufs)`` for every row chunk of a pass over an n-row sample.
+
+    The tasks are independent and may finish in any order; each writes
+    only its own rows of the result, so the bytes do not depend on the
+    worker count. With ``total``, a (V,) array, each task returns its
+    chunk's grid rows and they are added into ``total`` one row at a time
+    in row order (``_add_rows``): a task waits, holding its buffers, until
+    the chunks before it are in. A task that raises still waits for its
+    turn and passes it on, so no task waits for ever, and ``run_indexed``
+    then raises the error of the lowest failing chunk. The worker count is
+    worked out once, here: ``util.pool_size`` of the row chunks (every
+    usable CPU at most), capped so that the pass holds at most
+    ``PASS_BUFFERS`` chunk buffers whatever the CPU count. Every worker
+    holds ``buffers`` of them while it runs a task. They are allocated
+    here, in the caller's thread, so that worker threads allocate no
+    chunk-sized array (glibc would keep such arrays in per-thread arenas).
+    Tasks are handed out in row order, so a waiting task's predecessors
+    are all running or done.
     """
     items = list(row_chunks(space, n))
     workers = min(pool_size(len(items)), max(1, PASS_BUFFERS // buffers))
-    if by_columns:
-        workers = min(workers, space.size)
-        edges = [space.size * b // workers for b in range(workers + 1)]
-        items = [slice(*e) for e in zip(edges, edges[1:])]
     free = queue.SimpleQueue()
     for _ in range(workers):
         free.put([chunk_buffer(space, n) for _ in range(buffers)])
+    turn = threading.Condition()
+    added = [0]  # chunks whose turn has passed
 
     def one(i):
         bufs = free.get()
+        rows = None
         try:
-            task(items[i], *bufs)
+            rows = task(items[i], *bufs)
         finally:
+            if total is not None:
+                with turn:
+                    turn.wait_for(lambda: added[0] == i)
+                    try:
+                        if rows is not None:
+                            _add_rows(total, rows)
+                    finally:
+                        added[0] = i + 1
+                        turn.notify_all()
             free.put(bufs)
 
     # ``workers`` is at most the items and the usable CPUs, so run_indexed's
@@ -241,20 +289,26 @@ def run_pass(
 def sample_mean(space: AmbientSpace, sample) -> np.ndarray:
     """Pointwise mean of a checked sample, bitwise equal to ``mean(axis=0)``.
 
-    The columns are split into one block per worker, and each block adds
-    its values of every row in row order (``_add_rows``), which is the
-    order of numpy's sum for every column; any column split gives the same
-    bits. A file is read one column window of one row chunk at a time.
+    One row pass (``run_pass``) adds the rows into the sum in row order,
+    the order of numpy's sum for every column. The sum is the pass's
+    finiteness check: only when it is not finite are the rows scanned
+    again, and then the first non-finite value raises (finite rows whose
+    sum overflows give an infinite mean, as numpy's does). A file cut short
+    is scanned up to the cut too, so a non-finite value in an earlier row
+    is what raises, as for a pass that checks each chunk.
     """
     n = sample.shape[0]
-    chunks = list(row_chunks(space, n))
     total = np.zeros(space.size)
-
-    def add_block(cols, buf):
-        for chunk in chunks:
-            _add_rows(total[cols], sample_rows(space, sample, chunk, buf, cols))
-
-    run_pass(space, n, add_block, by_columns=True)
+    try:
+        run_pass(
+            space, n, lambda chunk, buf: sample_rows(space, sample, chunk, buf),
+            total=total,
+        )
+    except FormatError:
+        _scan_rows(space, sample)
+        raise
+    if not np.all(np.isfinite(total)):
+        _scan_rows(space, sample)
     total /= n
     return total
 
@@ -375,7 +429,7 @@ def project_scores(space: AmbientSpace, basis, sample) -> np.ndarray:
 
     Returns the (n, N) matrix S[i, l] = <psi_l, Z_i>. The sample (an array
     or a row source) is validated once and then passed through in row
-    chunks.
+    chunks, whose scores are their finiteness check.
     """
     data = as_sample(space, sample)
     _conform(space, basis)
@@ -384,6 +438,7 @@ def project_scores(space: AmbientSpace, basis, sample) -> np.ndarray:
     for chunk in row_chunks(space, data.shape[0]):
         rows = sample_rows(space, data, chunk, buf)
         out[chunk] = _weighted_scores(space, basis, rows, out=buf[: rows.shape[0]])
+        check_sums(space, data, chunk, buf, out[chunk])
     return out
 
 
@@ -411,3 +466,44 @@ def synthesize(space: AmbientSpace, basis, coef, out=None) -> np.ndarray:
             f"coefficients {coef.shape} do not match {basis.n_functions} basis rows"
         )
     return basis.synthesize(coef, out)
+
+
+def synthesize_tiles(space: AmbientSpace, basis, coef, buf):
+    """The rows ``synthesize(space, basis, coef)`` a tile of columns at a time.
+
+    Yields ``(cols, tile)``: ``tile`` (k, width) holds the values ``cols``
+    (a slice of the flattened row) of every row, about ``TILE_VALUES``
+    values in all, so that a pass can reduce it while it is in cache. The
+    tiles are carved from the front of ``buf`` (a chunk buffer with room
+    for the k rows), and each one overwrites the last. A single tile (rows
+    of at most ``TILE_VALUES`` values in all) is the product ``synthesize``
+    makes, bitwise, on grids of two or more axes; smaller tiles can differ
+    from it in the last bits, because BLAS may order the sums of a product
+    of another shape differently.
+    """
+    _conform(space, basis)
+    return basis.synthesize_tiles(np.asarray(coef, dtype=float), buf, TILE_VALUES)
+
+
+def synthesized_negative_peaks(space: AmbientSpace, basis, coef, buf) -> np.ndarray:
+    """``_negative_peaks(synthesize(space, basis, coef))``, one tile at a time.
+
+    Each row's max and min are gathered tile by tile (``synthesize_tiles``,
+    in ``buf``), and the sign rule is applied to the pair: a row's peak has
+    the sign of the peak of (max, min) unless -min == max. Only such a row
+    needs the position of its first extreme entry, and tiles may differ
+    from ``synthesize`` in the last bits, so every row whose -min and max
+    agree within ``PEAK_TIE_REL`` is synthesized whole, into ``buf``, for
+    ``_negative_peaks``.
+    """
+    k = coef.shape[0]
+    high, low = np.full(k, -np.inf), np.full(k, np.inf)
+    for _, tile in synthesize_tiles(space, basis, coef, buf):
+        np.maximum(high, tile.max(axis=1), out=high)
+        np.minimum(low, tile.min(axis=1), out=low)
+    negative = _negative_peaks(np.stack([high, low], axis=1))
+    tied = np.flatnonzero(np.abs(high + low) <= PEAK_TIE_REL * np.maximum(high, -low))
+    if tied.size:
+        whole = synthesize(space, basis, coef[tied], out=buf[: tied.size])
+        negative[tied] = _negative_peaks(whole)
+    return negative

@@ -77,12 +77,11 @@ class GridRows:
 
     The header and the file size are checked on opening, with the same
     errors and byte offsets as ``read_grid``. ``shape`` is the stored
-    array's shape; ``readinto(start, out, cols)`` fills the contiguous
-    float64 array ``out`` with the values ``cols`` (a slice of the
-    flattened row, by default all of it) of rows ``start, start + 1, ...``
-    of that axis in turn, read straight from the file at their offset.
-    Reads are positional, so threads may read one ``GridRows`` at once. The
-    file stays open until ``close`` (or the end of a ``with`` block).
+    array's shape; ``readinto(start, out)`` fills the contiguous float64
+    array ``out`` with whole rows ``start, start + 1, ...`` of that axis,
+    read straight from the file at their offset. Reads are positional, so
+    threads may read one ``GridRows`` at once. The file stays open until
+    ``close`` (or the end of a ``with`` block).
     """
 
     def __init__(self, path):
@@ -92,30 +91,18 @@ class GridRows:
         except BaseException:
             self._file.close()
             raise
-        self._row_values = math.prod(self.shape[1:])
-        self._row_bytes = 8 * self._row_values
+        self._row_bytes = 8 * math.prod(self.shape[1:])
         self._end = self._start + self._row_bytes * self.shape[0]
         self._lock = threading.Lock()
 
-    def readinto(self, start: int, out: np.ndarray, cols=slice(None)) -> None:
-        lo, hi, _ = cols.indices(self._row_values)
-        rows, extra = divmod(out.size, max(hi - lo, 1))
-        whole = hi - lo == self._row_values
-        if hi <= lo or extra or start < 0 or start + rows > self.shape[0]:
-            what = (
-                f"{out.nbytes} bytes as whole rows" if whole
-                else f"columns {lo}:{hi} into {out.shape}"
-            )
+    def readinto(self, start: int, out: np.ndarray) -> None:
+        rows, extra = divmod(out.nbytes, self._row_bytes)
+        if extra or start < 0 or start + rows > self.shape[0]:
             raise ConformanceError(
-                f"cannot read {what} from row {start} of {self.shape[0]}"
+                f"cannot read {out.nbytes} bytes as whole rows from row {start} "
+                f"of {self.shape[0]}"
             )
-        view = memoryview(out).cast("B")
-        width = 8 * (hi - lo)
-        if whole:  # the rows are one contiguous range of the file
-            rows, width = 1, view.nbytes
-        pos = self._start + start * self._row_bytes + 8 * lo
-        for r in range(rows):
-            self._pread(view[r * width : (r + 1) * width], pos + r * self._row_bytes)
+        self._pread(memoryview(out).cast("B"), self._start + start * self._row_bytes)
         if sys.byteorder != "little":
             out.byteswap(inplace=True)
 
@@ -190,23 +177,21 @@ def _check_grid_header(handle):
     return dims, dims_end
 
 
-def read_grid(source, start: int = 0, out=None, cols=slice(None)) -> np.ndarray:
+def read_grid(source, start: int = 0, out=None) -> np.ndarray:
     """Read a grid file back into the array shape it was written with.
 
     ``source`` is a path or an open ``GridRows``. The payload, or its rows
     from ``start`` on, is read once, straight into the returned array:
     ``out`` when given (a float64 array of whole rows of the leading axis,
-    every one of which is filled), else a new array. With ``cols``, a slice
-    of the flattened row, only those values of each row are read, in turn,
-    into the given ``out``. The passes over a sample file read it this way,
-    one row chunk or one column window at a time through one open
+    every one of which is filled), else a new array. The passes over a
+    sample file read it this way, one row chunk at a time through one open
     descriptor.
     """
     grid = source if isinstance(source, GridRows) else GridRows(source)
     try:
         if out is None:
             out = np.empty((max(0, grid.shape[0] - start), *grid.shape[1:]))
-        grid.readinto(start, out, cols)
+        grid.readinto(start, out)
     finally:
         if grid is not source:
             grid.close()

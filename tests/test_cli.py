@@ -660,6 +660,40 @@ def test_diagnose_auto_knots_refines_until_accept(tmp_path):
     assert rows[0][1] == "1,1" and rows[1][1] == "3,3"
 
 
+def test_diagnose_auto_knots_computes_the_mean_once(tmp_path, monkeypatch):
+    # Three steps share one mean; each step's report is the one it gets
+    # when it computes the mean itself.
+    space = AmbientSpace.unit_domain((20, 24))
+    fam = make_family(space, "synthetic2d", 6)
+    sample = kl_sample(
+        fam, np.array([3.5, 3.0, 2.5, 2.0, 1.5, 1.0]), 80, replicate_rng(9402, 0)
+    )
+    data = tmp_path / "s.hsg"
+    write_grid(data, sample.reshape(80, 20, 24))
+    means, steps = [], []
+    mean_of, diagnose = gridpcr.space.sample_mean, gridpcr.decomp.diagnose_projection
+
+    def counted_mean(*args):
+        means.append(1)
+        return mean_of(*args)
+
+    def recorded(space, basis, sample, *args, **kwargs):
+        steps.append((basis, diagnose(space, basis, sample, *args, **kwargs)))
+        return steps[-1][1]
+
+    for module in (gridpcr.cli, gridpcr.decomp):
+        monkeypatch.setattr(module, "sample_mean", counted_mean)
+    monkeypatch.setattr(gridpcr.cli, "diagnose_projection", recorded)
+    rc = main([
+        "diagnose", "--data", str(data), "--degree", "3", "--knots", "0",
+        "--auto-knots", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    assert len(steps) == 3 and len(means) == 1
+    for basis, report in steps:
+        assert diagnose(space, basis, sample) == report
+
+
 @pytest.mark.parametrize(
     "drop_tol, two_arm",
     [

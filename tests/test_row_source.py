@@ -1,6 +1,8 @@
 """Samples read from grid files a row chunk at a time, against in-memory arrays."""
 
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +21,8 @@ from gridpcr import (
     write_grid,
 )
 from gridpcr.bases import mask_space
-from gridpcr.decomp import model_from_white
+from gridpcr.decomp import _sq_norms, model_from_white
+from gridpcr.space import sample_mean
 from gridpcr.storage import GridRows
 from gridpcr.util import replicate_rng, run_indexed
 
@@ -170,8 +173,8 @@ def fit_bytes(model):
 
 @pytest.mark.parametrize("case", CASES)
 def test_passes_same_bytes_for_any_pool_size(tmp_path, small_chunks, monkeypatch, case):
-    # Eight row chunks: every pass (the column-block mean, the projection,
-    # the residuals and the sign pass) runs as tasks on the pool.
+    # Eight row chunks: every pass (the mean, the projection, the residuals
+    # and the sign pass) runs as tasks on the pool.
     space, basis, sample, path = make_case(case, tmp_path, CASES.index(case))
     small_chunks(space)
     fits, reports = [], []
@@ -209,8 +212,8 @@ def test_pass_buffers_do_not_grow_with_the_cpu_count(tmp_path, small_chunks, mon
     with GridRows(path) as rows:
         fit_subspace_pca(space, basis, rows)
         diagnose_projection(space, basis, rows)
-    # mean, projection, signs; mean, residuals
-    assert passes == [(4, 4), (4, 2), (4, 4), (4, 4), (4, 2)]
+    # fit: projection with the mean, signs; diagnose: mean, residuals
+    assert passes == [(4, 2), (4, 4), (4, 4), (4, 2)]
 
 
 def test_model_from_white_in_a_worker_starts_no_pool(tmp_path, small_chunks, monkeypatch):
@@ -239,3 +242,161 @@ def test_model_from_white_in_a_worker_starts_no_pool(tmp_path, small_chunks, mon
     assert len(helpers) == 1  # the replicate pool's only
     for refitted in (alone, *inside):
         assert fit_bytes(refitted) == fit_bytes(model)
+
+
+def bounded(fn, *args):
+    """fn(*args) in a thread joined with a timeout, so that a pass that
+    deadlocks fails the test; returns its result or the error it raised."""
+    got = {}
+
+    def call():
+        try:
+            got["value"] = fn(*args)
+        except Exception as exc:
+            got["value"] = exc
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the pass did not finish"
+    return got["value"]
+
+
+def outcome(fn, *args):
+    error = bounded(fn, *args)
+    assert isinstance(error, Exception)
+    return type(error), str(error), getattr(error, "offset", None)
+
+
+def test_ordered_mean_under_contention(tmp_path, monkeypatch):
+    # One row per chunk, more workers than cores and a tiny switch
+    # interval: tasks finish out of order and wait for their turns, and the
+    # mean must still be numpy's, bit for bit.
+    space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
+    monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", space.size)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: 8)
+    want = sample.mean(axis=0).tobytes()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with GridRows(path) as rows:
+            for _ in range(5):
+                for data in (sample, rows):
+                    assert bounded(sample_mean, space, data).tobytes() == want
+                    assert bounded(fit_subspace_pca, space, basis, data).mean.tobytes() == want
+    finally:
+        sys.setswitchinterval(switch)
+
+
+# Failures in the ordered pass, by row: a file cut inside the row, or a NaN
+# in it. Row 0 is the fit's shift row, read before the pass, and the first
+# of chunk 0; row 13 lies in chunk 4 of 8.
+FAILURES = [("cut", 0), ("cut", 1), ("cut", 13), ("nan", 0), ("nan", 13)]
+
+
+@pytest.mark.parametrize("fn", [fit_subspace_pca, diagnose_projection])
+@pytest.mark.parametrize("failure", FAILURES, ids=lambda f: f"{f[0]}-row-{f[1]}")
+def test_failing_chunk_raises_as_on_one_worker(tmp_path, small_chunks, monkeypatch, fn, failure):
+    space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
+    small_chunks(space)
+    kind, row = failure
+    if kind == "nan":
+        sample[row, 5] = np.nan
+        write_grid_nan(path, sample.reshape(N, *space.dims))
+    start = os.path.getsize(path) - sample.nbytes
+    outcomes = []
+    with GridRows(path) as rows:
+        if kind == "cut":
+            os.truncate(path, start + 8 * (row * space.size + 7))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: cpus)
+            outcomes.append(outcome(fn, space, basis, rows))
+            if kind == "nan":
+                outcomes.append(outcome(fn, space, basis, sample))
+    if kind == "cut":
+        end = start + 8 * (row * space.size + 7)
+        want = (FormatError, f"grid file truncated: expected {start + sample.nbytes} "
+                f"bytes, found {end}", end)
+    else:
+        want = (ConformanceError, "sample contains non-finite values", None)
+    assert outcomes == [want] * len(outcomes)
+
+
+@pytest.mark.parametrize("fn", [fit_subspace_pca, diagnose_projection])
+def test_earlier_nan_reports_before_a_later_cut(tmp_path, small_chunks, monkeypatch, fn):
+    # The NaN in chunk 1 is the lowest failure, also for the diagnostic's
+    # mean, whose pass finds the cut in chunk 4 first.
+    space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
+    small_chunks(space)
+    sample[4, 5] = np.nan
+    write_grid_nan(path, sample.reshape(N, *space.dims))
+    with GridRows(path) as rows:
+        os.truncate(path, os.path.getsize(path) - 8 * (N - 13) * space.size)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: cpus)
+            assert outcome(fn, space, basis, rows) == (
+                ConformanceError, "sample contains non-finite values", None
+            )
+
+
+@pytest.mark.parametrize("fn", [fit_subspace_pca, diagnose_projection])
+def test_finite_sample_whose_squares_overflow_is_not_rejected(tmp_path, fn):
+    # Finite rows whose sums are not finite are scanned again, found
+    # finite, and carried through: the fit's total variance and the
+    # diagnostic's delta_hat come out infinite, as before the row pass.
+    space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
+    sample *= 1e160
+    write_grid(path, sample.reshape(N, *space.dims))
+    with GridRows(path) as rows, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for data in (sample, rows):
+            result = fn(space, basis, data)
+            if fn is fit_subspace_pca:
+                assert result.mean.tobytes() == sample.mean(axis=0).tobytes()
+                assert result.total_variance == np.inf
+                assert result.n_components == 0
+            else:
+                assert result.delta_hat == np.inf and result.reject is False
+
+
+def test_far_first_row_takes_the_exact_total_variance(monkeypatch):
+    # Row 0 lies 100 sd from the rest, so the shifted-data formula would
+    # lose digits to cancellation: the fit reads the sample again and sums
+    # the deviations from the mean as the two-pass formula does, bit for bit.
+    space = AmbientSpace.unit_domain((10, 12))
+    basis = bspline_tensor_basis(space, 2, 2)
+    rng = replicate_rng(9701, 0)
+    sample = 1.0 + 0.3 * rng.standard_normal((2000, space.size))
+    sample[0] += 100.0 * 0.3
+    exact = gridpcr.decomp._total_variance
+    calls = []
+    monkeypatch.setattr(
+        gridpcr.decomp, "_total_variance", lambda *args: calls.append(1) or exact(*args)
+    )
+    model = fit_subspace_pca(space, basis, sample)
+    mean = sample.mean(axis=0)
+    two_pass = float(_sq_norms(space, sample - mean).mean())
+    assert calls == [1]
+    assert model.total_variance == two_pass
+    shifted = _sq_norms(space, sample - sample[0]).mean() - _sq_norms(space, [mean - sample[0]])[0]
+    assert abs(shifted - two_pass) > 1e-13 * two_pass
+
+
+def test_fit_reads_an_ordinary_sample_once(tmp_path, small_chunks, monkeypatch):
+    space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
+    small_chunks(space)
+    read = gridpcr.space.read_grid
+    moved = []
+
+    def counted(*args, **kwargs):
+        out = read(*args, **kwargs)
+        moved.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(gridpcr.space, "read_grid", counted)
+    with GridRows(path) as rows:
+        model = fit_subspace_pca(space, basis, rows)
+    # The first row, then every row once.
+    assert moved == [8 * space.size] + [8 * CHUNK_ROWS * space.size] * 7 + [8 * 2 * space.size]
+    two_pass = float(_sq_norms(space, sample - sample.mean(axis=0)).mean())
+    assert model.total_variance == pytest.approx(two_pass, rel=REL)

@@ -112,26 +112,6 @@ def test_grid_rows_read_any_row_range(tmp_path):
     np.testing.assert_array_equal(read_grid(str(path), 1), values[1:])
 
 
-def test_grid_rows_read_column_windows(tmp_path):
-    values = np.arange(60.0).reshape(5, 3, 4) / 7.0
-    path = tmp_path / "rows.hsg"
-    write_grid(str(path), values)
-    flat = values.reshape(5, 12)
-    with GridRows(str(path)) as rows:
-        for start, lo, hi in ((0, 0, 12), (1, 3, 8), (4, 11, 12)):
-            out = np.empty((5 - start, hi - lo))
-            assert read_grid(rows, start, out, slice(lo, hi)) is out
-            np.testing.assert_array_equal(out, flat[start:, lo:hi])
-        for start, shape in ((4, (2, 5)), (0, (2, 4)), (0, (3, 3))):
-            with pytest.raises(ValueError, match="cannot read columns 3:8"):
-                rows.readinto(start, np.empty(shape), slice(3, 8))
-        os.truncate(path, os.path.getsize(path) - 8 * 6)
-        # Past the end of the file a window read reports where the file ends.
-        with pytest.raises(FormatError, match="found 462$") as err:
-            rows.readinto(4, np.empty((1, 2)), slice(10, 12))
-    assert err.value.offset == 462
-
-
 @pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "seek"])
 def test_grid_rows_reads_from_threads_do_not_interfere(tmp_path, monkeypatch, preadv):
     # Each thread reads its own interleaved row ranges of one open file;

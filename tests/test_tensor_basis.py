@@ -24,8 +24,11 @@ from gridpcr import (
     write_grid,
     write_table,
 )
+import gridpcr.space
 from gridpcr.bases import NEGLIGIBLE_ROW_TOL, mask_space, tri_pl_basis
 from gridpcr.cli import main
+from gridpcr.decomp import _residual_sq_norms, _sq_norms
+from gridpcr.space import _negative_peaks, synthesize_tiles, synthesized_negative_peaks
 from gridpcr.util import replicate_rng
 
 REL = 1e-12
@@ -212,3 +215,62 @@ def test_no_dense_rows_on_the_fitting_paths(tmp_path, monkeypatch):
         "--out", str(tmp_path / "o"),
     ])
     assert rc == 0
+
+
+TILE_CASES = CASES + [masked_tri]
+
+
+@pytest.mark.parametrize("case", TILE_CASES, ids=lambda c: c.__name__)
+def test_tile_reductions_match_the_dense_rows(case, monkeypatch):
+    # One slab (or column) per tile, a few per tile, and one tile in all.
+    space, basis, _ = build(case)
+    rng = replicate_rng(9603, 0)
+    coef = rng.standard_normal((5, basis.n_functions))
+    dense = coef @ basis.rows()
+    dev = rng.standard_normal(dense.shape)
+    buf = np.empty(dense.shape)
+    for values in (1, 60, 2**17):
+        monkeypatch.setattr(gridpcr.space, "TILE_VALUES", values)
+        covered, tiles = [], 0
+        for cols, tile in synthesize_tiles(space, basis, coef, buf):
+            assert np.shares_memory(tile, buf)
+            assert_rel(tile, dense[:, cols])
+            covered += range(space.size)[cols]
+            tiles += 1
+        assert covered == list(range(space.size))
+        if tiles == 1:  # a single tile is the product synthesize makes
+            assert np.array_equal(tile, synthesize(space, basis, coef))
+        negative = synthesized_negative_peaks(space, basis, coef, buf)
+        assert np.array_equal(negative, _negative_peaks(dense))
+        assert_rel(_residual_sq_norms(space, basis, dev, coef, buf), _sq_norms(space, dev - dense))
+    assert tiles == 1
+
+
+@pytest.mark.parametrize("case", TILE_CASES, ids=lambda c: c.__name__)
+def test_fit_signs_from_tiles_match_the_dense_rule(case, monkeypatch):
+    space, basis, _ = build(case)
+    sample = in_span_sample(space, basis)
+    sample += 0.01 * replicate_rng(9604, 0).standard_normal(sample.shape)
+    whole = fit_subspace_pca(space, basis, sample)  # one tile per chunk
+    monkeypatch.setattr(gridpcr.space, "TILE_VALUES", 1)
+    tiled = fit_subspace_pca(space, basis, sample)
+    assert tiled.n_components > 4
+    assert tiled.coords.tobytes() == whole.coords.tobytes()
+    assert not _negative_peaks(eigenfunctions(space, basis, tiled)).any()
+
+
+def test_tied_peaks_are_signed_by_the_first_extreme_entry(monkeypatch):
+    # Each row's max is -min, and they fall in different tiles; the first
+    # extreme entry is positive in the tensor rows and negative in the
+    # dense ones.
+    monkeypatch.setattr(gridpcr.space, "TILE_VALUES", 1)
+    space = AmbientSpace.regular((2, 2))
+    coef = np.array([[1.0], [-1.0]])
+    tensor = TensorBasis(factors=(np.array([[1.0, -1.0]]), np.array([[1.0, 0.5]])))
+    dense = BasisSet(functions=np.array([[0.5, -1.0, 0.2, 1.0]]))
+    for basis, first in ((tensor, [False, True]), (dense, [True, False])):
+        rows = coef @ basis.rows()
+        assert np.array_equal(rows.max(axis=1), -rows.min(axis=1))
+        assert len(list(synthesize_tiles(space, basis, coef, np.empty((2, 4))))) > 1
+        negative = synthesized_negative_peaks(space, basis, coef, np.empty((2, 4)))
+        assert negative.tolist() == _negative_peaks(rows).tolist() == first
