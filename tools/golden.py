@@ -15,14 +15,16 @@ the peak entry of an eigenfunction decide its sign there, and its whitened
 scores have rank 4 of 125), a noisy 64x60x56 sample with its own
 design table, large enough that every pass over it spans several row chunks,
 a copy of the 2D sample whose row 0 lies far from the rest (a fit's total
-variance then needs its exact second read),
+variance then needs its exact second read), a 1-axis sample of smooth
+curves plus noise with its own design table, two copies of the 64x60x56
+sample, one with a NaN in a middle row and one cut inside a middle chunk,
 a triangulation of the unit square in the text mesh format and a
 ``simulate --config`` JSON file. Each command then
 runs in a fresh interpreter with ``PYTHONPATH=<src>`` and
 ``OPENBLAS_NUM_THREADS=1``; its output files, stdout, stderr and exit code go
-to ``<out>/<case>/``. The ``*-unknown-response``, ``*-missing-table`` and
-``*-few-blocks`` cases exit 2 on purpose, so that their error messages and
-exit codes are compared too.
+to ``<out>/<case>/``. The ``*-unknown-response``, ``*-missing-table``,
+``*-few-blocks``, ``*-nonfinite`` and ``*-cut`` cases exit 2 on purpose, so
+that their error messages and exit codes are compared too.
 
 ``compare`` reports, for each case and file, ``identical`` or the largest
 deviation relative to the largest |value| of its column (CSV columns, each
@@ -53,6 +55,12 @@ N_3D = 40
 # Six row chunks of at most 2**20 values (four rows each) per pass.
 DIMS_CHUNKED = (64, 60, 56)
 N_CHUNKED = 24
+# The middle row of the chunked sample that holds a NaN in one copy, and
+# the row inside which the other copy is cut.
+NAN_ROW = 10
+CUT_ROW = 13
+DIM_1D = 400
+N_1D = 60
 MESH_CELLS = 4
 
 
@@ -163,6 +171,28 @@ def write_inputs(directory) -> None:
     _write_design(os.path.join(directory, "design-sample3d.csv"),
                   {"y": y, "x1": x[:, 0], "x2": x[:, 1], "a": a})
 
+    sample = _read_hsg(os.path.join(directory, "chunked3d.hsg")).copy()
+    sample[NAN_ROW, 3, 5, 7] = np.nan
+    _write_hsg(os.path.join(directory, "chunked3d-nan.hsg"), sample)
+    with open(os.path.join(directory, "chunked3d.hsg"), "rb") as handle:
+        raw = handle.read()
+    row_bytes = 8 * int(np.prod(DIMS_CHUNKED))
+    cut = len(raw) - (N_CHUNKED - CUT_ROW) * row_bytes + row_bytes // 2
+    with open(os.path.join(directory, "chunked3d-cut.hsg"), "wb") as handle:
+        handle.write(raw[:cut])
+
+    # Smooth curves on one axis: the sample is a (N_1D, DIM_1D) file.
+    rng = np.random.default_rng(20262)
+    t = (np.arange(DIM_1D) + 0.5) / DIM_1D
+    curves = np.array([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), _legendre(2, t)])
+    scores1d = rng.standard_normal((N_1D, len(curves))) * np.sqrt([3.0, 2.0, 1.0])
+    sample = 1.0 + t + scores1d @ curves + 0.05 * rng.standard_normal((N_1D, DIM_1D))
+    _write_hsg(os.path.join(directory, "sample1d.hsg"), sample)
+    x = rng.standard_normal((N_1D, 2))
+    y = 1.0 + x.sum(axis=1) + scores1d[:, :2] @ [1.5, -1.0] + rng.standard_normal(N_1D)
+    _write_design(os.path.join(directory, "design1d.csv"),
+                  {"y": y, "x1": x[:, 0], "x2": x[:, 1]})
+
 
 def cases(inputs) -> dict:
     """Case name -> CLI arguments (without --out)."""
@@ -170,6 +200,7 @@ def cases(inputs) -> dict:
     d3 = ["--data", os.path.join(inputs, "sample3d.hsg"), "--degree", "2", "--knots", "2"]
     chunked = ["--data", os.path.join(inputs, "chunked3d.hsg"), "--degree", "2",
                "--knots", "2"]
+    d1 = ["--data", os.path.join(inputs, "sample1d.hsg"), "--degree", "3", "--knots", "12"]
     table = ["--table", os.path.join(inputs, "design.csv"), "--response", "y",
              "--covariates", "x1,x2"]
     table3d = ["--table", os.path.join(inputs, "design-sample3d.csv"), "--response", "y",
@@ -203,6 +234,15 @@ def cases(inputs) -> dict:
                               *d2[2:]],
         "regress-chunked": ["regress", *chunked, "--table",
                             os.path.join(inputs, "design3d.csv"), "--response", "y"],
+        "fit-nonfinite": ["fit", "--data", os.path.join(inputs, "chunked3d-nan.hsg"),
+                          *chunked[2:]],
+        "diagnose-nonfinite": ["diagnose", "--data",
+                               os.path.join(inputs, "chunked3d-nan.hsg"), *chunked[2:]],
+        "fit-cut": ["fit", "--data", os.path.join(inputs, "chunked3d-cut.hsg"),
+                    *chunked[2:]],
+        "fit-1d": ["fit", *d1],
+        "regress-1d": ["regress", *d1, "--table", os.path.join(inputs, "design1d.csv"),
+                       "--response", "y"],
         "jackknife-3d": ["jackknife", *d3, *table3d],
         "bootstrap-3d-coefficients": ["bootstrap", *d3, *table3d, "--treatment", "a",
                                       "--reps", "40", "--seed", "5"],
