@@ -7,11 +7,11 @@ rows are basis functions sampled at grid cell centers; the B-spline basis is
 a ``TensorBasis`` that keeps only its per-axis factors. Both answer one
 protocol, which keeps their storage formats to themselves: ``n_functions``,
 ``shape`` (N, V), ``gram(weights)``, ``scores(weighted_rows)``,
-``synthesize(coef, out=None)``, ``synthesize_tiles(coef, buf, values)``
-(the same rows a tile of columns at a time, carved from ``buf``) and
-``rows()``, the dense oracle for tests. Fitting code reaches a basis only
-through ``space.gram``, ``space.project_scores``, ``space.synthesize`` and
-``space.synthesize_tiles``.
+``synthesize_tiles(coef, buf, values)`` (the grid rows ``coef @ rows()``
+a tile of columns at a time, carved from ``buf``; a tile of every column
+is the whole product) and ``rows()``, the dense oracle for tests. Fitting
+code reaches a basis only through ``space.gram``, ``space.project_scores``,
+``space.synthesize`` and ``space.synthesize_tiles``.
 
 Coordinates: basis constructions and mesh vertices live in unit-cube
 coordinates, with grid cell i of an axis of extent d at (i + 0.5) / d (see
@@ -77,10 +77,6 @@ class BasisSet:
         """Products (k, N) of weighted grid rows (k, V) with the basis rows."""
         return weighted_rows @ self.functions.T
 
-    def synthesize(self, coef, out=None) -> np.ndarray:
-        """Grid rows ``coef @ rows()`` (k, V), written into ``out`` when given."""
-        return np.matmul(coef, self.functions, out=out)
-
     def synthesize_tiles(self, coef, buf, values):
         """Grid rows ``coef @ rows()`` as ``(cols, tile)`` pairs: blocks of
         columns of about ``values`` values each, carved from ``buf`` in turn."""
@@ -106,7 +102,8 @@ class TensorBasis:
     order (None when none is dropped); ``support`` marks the cells with
     positive weight (None when every cell has). The dense (N, V) rows are
     never stored: ``rows()`` builds them on request, while ``gram``,
-    ``scores`` and ``synthesize`` contract the factors one axis at a time.
+    ``scores`` and ``synthesize_tiles`` contract the factors one axis at a
+    time.
     """
 
     factors: tuple
@@ -145,21 +142,14 @@ class TensorBasis:
         scores = _mode_products(x, self.factors)
         return scores if self.kept is None else scores[:, self.kept]
 
-    def synthesize(self, coef, out=None) -> np.ndarray:
-        """Grid rows ``coef @ rows()`` (k, V) by mode-n products with the
-        factors, zero outside the support; written into ``out`` (a
-        C-contiguous (k, V) array) when given."""
-        out = _mode_products(self._coef_tensor(coef), [f.T for f in self.factors], out)
-        if self.support is not None:
-            out[:, ~self.support] = 0.0
-        return out
-
     def synthesize_tiles(self, coef, buf, values):
-        """Grid rows ``synthesize(coef)`` as ``(cols, tile)`` pairs, one tile
-        of whole slabs of the leading axis at a time, about ``values``
-        values each, carved from ``buf`` in turn. Every axis but the leading
-        one is contracted once, with the products ``synthesize`` makes; each
-        tile then multiplies by its slabs' columns of the leading factor."""
+        """Grid rows ``coef @ rows()`` by mode-n products with the factors,
+        zero outside the support, as ``(cols, tile)`` pairs: one tile of
+        whole slabs of the leading axis at a time, about ``values`` values
+        each, carved from ``buf`` in turn. Every axis but the leading one is
+        contracted once; each tile then multiplies by its slabs' columns of
+        the leading factor, a batched product that on a 1-axis grid is one
+        matrix-vector product per row."""
         k = coef.shape[0]
         first, rest = self.factors[0], self.factors[1:]
         x = self._coef_tensor(coef)
@@ -209,28 +199,24 @@ def _kron_rows(factors) -> np.ndarray:
     return rows
 
 
-def _mode_products(x: np.ndarray, mats, out=None) -> np.ndarray:
+def _mode_products(x: np.ndarray, mats) -> np.ndarray:
     """Multiply every trailing axis of x by a matrix, the last axis first.
 
     x is (k, n_0, ..., n_{K-1}) and ``mats[a]`` is (m_a, n_a); returns the
     (k, m_0 * ... * m_{K-1}) array of sum over i_a of
     prod_a mats[a][j_a, i_a] x[:, i_0, ..., i_{K-1}] (Kolda & Bader's
-    mode-n products), each axis as one (batched) matrix product. The last
-    product is written into ``out`` when given, a C-contiguous array of the
-    result's size.
+    mode-n products), each axis as one (batched) matrix product.
     """
     shape = list(x.shape)
     lead = int(np.prod(shape[:-1]))
     shape[-1] = mats[-1].shape[0]
-    last = None if out is None or len(mats) > 1 else out.reshape(lead, shape[-1])
-    y = np.matmul(x.reshape(lead, x.shape[-1]), mats[-1].T, out=last)
+    y = x.reshape(lead, x.shape[-1]) @ mats[-1].T
     for a in range(len(mats) - 2, -1, -1):
         lead = int(np.prod(shape[: a + 1]))
         rest = int(np.prod(shape[a + 2 :]))
         y = y.reshape(lead, shape[a + 1], rest)
         shape[a + 1] = mats[a].shape[0]
-        last = None if out is None or a else out.reshape(lead, shape[a + 1], rest)
-        y = np.matmul(mats[a], y, out=last)
+        y = mats[a] @ y
     return y.reshape(shape[0], int(np.prod(shape[1:])))
 
 

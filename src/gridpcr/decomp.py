@@ -29,15 +29,14 @@ from .space import (
     DEFAULT_DROP_TOL,
     AmbientSpace,
     Whitener,
-    _check_finite,
     _negative_peaks,
     _weighted_scores,
     as_sample,
-    check_sums,
     gram,
     row_chunks,
     run_pass,
     sample_mean,
+    sample_pass,
     sample_rows,
     synthesize,
     synthesize_tiles,
@@ -165,17 +164,18 @@ def fit_subspace_pca(
     directions), form the projected empirical covariance in whitened
     coordinates, eigendecompose, and flip each eigenvector whose grid row's
     largest-|value| entry (the first of tied maxima) is negative. Components
-    with eigenvalue <= 1e-12 * largest are discarded, so a constant sample
+    with eigenvalue <= 1e-12 * largest, or at the rounding level of the
+    centering (``model_from_white``), are discarded, so a constant sample
     yields zero components. The sample, an array or an open
-    ``storage.GridRows``, is read once in row chunks, after its first row
-    x_0: each chunk gives its projection scores and its rows' squared
-    distances to x_0, which check them finite (``space.check_sums``), and
-    is added into the mean in row order, so the mean is bitwise
-    ``mean(axis=0)``. The total variance follows by the shifted-data
-    formula, or from a second read when the mean lies far from x_0
-    (``_SHIFT_LIMIT``). The pass and the sign pass run on the usable CPUs,
-    within ``space.run_pass``'s buffer budget, with the same bytes for any
-    worker count. No grid row of the sample or of the eigenfunctions is
+    ``storage.GridRows``, is read once in row chunks (``space.sample_pass``),
+    after its first row x_0: each chunk gives its projection scores and its
+    rows' squared distances to x_0, which check them finite (a non-finite
+    x_0 makes every distance non-finite), and is added into the mean in row
+    order, so the mean is bitwise ``mean(axis=0)``. The total variance
+    follows by the shifted-data formula, or from a second read when the
+    mean lies far from x_0 (``_SHIFT_LIMIT``). The pass and the sign pass
+    run on the usable CPUs, within ``space.run_pass``'s buffer budget, with
+    the same bytes for any worker count. No grid row of the sample or of the eigenfunctions is
     kept beyond x_0 and the mean. BLAS keeps numpy's default thread count
     here, and the products outside the passes can change in the last bits
     with it; the CLI pins numpy's bundled OpenBLAS to one thread.
@@ -184,20 +184,16 @@ def fit_subspace_pca(
     n = data.shape[0]
     whitener = whiten(gram(space, basis), drop_tol)
     first = sample_rows(space, data, slice(0, 1), np.empty(space.size))[0]
-    _check_finite(first)
     mean = np.zeros(space.size)
     scores = np.empty((n, basis.n_functions))
     shifted_sq = np.empty(n)
 
-    def project(chunk, buf, work):
-        rows = sample_rows(space, data, chunk, buf)
+    def project(chunk, rows, buf, work):
         x = work[: rows.shape[0]]
         scores[chunk] = _weighted_scores(space, basis, rows, out=x)
         shifted_sq[chunk] = _sq_norms(space, np.subtract(rows, first, out=x))
-        check_sums(space, data, chunk, buf, shifted_sq[chunk])
-        return rows
 
-    run_pass(space, n, project, buffers=2, total=mean)
+    sample_pass(space, data, project, (shifted_sq,), buffers=2, total=mean)
     mean /= n
     far = float(_sq_norms(space, (mean - first)[None])[0])
     del first, project
@@ -211,12 +207,10 @@ def _total_variance(space: AmbientSpace, sample, mean) -> float:
     """Mean squared distance of a checked sample's rows to ``mean``, by a row pass."""
     dev_sq = np.empty(sample.shape[0])
 
-    def exact(chunk, buf, work):
-        rows = sample_rows(space, sample, chunk, buf)
-        dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=work[: rows.shape[0]]))
-        check_sums(space, sample, chunk, buf, dev_sq[chunk])
+    def exact(chunk, rows, buf):
+        dev_sq[chunk] = _sq_norms(space, np.subtract(rows, mean, out=buf[: rows.shape[0]]))
 
-    run_pass(space, sample.shape[0], exact, buffers=2)
+    sample_pass(space, sample, exact, (dev_sq,))
     return float(dev_sq.mean())
 
 
@@ -234,12 +228,14 @@ def model_from_white(
     ``scores`` holds the uncentered scores (n, rank) of the sample rows in
     ``whitener``'s frame of ``basis``; ``mean`` and ``total_variance`` are
     the sample's pointwise mean and mean squared distance to it. The
-    scores are centered and eigendecomposed, and each eigenvector is
-    flipped so that its grid row's largest-|value| entry is positive; the
-    rows are synthesized a row chunk at a time (``space.run_pass``), each
-    chunk a tile at a time (``space.synthesized_negative_peaks``). Every
-    fit after its projection goes through here: ``fit_subspace_pca`` and
-    the Monte Carlo harness. ``frame``, when given, is a pair ``(right,
+    scores are centered and eigendecomposed, eigenvalues at the rounding
+    level of the centering are dropped (so a constant sample has no
+    components), and each eigenvector is flipped so that its grid row's
+    largest-|value| entry is positive; the rows are synthesized a row
+    chunk at a time (``space.run_pass``), each chunk a tile at a time
+    (``space.synthesized_negative_peaks``). Every fit after its projection
+    goes through here: ``fit_subspace_pca`` and the Monte Carlo harness.
+    ``frame``, when given, is a pair ``(right,
     rows)``: k orthonormal rows (k, rank) that span the whitened scores,
     and their grid rows ``synthesize(space, basis, right @
     whitener.factor)`` (k, V). ``scores`` are then the sample's
@@ -258,8 +254,18 @@ def model_from_white(
     if not stacked:
         scores, mean, total_variance = scores[None], [mean], [total_variance]
         solved = [solved]
+    # The mean of n rows w_i, summed one row at a time, is off by up to about
+    # n eps mean_i |w_i| in norm, and every centered row carries that error:
+    # a covariance eigenvalue below (n eps)^2 mean_i |w_i|^2 can be that
+    # rounding alone, as every eigenvalue of a constant sample is.
+    n = scores.shape[1]
+    floors = (n * np.finfo(float).eps) ** 2 * np.einsum("bij,bij->b", scores, scores) / n
     models = []
-    for (lams, coords), left, mu, total in zip(solved, scores, mean, total_variance):
+    for (lams, coords), left, mu, total, floor in zip(
+        solved, scores, mean, total_variance, floors
+    ):
+        j = int(np.count_nonzero(lams > floor))
+        lams, coords = lams[:j], coords[:j]
         right = None
         if frame is None:
 
@@ -562,16 +568,14 @@ def diagnose_projection(
     resid_sq = np.empty(n)
     dev_sq = np.empty(n)
 
-    def residuals(chunk, buf, work):
-        rows = sample_rows(space, data, chunk, buf)
+    def residuals(chunk, rows, buf, work):
         k = rows.shape[0]
         dev = np.subtract(rows, mean, out=buf[:k])
         dev_sq[chunk] = _sq_norms(space, dev)
-        check_sums(space, data, chunk, work, dev_sq[chunk])
         white[chunk] = _weighted_scores(space, basis, dev, out=work[:k]) @ factor.T
         resid_sq[chunk] = _residual_sq_norms(space, basis, dev, white[chunk] @ factor, work)
 
-    run_pass(space, n, residuals, buffers=2)
+    sample_pass(space, data, residuals, (dev_sq,), buffers=2)
     delta_resid = float(resid_sq.mean())
     total = float(dev_sq.mean())
     delta_var = total - float(np.mean(np.sum(white * white, axis=1)))

@@ -74,6 +74,17 @@ BUMPS_2D = (
 _GS_BREAKDOWN_TOL = 1e-8
 
 
+def _reject_nonfinite(**settings) -> None:
+    """Raise ``ConfigurationError`` for the first setting with a non-finite value.
+
+    A NaN passes every range check (its comparisons are all false), and an
+    infinite setting only fails once the replicates have run.
+    """
+    for name, value in settings.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TreatmentConfig:
     """Two-arm extension of a scenario: Bernoulli arms and modifier truth."""
@@ -88,6 +99,7 @@ class TreatmentConfig:
             raise ConfigurationError("treatment probability must lie in (0, 1)")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        _reject_nonfinite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,9 @@ class ScenarioConfig:
         if len(gamma) != len(lams):
             raise ConfigurationError("gamma0 needs one score per component")
         beta = tuple(float(b) for b in self.beta0)
+        _reject_nonfinite(
+            lambdas=lams, alpha0=self.alpha0, beta0=beta, gamma0=gamma, noise_sd=self.noise_sd
+        )
         if self.treatment is not None:
             if len(self.treatment.beta) != len(beta):
                 raise ConfigurationError("modifier beta must match beta0 length")

@@ -7,18 +7,19 @@ nonnegative cell weights, typically the product of grid spacings. Cells can
 be masked out of the domain by zeroing their weight, so irregular regions of
 a bounding grid are ordinary elements of a smaller space.
 
-A basis reaches the grid through four maps: ``gram``, ``project_scores``
-(grid rows to basis coordinates), ``synthesize`` (basis coordinates to
-grid rows) and ``synthesize_tiles`` (the same rows, a tile of columns at a
-time, for passes that only reduce them). Each checks once that the basis
-width conforms to the grid and hands the work to the basis, through the
+A basis reaches the grid through three maps: ``gram``, ``project_scores``
+(grid rows to basis coordinates) and ``synthesize_tiles`` (basis
+coordinates to grid rows, a tile of columns at a time); ``synthesize`` is
+the single tile of the whole rows. Each checks once that the basis width
+conforms to the grid and hands the work to the basis, through the
 protocol that ``bases.BasisSet`` and ``bases.TensorBasis`` share (see
-``bases``); how a basis stores its rows is its own affair. Passes over a
-sample go through it in row chunks of at most ``ROW_CHUNK_VALUES`` grid
-values; the sample is an array or an open ``storage.GridRows``, which is
-read one chunk at a time. A pass checks the rows finite through sums it
-forms from them anyway (``check_sums``) and scans the rows themselves only
-when one of those sums is not finite.
+``bases``); how a basis stores its rows is its own affair. Every pass over
+a sample goes through ``sample_pass`` in row chunks of at most
+``ROW_CHUNK_VALUES`` grid values; the sample is an array or an open
+``storage.GridRows``, which is read one chunk at a time. The pass checks
+the rows finite through sums its tasks form from them anyway and reads
+the rows again, to find the first bad one, only when one of those sums is
+not finite or a read failed.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ PASS_BUFFERS = 4
 # chunks (7 runs each).
 TILE_VALUES = 2**17
 # Rows whose max and -min agree within this fraction of the larger are
-# synthesized whole for the sign rule, since a tile may differ from
-# synthesize in the last bits (see synthesize_tiles). The two differ only
-# in the rounding of the last product, a sum of N_0 terms weighted by a
-# partition of unity (B-spline factors, hat functions): a few N_0 eps of
-# the terms' size, some 1e-14 of the peak, six orders inside this margin.
+# synthesized whole for the sign rule, since one of several tiles may
+# differ from the single tile of synthesize in the last bits (see
+# synthesize_tiles). The two differ only in the rounding of the last
+# product, a sum of N_0 terms weighted by a partition of unity (B-spline
+# factors, hat functions): a few N_0 eps of the terms' size, some 1e-14 of
+# the peak, six orders inside this margin.
 PEAK_TIE_REL = 1e-8
 
 
@@ -153,11 +155,12 @@ def as_element(space: AmbientSpace, x) -> np.ndarray:
 
 
 def as_sample(space: AmbientSpace, x):
-    """Validate a sample: n rows, each conforming to the grid, finite.
+    """Validate a sample's shape: n rows, each conforming to the grid.
 
     ``x`` is an array or an open ``storage.GridRows``. An array comes back
-    flat as (n, V); a ``GridRows`` comes back as it is, its shape checked
-    here and its values checked by the passes that read it (``check_sums``).
+    flat as (n, V); a ``GridRows`` comes back as it is. Only the shape is
+    checked here; the values are checked finite by every pass that reads
+    them (``sample_pass``).
     """
     if isinstance(x, GridRows):
         shape = tuple(x.shape)
@@ -175,15 +178,7 @@ def as_sample(space: AmbientSpace, x):
         )
     if arr.shape[0] == 0:
         raise ConformanceError("sample must contain at least one row")
-    # One row chunk at a time, so the check needs no n x V temporary.
-    for chunk in row_chunks(space, arr.shape[0]):
-        _check_finite(arr[chunk])
     return arr
-
-
-def _check_finite(rows) -> None:
-    if not np.all(np.isfinite(rows)):
-        raise ConformanceError("sample contains non-finite values")
 
 
 def _chunk_rows(space: AmbientSpace) -> int:
@@ -208,8 +203,7 @@ def sample_rows(space: AmbientSpace, sample, chunk: slice, buf):
     ``sample`` is what ``as_sample`` returned and ``buf`` a
     ``chunk_buffer`` (or any C-contiguous array with room for the rows).
     Array rows come as a view of the array; a file's rows are read into
-    ``buf`` by ``storage.read_grid``, and the pass that reads them checks
-    them finite through its sums (``check_sums``).
+    ``buf`` by ``storage.read_grid``.
     """
     if not isinstance(sample, GridRows):
         return sample[chunk]
@@ -217,23 +211,12 @@ def sample_rows(space: AmbientSpace, sample, chunk: slice, buf):
     return read_grid(sample, chunk.start, out.reshape(-1, space.size))
 
 
-def check_sums(space: AmbientSpace, sample, chunk: slice, buf, sums) -> None:
-    """Raise ``ConformanceError`` if rows ``chunk`` of a sample hold a non-finite value.
-
-    ``sums`` are sums a pass formed from those rows (weighted sums of
-    squares, or products with basis rows), which are not finite when a
-    row is not. Only then are the rows read again, into ``buf``, and
-    scanned, since finite rows can overflow a sum too.
-    """
-    if not np.all(np.isfinite(sums)):
-        _check_finite(sample_rows(space, sample, chunk, buf))
-
-
 def _scan_rows(space: AmbientSpace, sample) -> None:
     """Read a sample's row chunks in order, raising at the first bad one."""
     buf = chunk_buffer(space, sample.shape[0])
     for chunk in row_chunks(space, sample.shape[0]):
-        _check_finite(sample_rows(space, sample, chunk, buf))
+        if not np.all(np.isfinite(sample_rows(space, sample, chunk, buf))):
+            raise ConformanceError("sample contains non-finite values")
 
 
 def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, total=None) -> None:
@@ -286,30 +269,48 @@ def run_pass(space: AmbientSpace, n: int, task, buffers: int = 1, total=None) ->
     run_indexed(one, len(items), workers)
 
 
-def sample_mean(space: AmbientSpace, sample) -> np.ndarray:
-    """Pointwise mean of a checked sample, bitwise equal to ``mean(axis=0)``.
+def sample_pass(space: AmbientSpace, sample, task, sums=(), buffers=1, total=None) -> None:
+    """Run ``task(chunk, rows, *bufs)`` on the rows of every chunk of a checked sample.
 
-    One row pass (``run_pass``) adds the rows into the sum in row order,
-    the order of numpy's sum for every column. The sum is the pass's
-    finiteness check: only when it is not finite are the rows scanned
-    again, and then the first non-finite value raises (finite rows whose
-    sum overflows give an infinite mean, as numpy's does). A file cut short
-    is scanned up to the cut too, so a non-finite value in an earlier row
-    is what raises, as for a pass that checks each chunk.
+    Each chunk's rows are read (``sample_rows``, into the first of the
+    task's ``buffers`` chunk buffers for a file) and handed to the task,
+    which fills its chunk's part of the results, in a ``run_pass`` over
+    the sample; with ``total`` the rows, left as read, are added into it
+    in row order. Then the one finiteness rule of the package: the rows
+    are checked finite through ``sums``, arrays the tasks filled with sums
+    of their rows, and ``total``, which are not finite when a row is not.
+    Only when one of them is not finite, or a chunk raised ``FormatError``
+    (a file cut short), are the rows read again in order (``_scan_rows``),
+    into a buffer allocated here, after the pass, so that the first
+    non-finite chunk or the cut, whichever comes first, raises, for any
+    worker count. Finite rows can overflow a sum too; they pass.
     """
-    n = sample.shape[0]
-    total = np.zeros(space.size)
+
+    def read(chunk, buf, *rest):
+        rows = sample_rows(space, sample, chunk, buf)
+        task(chunk, rows, buf, *rest)
+        return rows
+
     try:
-        run_pass(
-            space, n, lambda chunk, buf: sample_rows(space, sample, chunk, buf),
-            total=total,
-        )
+        run_pass(space, sample.shape[0], read, buffers, total)
     except FormatError:
         _scan_rows(space, sample)
         raise
-    if not np.all(np.isfinite(total)):
+    if not all(np.all(np.isfinite(a)) for a in (*sums, total) if a is not None):
         _scan_rows(space, sample)
-    total /= n
+
+
+def sample_mean(space: AmbientSpace, sample) -> np.ndarray:
+    """Pointwise mean of a checked sample, bitwise equal to ``mean(axis=0)``.
+
+    One ``sample_pass`` adds the rows into the sum in row order, the order
+    of numpy's sum for every column, and the sum is its finiteness check
+    (finite rows whose sum overflows give an infinite mean, as numpy's
+    does).
+    """
+    total = np.zeros(space.size)
+    sample_pass(space, sample, lambda *_: None, total=total)
+    total /= sample.shape[0]
     return total
 
 
@@ -428,17 +429,18 @@ def project_scores(space: AmbientSpace, basis, sample) -> np.ndarray:
     """Inner products of sample rows with basis rows.
 
     Returns the (n, N) matrix S[i, l] = <psi_l, Z_i>. The sample (an array
-    or a row source) is validated once and then passed through in row
-    chunks, whose scores are their finiteness check.
+    or a row source) is validated once and then goes through one
+    ``sample_pass``; each chunk writes only its own rows of S, and its
+    scores are its finiteness check.
     """
     data = as_sample(space, sample)
     _conform(space, basis)
-    buf = chunk_buffer(space, data.shape[0])
     out = np.empty((data.shape[0], basis.n_functions))
-    for chunk in row_chunks(space, data.shape[0]):
-        rows = sample_rows(space, data, chunk, buf)
+
+    def project(chunk, rows, buf):
         out[chunk] = _weighted_scores(space, basis, rows, out=buf[: rows.shape[0]])
-        check_sums(space, data, chunk, buf, out[chunk])
+
+    sample_pass(space, data, project, (out,))
     return out
 
 
@@ -455,9 +457,9 @@ def synthesize(space: AmbientSpace, basis, coef, out=None) -> np.ndarray:
     """Grid elements from basis coordinates: (k, N) -> (k, V).
 
     Row i of the result is sum_l coef[i, l] psi_l, i.e. ``coef @
-    basis.rows()``, computed by the basis without its dense rows when it
-    keeps none. The rows are written into ``out`` (a C-contiguous (k, V)
-    array) when given.
+    basis.rows()``: the single tile of ``synthesize_tiles`` that fills
+    ``out`` (a C-contiguous (k, V) array, or a new one), computed by the
+    basis without its dense rows when it keeps none.
     """
     coef = np.asarray(coef, dtype=float)
     _conform(space, basis)
@@ -465,7 +467,11 @@ def synthesize(space: AmbientSpace, basis, coef, out=None) -> np.ndarray:
         raise ConformanceError(
             f"coefficients {coef.shape} do not match {basis.n_functions} basis rows"
         )
-    return basis.synthesize(coef, out)
+    if out is None:
+        out = np.empty((coef.shape[0], space.size))
+    if coef.shape[0]:  # a basis sizes its tiles by dividing by k
+        next(basis.synthesize_tiles(coef, out, out.size))
+    return out
 
 
 def synthesize_tiles(space: AmbientSpace, basis, coef, buf):
@@ -475,11 +481,11 @@ def synthesize_tiles(space: AmbientSpace, basis, coef, buf):
     (a slice of the flattened row) of every row, about ``TILE_VALUES``
     values in all, so that a pass can reduce it while it is in cache. The
     tiles are carved from the front of ``buf`` (a chunk buffer with room
-    for the k rows), and each one overwrites the last. A single tile (rows
-    of at most ``TILE_VALUES`` values in all) is the product ``synthesize``
-    makes, bitwise, on grids of two or more axes; smaller tiles can differ
-    from it in the last bits, because BLAS may order the sums of a product
-    of another shape differently.
+    for the k rows), and each one overwrites the last. Rows of at most
+    ``TILE_VALUES`` values in all make a single tile, the product
+    ``synthesize`` makes, bitwise; smaller tiles can differ from it in the
+    last bits, because BLAS may order the sums of a product of another
+    shape differently.
     """
     _conform(space, basis)
     return basis.synthesize_tiles(np.asarray(coef, dtype=float), buf, TILE_VALUES)
@@ -491,10 +497,10 @@ def synthesized_negative_peaks(space: AmbientSpace, basis, coef, buf) -> np.ndar
     Each row's max and min are gathered tile by tile (``synthesize_tiles``,
     in ``buf``), and the sign rule is applied to the pair: a row's peak has
     the sign of the peak of (max, min) unless -min == max. Only such a row
-    needs the position of its first extreme entry, and tiles may differ
-    from ``synthesize`` in the last bits, so every row whose -min and max
-    agree within ``PEAK_TIE_REL`` is synthesized whole, into ``buf``, for
-    ``_negative_peaks``.
+    needs the position of its first extreme entry, and one of several
+    tiles may differ from ``synthesize``'s single tile in the last bits, so
+    every row whose -min and max agree within ``PEAK_TIE_REL`` is
+    synthesized whole, into ``buf``, for ``_negative_peaks``.
     """
     k = coef.shape[0]
     high, low = np.full(k, -np.inf), np.full(k, np.inf)

@@ -620,6 +620,60 @@ def test_simulate_setting_that_fails_every_replicate_exits_2(tmp_path, capsys):
     assert "replicates failed" not in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("setting, text", [
+    ("noise_sd", "nan"), ("lambdas", "nan,1"), ("gamma0", "1,1,inf,1,1,1"), ("alpha0", "nan"),
+])
+def test_simulate_nonfinite_setting_exits_2_before_any_replicate(
+    tmp_path, capsys, monkeypatch, source, setting, text
+):
+    calls = []
+    monkeypatch.setattr(
+        gridpcr.simulate, "run_replicate", lambda *a, **k: calls.append(a)
+    )
+    settings = {setting: text}
+    if setting == "lambdas":
+        settings["gamma0"] = "1,1"
+    if source == "flag":
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    else:
+        cfg = tmp_path / "study.json"
+        values = {
+            key: [float(v) for v in value.split(",")] if "," in value else float(value)
+            for key, value in settings.items()
+        }
+        cfg.write_text(json.dumps(values))  # NaN and Infinity, as json writes them
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    rc = main(["simulate", "--family", "synthetic2d", "--reps", "2", *argv, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} must be finite, got ")
+    assert not calls
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_constant_sample_fits_no_components(tmp_path, capsys, masked):
+    data = tmp_path / "constant.hsg"
+    write_grid(data, np.ones((30, 12, 10)))
+    flags = ["--data", str(data), "--degree", "2", "--knots", "2"]
+    if masked:
+        keep = np.ones((12, 10))
+        keep[:3, :4] = 0.0
+        write_grid(tmp_path / "mask.hsg", keep)
+        flags += ["--mask", str(tmp_path / "mask.hsg")]
+    assert main(["fit", *flags, "--out", str(tmp_path / "fit")]) == 0
+    assert "components=0, total variance=0.0\n" in capsys.readouterr().out
+    assert not (tmp_path / "fit" / "eigenfunctions.hsg").exists()
+    _, rows = read_table(tmp_path / "fit" / "eigenvalues.csv")
+    assert rows == []
+    out = tmp_path / "boot"
+    rc = main(["bootstrap", *flags, "--target", "eigenvalues", "--reps", "20", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: point estimate retains no components\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_reproduce_eigen_table_smoke(tmp_path):
     out = tmp_path / "o"
     rc = main([

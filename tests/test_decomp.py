@@ -19,10 +19,13 @@ from gridpcr import (
     eigenvalue_se,
     fit_subspace_pca,
     select_pve,
+    write_grid,
 )
 import gridpcr.decomp
 import gridpcr.space
+from gridpcr.bases import mask_space
 from gridpcr.decomp import centered_scores, check_gaps, EigenModel, PveSelection
+from gridpcr.storage import GridRows
 from gridpcr.util import replicate_rng
 
 
@@ -358,6 +361,28 @@ def test_sign_rule_takes_the_first_of_tied_extremes():
     rows = rng.integers(-3, 4, size=(500, 7)).astype(float)
     peaks = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
     assert np.array_equal(gridpcr.space._negative_peaks(rows), peaks < 0)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("value", [1.0, 0.1, -3.7, 1e6])
+def test_constant_sample_fits_zero_components(tmp_path, masked, value):
+    # The centered scores of a constant sample are rounding in its mean,
+    # at most (n eps)^2 mean |w_i|^2 in variance, and fit no component.
+    space = AmbientSpace.unit_domain((12, 10))
+    if masked:
+        keep = np.ones(space.dims, dtype=bool)
+        keep[:3, :4] = False
+        space = mask_space(space, keep)
+    basis = bspline_tensor_basis(space, 2, 2)
+    sample = np.full((30, space.size), value)
+    path = tmp_path / "constant.hsg"
+    write_grid(path, sample.reshape(30, *space.dims))
+    with GridRows(path) as rows:
+        for data in (sample, rows):
+            model = fit_subspace_pca(space, basis, data)
+            assert model.n_components == 0
+            assert model.coords.shape == (0, model.whitener.rank)
+            assert model.total_variance < 1e-20 * value**2
 
 
 def test_fit_requires_two_rows():

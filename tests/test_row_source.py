@@ -22,7 +22,7 @@ from gridpcr import (
 )
 from gridpcr.bases import mask_space
 from gridpcr.decomp import _sq_norms, model_from_white
-from gridpcr.space import sample_mean
+from gridpcr.space import as_sample, sample_mean
 from gridpcr.storage import GridRows
 from gridpcr.util import replicate_rng, run_indexed
 
@@ -120,8 +120,17 @@ def test_diagnose_from_file_matches_array(tmp_path, small_chunks, case):
         )
 
 
-@pytest.mark.parametrize("fn", [fit_subspace_pca, diagnose_projection])
+def mean_through(space, basis, sample):
+    return sample_mean(space, as_sample(space, sample))
+
+
+@pytest.mark.parametrize("fn", [
+    fit_subspace_pca, diagnose_projection, project_scores,
+    pytest.param(mean_through, id="sample_mean"),
+])
 def test_nonfinite_last_row_from_file_raises_as_for_array(tmp_path, small_chunks, fn):
+    # The value sits in the last chunk; as_sample checks only the shape, so
+    # every pass finds it itself.
     space, basis, sample, path = make_case(unmasked_3d, tmp_path, 0)
     small_chunks(space)
     sample[-1, -1] = np.nan
@@ -396,7 +405,9 @@ def test_fit_reads_an_ordinary_sample_once(tmp_path, small_chunks, monkeypatch):
     monkeypatch.setattr(gridpcr.space, "read_grid", counted)
     with GridRows(path) as rows:
         model = fit_subspace_pca(space, basis, rows)
-    # The first row, then every row once.
-    assert moved == [8 * space.size] + [8 * CHUNK_ROWS * space.size] * 7 + [8 * 2 * space.size]
+    # The first row, before the pass; then every chunk once, in the order
+    # in which the two pool workers happen to read them.
+    assert moved[0] == 8 * space.size
+    assert sorted(moved[1:]) == [8 * 2 * space.size] + [8 * CHUNK_ROWS * space.size] * 7
     two_pass = float(_sq_norms(space, sample - sample.mean(axis=0)).mean())
     assert model.total_variance == pytest.approx(two_pass, rel=REL)

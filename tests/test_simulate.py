@@ -88,6 +88,28 @@ def test_scenario_config_validation():
         PipelineOptions(inference="delta")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambdas", (NAN, 1.0)), ("lambdas", (INF, 1.0)), ("alpha0", NAN),
+    ("beta0", (1.0, INF)), ("gamma0", (1.5, NAN)), ("noise_sd", NAN),
+    ("noise_sd", INF),
+])
+def test_scenario_rejects_nonfinite_settings(field, value):
+    # NaN passes every range check, so each field is checked finite itself.
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got "):
+        small_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("alpha", NAN), ("beta", (INF,)), ("gamma", (1.0, NAN))])
+def test_treatment_rejects_nonfinite_settings(field, value):
+    settings = dict(alpha=0.5, beta=(1.0,), gamma=(1.0, 2.0))
+    settings[field] = value
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got "):
+        TreatmentConfig(**settings)
+
+
 def test_families_are_orthonormal():
     space2 = scenario_space(small_config(dims=(20, 24)))
     for j in (1, 3, 8):
