@@ -16,7 +16,8 @@ scores have rank 4 of 125), a noisy 64x60x56 sample with its own
 design table, large enough that every pass over it spans several row chunks,
 a copy of the 2D sample whose row 0 lies far from the rest (a fit's total
 variance then needs its exact second read), a 1-axis sample of smooth
-curves plus noise with its own design table, two copies of the 64x60x56
+curves plus noise with its own design table, the 12x14x10 sample plus
+noise, two copies of the 64x60x56
 sample, one with a NaN in a middle row and one cut inside a middle chunk,
 a triangulation of the unit square in the text mesh format and a
 ``simulate --config`` JSON file. Each command then
@@ -193,6 +194,13 @@ def write_inputs(directory) -> None:
     _write_design(os.path.join(directory, "design1d.csv"),
                   {"y": y, "x1": x[:, 0], "x2": x[:, 1]})
 
+    # The 3D sample plus noise off the basis span, so that the diagnostic's
+    # residual sums are not rounding noise.
+    rng = np.random.default_rng(20263)
+    sample = _read_hsg(os.path.join(directory, "sample3d.hsg"))
+    sample = sample + 0.1 * rng.standard_normal(sample.shape)
+    _write_hsg(os.path.join(directory, "sample3d-noisy.hsg"), sample)
+
 
 def cases(inputs) -> dict:
     """Case name -> CLI arguments (without --out)."""
@@ -213,6 +221,8 @@ def cases(inputs) -> dict:
         "pve-2d": ["pve", *d2],
         "diagnose-auto": ["diagnose", *d2[:2], "--knots", "1", "--auto-knots"],
         "diagnose-3d": ["diagnose", *d3],
+        "diagnose-3d-noisy": ["diagnose", "--data",
+                              os.path.join(inputs, "sample3d-noisy.hsg"), *d3[2:]],
         "fit-mask": ["fit", *d2, *mask],
         "diagnose-mask": ["diagnose", *d2, *mask],
         "regress-mask": ["regress", *d2, *table, *mask],
@@ -261,6 +271,12 @@ def cases(inputs) -> dict:
         "jackknife-threads": ["jackknife", *d2, *table, "--treatment", "a", "--m", "2",
                               "--blocks", "13", "--threads", "2"],
     }
+    # Interval settings away from their defaults.
+    out["regress-one-level"] = ["regress", *d2, *table, "--level", "0.9"]
+    out["bootstrap-eigenvalues-level"] = [
+        "bootstrap", *d2, "--target", "eigenvalues", "--reps", "40", "--seed", "5",
+        "--level", "0.8",
+    ]
     for arm, flags in arms.items():
         out[f"regress-{arm}"] = ["regress", *d2, *table, *flags]
         out[f"jackknife-{arm}"] = ["jackknife", *d2, *table, *flags]
@@ -279,6 +295,12 @@ def cases(inputs) -> dict:
                 "simulate", "--family", family, "--n", "150", "--reps", "3",
                 "--inference", inference, "--boot-reps", "30", "--seed", "3",
             ]
+        # More blocks than the default coefficients + 2 of either family.
+        out[f"simulate-{family}-jackknife-blocks"] = [
+            "simulate", "--family", family, "--n", "150", "--reps", "3",
+            "--inference", "jackknife", "--blocks", "20", "--level", "0.8",
+            "--seed", "3",
+        ]
         # 19 replicates on a two-worker pool: Monte Carlo batches of 8, 8
         # and 3.
         for inference in ("none", "plugin"):
@@ -286,6 +308,11 @@ def cases(inputs) -> dict:
                 "simulate", "--family", family, "--n", "150", "--reps", "19",
                 "--inference", inference, "--seed", "3", "--threads", "2",
             ]
+    out["simulate-bootstrap-nonparametric"] = [
+        "simulate", "--family", "synthetic2d", "--n", "150", "--reps", "3",
+        "--inference", "bootstrap", "--kind", "nonparametric", "--level", "0.9",
+        "--boot-reps", "30", "--seed", "3",
+    ]
     # --tau 0.5 selects m = 2 for some replicates and m = 3 for others,
     # within every batch.
     out["simulate-mixed-m"] = [
