@@ -64,12 +64,13 @@ from .resampling import (
     CiTable,
     JackknifeResult,
     JackknifeSpec,
+    PluginSpec,
     block_jackknife,
     bootstrap_eigenvalues,
     bootstrap_theta,
-    check_intervals,
     coefficient_intervals,
     gen_weights,
+    jackknife_blocks,
     percentile_ci,
 )
 from .simulate import (

@@ -61,10 +61,12 @@ from .errors import (
 from .regression import RegressionDesign, coefficient_names, fit_pcr
 from .resampling import (
     BootstrapSpec,
+    JackknifeSpec,
+    PluginSpec,
     bootstrap_eigenvalues,
     check_blocks,
-    check_intervals,
     coefficient_intervals,
+    jackknife_blocks,
 )
 from .simulate import (
     PipelineOptions,
@@ -72,7 +74,7 @@ from .simulate import (
     TreatmentConfig,
     run_monte_carlo,
 )
-from .space import AmbientSpace, as_sample, sample_mean
+from .space import AmbientSpace, as_sample, check_drop_tol, sample_mean
 from .storage import (
     GridRows,
     file_sha256,
@@ -445,11 +447,12 @@ def cmd_fit(args):
 def cmd_diagnose(args):
     if args.auto_knots and args.basis != "bspline":
         raise ConfigurationError("--auto-knots applies to the bspline basis")
+    check_alpha(args.alpha)
+    check_drop_tol(args.drop_tol)
     rows = []
     with _load_space_sample(args) as (space, sample):
         knots = _basis_knots(args, space)
         basis = _build_basis(args, space, knots)
-        check_alpha(args.alpha)
         # The mean does not depend on the basis: one read serves every step.
         mean = sample_mean(space, as_sample(space, sample))
         for step in range(MAX_KNOT_REFINEMENTS + 1):
@@ -544,17 +547,30 @@ def _write_ci_table(args, name, table) -> None:
     write_table(_path(args, name), ["term", "estimate", "lower", "upper", "se"], rows)
 
 
-def _interval_settings(args):
-    """The command's interval method and the settings it takes.
+def _interval_spec(args):
+    """The command's intervals at --level as a spec, built (so checked) from its flags.
 
-    ``regress`` gives plug-in intervals for one arm and jackknife intervals
-    for two; a one-arm ``regress`` ignores --blocks.
+    ``regress`` gives plug-in intervals for one arm, ignoring --blocks, and
+    jackknife intervals for two; ``simulate`` gives the --inference method,
+    None for "none", and no --seed: a study keys each replicate's bootstrap
+    by its own seed.
     """
-    if args.command == "bootstrap":
-        return "bootstrap", {"reps": args.reps, "kind": args.kind, "seed": args.seed}
-    if args.command == "regress" and args.treatment is None:
-        return "plugin", {}
-    return "jackknife", {"blocks": args.blocks}
+    method = args.inference if args.command == "simulate" else args.command
+    if method == "regress":
+        method = "plugin" if args.treatment is None else "jackknife"
+    if method == "none":
+        return None
+    if method == "plugin":
+        return PluginSpec(args.level)
+    if method == "jackknife":
+        return JackknifeSpec(args.blocks, args.level)
+    if method != "bootstrap":  # a simulate --config value
+        raise ConfigurationError(
+            f"inference must be plugin, bootstrap, jackknife, or None, got {method!r}"
+        )
+    if args.command == "simulate":
+        return BootstrapSpec(args.kind, args.boot_reps, level=args.level)
+    return BootstrapSpec(args.kind, args.reps, args.seed, args.level)
 
 
 def _coefficients(args):
@@ -564,30 +580,28 @@ def _coefficients(args):
     row count in the --data header) are checked before the sample is
     fitted, and so is the jackknife block count against the row count and,
     with --m, the coefficient count: --blocks when given, else, with --m,
-    the default coefficients + 2. Only the choice of m and the score
+    ``jackknife_blocks``' default. Only the choice of m and the score
     columns wait for the fit. Writes coefficients.csv and returns the
     design and ``coefficient_intervals``' table and result.
     """
-    method, settings = _interval_settings(args)
-    check_intervals(method, args.level, **settings)
+    spec = _interval_spec(args)
     _check_selection(args)
     with _load_space_sample(args) as (space, sample):
         basis = _build_basis(args, space, _basis_knots(args, space))
         n = sample.shape[0]
         y, x, treatment = _read_design(args, n)
-        if method == "jackknife" and (args.blocks is not None or args.m is not None):
+        if isinstance(spec, JackknifeSpec) and (spec.r is not None or args.m is not None):
             width = None
             if args.m is not None:
                 width = len(coefficient_names(x.shape[1], args.m, treatment is not None))
-            check_blocks(width + 2 if args.blocks is None else args.blocks, width, n)
+            check_blocks(jackknife_blocks(spec, width), width, n)
         model = fit_subspace_pca(space, basis, sample, args.drop_tol)
     m = args.m if args.m is not None else select_pve(model, args.tau).m
     m = check_score_count(m, model)
     scores = component_scores(model)[:, :m]
     design = RegressionDesign(y=y, x=x, scores=scores, treatment=treatment)
     table, res = coefficient_intervals(
-        model, design, fit_pcr(design), method, args.level,
-        threads=_threads(args), **settings,
+        model, design, fit_pcr(design), spec, threads=_threads(args)
     )
     _write_ci_table(args, "coefficients.csv", table)
     return design, table, res
@@ -606,9 +620,7 @@ def cmd_bootstrap(args):
         _, _, res = _coefficients(args)
         name = "coefficients.csv"
     else:
-        spec = BootstrapSpec(
-            kind=args.kind, b_reps=args.reps, base_seed=args.seed, level=args.level
-        )
+        spec = _interval_spec(args)
         res = bootstrap_eigenvalues(_fit_model(args)[2], spec, threads=_threads(args))
         name = "eigenvalues.csv"
         _write_ci_table(args, name, res.table)
@@ -679,11 +691,7 @@ def _pipeline_from_args(args, config: ScenarioConfig) -> PipelineOptions:
         degree=defaults["degree"] if args.degree is None else args.degree,
         interior_knots=knots,
         tau=args.tau,
-        inference=None if args.inference == "none" else args.inference,
-        b_reps=args.boot_reps,
-        boot_kind=args.kind,
-        level=args.level,
-        r_blocks=args.blocks,
+        intervals=_interval_spec(args),
     )
 
 
@@ -734,15 +742,12 @@ def cmd_reproduce(args):
         # the correlation settings share one run.
         j = len(defaults["lambdas"])
         header = ["n"] + [f"lambda{k + 1}_mse" for k in range(j)] + ["mhat_mean"]
-        inference = None
+        intervals = None
     else:
         header = ["n", "corr", "term", "truth", "mse", "coverage"]
-        inference = "bootstrap"
+        intervals = BootstrapSpec(b_reps=args.boot_reps)
     options = PipelineOptions(
-        degree=defaults["degree"],
-        interior_knots=defaults["knots"],
-        inference=inference,
-        b_reps=args.boot_reps,
+        degree=defaults["degree"], interior_knots=defaults["knots"], intervals=intervals
     )
     treatment = None
     if table_id == 6:

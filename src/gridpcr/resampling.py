@@ -58,7 +58,6 @@ from .regression import (
 from .util import norm_ppf, replicate_rng, run_indexed
 
 BOOTSTRAP_KINDS = ("nonparametric", "wild")
-INTERVAL_METHODS = ("plugin", "bootstrap", "jackknife")
 MAX_FAILURE_FRACTION = 0.05
 # Draws per pool task and per stacked solve, chosen by measurement: 200 wild
 # draws of bootstrap-2d input set 1 (n = 500, k = 121, p = 18) on two
@@ -98,6 +97,16 @@ def check_blocks(r: int, width: int | None = None, n: int | None = None) -> int:
 
 
 @dataclass(frozen=True)
+class PluginSpec:
+    """Normal intervals at ``level`` from the plug-in covariance (one arm only)."""
+
+    level: float = 0.95
+
+    def __post_init__(self):
+        check_level(self.level)
+
+
+@dataclass(frozen=True)
 class BootstrapSpec:
     """Configuration of a bootstrap study.
 
@@ -125,14 +134,27 @@ class BootstrapSpec:
 
 @dataclass(frozen=True)
 class JackknifeSpec:
-    """Configuration of a block-jackknife study: ``r`` disjoint blocks."""
+    """Configuration of a block-jackknife study: ``r`` disjoint blocks.
 
-    r: int
+    ``r`` None asks for the fewest blocks allowed (``jackknife_blocks``).
+    """
+
+    r: int | None = None
     level: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "r", check_blocks(self.r))
+        if self.r is not None:
+            object.__setattr__(self, "r", check_blocks(self.r))
         check_level(self.level)
+
+
+def jackknife_blocks(spec: JackknifeSpec, width: int | None) -> int:
+    """The block count of ``spec`` for ``width`` coefficients.
+
+    ``spec.r`` when given, else the fewest allowed, coefficients + 2;
+    ``width`` may be None when ``spec.r`` is given.
+    """
+    return width + 2 if spec.r is None else spec.r
 
 
 @dataclass(frozen=True)
@@ -250,11 +272,13 @@ def _replicate_thetas(frame, design: RegressionDesign, weights, labels) -> list:
     """Coefficients of a batch of replicates: refitted eigenfunctions, then regression.
 
     ``frame`` is ``_replicate_frame`` of the point fit, ``weights`` holds
-    one row of observation weights per draw (B, n), and ``labels`` names
-    each draw in its error message. One stacked ``_eig_from_scores``
-    refits every draw's m leading eigenpairs from the point fit's ``ref``,
-    and each draw's eigenvectors are flipped to match the signs of ``ref``;
-    one stacked ``fit_pcr`` then fits the draws' scores. The weighted
+    one row of observation weights per draw (B, n), and ``labels`` is the
+    subject of each draw's error message ("jackknife block l"; "the draw"
+    for a bootstrap, whose ``run_tolerant`` adds the index). One stacked
+    ``_eig_from_scores`` refits every draw's m leading eigenpairs from the
+    point fit's ``ref``, and each draw's eigenvectors are flipped to match
+    the signs of ``ref``; one stacked ``fit_pcr`` then fits the draws'
+    scores. The weighted
     covariance is divided by n, not by the weight total: bootstrap weights
     sum to n, and a jackknife replicate's eigenvalues only feed its coords,
     which the scale does not change. Returns one theta per draw, or raises
@@ -434,7 +458,7 @@ def bootstrap_theta(
         spec,
         model.n,
         lambda weights, draws: _replicate_thetas(
-            frame, design, weights, [f"replicate {b}" for b in draws]
+            frame, design, weights, ["the draw"] * len(draws)
         ),
         coefficient_names(design.d, design.m, design.treatment is not None),
         (fit_pcr(design) if fit is None else fit).theta,
@@ -478,8 +502,9 @@ def block_jackknife(
 ) -> JackknifeResult:
     """Grouped-jackknife covariance of theta from r systematic blocks.
 
-    ``model``, ``design`` and ``fit`` are as for ``bootstrap_theta``, and
-    ``check_blocks`` rejects r against the coefficient and row counts.
+    ``model``, ``design`` and ``fit`` are as for ``bootstrap_theta``. r is
+    ``jackknife_blocks`` of the spec, and ``check_blocks`` rejects it
+    against the coefficient and row counts.
     With k = floor(n / r), block l gives weight zero to observations {l,
     l + r, l + 2r, ...} (k of them) of the first r * k rows and to every
     trailing row beyond r * k, and weight one to the rest. Each replicate
@@ -493,99 +518,64 @@ def block_jackknife(
     _check_design(model, design)
     point = (fit_pcr(design) if fit is None else fit).theta
     n = design.n
-    check_blocks(spec.r, point.size, n)
-    k = n // spec.r
-    used = spec.r * k
+    r = check_blocks(jackknife_blocks(spec, point.size), point.size, n)
+    k = n // r
+    used = r * k
     frame = _replicate_frame(model)
 
     def solve(blocks):
         weights = np.zeros((len(blocks), n))
         weights[:, :used] = 1.0
         for row, block in zip(weights, blocks):
-            row[block:used:spec.r] = 0.0
+            row[block:used:r] = 0.0
         labels = [f"jackknife block {block}" for block in blocks]
         return _replicate_thetas(frame, design, weights, labels)
 
-    reps = _run_batches(solve, spec.r, threads)
+    reps = _run_batches(solve, r, threads)
     for rep in reps:
         if isinstance(rep, GridPcrError):
             raise rep
     reps = np.array(reps)
     center = reps.mean(axis=0)
     dev = reps - center
-    cov = (spec.r - 1) / spec.r * (dev.T @ dev)
+    cov = (r - 1) / r * (dev.T @ dev)
     table = _normal_table(
         coefficient_names(design.d, design.m, design.treatment is not None),
-        point, np.sqrt(np.diag(cov)), spec.level, f"jackknife-r{spec.r}", spec.r,
+        point, np.sqrt(np.diag(cov)), spec.level, f"jackknife-r{r}", r,
     )
     return JackknifeResult(replicates=reps, cov=cov, table=table, kept=used - k)
-
-
-def check_intervals(
-    method, level: float, reps: int = 300, kind: str = "wild", seed: int = 0,
-    blocks=None,
-) -> None:
-    """Reject the settings ``coefficient_intervals`` would reject, before any fit.
-
-    ``method`` None asks for no intervals and is not checked further. A
-    bootstrap checks ``kind``, ``reps``, ``seed`` and ``level`` as
-    ``BootstrapSpec`` does; a jackknife checks ``blocks``, when given, and
-    ``level`` as ``JackknifeSpec`` does. The block count against the
-    coefficient and row counts is ``check_blocks``, once they are known.
-    """
-    if method is None:
-        return
-    if method not in INTERVAL_METHODS:
-        raise ConfigurationError(
-            f"inference must be plugin, bootstrap, jackknife, or None, got {method!r}"
-        )
-    if method == "bootstrap":
-        BootstrapSpec(kind=kind, b_reps=reps, base_seed=seed, level=level)
-    elif method == "jackknife" and blocks is not None:
-        JackknifeSpec(r=blocks, level=level)
-    else:
-        check_level(level)
 
 
 def coefficient_intervals(
     model: EigenModel,
     design: RegressionDesign,
     fit: RegressionFit,
-    method: str,
-    level: float,
-    reps: int = 300,
-    kind: str = "wild",
-    seed: int = 0,
-    blocks=None,
+    spec,
     threads: int = 1,
 ):
-    """Intervals for the coefficients of ``fit`` by one of ``INTERVAL_METHODS``.
+    """Intervals for the coefficients of ``fit`` by the method ``spec`` names.
 
     ``fit`` is ``fit_pcr(design)``, the point estimate of every method, and
-    ``model`` and ``design`` are as for ``bootstrap_theta``. "plugin" gives
-    normal intervals from ``plugin_cov`` (one arm only); "bootstrap" gives
-    the percentile intervals of ``bootstrap_theta`` with ``reps`` draws of
-    ``kind`` keyed by ``seed``; "jackknife" gives the normal intervals of
-    ``block_jackknife`` with ``blocks`` blocks, by default the fewest
-    allowed (coefficients + 2). Replicates run on up to ``threads``
-    workers. Returns the ``CiTable`` and the ``BootstrapResult`` or
-    ``JackknifeResult`` behind it, None for plug-in intervals, whose table
-    counts no completed replicates. ``check_intervals`` takes the same
-    settings and rejects them before any fit.
+    ``model`` and ``design`` are as for ``bootstrap_theta``. A
+    ``PluginSpec`` gives normal intervals from ``plugin_cov`` (one arm
+    only); a ``BootstrapSpec`` the percentile intervals of
+    ``bootstrap_theta``; a ``JackknifeSpec`` the normal intervals of
+    ``block_jackknife``, with ``jackknife_blocks`` blocks. Replicates run
+    on up to ``threads`` workers. Returns the ``CiTable`` and the
+    ``BootstrapResult`` or ``JackknifeResult`` behind it, None for plug-in
+    intervals, whose table counts no completed replicates.
     """
-    if method == "bootstrap":
-        spec = BootstrapSpec(kind=kind, b_reps=reps, base_seed=seed, level=level)
+    if isinstance(spec, BootstrapSpec):
         res = bootstrap_theta(model, design, spec, threads, fit)
-    elif method == "jackknife":
-        r = fit.theta.size + 2 if blocks is None else blocks
-        spec = JackknifeSpec(r=r, level=level)
+    elif isinstance(spec, JackknifeSpec):
+        spec = replace(spec, r=jackknife_blocks(spec, fit.theta.size))
         res = block_jackknife(model, design, spec, threads, fit)
-    elif method == "plugin":
+    elif isinstance(spec, PluginSpec):
         se = np.sqrt(np.diag(plugin_cov(fit, model, design)))
         names = coefficient_names(design.d, design.m)
-        return _normal_table(names, fit.theta, se, level, "plugin", 0), None
+        return _normal_table(names, fit.theta, se, spec.level, "plugin", 0), None
     else:
         raise ConfigurationError(
-            f"interval method must be one of {INTERVAL_METHODS}, got {method!r}"
+            f"intervals must be a PluginSpec, BootstrapSpec or JackknifeSpec, got {spec!r}"
         )
     return res.table, res

@@ -25,7 +25,7 @@ alone, so the failing one fails with its own message.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .decomp import (
 from .errors import ConformanceError, ConfigurationError
 from .regression import RegressionDesign, coefficient_names, fit_pcr, plugin_cov
 from .resampling import (
-    check_intervals,
+    BootstrapSpec,
+    JackknifeSpec,
+    PluginSpec,
     coefficient_intervals,
     normal_ci,
     run_tolerant,
@@ -207,33 +209,36 @@ class KLSample:
 class PipelineOptions:
     """Estimation settings applied to every Monte Carlo replicate.
 
-    ``inference`` is None or one of the methods of
-    ``resampling.coefficient_intervals``, at ``level``: plug-in intervals
-    come from ``plugin_cov``, and a bootstrap or jackknife replicate calls
-    the routine with the settings of its method: ``b_reps`` and
-    ``boot_kind`` for a bootstrap, ``r_blocks`` (by default the fewest
-    allowed) for a jackknife. Settings that would fail every replicate are
-    rejected here, with the messages the replicates would give, before a
-    study is built: ``tau`` where it picks m, then the interval settings,
-    by ``resampling.check_intervals``.
+    ``intervals`` is None, for no intervals, or the spec of
+    ``resampling.coefficient_intervals``' method, which checked its
+    settings when it was built: plug-in intervals come from
+    ``plugin_cov``, and a bootstrap or jackknife replicate calls the
+    routine. Each replicate keys its bootstrap by ``mix_seed(config.seed,
+    replicate)``, so a ``BootstrapSpec`` keeps ``base_seed`` 0. Settings
+    that would fail every replicate are rejected here, before a study is
+    built: ``tau`` where it picks m, then ``intervals``.
     """
 
     degree: int = 3
     interior_knots: int = 7
     tau: float = 0.95
     m_override: int | None = None
-    inference: str | None = None
-    b_reps: int = 300
-    boot_kind: str = "wild"
-    level: float = 0.95
-    r_blocks: int | None = None
+    intervals: PluginSpec | BootstrapSpec | JackknifeSpec | None = None
 
     def __post_init__(self):
         if self.m_override is None:
             check_tau(self.tau)
-        check_intervals(
-            self.inference, self.level, self.b_reps, self.boot_kind, blocks=self.r_blocks
-        )
+        spec = self.intervals
+        if not isinstance(spec, (PluginSpec, BootstrapSpec, JackknifeSpec, type(None))):
+            raise ConfigurationError(
+                f"intervals must be None, a PluginSpec, BootstrapSpec or "
+                f"JackknifeSpec, got {spec!r}"
+            )
+        if isinstance(spec, BootstrapSpec) and spec.base_seed != 0:
+            raise ConfigurationError(
+                f"a study keys each replicate's bootstrap by its own seed; "
+                f"base_seed must be 0, got {spec.base_seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -598,21 +603,22 @@ def run_replicate(
         design = _stacked_design(data, scores, members, m)
         fits = fit_pcr(design)
         bounds = [None] * len(members)
-        if options.inference == "plugin":
+        spec = options.intervals
+        if isinstance(spec, PluginSpec):
             covs = plugin_cov(fits, [models[i] for i in members], design)
             bounds = [
-                normal_ci(fit.theta, np.sqrt(np.diag(cov)), options.level)
+                normal_ci(fit.theta, np.sqrt(np.diag(cov)), spec.level)
                 for fit, cov in zip(fits, covs)
             ]
-        elif options.inference is not None:
+        elif spec is not None:
             for k, (i, fit) in enumerate(zip(members, fits)):
                 _, x, y, treatment = data[i]
+                if isinstance(spec, BootstrapSpec):
+                    spec = replace(spec, base_seed=mix_seed(config.seed, replicates[i]))
                 table = coefficient_intervals(
                     models[i],
                     RegressionDesign(y=y, x=x, scores=scores[i][:, :m], treatment=treatment),
-                    fit, options.inference, options.level, options.b_reps,
-                    options.boot_kind, mix_seed(config.seed, replicates[i]),
-                    options.r_blocks,
+                    fit, spec,
                 )[0]
                 bounds[k] = (table.lower, table.upper)
         for i, fit, bound in zip(members, fits, bounds):

@@ -283,12 +283,15 @@ def sample_pass(space: AmbientSpace, sample, task, sums=(), buffers=1, total=Non
     (a file cut short), are the rows read again in order (``_scan_rows``),
     into a buffer allocated here, after the pass, so that the first
     non-finite chunk or the cut, whichever comes first, raises, for any
-    worker count. Finite rows can overflow a sum too; they pass.
+    worker count. Finite rows can overflow a sum too; they pass. The tasks
+    and the row sum run with numpy's invalid-value warnings off on the
+    thread that runs them: a non-finite row gives its error, not warnings.
     """
 
     def read(chunk, buf, *rest):
         rows = sample_rows(space, sample, chunk, buf)
-        task(chunk, rows, buf, *rest)
+        with np.errstate(invalid="ignore"):
+            task(chunk, rows, buf, *rest)
         return rows
 
     try:
@@ -319,10 +322,12 @@ def _add_rows(total: np.ndarray, rows) -> None:
 
     This is the order in which ``data.mean(axis=0)`` adds them, so a mean
     summed this way over any row chunks is bitwise equal to it; a sum of
-    each chunk first is not.
+    each chunk first is not. An inf and a -inf add to NaN without a
+    warning; ``sample_pass`` then reports the non-finite row.
     """
-    for row in rows:
-        total += row
+    with np.errstate(invalid="ignore"):
+        for row in rows:
+            total += row
 
 
 def _conform(space: AmbientSpace, basis) -> None:
@@ -366,6 +371,12 @@ class Whitener:
         return self.factor.shape[0]
 
 
+def check_drop_tol(drop_tol: float) -> None:
+    """Reject a Gram drop tolerance outside (0, 1)."""
+    if not 0.0 < drop_tol < 1.0:
+        raise ConfigurationError(f"drop_tol must lie in (0, 1), got {drop_tol}")
+
+
 def whiten(gram_matrix, drop_tol: float = DEFAULT_DROP_TOL) -> Whitener:
     """Build the whitening factor of a Gram matrix.
 
@@ -380,8 +391,7 @@ def whiten(gram_matrix, drop_tol: float = DEFAULT_DROP_TOL) -> Whitener:
         raise ConformanceError("gram matrix must be square")
     if not np.all(np.isfinite(g)):
         raise ConformanceError("gram matrix contains non-finite values")
-    if not (0.0 < drop_tol < 1.0):
-        raise ConfigurationError(f"drop_tol must lie in (0, 1), got {drop_tol}")
+    check_drop_tol(drop_tol)
     vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
     order = np.argsort(vals)[::-1]
     vals = vals[order]

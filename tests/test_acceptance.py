@@ -319,7 +319,7 @@ def test_oracle_regression_recovery():
 @pytest.mark.slow
 def test_bootstrap_coverage_2d():
     started = time.perf_counter()
-    options = options_2d(inference="bootstrap", b_reps=300, boot_kind="wild")
+    options = options_2d(intervals=BootstrapSpec(kind="wild", b_reps=300))
     table = run_monte_carlo(scenario_2d(500, 0), 100, options, THREADS)
     watched = ["intercept", "x1", "x2", "x3", "x4", "z1", "z2", "z3", "z4", "z5", "z6"]
     rates = {}

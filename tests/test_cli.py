@@ -167,6 +167,48 @@ def test_level_is_checked_before_the_fit(tmp_path, capsys, monkeypatch, command)
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alpha", "0.5"], "alpha must lie in (0, 0.05], got 0.5"),
+        (["--drop-tol", "2"], "drop_tol must lie in (0, 1), got 2.0"),
+    ],
+)
+def test_diagnose_settings_are_checked_before_the_basis(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the basis was built or a row read before a setting was checked")
+
+    monkeypatch.setattr(gridpcr.cli, "_build_basis", no_work)
+    monkeypatch.setattr(gridpcr.cli, "sample_mean", no_work)
+    data = tmp_path / "s.hsg"
+    make_dataset(data)
+    rc = main(["diagnose", "--data", str(data), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("row", [0, 5])
+def test_fit_on_an_infinite_value_prints_only_its_error(
+    tmp_path, capsys, monkeypatch, row, workers
+):
+    # The pass computes from the bad row before the finiteness rule rejects
+    # it; numpy's invalid-value warnings would say nothing the error does not.
+    sample = replicate_rng(9411, row).standard_normal((30, 12, 10))
+    sample[row, 3, 4] = np.inf
+    data = tmp_path / "s.hsg"
+    header = b"HSG1" + bytes([1, 3]) + np.asarray(sample.shape, dtype="<u8").tobytes()
+    data.write_bytes(header + sample.astype("<f8").tobytes())  # write_grid refuses inf
+    monkeypatch.setattr(gridpcr.space, "ROW_CHUNK_VALUES", 4 * 12 * 10)
+    monkeypatch.setattr(gridpcr.util, "usable_cpus", lambda: workers)
+    rc = main(["fit", "--data", str(data), "--degree", "2", "--knots", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sample contains non-finite values\n"
+
+
+@pytest.mark.parametrize(
     "command, flags, message",
     [
         ("pve", ["--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
@@ -564,6 +606,21 @@ def test_simulate_config_override(tmp_path):
     assert sum(int(r[1]) for r in mhat_rows) == 3
     manifest = read_manifest(out / "manifest.json")
     assert manifest["config"]["n"] == 25 and manifest["seed"] == 3
+
+
+def test_simulate_config_rejects_an_unknown_inference(tmp_path, capsys, monkeypatch):
+    # --inference has argparse choices; a --config value is checked where
+    # its interval spec is built, before the study.
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was built before its settings were checked")
+
+    monkeypatch.setattr(gridpcr.simulate.Study, "build", no_study)
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"inference": "delta", "reps": 2}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: inference must be plugin, bootstrap, jackknife, or None, got 'delta'\n"
+    )
 
 
 def test_a_cached_parser_keeps_no_config_between_commands(tmp_path):

@@ -16,6 +16,7 @@ from gridpcr import (
     GridPcrError,
     JackknifeSpec,
     PipelineOptions,
+    PluginSpec,
     RegressionDesign,
     ScenarioConfig,
     Study,
@@ -309,7 +310,7 @@ def test_resample_emptying_an_arm_fails():
     [
         (3, "treatment arm sizes are 50 and 0; both arms must be populated for the "
             "modifier block"),
-        (10, "replicate 10 retained 1 components, fewer than the 2 the design needs"),
+        (10, "the draw retained 1 components, fewer than the 2 the design needs"),
     ],
     ids=["empty-arm", "one-direction"],
 )
@@ -332,6 +333,25 @@ def test_a_failing_draw_fails_alone_in_its_batch(monkeypatch, bad, message):
     frame = _replicate_frame(model)
     want = [direct_theta(frame, design, w) for b, w in enumerate(handmade) if b != bad]
     assert_close_to_column_max(runs[0].draws, want)
+
+
+def test_bootstrap_study_error_names_each_failing_draw_once(monkeypatch):
+    # Two of 21 draws put weight on two rows only: beyond the 5% budget.
+    space, basis, sample, y, x, _ = small_problem(10)
+    model = fit_subspace_pca(space, basis, sample)
+    design = design_of(model, y, x, 2)
+    spec = BootstrapSpec(kind="wild", b_reps=21, base_seed=8)
+    handmade = [gen_weights(spec, y.size, b) for b in range(spec.b_reps)]
+    for bad in (3, 10):
+        handmade[bad] = (np.arange(y.size) < 2) * 1.0
+    monkeypatch.setattr(gridpcr.resampling, "gen_weights", lambda spec, n, b: handmade[b])
+    with pytest.raises(StudyError) as err:
+        bootstrap_theta(model, design, spec)
+    why = "the draw retained 1 components, fewer than the 2 the design needs"
+    assert str(err.value) == (
+        f"2 of 21 bootstrap replicates failed (tolerance 5%); first failures: "
+        f"replicate 3: {why}; replicate 10: {why}"
+    )
 
 
 def test_jackknife_covariance_formula():
@@ -466,31 +486,28 @@ def test_coefficient_intervals_match_the_direct_calls():
     two = design_of(model, y, x, 2, treatment=np.arange(y.size) % 3 == 0)
     fit = fit_pcr(one)
 
-    table, res = coefficient_intervals(model, one, fit, "plugin", 0.9)
+    table, res = coefficient_intervals(model, one, fit, PluginSpec(0.9))
     se = np.sqrt(np.diag(plugin_cov(fit, model, one)))
     lower, upper = normal_ci(fit.theta, se, 0.9)
     direct = CiTable(coefficient_names(1, 2), fit.theta, lower, upper, se, 0.9, "plugin", 0)
     assert res is None
     assert_tables_equal(table, direct)
 
-    table, res = coefficient_intervals(
-        model, two, fit_pcr(two), "bootstrap", 0.9, reps=20, kind="wild", seed=7
-    )
-    direct = bootstrap_theta(
-        model, two, BootstrapSpec(kind="wild", b_reps=20, base_seed=7, level=0.9)
-    )
+    spec = BootstrapSpec(kind="wild", b_reps=20, base_seed=7, level=0.9)
+    table, res = coefficient_intervals(model, two, fit_pcr(two), spec)
+    direct = bootstrap_theta(model, two, spec)
     assert_tables_equal(table, direct.table)
     assert res.draws.tobytes() == direct.draws.tobytes()
 
     for blocks, r in ((8, 8), (None, 6)):  # by default coefficients + 2
-        table, res = coefficient_intervals(model, one, fit, "jackknife", 0.9, blocks=blocks)
+        table, res = coefficient_intervals(model, one, fit, JackknifeSpec(blocks, 0.9))
         direct = block_jackknife(model, one, JackknifeSpec(r=r, level=0.9))
         assert_tables_equal(table, direct.table)
         assert res.cov.tobytes() == direct.cov.tobytes()
 
-    for method in ("delta", None):
-        with pytest.raises(ConfigurationError, match="interval method must be"):
-            coefficient_intervals(model, one, fit, method, 0.9)
+    for spec in ("jackknife", None):
+        with pytest.raises(ConfigurationError, match="intervals must be a PluginSpec"):
+            coefficient_intervals(model, one, fit, spec)
 
 
 def test_design_rows_must_match_model():

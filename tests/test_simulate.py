@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from gridpcr import (
+    BootstrapSpec,
     ConfigurationError,
     ConformanceError,
+    JackknifeSpec,
     PipelineOptions,
+    PluginSpec,
     ScenarioConfig,
     StudyError,
     TreatmentConfig,
@@ -85,7 +88,9 @@ def test_scenario_config_validation():
     with pytest.raises(ConfigurationError):
         TreatmentConfig(alpha=0.0, beta=(1.0,), gamma=(1.0,), prob=1.0)
     with pytest.raises(ConfigurationError):
-        PipelineOptions(inference="delta")
+        PipelineOptions(intervals="delta")
+    with pytest.raises(ConfigurationError, match="base_seed must be 0"):
+        PipelineOptions(intervals=BootstrapSpec(base_seed=1))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -282,7 +287,7 @@ def test_scenario_built_once_per_study(monkeypatch):
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("gridpcr") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
-    table = run_monte_carlo(small_config(n=40), 4, small_options(inference="plugin"))
+    table = run_monte_carlo(small_config(n=40), 4, small_options(intervals=PluginSpec()))
     assert table.completed == 4
     assert calls == {"make_family": 1, "bspline_tensor_basis": 1, "whiten": 1}
 
@@ -301,7 +306,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
         n=400,
         seed=7,
     )
-    options = PipelineOptions(degree=2, interior_knots=2, inference="plugin")
+    options = PipelineOptions(degree=2, interior_knots=2, intervals=PluginSpec())
     tracemalloc.start()
     try:
         table = run_monte_carlo(config, 2, options)
@@ -314,7 +319,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
 
 def test_monte_carlo_reproducible_across_threads():
     config = small_config(n=60, seed=9)
-    options = small_options(inference="plugin")
+    options = small_options(intervals=PluginSpec())
     one = run_monte_carlo(config, 6, options, threads=1)
     multi = run_monte_carlo(config, 6, options, threads=3)
     np.testing.assert_array_equal(one.mse, multi.mse)
@@ -351,7 +356,7 @@ def test_coverage_denominators_track_selected_components():
     # forcing m = 1 leaves the second component unestimated: its squared
     # error is the squared truth and it never enters a coverage average
     config = small_config(n=100, seed=11, noise_sd=0.5)
-    options = small_options(m_override=1, inference="plugin")
+    options = small_options(m_override=1, intervals=PluginSpec())
     table = run_monte_carlo(config, 5, options)
     assert table.mhat_counts == {1: 5}
     i_z2 = table.names.index("z2")
@@ -382,7 +387,7 @@ def test_configuration_error_in_a_replicate_stops_the_study():
         n=60, treatment=TreatmentConfig(alpha=0.5, beta=(0.3, 0.0), gamma=(1.0, -0.5))
     )
     with pytest.raises(ConfigurationError, match="single-arm"):
-        run_monte_carlo(config, 3, small_options(inference="plugin", m_override=2))
+        run_monte_carlo(config, 3, small_options(intervals=PluginSpec(), m_override=2))
 
 
 def test_two_arm_intervals_cover_modifier_block():
@@ -393,7 +398,7 @@ def test_two_arm_intervals_cover_modifier_block():
         beta0=(1.0,),
         treatment=TreatmentConfig(alpha=0.5, beta=(0.3,), gamma=(1.0, -0.5)),
     )
-    options = small_options(inference="jackknife", m_override=2)
+    options = small_options(intervals=JackknifeSpec(), m_override=2)
     table = run_monte_carlo(config, 3, options)
     for name in ("treat", "treat:x1", "treat:z1", "treat:z2"):
         i = table.names.index(name)
@@ -507,8 +512,8 @@ def test_replicates_keep_their_scores_in_the_study_frame(monkeypatch):
     config = small_config(
         family="quadratic_gauss3d", dims=(12, 14, 10), n=2000, seed=5
     )
-    for inference in ("plugin", "bootstrap", "jackknife"):
-        options = small_options(inference=inference, b_reps=3)
+    for intervals in (PluginSpec(), BootstrapSpec(b_reps=3), JackknifeSpec()):
+        options = small_options(intervals=intervals)
         study = simulate.Study.build(config, options)
         assert study.whitener.rank == 125
         tracemalloc.start()
@@ -517,7 +522,7 @@ def test_replicates_keep_their_scores_in_the_study_frame(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < config.n * study.whitener.rank * 8, inference
+        assert peak < config.n * study.whitener.rank * 8, intervals
 
 
 def test_ar_covariates_keep_their_bytes_with_one_factor_per_setting():
@@ -560,7 +565,8 @@ def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
     # a range of one.
     constant_covariate_at(monkeypatch, 3)
     config = small_config(n=60, seed=2)
-    options = small_options(tau=0.75, inference=inference)
+    intervals = {None: None, "plugin": PluginSpec(), "jackknife": JackknifeSpec()}[inference]
+    options = small_options(tau=0.75, intervals=intervals)
     study = simulate.Study.build(config, options)
 
     def solve(indices):
@@ -577,7 +583,7 @@ def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
 def test_a_failing_replicate_gives_the_failures_of_replicates_solved_alone(monkeypatch):
     constant_covariate_at(monkeypatch, 3)
     config = small_config(n=60, seed=2)
-    options = small_options(inference="plugin")
+    options = small_options(intervals=PluginSpec())
     with pytest.raises(StudyError) as batched:
         run_monte_carlo(config, 10, options, threads=2)
     study = simulate.Study.build(config, options)
@@ -594,7 +600,7 @@ def test_a_failing_replicate_gives_the_failures_of_replicates_solved_alone(monke
 @pytest.mark.parametrize("reps", [10, 17])
 def test_monte_carlo_output_identical_for_any_thread_count(reps):
     config = small_config(n=50, seed=13)
-    options = small_options(tau=0.75, inference="plugin")
+    options = small_options(tau=0.75, intervals=PluginSpec())
     tables = [run_monte_carlo(config, reps, options, threads=t) for t in (1, 2, 3)]
     for table in tables[1:]:
         for name in ("mse", "coverage", "covered_reps"):
