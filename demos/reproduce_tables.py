@@ -2,61 +2,37 @@
 
 Aggregates eigenvalue mean squared errors and the selected component count
 over seeded Monte Carlo replicates, at several sample sizes, for the 2D
-six-bump family and the 3D quadratic/Gaussian family. This is a fast
-preview with 30 replicates; `gridpcr reproduce --table N` writes the full
-CSV versions.
+six-bump family and the 3D quadratic/Gaussian family. Each study is built
+by ``gridpcr.simulate.study_config`` at its family's defaults
+(``FAMILY_DEFAULTS``), as `gridpcr simulate` and `gridpcr reproduce` build
+theirs. This is a fast preview with 30 replicates; `gridpcr reproduce
+--table N` writes the full CSV versions of the tables in
+``gridpcr.simulate.TABLES``.
 """
 
-import numpy as np
-
-from gridpcr import PipelineOptions, ScenarioConfig, run_monte_carlo
+from gridpcr import run_monte_carlo
+from gridpcr.simulate import FAMILY_DEFAULTS, study_config
 
 REPS = 30
 
 
-def study(name, config_for_n, options, sizes=(100, 500)):
-    j = None
-    print(name)
+def study(family, seed, sizes=(100, 500)):
+    defaults = FAMILY_DEFAULTS[family]
+    print(
+        f"{family} (lambda = {', '.join(map(str, defaults['lambdas']))}), "
+        f"degree {defaults['degree']} splines, {defaults['knots']} knots:"
+    )
     for n in sizes:
-        config = config_for_n(n)
+        config, options = study_config(family, n=n, seed=seed)
         table = run_monte_carlo(config, REPS, options, threads=2)
-        j = len(config.lambdas)
+        j = config.n_components
         mhat = sum(m * c for m, c in table.mhat_counts.items()) / table.completed
         mses = " ".join(f"{table.mse[k]:.2e}" for k in range(j))
         print(f"  n={n:5d}  MSE(lambda_j): {mses}  mean m: {mhat:.2f}")
     print()
 
 
-study(
-    "2D six-bump family (lambda = 3.5 ... 1.0), cubic splines, 7 knots:",
-    lambda n: ScenarioConfig(
-        family="synthetic2d",
-        dims=(20, 24),
-        lambdas=(3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
-        alpha0=1.0,
-        beta0=(1.0, 1.0, 1.0, 1.0),
-        gamma0=(1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
-        noise_sd=1.0,
-        n=n,
-        seed=1,
-    ),
-    PipelineOptions(degree=3, interior_knots=7),
-)
-
-study(
-    "3D quadratic/Gaussian family (lambda = 2, 1), quadratic splines, 2 knots:",
-    lambda n: ScenarioConfig(
-        family="quadratic_gauss3d",
-        dims=(12, 14, 10),
-        lambdas=(2.0, 1.0),
-        alpha0=1.0,
-        beta0=(1.0, 1.0, 1.0, 1.0),
-        gamma0=(1.5, -1.0),
-        noise_sd=1.0,
-        n=n,
-        seed=2,
-    ),
-    PipelineOptions(degree=2, interior_knots=2),
-)
+study("synthetic2d", seed=1)
+study("quadratic_gauss3d", seed=2)
 
 print("eigenvalue MSE shrinks with n and the selection rule stays on target")

@@ -14,7 +14,9 @@ The passes over the grid (the mean, projection and residual passes of fit
 and diagnose and the eigenfunction sign pass) use the usable CPUs, within
 a fixed buffer budget, with the same bytes for any worker count; --threads
 sizes the replicate pools of bootstrap, jackknife and the Monte Carlo
-studies.
+studies. simulate and reproduce only read and check their flags: each
+study, its family defaults and the tables reproduce reruns are defined in
+``simulate`` (``study_config``, ``FAMILY_DEFAULTS``, ``TABLES``).
 
 Exit codes: 0 success, 2 input/usage/format problems, 3 numerical or
 assumption failures (the message names the violated assumption). Errors and
@@ -69,10 +71,11 @@ from .resampling import (
     jackknife_blocks,
 )
 from .simulate import (
-    PipelineOptions,
-    ScenarioConfig,
-    TreatmentConfig,
+    STUDY_SIZES,
+    TABLES,
+    parse_knots,
     run_monte_carlo,
+    study_config,
 )
 from .space import AmbientSpace, as_sample, check_drop_tol, sample_mean
 from .storage import (
@@ -91,31 +94,6 @@ from .storage import (
 from .util import _BLAS_PIN, default_threads
 
 MAX_KNOT_REFINEMENTS = 4
-
-# Study defaults per family: the desk and paper grids, the component
-# variances and their true score coefficients, and the B-spline fitted to
-# each replicate. ``simulate`` starts from them and ``reproduce`` uses them.
-FAMILY_DEFAULTS = {
-    "synthetic2d": {
-        "desk": (20, 24),
-        "paper": (79, 95),
-        "lambdas": (3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
-        "gamma": (1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
-        "degree": 3,
-        "knots": 7,
-    },
-    "quadratic_gauss3d": {
-        "desk": (12, 14, 10),
-        "paper": (79, 95, 66),
-        "lambdas": (2.0, 1.0),
-        "gamma": (1.5, -1.0),
-        "degree": 2,
-        "knots": 2,
-    },
-}
-STUDY_SIZES = (100, 500, 2000)
-BETA_DEFAULT = (1.0, 1.0, 1.0, 1.0)
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -263,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun one of the study tables")
     _out_flags(p)
-    p.add_argument("--table", type=int, choices=range(1, 7), required=True)
+    p.add_argument("--table", type=int, choices=TABLES, required=True)
     p.add_argument("--scale", choices=("desk", "paper"), default="desk")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--boot-reps", type=int, default=300)
@@ -346,22 +324,6 @@ def _parse_floats(text) -> tuple:
         raise ConfigurationError(f"cannot parse float list {text!r}") from None
 
 
-def _parse_knots(text, n_axes: int) -> list:
-    """Interior knot counts per axis from one count or one per axis."""
-    toks = text if isinstance(text, list) else str(text).split(",")
-    try:
-        values = [int(tok) for tok in toks]
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"cannot parse knot counts {text!r}") from None
-    if len(values) == 1:
-        return values * n_axes
-    if len(values) != n_axes:
-        raise ConfigurationError(
-            f"{len(values)} knot counts given for {n_axes} axes"
-        )
-    return values
-
-
 @contextlib.contextmanager
 def _load_space_sample(args):
     """The space of --data, --spacing and --mask, and --data open as rows.
@@ -395,7 +357,7 @@ def _basis_knots(args, space):
     """--knots per axis for the bspline basis; None for the mesh basis."""
     if args.basis != "bspline":
         return None
-    return _parse_knots(args.knots, len(space.dims))
+    return parse_knots(args.knots, len(space.dims))
 
 
 def _build_basis(args, space, knots):
@@ -407,7 +369,11 @@ def _build_basis(args, space, knots):
 
 
 def _fit_model(args):
-    """Fit the PCA of --data once, streaming the sample from the file."""
+    """Fit the PCA of --data once, streaming the sample from the file.
+
+    --drop-tol is checked before the file is opened.
+    """
+    check_drop_tol(args.drop_tol)
     with _load_space_sample(args) as (space, sample):
         basis = _build_basis(args, space, _basis_knots(args, space))
         return space, basis, fit_subspace_pca(space, basis, sample, args.drop_tol)
@@ -576,16 +542,18 @@ def _interval_spec(args):
 def _coefficients(args):
     """The body of regress, bootstrap --target coefficients and jackknife.
 
-    The interval settings, the selection and the design table (against the
-    row count in the --data header) are checked before the sample is
-    fitted, and so is the jackknife block count against the row count and,
-    with --m, the coefficient count: --blocks when given, else, with --m,
-    ``jackknife_blocks``' default. Only the choice of m and the score
-    columns wait for the fit. Writes coefficients.csv and returns the
-    design and ``coefficient_intervals``' table and result.
+    The interval settings, the selection and --drop-tol are checked before
+    --data is opened, and the design table (against the row count in the
+    --data header) before the sample is fitted, and so is the jackknife
+    block count against the row count and, with --m, the coefficient count:
+    --blocks when given, else, with --m, ``jackknife_blocks``' default.
+    Only the choice of m and the score columns wait for the fit. Writes
+    coefficients.csv and returns the design and ``coefficient_intervals``'
+    table and result.
     """
     spec = _interval_spec(args)
     _check_selection(args)
+    check_drop_tol(args.drop_tol)
     with _load_space_sample(args) as (space, sample):
         basis = _build_basis(args, space, _basis_knots(args, space))
         n = sample.shape[0]
@@ -649,7 +617,8 @@ _CONFIG_TYPES = {
 }
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
+def _simulate_study(args):
+    """``study_config`` of the simulate flags, each --config key overriding its flag."""
     if args.config is not None:
         for key, value in read_config(args.config).items():
             if key not in _CONFIG_TYPES:
@@ -659,45 +628,32 @@ def _scenario_from_args(args) -> ScenarioConfig:
                     f"configuration key {key!r} has the wrong type: {value!r}"
                 )
             setattr(args, key, value)
-    # ScenarioConfig rejects an unknown family once the other keys parse.
-    defaults = FAMILY_DEFAULTS.get(args.family, FAMILY_DEFAULTS["quadratic_gauss3d"])
-    dims = defaults["desk"] if args.dims is None else _parse_dims(args.dims)
-    lambdas = defaults["lambdas"]
-    if args.lambdas is not None:
-        lambdas = _parse_floats(args.lambdas)
-        if args.gamma0 is None:
-            raise ConfigurationError("custom lambdas need matching --gamma0 scores")
-    gamma = defaults["gamma"] if args.gamma0 is None else _parse_floats(args.gamma0)
-    return ScenarioConfig(
-        family=args.family,
+    if args.blocks is not None and args.inference != "jackknife":
+        raise ConfigurationError("--blocks applies to --inference jackknife")
+
+    def parsed(parse, text):
+        return None if text is None else parse(text)
+
+    dims = parsed(_parse_dims, args.dims)
+    lambdas = parsed(_parse_floats, args.lambdas)
+    if lambdas is not None and args.gamma0 is None:
+        raise ConfigurationError("custom lambdas need matching --gamma0 scores")
+    return study_config(
+        args.family,
         dims=dims,
         lambdas=lambdas,
-        alpha0=args.alpha0,
+        gamma0=parsed(_parse_floats, args.gamma0),
         beta0=_parse_floats(args.beta0),
-        gamma0=gamma,
-        corr=args.corr,
-        noise_sd=args.noise_sd,
-        n=args.n,
-        seed=args.seed,
-    )
-
-
-def _pipeline_from_args(args, config: ScenarioConfig) -> PipelineOptions:
-    defaults = FAMILY_DEFAULTS[config.family]
-    knots = defaults["knots"]
-    if args.knots is not None:
-        knots = _parse_knots(args.knots, len(config.dims))
-    return PipelineOptions(
-        degree=defaults["degree"] if args.degree is None else args.degree,
-        interior_knots=knots,
+        degree=args.degree,
+        knots=args.knots,
         tau=args.tau,
         intervals=_interval_spec(args),
+        **{key: getattr(args, key) for key in ("n", "alpha0", "corr", "noise_sd", "seed")},
     )
 
 
 def cmd_simulate(args):
-    config = _scenario_from_args(args)
-    options = _pipeline_from_args(args, config)
+    config, options = _simulate_study(args)
     table = run_monte_carlo(config, args.reps, options, threads=_threads(args))
     write_table(
         _path(args, "metrics.csv"),
@@ -716,62 +672,37 @@ def cmd_simulate(args):
     return args.seed, ["metrics.csv", "mhat.csv"]
 
 
-def _study_rows(table_id: int, n: int, corr: float, metrics) -> list:
-    """One table's rows from one study's metrics."""
-    if table_id in (1, 5):
-        j = sum(name.startswith("lambda") for name in metrics.names)
+def _study_rows(table, config, metrics) -> list:
+    """The rows ``table`` keeps of one study's metrics, by its ``terms``."""
+    if table.terms is None:
+        j = config.n_components
         completed = max(metrics.completed, 1)
         mhat_mean = sum(m * c for m, c in metrics.mhat_counts.items()) / completed
-        return [[n, *metrics.mse[:j], mhat_mean]]
-    # Table 2 keeps the scalar coefficients, table 3 the score coefficients.
+        return [[config.n, *metrics.mse[:j], mhat_mean]]
     return [
-        [n, corr, name, metrics.truth[i], metrics.mse[i], metrics.coverage[i]]
+        [config.n, config.corr, name, metrics.truth[i], metrics.mse[i], metrics.coverage[i]]
         for i, name in enumerate(metrics.names)
-        if not name.startswith("lambda")
-        and (table_id not in (2, 3) or name.startswith("z") == (table_id == 3))
+        if name.startswith(table.terms)
     ]
 
 
 def cmd_reproduce(args):
-    table_id = args.table
-    family = "synthetic2d" if table_id in (1, 2, 3) else "quadratic_gauss3d"
-    defaults = FAMILY_DEFAULTS[family]
-    if table_id in (1, 5):
-        # Eigenvalue recovery and selected component count by sample size.
-        # The component sample does not involve the scalar covariates, so
-        # the correlation settings share one run.
-        j = len(defaults["lambdas"])
-        header = ["n"] + [f"lambda{k + 1}_mse" for k in range(j)] + ["mhat_mean"]
-        intervals = None
-    else:
-        header = ["n", "corr", "term", "truth", "mse", "coverage"]
-        intervals = BootstrapSpec(b_reps=args.boot_reps)
-    options = PipelineOptions(
-        degree=defaults["degree"], interior_knots=defaults["knots"], intervals=intervals
-    )
-    treatment = None
-    if table_id == 6:
-        treatment = TreatmentConfig(
-            alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5)
-        )
+    table = TABLES[args.table]
+    intervals = BootstrapSpec(b_reps=args.boot_reps) if table.intervals else None
     rows = []
     for n in STUDY_SIZES:
-        for corr in (0.0, 0.5) if table_id in (2, 3) else (0.0,):
-            config = ScenarioConfig(
-                family=family,
-                dims=defaults[args.scale],
-                lambdas=defaults["lambdas"],
-                alpha0=1.0,
-                beta0=BETA_DEFAULT,
-                gamma0=defaults["gamma"],
-                corr=corr,
-                n=n,
-                seed=args.seed,
-                treatment=treatment,
+        for corr in table.corrs:
+            config, options = study_config(
+                table.family, args.scale, n=n, corr=corr, seed=args.seed,
+                treatment=table.treatment, intervals=intervals,
             )
             metrics = run_monte_carlo(config, args.reps, options, _threads(args))
-            rows += _study_rows(table_id, n, corr, metrics)
-    name = f"table{table_id}.csv"
+            rows += _study_rows(table, config, metrics)
+    header = ["n", "corr", "term", "truth", "mse", "coverage"]
+    if table.terms is None:
+        j = config.n_components
+        header = ["n", *(f"lambda{k + 1}_mse" for k in range(j)), "mhat_mean"]
+    name = f"table{args.table}.csv"
     write_table(_path(args, name), header, rows)
     print(f"reproduce: wrote {name}")
     return args.seed, [name]

@@ -8,6 +8,13 @@ the unit cube. Responses are linear in scalar AR(1) covariates and the
 functional scores, with optional treatment-modifier blocks for two-arm
 studies.
 
+A study is defined here once. ``FAMILY_DEFAULTS`` holds each family's
+grids, variances, score coefficients and spline, ``TABLES`` the six tables
+of the paper's simulation study as ``StudyTable`` records, and
+``study_config`` turns a study's settings into its ``ScenarioConfig`` and
+``PipelineOptions``: ``gridpcr simulate`` and ``gridpcr reproduce`` build
+every study through it.
+
 ``run_monte_carlo`` repeats data generation and the full estimation chain
 under replicate-keyed seeds and aggregates per-parameter mean squared errors,
 interval coverage, and the distribution of the selected component count.
@@ -58,7 +65,20 @@ from .space import (
 )
 from .util import mix_seed, replicate_rng
 
-FAMILY_KINDS = ("synthetic2d", "quadratic_gauss3d")
+# Study defaults per family: the desk and paper grids, the component
+# variances and their true score coefficients, and the B-spline fitted to
+# each replicate. ``study_config`` takes every setting a study leaves unset
+# from them.
+FAMILY_DEFAULTS = {
+    "synthetic2d": dict(
+        desk=(20, 24), paper=(79, 95), lambdas=(3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
+        gamma=(1.5, 1.0, 2.0, 2.5, 1.5, 3.0), degree=3, knots=7,
+    ),
+    "quadratic_gauss3d": dict(
+        desk=(12, 14, 10), paper=(79, 95, 66), lambdas=(2.0, 1.0), gamma=(1.5, -1.0),
+        degree=2, knots=2,
+    ),
+}
 
 # Gaussian bumps (center, width) on the unit square; the 2D family takes the
 # first J of these and orthonormalizes them in order. Widths stay >= 0.14 so
@@ -121,12 +141,12 @@ class ScenarioConfig:
     treatment: TreatmentConfig | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_KINDS:
+        if self.family not in FAMILY_DEFAULTS:
             raise ConfigurationError(
-                f"family must be one of {FAMILY_KINDS}, got {self.family!r}"
+                f"family must be one of {tuple(FAMILY_DEFAULTS)}, got {self.family!r}"
             )
         dims = tuple(int(d) for d in self.dims)
-        need = 2 if self.family == "synthetic2d" else 3
+        need = len(FAMILY_DEFAULTS[self.family]["desk"])
         if len(dims) != need:
             raise ConfigurationError(f"family {self.family} needs a {need}-D grid")
         lams = tuple(float(v) for v in self.lambdas)
@@ -241,6 +261,94 @@ class PipelineOptions:
             )
 
 
+def parse_knots(text, n_axes: int) -> list:
+    """Interior knot counts per axis from one count or one per axis, as text or list."""
+    toks = text if isinstance(text, list) else str(text).split(",")
+    try:
+        values = [int(tok) for tok in toks]
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"cannot parse knot counts {text!r}") from None
+    if len(values) == 1:
+        return values * n_axes
+    if len(values) != n_axes:
+        raise ConfigurationError(f"{len(values)} knot counts given for {n_axes} axes")
+    return values
+
+
+def study_config(
+    family: str, scale: str = "desk", *, degree=None, knots=None, tau=0.95, intervals=None,
+    **scenario,
+) -> tuple:
+    """The ``(ScenarioConfig, PipelineOptions)`` of one Monte Carlo study.
+
+    Every study, of ``gridpcr simulate`` and of each ``TABLES`` entry, is
+    built here. ``scenario`` holds ``ScenarioConfig`` fields; a setting
+    left out or None takes its default: the family's in
+    ``FAMILY_DEFAULTS`` for ``dims`` (the grid of ``scale``, "desk" or
+    "paper"), ``lambdas``, ``gamma0``, ``degree`` and ``knots``, 1 for
+    ``alpha0``, four ones for ``beta0``, and otherwise the field's own.
+    ``knots`` is one count for every axis or one per axis, as
+    ``parse_knots`` reads them. The scenario is checked first, then the
+    knot counts against its grid, then the pipeline settings.
+    """
+    # An unknown family takes another's defaults, and ScenarioConfig rejects it.
+    defaults = FAMILY_DEFAULTS.get(family, FAMILY_DEFAULTS["quadratic_gauss3d"])
+    config = ScenarioConfig(
+        family=family,
+        **{
+            "dims": defaults[scale],
+            "lambdas": defaults["lambdas"],
+            "gamma0": defaults["gamma"],
+            "alpha0": 1.0,
+            "beta0": (1.0, 1.0, 1.0, 1.0),
+            **{key: value for key, value in scenario.items() if value is not None},
+        },
+    )
+    options = PipelineOptions(
+        degree=defaults["degree"] if degree is None else degree,
+        interior_knots=(
+            defaults["knots"] if knots is None else parse_knots(knots, len(config.dims))
+        ),
+        tau=tau,
+        intervals=intervals,
+    )
+    return config, options
+
+
+@dataclass(frozen=True)
+class StudyTable:
+    """One table of the paper's simulation study, as ``gridpcr reproduce`` runs it.
+
+    The table runs the ``family`` study at its defaults for every n of
+    ``STUDY_SIZES`` and every correlation of ``corrs``, with wild bootstrap
+    intervals when ``intervals``, and with the two-arm ``treatment`` block
+    when one is given. ``terms`` are the name prefixes of the coefficient
+    rows it keeps; None keeps one row per study instead, of eigenvalue
+    errors and the mean selected component count.
+    """
+
+    family: str
+    terms: tuple | None
+    corrs: tuple = (0.0,)
+    intervals: bool = True
+    treatment: TreatmentConfig | None = None
+
+
+STUDY_SIZES = (100, 500, 2000)
+_EVERY_TERM = ("intercept", "x", "z", "treat")
+# Tables 1 and 5 report the component sample alone, which does not involve
+# the scalar covariates, so one correlation serves them.
+TABLES = {
+    1: StudyTable("synthetic2d", None, intervals=False),
+    2: StudyTable("synthetic2d", ("intercept", "x"), corrs=(0.0, 0.5)),
+    3: StudyTable("synthetic2d", ("z",), corrs=(0.0, 0.5)),
+    4: StudyTable("quadratic_gauss3d", _EVERY_TERM),
+    5: StudyTable("quadratic_gauss3d", None, intervals=False),
+    6: StudyTable("quadratic_gauss3d", _EVERY_TERM, treatment=TreatmentConfig(
+        alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5))),
+}
+
+
 @dataclass(frozen=True)
 class MetricsTable:
     """Aggregated Monte Carlo metrics, one entry per parameter.
@@ -290,13 +398,14 @@ def make_family(space: AmbientSpace, kind: str, n_components: int) -> TrueFamily
     order under the space inner product and refuses to continue when a raw
     function is numerically dependent on its predecessors.
     """
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILY_DEFAULTS:
         raise ConfigurationError(f"unknown family kind {kind!r}")
+    need = len(FAMILY_DEFAULTS[kind]["desk"])
+    if len(space.dims) != need:
+        raise ConfigurationError(f"{kind} needs a {need}-D grid")
     axes = np.meshgrid(*space.centers(), indexing="ij")
     coords = [a.ravel() for a in axes]
     if kind == "synthetic2d":
-        if len(space.dims) != 2:
-            raise ConfigurationError("synthetic2d needs a 2-D grid")
         if not 1 <= n_components <= len(BUMPS_2D):
             raise ConfigurationError(
                 f"synthetic2d offers up to {len(BUMPS_2D)} components"
@@ -306,8 +415,6 @@ def make_family(space: AmbientSpace, kind: str, n_components: int) -> TrueFamily
             sq = (coords[0] - cx) ** 2 + (coords[1] - cy) ** 2
             raw.append(np.exp(-sq / (2.0 * width**2)))
     else:
-        if len(space.dims) != 3:
-            raise ConfigurationError("quadratic_gauss3d needs a 3-D grid")
         if not 1 <= n_components <= 2:
             raise ConfigurationError("quadratic_gauss3d offers up to 2 components")
         sq = sum((c - 0.5) ** 2 for c in coords)

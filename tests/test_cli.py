@@ -188,6 +188,30 @@ def test_diagnose_settings_are_checked_before_the_basis(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["fit", "pve", "regress", "bootstrap", "bootstrap-eigenvalues", "jackknife"],
+)
+def test_drop_tol_is_checked_before_the_basis(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the basis was built or --data opened before --drop-tol was checked")
+
+    monkeypatch.setattr(gridpcr.cli, "_build_basis", no_work)
+    monkeypatch.setattr(gridpcr.cli, "GridRows", no_work)
+    data = tmp_path / "s.hsg"
+    _, _, _, x, y = make_dataset(data)
+    table = tmp_path / "d.csv"
+    write_design(table, x, y)
+    argv = {
+        "fit": ["fit"],
+        "pve": ["pve"],
+        "bootstrap-eigenvalues": ["bootstrap", "--target", "eigenvalues"],
+    }.get(command, [command, "--table", str(table), "--response", "y"])
+    rc = main([*argv, "--data", str(data), "--drop-tol", "2", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: drop_tol must lie in (0, 1), got 2.0\n"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("row", [0, 5])
 def test_fit_on_an_infinite_value_prints_only_its_error(
@@ -608,6 +632,26 @@ def test_simulate_config_override(tmp_path):
     assert manifest["config"]["n"] == 25 and manifest["seed"] == 3
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("inference", ["none", "plugin", "bootstrap"])
+def test_simulate_rejects_blocks_outside_the_jackknife(
+    tmp_path, capsys, monkeypatch, source, inference
+):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was built before --blocks was checked")
+
+    monkeypatch.setattr(gridpcr.simulate.Study, "build", no_study)
+    argv = ["--inference", inference, "--blocks", "20"]
+    if source == "config":
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"inference": inference, "blocks": 20}))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(["simulate", "--n", "60", "--reps", "2", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --blocks applies to --inference jackknife\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_config_rejects_an_unknown_inference(tmp_path, capsys, monkeypatch):
     # --inference has argparse choices; a --config value is checked where
     # its interval spec is built, before the study.
@@ -744,6 +788,33 @@ def test_reproduce_eigen_table_smoke(tmp_path):
     for row in rows:
         assert float(row[1]) >= 0 and float(row[2]) >= 0
         assert 1.0 <= float(row[3]) <= 2.0
+
+
+@pytest.mark.parametrize(
+    "table, n, corr, flags, terms",
+    [
+        (2, 500, "0.5", ["--family", "synthetic2d", "--corr", "0.5"],
+         ["intercept", "x1", "x2", "x3", "x4"]),
+        (4, 100, "0.0", ["--family", "quadratic_gauss3d"],
+         ["intercept", "x1", "x2", "x3", "x4", "z1", "z2"]),
+    ],
+)
+def test_reproduce_rows_are_the_simulate_rows_of_the_same_study(
+    tmp_path, table, n, corr, flags, terms
+):
+    # Both commands build every study through simulate.study_config, so a
+    # table's rows at one n and corr are the simulate rows of that study.
+    reps = ["--reps", "2", "--boot-reps", "20"]
+    argv = ["reproduce", "--table", str(table), *reps, "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    argv = ["simulate", *flags, "--n", str(n), *reps, "--inference", "bootstrap",
+            "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    _, rows = read_table(tmp_path / "r" / f"table{table}.csv")
+    _, metrics = read_table(tmp_path / "s" / "metrics.csv")
+    kept = [row[2:] for row in rows if row[:2] == [str(n), corr]]
+    assert [row[0] for row in kept] == terms
+    assert kept == [row[:4] for row in metrics if row[0] in terms]
 
 
 def test_diagnose_auto_knots_refines_until_accept(tmp_path):
