@@ -71,6 +71,8 @@ from .resampling import (
     jackknife_blocks,
 )
 from .simulate import (
+    FAMILY_DEFAULTS,
+    SCALES,
     STUDY_SIZES,
     TABLES,
     parse_knots,
@@ -94,6 +96,7 @@ from .storage import (
 from .util import _BLAS_PIN, default_threads
 
 MAX_KNOT_REFINEMENTS = 4
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -212,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo study of the pipeline")
     _out_flags(p)
     p.add_argument("--config", default=None, help="JSON file overriding the flags")
-    p.add_argument(
-        "--family", choices=("synthetic2d", "quadratic_gauss3d"), default="synthetic2d"
-    )
+    p.add_argument("--family", choices=FAMILY_DEFAULTS, default="synthetic2d")
     p.add_argument("--dims", default=None, help="grid extents, e.g. 20x24")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=100)
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="rerun one of the study tables")
     _out_flags(p)
     p.add_argument("--table", type=int, choices=TABLES, required=True)
-    p.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    p.add_argument("--scale", choices=SCALES, default="desk")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--boot-reps", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
@@ -628,27 +629,28 @@ def _simulate_study(args):
                     f"configuration key {key!r} has the wrong type: {value!r}"
                 )
             setattr(args, key, value)
+    intervals = _interval_spec(args)
     if args.blocks is not None and args.inference != "jackknife":
         raise ConfigurationError("--blocks applies to --inference jackknife")
-
-    def parsed(parse, text):
-        return None if text is None else parse(text)
-
-    dims = parsed(_parse_dims, args.dims)
-    lambdas = parsed(_parse_floats, args.lambdas)
+    dims = None if args.dims is None else _parse_dims(args.dims)
+    lambdas = None if args.lambdas is None else _parse_floats(args.lambdas)
     if lambdas is not None and args.gamma0 is None:
         raise ConfigurationError("custom lambdas need matching --gamma0 scores")
     return study_config(
         args.family,
         dims=dims,
         lambdas=lambdas,
-        gamma0=parsed(_parse_floats, args.gamma0),
+        gamma0=None if args.gamma0 is None else _parse_floats(args.gamma0),
+        alpha0=args.alpha0,
         beta0=_parse_floats(args.beta0),
+        corr=args.corr,
+        noise_sd=args.noise_sd,
+        n=args.n,
+        seed=args.seed,
         degree=args.degree,
         knots=args.knots,
         tau=args.tau,
-        intervals=_interval_spec(args),
-        **{key: getattr(args, key) for key in ("n", "alpha0", "corr", "noise_sd", "seed")},
+        intervals=intervals,
     )
 
 
@@ -682,19 +684,25 @@ def _study_rows(table, config, metrics) -> list:
     return [
         [config.n, config.corr, name, metrics.truth[i], metrics.mse[i], metrics.coverage[i]]
         for i, name in enumerate(metrics.names)
-        if name.startswith(table.terms)
+        if not name.startswith("lambda")
+        and (not table.terms or name.startswith(table.terms))
     ]
 
 
 def cmd_reproduce(args):
     table = TABLES[args.table]
-    intervals = BootstrapSpec(b_reps=args.boot_reps) if table.intervals else None
+    intervals = None if table.terms is None else BootstrapSpec(b_reps=args.boot_reps)
     rows = []
     for n in STUDY_SIZES:
         for corr in table.corrs:
             config, options = study_config(
-                table.family, args.scale, n=n, corr=corr, seed=args.seed,
-                treatment=table.treatment, intervals=intervals,
+                table.family,
+                args.scale,
+                n=n,
+                corr=corr,
+                seed=args.seed,
+                treatment=table.treatment,
+                intervals=intervals,
             )
             metrics = run_monte_carlo(config, args.reps, options, _threads(args))
             rows += _study_rows(table, config, metrics)

@@ -70,15 +70,25 @@ from .util import mix_seed, replicate_rng
 # each replicate. ``study_config`` takes every setting a study leaves unset
 # from them.
 FAMILY_DEFAULTS = {
-    "synthetic2d": dict(
-        desk=(20, 24), paper=(79, 95), lambdas=(3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
-        gamma=(1.5, 1.0, 2.0, 2.5, 1.5, 3.0), degree=3, knots=7,
-    ),
-    "quadratic_gauss3d": dict(
-        desk=(12, 14, 10), paper=(79, 95, 66), lambdas=(2.0, 1.0), gamma=(1.5, -1.0),
-        degree=2, knots=2,
-    ),
+    "synthetic2d": {
+        "desk": (20, 24),
+        "paper": (79, 95),
+        "lambdas": (3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
+        "gamma": (1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
+        "degree": 3,
+        "knots": 7,
+    },
+    "quadratic_gauss3d": {
+        "desk": (12, 14, 10),
+        "paper": (79, 95, 66),
+        "lambdas": (2.0, 1.0),
+        "gamma": (1.5, -1.0),
+        "degree": 2,
+        "knots": 2,
+    },
 }
+# The grids every family defines.
+SCALES = ("desk", "paper")
 
 # Gaussian bumps (center, width) on the unit square; the 2D family takes the
 # first J of these and orthonormalizes them in order. Widths stay >= 0.14 so
@@ -271,44 +281,56 @@ def parse_knots(text, n_axes: int) -> list:
     if len(values) == 1:
         return values * n_axes
     if len(values) != n_axes:
-        raise ConfigurationError(f"{len(values)} knot counts given for {n_axes} axes")
+        raise ConfigurationError(
+            f"{len(values)} knot counts given for {n_axes} axes"
+        )
     return values
 
 
 def study_config(
-    family: str, scale: str = "desk", *, degree=None, knots=None, tau=0.95, intervals=None,
+    family: str,
+    scale: str = "desk",
+    *,
+    dims=None,
+    lambdas=None,
+    gamma0=None,
+    alpha0=1.0,
+    beta0=(1.0, 1.0, 1.0, 1.0),
+    degree=None,
+    knots=None,
+    tau=PipelineOptions.tau,
+    intervals=None,
     **scenario,
 ) -> tuple:
     """The ``(ScenarioConfig, PipelineOptions)`` of one Monte Carlo study.
 
     Every study, of ``gridpcr simulate`` and of each ``TABLES`` entry, is
-    built here. ``scenario`` holds ``ScenarioConfig`` fields; a setting
-    left out or None takes its default: the family's in
-    ``FAMILY_DEFAULTS`` for ``dims`` (the grid of ``scale``, "desk" or
-    "paper"), ``lambdas``, ``gamma0``, ``degree`` and ``knots``, 1 for
-    ``alpha0``, four ones for ``beta0``, and otherwise the field's own.
+    built here. ``dims`` (the grid of ``scale``, one of ``SCALES``),
+    ``lambdas``, ``gamma0``, ``degree`` and ``knots`` left None take the
+    family's ``FAMILY_DEFAULTS``; ``scenario`` holds the other
+    ``ScenarioConfig`` fields (``n``, ``corr``, ``noise_sd``, ``seed``,
+    ``treatment``), which keep the field's own default when left out.
     ``knots`` is one count for every axis or one per axis, as
-    ``parse_knots`` reads them. The scenario is checked first, then the
-    knot counts against its grid, then the pipeline settings.
+    ``parse_knots`` reads them, and ``intervals`` None gives no intervals.
+    The scenario is checked first, then the knot counts against its grid,
+    then the pipeline settings.
     """
     # An unknown family takes another's defaults, and ScenarioConfig rejects it.
     defaults = FAMILY_DEFAULTS.get(family, FAMILY_DEFAULTS["quadratic_gauss3d"])
     config = ScenarioConfig(
         family=family,
-        **{
-            "dims": defaults[scale],
-            "lambdas": defaults["lambdas"],
-            "gamma0": defaults["gamma"],
-            "alpha0": 1.0,
-            "beta0": (1.0, 1.0, 1.0, 1.0),
-            **{key: value for key, value in scenario.items() if value is not None},
-        },
+        dims=defaults[scale] if dims is None else dims,
+        lambdas=defaults["lambdas"] if lambdas is None else lambdas,
+        alpha0=alpha0,
+        beta0=beta0,
+        gamma0=defaults["gamma"] if gamma0 is None else gamma0,
+        **scenario,
     )
+    if knots is not None:
+        knots = parse_knots(knots, len(config.dims))
     options = PipelineOptions(
         degree=defaults["degree"] if degree is None else degree,
-        interior_knots=(
-            defaults["knots"] if knots is None else parse_knots(knots, len(config.dims))
-        ),
+        interior_knots=defaults["knots"] if knots is None else knots,
         tau=tau,
         intervals=intervals,
     )
@@ -320,32 +342,34 @@ class StudyTable:
     """One table of the paper's simulation study, as ``gridpcr reproduce`` runs it.
 
     The table runs the ``family`` study at its defaults for every n of
-    ``STUDY_SIZES`` and every correlation of ``corrs``, with wild bootstrap
-    intervals when ``intervals``, and with the two-arm ``treatment`` block
-    when one is given. ``terms`` are the name prefixes of the coefficient
-    rows it keeps; None keeps one row per study instead, of eigenvalue
-    errors and the mean selected component count.
+    ``STUDY_SIZES`` and every correlation of ``corrs``, with the two-arm
+    ``treatment`` block when one is given. ``terms`` are the name prefixes
+    of the coefficient rows it keeps, every coefficient when empty, with
+    wild bootstrap intervals. None keeps one row per study instead, of
+    eigenvalue errors and the mean selected component count, and runs no
+    intervals.
     """
 
     family: str
     terms: tuple | None
     corrs: tuple = (0.0,)
-    intervals: bool = True
     treatment: TreatmentConfig | None = None
 
 
 STUDY_SIZES = (100, 500, 2000)
-_EVERY_TERM = ("intercept", "x", "z", "treat")
 # Tables 1 and 5 report the component sample alone, which does not involve
 # the scalar covariates, so one correlation serves them.
 TABLES = {
-    1: StudyTable("synthetic2d", None, intervals=False),
+    1: StudyTable("synthetic2d", None),
     2: StudyTable("synthetic2d", ("intercept", "x"), corrs=(0.0, 0.5)),
     3: StudyTable("synthetic2d", ("z",), corrs=(0.0, 0.5)),
-    4: StudyTable("quadratic_gauss3d", _EVERY_TERM),
-    5: StudyTable("quadratic_gauss3d", None, intervals=False),
-    6: StudyTable("quadratic_gauss3d", _EVERY_TERM, treatment=TreatmentConfig(
-        alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5))),
+    4: StudyTable("quadratic_gauss3d", ()),
+    5: StudyTable("quadratic_gauss3d", None),
+    6: StudyTable(
+        "quadratic_gauss3d",
+        (),
+        treatment=TreatmentConfig(alpha=0.5, beta=(0.5, -0.5, 0.25, 0.0), gamma=(1.0, -0.5)),
+    ),
 }
 
 

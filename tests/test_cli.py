@@ -667,6 +667,23 @@ def test_simulate_config_rejects_an_unknown_inference(tmp_path, capsys, monkeypa
     )
 
 
+def test_simulate_config_reports_an_unknown_inference_before_its_blocks(
+    tmp_path, capsys, monkeypatch
+):
+    # The --blocks rule reads the method, so an unknown method is reported
+    # first, as it is without --blocks.
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was built before its settings were checked")
+
+    monkeypatch.setattr(gridpcr.simulate.Study, "build", no_study)
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"inference": "delta", "blocks": 20, "reps": 2}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: inference must be plugin, bootstrap, jackknife, or None, got 'delta'\n"
+    )
+
+
 def test_a_cached_parser_keeps_no_config_between_commands(tmp_path):
     # The parser is built once per process; a --config run must leave
     # nothing behind for the next command to read.
