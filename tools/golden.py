@@ -319,6 +319,13 @@ def cases(inputs) -> dict:
         "simulate", "--family", "synthetic2d", "--n", "150", "--reps", "19",
         "--inference", "plugin", "--tau", "0.5", "--seed", "3", "--threads", "2",
     ]
+    # Knot counts spelled per axis and as one count for every axis.
+    for family, basis in (("quadratic_gauss3d", ["--degree", "1", "--knots", "3,2,2"]),
+                          ("synthetic2d", ["--knots", "5"])):
+        out[f"simulate-{family}-knots"] = [
+            "simulate", "--family", family, *basis, "--n", "150", "--reps", "3",
+            "--inference", "plugin", "--seed", "3",
+        ]
     for table_id in range(1, 6):
         out[f"reproduce-{table_id}"] = [
             "reproduce", "--table", str(table_id), "--reps", "2", "--boot-reps", "20",
