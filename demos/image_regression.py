@@ -24,7 +24,6 @@ from gridpcr import (
     fit_subspace_pca,
     generate_dataset,
     plugin_cov,
-    scenario_space,
     select_pve,
     ScenarioConfig,
 )
@@ -40,10 +39,10 @@ config = ScenarioConfig(
     n=500,
     seed=11,
 )
-space, family, sample, x, y, _ = generate_dataset(config, 0)
+space, family, factors, x, y, _ = generate_dataset(config, 0)
 
 basis = bspline_tensor_basis(space, 3, 7)
-model = fit_subspace_pca(space, basis, sample.factors @ family.phis)
+model = fit_subspace_pca(space, basis, factors @ family.phis)
 m = select_pve(model, 0.95).m
 scores = component_scores(model)[:, :m]
 design = RegressionDesign(y=y, x=x, scores=scores)

@@ -2,16 +2,15 @@
 
 Aggregates eigenvalue mean squared errors and the selected component count
 over seeded Monte Carlo replicates, at several sample sizes, for the 2D
-six-bump family and the 3D quadratic/Gaussian family. Each study is built
-by ``gridpcr.simulate.study_config`` at its family's defaults
-(``FAMILY_DEFAULTS``), as `gridpcr simulate` and `gridpcr reproduce` build
-theirs. This is a fast preview with 30 replicates; `gridpcr reproduce
---table N` writes the full CSV versions of the tables in
-``gridpcr.simulate.TABLES``.
+six-bump family and the 3D quadratic/Gaussian family. Each study is one
+``ScenarioConfig`` at its family's defaults (``FAMILY_DEFAULTS``), as
+`gridpcr simulate` and `gridpcr reproduce` build theirs. This is a fast
+preview with 30 replicates; `gridpcr reproduce --table N` writes the full
+CSV versions of the tables in ``gridpcr.simulate.TABLES``.
 """
 
-from gridpcr import run_monte_carlo
-from gridpcr.simulate import FAMILY_DEFAULTS, study_config
+from gridpcr import ScenarioConfig, run_monte_carlo
+from gridpcr.simulate import FAMILY_DEFAULTS
 
 REPS = 30
 
@@ -20,11 +19,11 @@ def study(family, seed, sizes=(100, 500)):
     defaults = FAMILY_DEFAULTS[family]
     print(
         f"{family} (lambda = {', '.join(map(str, defaults['lambdas']))}), "
-        f"degree {defaults['degree']} splines, {defaults['knots']} knots:"
+        f"degree {defaults['degree']} splines, {defaults['interior_knots']} knots:"
     )
     for n in sizes:
-        config, options = study_config(family, n=n, seed=seed)
-        table = run_monte_carlo(config, REPS, options, threads=2)
+        config = ScenarioConfig(family, n=n, seed=seed)
+        table = run_monte_carlo(config, REPS, threads=2)
         j = config.n_components
         mhat = sum(m * c for m, c in table.mhat_counts.items()) / table.completed
         mses = " ".join(f"{table.mse[k]:.2e}" for k in range(j))

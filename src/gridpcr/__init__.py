@@ -75,9 +75,7 @@ from .resampling import (
 )
 from .simulate import (
     BUMPS_2D,
-    KLSample,
     MetricsTable,
-    PipelineOptions,
     ScenarioConfig,
     Study,
     TreatmentConfig,
@@ -90,7 +88,6 @@ from .simulate import (
     make_family,
     run_monte_carlo,
     run_replicate,
-    scenario_space,
 )
 from .space import (
     AmbientSpace,

@@ -15,8 +15,9 @@ and diagnose and the eigenfunction sign pass) use the usable CPUs, within
 a fixed buffer budget, with the same bytes for any worker count; --threads
 sizes the replicate pools of bootstrap, jackknife and the Monte Carlo
 studies. simulate and reproduce only read and check their flags: each
-study, its family defaults and the tables reproduce reruns are defined in
-``simulate`` (``study_config``, ``FAMILY_DEFAULTS``, ``TABLES``).
+study is one ``simulate.ScenarioConfig``, which takes every setting left
+unset from its family's ``FAMILY_DEFAULTS``, and the tables reproduce
+reruns are ``simulate.TABLES``.
 
 Exit codes: 0 success, 2 input/usage/format problems, 3 numerical or
 assumption failures (the message names the violated assumption). Errors and
@@ -75,9 +76,9 @@ from .simulate import (
     SCALES,
     STUDY_SIZES,
     TABLES,
+    ScenarioConfig,
     parse_knots,
     run_monte_carlo,
-    study_config,
 )
 from .space import AmbientSpace, as_sample, check_drop_tol, sample_mean
 from .storage import (
@@ -619,7 +620,7 @@ _CONFIG_TYPES = {
 
 
 def _simulate_study(args):
-    """``study_config`` of the simulate flags, each --config key overriding its flag."""
+    """The simulate flags' ``ScenarioConfig``, each --config key overriding its flag."""
     if args.config is not None:
         for key, value in read_config(args.config).items():
             if key not in _CONFIG_TYPES:
@@ -636,7 +637,7 @@ def _simulate_study(args):
     lambdas = None if args.lambdas is None else _parse_floats(args.lambdas)
     if lambdas is not None and args.gamma0 is None:
         raise ConfigurationError("custom lambdas need matching --gamma0 scores")
-    return study_config(
+    return ScenarioConfig(
         args.family,
         dims=dims,
         lambdas=lambdas,
@@ -648,15 +649,15 @@ def _simulate_study(args):
         n=args.n,
         seed=args.seed,
         degree=args.degree,
-        knots=args.knots,
+        interior_knots=args.knots,
         tau=args.tau,
         intervals=intervals,
     )
 
 
 def cmd_simulate(args):
-    config, options = _simulate_study(args)
-    table = run_monte_carlo(config, args.reps, options, threads=_threads(args))
+    config = _simulate_study(args)
+    table = run_monte_carlo(config, args.reps, threads=_threads(args))
     write_table(
         _path(args, "metrics.csv"),
         ["parameter", "truth", "mse", "coverage", "covered_reps"],
@@ -695,16 +696,16 @@ def cmd_reproduce(args):
     rows = []
     for n in STUDY_SIZES:
         for corr in table.corrs:
-            config, options = study_config(
+            config = ScenarioConfig(
                 table.family,
-                args.scale,
+                dims=FAMILY_DEFAULTS[table.family][args.scale],
                 n=n,
                 corr=corr,
                 seed=args.seed,
                 treatment=table.treatment,
                 intervals=intervals,
             )
-            metrics = run_monte_carlo(config, args.reps, options, _threads(args))
+            metrics = run_monte_carlo(config, args.reps, _threads(args))
             rows += _study_rows(table, config, metrics)
     header = ["n", "corr", "term", "truth", "mse", "coverage"]
     if table.terms is None:

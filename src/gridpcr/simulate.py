@@ -10,10 +10,11 @@ studies.
 
 A study is defined here once. ``FAMILY_DEFAULTS`` holds each family's
 grids, variances, score coefficients and spline, ``TABLES`` the six tables
-of the paper's simulation study as ``StudyTable`` records, and
-``study_config`` turns a study's settings into its ``ScenarioConfig`` and
-``PipelineOptions``: ``gridpcr simulate`` and ``gridpcr reproduce`` build
-every study through it.
+of the paper's simulation study as ``StudyTable`` records, and one
+``ScenarioConfig`` is one study: the data-generating process and the
+pipeline fitted to it, with every setting left None taken from its family's
+defaults. ``gridpcr simulate`` and ``gridpcr reproduce`` build every study
+as one.
 
 ``run_monte_carlo`` repeats data generation and the full estimation chain
 under replicate-keyed seeds and aggregates per-parameter mean squared errors,
@@ -38,7 +39,6 @@ import numpy as np
 
 from .bases import bspline_tensor_basis
 from .decomp import (
-    check_score_count,
     check_tau,
     column_space,
     component_scores,
@@ -67,24 +67,24 @@ from .util import mix_seed, replicate_rng
 
 # Study defaults per family: the desk and paper grids, the component
 # variances and their true score coefficients, and the B-spline fitted to
-# each replicate. ``study_config`` takes every setting a study leaves unset
-# from them.
+# each replicate. ``ScenarioConfig`` takes every setting a study leaves unset
+# from them, the grid from "desk".
 FAMILY_DEFAULTS = {
     "synthetic2d": {
         "desk": (20, 24),
         "paper": (79, 95),
         "lambdas": (3.5, 3.0, 2.5, 2.0, 1.5, 1.0),
-        "gamma": (1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
+        "gamma0": (1.5, 1.0, 2.0, 2.5, 1.5, 3.0),
         "degree": 3,
-        "knots": 7,
+        "interior_knots": 7,
     },
     "quadratic_gauss3d": {
         "desk": (12, 14, 10),
         "paper": (79, 95, 66),
         "lambdas": (2.0, 1.0),
-        "gamma": (1.5, -1.0),
+        "gamma0": (1.5, -1.0),
         "degree": 2,
-        "knots": 2,
+        "interior_knots": 2,
     },
 }
 # The grids every family defines.
@@ -119,16 +119,13 @@ def _reject_nonfinite(**settings) -> None:
 
 @dataclass(frozen=True)
 class TreatmentConfig:
-    """Two-arm extension of a scenario: Bernoulli arms and modifier truth."""
+    """Two-arm extension of a scenario: fair Bernoulli arms and modifier truth."""
 
     alpha: float
     beta: tuple
     gamma: tuple
-    prob: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.prob < 1.0:
-            raise ConfigurationError("treatment probability must lie in (0, 1)")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         _reject_nonfinite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
@@ -136,27 +133,54 @@ class TreatmentConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulated data-generating process."""
+    """One Monte Carlo study: a simulated data-generating process and its fit.
+
+    ``dims`` (the family's desk grid), ``lambdas``, ``gamma0``, ``degree``
+    and ``interior_knots`` left None take the family's
+    ``FAMILY_DEFAULTS``. ``interior_knots`` is one count for every axis or
+    one per axis, as ``parse_knots`` reads them, and is stored per axis,
+    so every spelling of one study gives equal configs with equal hashes.
+
+    ``intervals`` is None, for no intervals, or the spec of
+    ``resampling.coefficient_intervals``' method, which checked its
+    settings when it was built: plug-in intervals come from
+    ``plugin_cov``, and a bootstrap or jackknife replicate calls the
+    routine. Each replicate keys its bootstrap by ``mix_seed(seed,
+    replicate)``, so a ``BootstrapSpec`` keeps ``base_seed`` 0. Settings
+    that would fail every replicate are rejected here, before a study is
+    built: the scenario, then the knot counts against its grid, then
+    ``tau``, then ``intervals``.
+    """
 
     family: str
-    dims: tuple
-    lambdas: tuple
-    alpha0: float
-    beta0: tuple
-    gamma0: tuple
+    dims: tuple | None = None
+    lambdas: tuple | None = None
+    alpha0: float = 1.0
+    beta0: tuple = (1.0, 1.0, 1.0, 1.0)
+    gamma0: tuple | None = None
     corr: float = 0.0
     noise_sd: float = 1.0
     n: int = 100
     seed: int = 0
     treatment: TreatmentConfig | None = None
+    degree: int | None = None
+    interior_knots: tuple | None = None
+    tau: float = 0.95
+    intervals: PluginSpec | BootstrapSpec | JackknifeSpec | None = None
 
     def __post_init__(self):
         if self.family not in FAMILY_DEFAULTS:
             raise ConfigurationError(
                 f"family must be one of {tuple(FAMILY_DEFAULTS)}, got {self.family!r}"
             )
+        defaults = FAMILY_DEFAULTS[self.family]
+        if self.dims is None:
+            object.__setattr__(self, "dims", defaults["desk"])
+        for name in ("lambdas", "gamma0", "degree", "interior_knots"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, defaults[name])
         dims = tuple(int(d) for d in self.dims)
-        need = len(FAMILY_DEFAULTS[self.family]["desk"])
+        need = len(defaults["desk"])
         if len(dims) != need:
             raise ConfigurationError(f"family {self.family} needs a {need}-D grid")
         lams = tuple(float(v) for v in self.lambdas)
@@ -182,12 +206,27 @@ class ScenarioConfig:
             raise ConfigurationError("noise_sd must be nonnegative")
         if int(self.n) < 2:
             raise ConfigurationError(f"n must be at least 2 sample rows, got {self.n}")
+        knots = tuple(parse_knots(self.interior_knots, len(dims)))
+        check_tau(self.tau)
+        spec = self.intervals
+        if not isinstance(spec, (PluginSpec, BootstrapSpec, JackknifeSpec, type(None))):
+            raise ConfigurationError(
+                f"intervals must be None, a PluginSpec, BootstrapSpec or "
+                f"JackknifeSpec, got {spec!r}"
+            )
+        if isinstance(spec, BootstrapSpec) and spec.base_seed != 0:
+            raise ConfigurationError(
+                f"a study keys each replicate's bootstrap by its own seed; "
+                f"base_seed must be 0, got {spec.base_seed}"
+            )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "beta0", beta)
         object.__setattr__(self, "gamma0", gamma)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "interior_knots", knots)
 
     @property
     def d(self) -> int:
@@ -204,7 +243,6 @@ class TrueFamily:
 
     space: AmbientSpace
     phis: np.ndarray
-    kind: str
 
     @property
     def n_components(self) -> int:
@@ -221,59 +259,12 @@ class TrueFamily:
         return self.phis @ (element * self.space.weights)
 
 
-@dataclass(frozen=True)
-class KLSample:
-    """Sample rows held as scaled KL factors: row i is ``factors[i] @ phis``.
-
-    ``factors`` is (n, J) with column j scaled by sqrt(lambda_j). The
-    Monte Carlo harness reads only ``factors``; a caller that wants the
-    (n, V) grid rows forms ``sample.factors @ sample.family.phis``, the
-    same bytes ``kl_sample`` returns.
-    """
-
-    family: TrueFamily
-    factors: np.ndarray
-
-
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Estimation settings applied to every Monte Carlo replicate.
-
-    ``intervals`` is None, for no intervals, or the spec of
-    ``resampling.coefficient_intervals``' method, which checked its
-    settings when it was built: plug-in intervals come from
-    ``plugin_cov``, and a bootstrap or jackknife replicate calls the
-    routine. Each replicate keys its bootstrap by ``mix_seed(config.seed,
-    replicate)``, so a ``BootstrapSpec`` keeps ``base_seed`` 0. Settings
-    that would fail every replicate are rejected here, before a study is
-    built: ``tau`` where it picks m, then ``intervals``.
-    """
-
-    degree: int = 3
-    interior_knots: int = 7
-    tau: float = 0.95
-    m_override: int | None = None
-    intervals: PluginSpec | BootstrapSpec | JackknifeSpec | None = None
-
-    def __post_init__(self):
-        if self.m_override is None:
-            check_tau(self.tau)
-        spec = self.intervals
-        if not isinstance(spec, (PluginSpec, BootstrapSpec, JackknifeSpec, type(None))):
-            raise ConfigurationError(
-                f"intervals must be None, a PluginSpec, BootstrapSpec or "
-                f"JackknifeSpec, got {spec!r}"
-            )
-        if isinstance(spec, BootstrapSpec) and spec.base_seed != 0:
-            raise ConfigurationError(
-                f"a study keys each replicate's bootstrap by its own seed; "
-                f"base_seed must be 0, got {spec.base_seed}"
-            )
-
-
 def parse_knots(text, n_axes: int) -> list:
-    """Interior knot counts per axis from one count or one per axis, as text or list."""
-    toks = text if isinstance(text, list) else str(text).split(",")
+    """Interior knot counts per axis from one count or one per axis.
+
+    ``text`` is comma-separated text, one count, or a list or tuple.
+    """
+    toks = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
         values = [int(tok) for tok in toks]
     except (TypeError, ValueError):
@@ -285,56 +276,6 @@ def parse_knots(text, n_axes: int) -> list:
             f"{len(values)} knot counts given for {n_axes} axes"
         )
     return values
-
-
-def study_config(
-    family: str,
-    scale: str = "desk",
-    *,
-    dims=None,
-    lambdas=None,
-    gamma0=None,
-    alpha0=1.0,
-    beta0=(1.0, 1.0, 1.0, 1.0),
-    degree=None,
-    knots=None,
-    tau=PipelineOptions.tau,
-    intervals=None,
-    **scenario,
-) -> tuple:
-    """The ``(ScenarioConfig, PipelineOptions)`` of one Monte Carlo study.
-
-    Every study, of ``gridpcr simulate`` and of each ``TABLES`` entry, is
-    built here. ``dims`` (the grid of ``scale``, one of ``SCALES``),
-    ``lambdas``, ``gamma0``, ``degree`` and ``knots`` left None take the
-    family's ``FAMILY_DEFAULTS``; ``scenario`` holds the other
-    ``ScenarioConfig`` fields (``n``, ``corr``, ``noise_sd``, ``seed``,
-    ``treatment``), which keep the field's own default when left out.
-    ``knots`` is one count for every axis or one per axis, as
-    ``parse_knots`` reads them, and ``intervals`` None gives no intervals.
-    The scenario is checked first, then the knot counts against its grid,
-    then the pipeline settings.
-    """
-    # An unknown family takes another's defaults, and ScenarioConfig rejects it.
-    defaults = FAMILY_DEFAULTS.get(family, FAMILY_DEFAULTS["quadratic_gauss3d"])
-    config = ScenarioConfig(
-        family=family,
-        dims=defaults[scale] if dims is None else dims,
-        lambdas=defaults["lambdas"] if lambdas is None else lambdas,
-        alpha0=alpha0,
-        beta0=beta0,
-        gamma0=defaults["gamma"] if gamma0 is None else gamma0,
-        **scenario,
-    )
-    if knots is not None:
-        knots = parse_knots(knots, len(config.dims))
-    options = PipelineOptions(
-        degree=defaults["degree"] if degree is None else degree,
-        interior_knots=defaults["knots"] if knots is None else knots,
-        tau=tau,
-        intervals=intervals,
-    )
-    return config, options
 
 
 @dataclass(frozen=True)
@@ -408,11 +349,6 @@ class MetricsTable:
         return out
 
 
-def scenario_space(config: ScenarioConfig) -> AmbientSpace:
-    """Unit-domain space of a scenario (cell measure = product of 1/dim)."""
-    return AmbientSpace.unit_domain(config.dims)
-
-
 def make_family(space: AmbientSpace, kind: str, n_components: int) -> TrueFamily:
     """Orthonormalize a documented closed-form family on a grid.
 
@@ -444,7 +380,7 @@ def make_family(space: AmbientSpace, kind: str, n_components: int) -> TrueFamily
         sq = sum((c - 0.5) ** 2 for c in coords)
         raw = [20.0 * sq, np.exp(-15.0 * sq)][:n_components]
     phis = _gram_schmidt(space, np.array(raw))
-    return TrueFamily(space=space, phis=phis, kind=kind)
+    return TrueFamily(space=space, phis=phis)
 
 
 def _gram_schmidt(space: AmbientSpace, raw: np.ndarray) -> np.ndarray:
@@ -522,8 +458,9 @@ def gen_response(
 ) -> np.ndarray:
     """Linear response alpha + beta'X + <gamma, Z> (+ treatment block) + noise.
 
-    The sample rows are Z_i = factors[i] @ family.phis (see ``KLSample``),
-    so <gamma, Z_i> is factors[i] @ <phi, gamma> and no grid pass is made.
+    The sample rows are Z_i = factors[i] @ family.phis (see
+    ``generate_dataset``), so <gamma, Z_i> is factors[i] @ <phi, gamma>
+    and no grid pass is made.
     """
     factors = np.asarray(factors, dtype=float)
     if factors.ndim != 2 or factors.shape[1] != family.n_components:
@@ -550,25 +487,27 @@ def gen_response(
 def generate_dataset(
     config: ScenarioConfig, replicate: int, family: TrueFamily | None = None
 ):
-    """One replicate's (space, family, sample, x, y, treatment).
+    """One replicate's (space, family, factors, x, y, treatment).
 
-    ``sample`` is a ``KLSample``: its factors, not its grid rows. ``family``
-    is the scenario's family when the caller has built it already; by
-    default it is built here. Randomness is keyed by (config.seed,
-    replicate), drawn as x, the factors, the treatment and the noise, so the
-    same pair always reproduces the same dataset regardless of what else
-    has run.
+    The sample is held as its (n, J) KL factors, column j scaled by
+    sqrt(lambda_j): row i is ``factors[i] @ family.phis``, the bytes
+    ``kl_sample`` returns, and the Monte Carlo harness never forms it.
+    Arms are fair Bernoulli draws. ``family`` is the scenario's family when
+    the caller has built it already; by default it is built here.
+    Randomness is keyed by (config.seed, replicate), drawn as x, the
+    factors, the treatment and the noise, so the same pair always
+    reproduces the same dataset regardless of what else has run.
     """
     rng = replicate_rng(config.seed, replicate)
     if family is None:
         family = make_family(
-            scenario_space(config), config.family, config.n_components
+            AmbientSpace.unit_domain(config.dims), config.family, config.n_components
         )
     x = ar_covariates(config.n, config.d, config.corr, rng)
     factors = kl_factors(family, config.lambdas, config.n, rng)
     treatment = None
     if config.treatment is not None:
-        treatment = rng.random(config.n) < config.treatment.prob
+        treatment = rng.random(config.n) < 0.5
     y = gen_response(
         family,
         factors,
@@ -581,7 +520,7 @@ def generate_dataset(
         treatment=treatment,
         modifier=config.treatment,
     )
-    return family.space, family, KLSample(family, factors), x, y, treatment
+    return family.space, family, factors, x, y, treatment
 
 
 def _true_theta(config: ScenarioConfig) -> np.ndarray:
@@ -628,10 +567,10 @@ class Study:
     frame_rows: np.ndarray
 
     @classmethod
-    def build(cls, config: ScenarioConfig, options: PipelineOptions) -> "Study":
-        space = scenario_space(config)
+    def build(cls, config: ScenarioConfig) -> "Study":
+        space = AmbientSpace.unit_domain(config.dims)
         family = make_family(space, config.family, config.n_components)
-        basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
+        basis = bspline_tensor_basis(space, config.degree, config.interior_knots)
         whitener = whiten(gram(space, basis))
         family_white = project_scores(space, basis, family.phis) @ whitener.factor.T
         left, right = column_space(family_white)
@@ -674,7 +613,7 @@ class Study:
 def _stacked_design(data, scores, members, m) -> RegressionDesign:
     """The regression design of the replicates ``members``, stacked in that order.
 
-    ``data`` holds each replicate's (sample, x, y, treatment) and ``scores``
+    ``data`` holds each replicate's (factors, x, y, treatment) and ``scores``
     its component scores, of which the first m columns are used, so every
     slice keeps the layout of a replicate's own design.
     """
@@ -688,10 +627,7 @@ def _stacked_design(data, scores, members, m) -> RegressionDesign:
 
 
 def run_replicate(
-    config: ScenarioConfig,
-    options: PipelineOptions,
-    replicates,
-    study: Study | None = None,
+    config: ScenarioConfig, replicates, study: Study | None = None
 ) -> list:
     """Generate a batch of datasets, run the estimation chain, and score each.
 
@@ -714,18 +650,14 @@ def run_replicate(
     replicate's numbers are those of a range of one.
     """
     if study is None:
-        study = Study.build(config, options)
+        study = Study.build(config)
     if isinstance(replicates, int):
         replicates = range(replicates, replicates + 1)
     data = [generate_dataset(config, r, study.family)[2:] for r in replicates]
-    models = study.fit(np.array([sample.factors for sample, *_ in data]))
+    models = study.fit(np.array([factors for factors, *_ in data]))
     groups = {}
     for i, model in enumerate(models):
-        if options.m_override is None:
-            m = select_pve(model, options.tau).m
-        else:
-            m = options.m_override
-            check_score_count(m, model)
+        m = select_pve(model, config.tau).m
         groups.setdefault((m, model.n_components), []).append(i)
     truth = _true_theta(config)
     out = [None] * len(data)
@@ -734,7 +666,7 @@ def run_replicate(
         design = _stacked_design(data, scores, members, m)
         fits = fit_pcr(design)
         bounds = [None] * len(members)
-        spec = options.intervals
+        spec = config.intervals
         if isinstance(spec, PluginSpec):
             covs = plugin_cov(fits, [models[i] for i in members], design)
             bounds = [
@@ -814,10 +746,7 @@ def _fit_to_truth(config: ScenarioConfig, signs, m: int, two_arm: bool):
 
 
 def run_monte_carlo(
-    config: ScenarioConfig,
-    reps: int,
-    options: PipelineOptions | None = None,
-    threads: int = 1,
+    config: ScenarioConfig, reps: int, threads: int = 1
 ) -> MetricsTable:
     """Repeat the scenario ``reps`` times and aggregate the metrics.
 
@@ -831,10 +760,9 @@ def run_monte_carlo(
     """
     if reps < 1:
         raise ConfigurationError("need at least one replicate")
-    options = options or PipelineOptions()
-    study = Study.build(config, options)
+    study = Study.build(config)
     metrics, failures = run_tolerant(
-        lambda indices: run_replicate(config, options, indices, study),
+        lambda indices: run_replicate(config, indices, study),
         reps,
         threads,
         "Monte Carlo",

@@ -13,6 +13,7 @@ must land near, plus interval-coverage floors.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from gridpcr import (
     whiten,
 )
 from gridpcr.cli import main
-from gridpcr.simulate import PipelineOptions
 from gridpcr.util import mix_seed, replicate_rng
 
 LAMBDAS_2D = (3.5, 3.0, 2.5, 2.0, 1.5, 1.0)
@@ -82,8 +82,9 @@ def scenario_2d(n, seed, corr=0.0):
     )
 
 
-def options_2d(**overrides):
-    return PipelineOptions(degree=3, interior_knots=7, **overrides)
+def options_2d(config, **overrides):
+    """``config`` fitted with the 2D spline: degree 3, 7 interior knots."""
+    return replace(config, degree=3, interior_knots=7, **overrides)
 
 
 def random_space(rng):
@@ -206,7 +207,7 @@ def test_projection_residual_identity():
 
 def test_component_count_selection_2d():
     started = time.perf_counter()
-    table = run_monte_carlo(scenario_2d(500, 13), 100, options_2d(), THREADS)
+    table = run_monte_carlo(options_2d(scenario_2d(500, 13)), 100, THREADS)
     hits = table.mhat_counts.get(6, 0)
     elapsed = time.perf_counter() - started
     ok = hits >= 95 and elapsed < 300
@@ -227,8 +228,8 @@ def test_eigenvalue_mse_decay_2d():
         config = scenario_2d(n, 17)
         errs = []
         for rep in range(100):
-            sample = generate_dataset(config, rep)[2]
-            model = fit_subspace_pca(space, basis, sample.factors @ sample.family.phis)
+            _, family, factors, *_ = generate_dataset(config, rep)
+            model = fit_subspace_pca(space, basis, factors @ family.phis)
             errs.append((model.eigenvalues[0] - LAMBDAS_2D[0]) ** 2)
         medians.append(float(np.median(errs)))
     elapsed = time.perf_counter() - started
@@ -319,8 +320,8 @@ def test_oracle_regression_recovery():
 @pytest.mark.slow
 def test_bootstrap_coverage_2d():
     started = time.perf_counter()
-    options = options_2d(intervals=BootstrapSpec(kind="wild", b_reps=300))
-    table = run_monte_carlo(scenario_2d(500, 0), 100, options, THREADS)
+    config = options_2d(scenario_2d(500, 0), intervals=BootstrapSpec(kind="wild", b_reps=300))
+    table = run_monte_carlo(config, 100, THREADS)
     watched = ["intercept", "x1", "x2", "x3", "x4", "z1", "z2", "z3", "z4", "z5", "z6"]
     rates = {}
     for name in watched:
@@ -353,9 +354,7 @@ def test_3d_selection_and_mse():
         n=500,
         seed=7,
     )
-    table = run_monte_carlo(
-        config, 100, PipelineOptions(degree=2, interior_knots=2), THREADS
-    )
+    table = run_monte_carlo(replace(config, degree=2, interior_knots=2), 100, THREADS)
     hits = table.mhat_counts.get(2, 0)
     mse1 = table.mse[table.names.index("lambda1")]
     mse2 = table.mse[table.names.index("lambda2")]
@@ -387,8 +386,8 @@ def test_se_methods_cross_validate():
     basis = bspline_tensor_basis(space, 3, 7)
     plug, boot, jack = [], [], []
     for rep in range(20):
-        _, _, sample, x, y, _ = generate_dataset(config, rep)
-        model = fit_subspace_pca(space, basis, sample.factors @ sample.family.phis)
+        _, family, factors, x, y, _ = generate_dataset(config, rep)
+        model = fit_subspace_pca(space, basis, factors @ family.phis)
         m = select_pve(model, 0.95).m
         scores = component_scores(model)[:, :m]
         design = RegressionDesign(y=y, x=x, scores=scores)

@@ -69,7 +69,7 @@ def test_tri_without_mesh_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry",
-    ["regress", "run_replicate", "bootstrap_theta", "plugin_cov", "coefficient_element"],
+    ["regress", "bootstrap_theta", "plugin_cov", "coefficient_element"],
 )
 def test_every_entry_point_checks_the_score_count_alike(tmp_path, capsys, entry):
     # The sample has two components, and each entry point is asked for three.
@@ -85,17 +85,6 @@ def test_every_entry_point_checks_the_score_count_alike(tmp_path, capsys, entry)
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
-        return
-    if entry == "run_replicate":
-        config = gridpcr.ScenarioConfig(
-            family="synthetic2d", dims=DIMS, lambdas=LAMS, alpha0=1.0,
-            beta0=(1.0,), gamma0=(1.5, -1.0), n=50,
-        )
-        options = gridpcr.PipelineOptions(degree=2, interior_knots=2, m_override=3)
-        with pytest.raises(gridpcr.ConformanceError) as excinfo:
-            gridpcr.run_replicate(config, options, 0)
-        assert type(excinfo.value) is gridpcr.ConformanceError
-        assert str(excinfo.value) == message
         return
     basis = bspline_tensor_basis(space, 2, 2)
     model = fit_subspace_pca(space, basis, sample)
@@ -819,7 +808,7 @@ def test_reproduce_eigen_table_smoke(tmp_path):
 def test_reproduce_rows_are_the_simulate_rows_of_the_same_study(
     tmp_path, table, n, corr, flags, terms
 ):
-    # Both commands build every study through simulate.study_config, so a
+    # Both commands build every study as one simulate.ScenarioConfig, so a
     # table's rows at one n and corr are the simulate rows of that study.
     reps = ["--reps", "2", "--boot-reps", "20"]
     argv = ["reproduce", "--table", str(table), *reps, "--out", str(tmp_path / "r")]
@@ -832,6 +821,19 @@ def test_reproduce_rows_are_the_simulate_rows_of_the_same_study(
     kept = [row[2:] for row in rows if row[:2] == [str(n), corr]]
     assert [row[0] for row in kept] == terms
     assert kept == [row[:4] for row in metrics if row[0] in terms]
+
+
+def test_a_library_study_at_its_defaults_is_the_simulate_study(tmp_path):
+    # A ScenarioConfig takes every unset setting from its family, the
+    # spline included, so the library fits the 3D family with degree 2 and
+    # 2 knots, as the command does.
+    out = tmp_path / "s"
+    argv = ["simulate", "--family", "quadratic_gauss3d", "--n", "100", "--reps", "4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    _, rows = read_table(out / "metrics.csv")
+    table = gridpcr.run_monte_carlo(gridpcr.ScenarioConfig("quadratic_gauss3d", n=100), 4)
+    assert [row[0] for row in rows] == table.names
+    assert np.array([float(row[2]) for row in rows]).tobytes() == table.mse.tobytes()
 
 
 def test_diagnose_auto_knots_refines_until_accept(tmp_path):

@@ -15,7 +15,6 @@ from gridpcr import (
     DegenerateDesignError,
     GridPcrError,
     JackknifeSpec,
-    PipelineOptions,
     PluginSpec,
     RegressionDesign,
     ScenarioConfig,
@@ -654,11 +653,11 @@ def study_model():
     """A Monte Carlo fit of 60 rows of two KL components (Study.fit)."""
     config = ScenarioConfig(
         family="synthetic2d", dims=(8, 9), lambdas=(3.0, 1.0), alpha0=1.0,
-        beta0=(1.0,), gamma0=(1.5, -1.0), n=60, seed=4,
+        beta0=(1.0,), gamma0=(1.5, -1.0), n=60, seed=4, degree=2, interior_knots=2,
     )
-    study = Study.build(config, PipelineOptions(degree=2, interior_knots=2))
-    _, _, sample, x, y, _ = generate_dataset(config, 0, study.family)
-    model = study.fit(sample.factors)
+    study = Study.build(config)
+    _, _, factors, x, y, _ = generate_dataset(config, 0, study.family)
+    model = study.fit(factors)
     return model, design_of(model, y, x, 2)
 
 

@@ -12,7 +12,6 @@ from gridpcr import (
     ConfigurationError,
     ConformanceError,
     JackknifeSpec,
-    PipelineOptions,
     PluginSpec,
     ScenarioConfig,
     StudyError,
@@ -27,7 +26,6 @@ from gridpcr import (
     make_family,
     run_monte_carlo,
     run_replicate,
-    scenario_space,
 )
 import gridpcr
 import gridpcr.resampling
@@ -56,15 +54,11 @@ def small_config(**overrides):
         noise_sd=1.0,
         n=80,
         seed=4,
+        degree=2,
+        interior_knots=2,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
-
-
-def small_options(**overrides):
-    base = dict(degree=2, interior_knots=2)
-    base.update(overrides)
-    return PipelineOptions(**base)
 
 
 def test_scenario_config_validation():
@@ -86,11 +80,30 @@ def test_scenario_config_validation():
     with pytest.raises(ConfigurationError):
         small_config(treatment=TreatmentConfig(alpha=0.0, beta=(1.0,), gamma=(1.0, 2.0)))
     with pytest.raises(ConfigurationError):
-        TreatmentConfig(alpha=0.0, beta=(1.0,), gamma=(1.0,), prob=1.0)
-    with pytest.raises(ConfigurationError):
-        PipelineOptions(intervals="delta")
+        small_config(intervals="delta")
     with pytest.raises(ConfigurationError, match="base_seed must be 0"):
-        PipelineOptions(intervals=BootstrapSpec(base_seed=1))
+        small_config(intervals=BootstrapSpec(base_seed=1))
+
+
+def test_one_study_is_one_key_however_it_is_spelled():
+    # Settings left None take the family's defaults and knot counts are
+    # stored per axis, so every spelling of a study is equal and hashes alike.
+    default = ScenarioConfig("synthetic2d")
+    for config in (
+        ScenarioConfig("synthetic2d", dims=(20, 24), degree=3, interior_knots="7"),
+        ScenarioConfig("synthetic2d", dims=[20, 24], interior_knots=[7, 7]),
+        ScenarioConfig("synthetic2d", lambdas=[3.5, 3, 2.5, 2, 1.5, 1], interior_knots=7),
+    ):
+        assert config == default and hash(config) == hash(default)
+    assert default.interior_knots == (7, 7) and default.degree == 3
+    assert ScenarioConfig("synthetic2d", interior_knots=5) != default
+    cube = ScenarioConfig("quadratic_gauss3d")
+    assert (cube.dims, cube.degree, cube.interior_knots) == ((12, 14, 10), 2, (2, 2, 2))
+    # replace passes the stored settings through the checks again
+    config = ScenarioConfig("quadratic_gauss3d", degree=1, interior_knots="3,2,2")
+    moved = replace(config, seed=1)
+    assert moved.interior_knots == (3, 2, 2) and moved.seed == 1
+    assert replace(moved, seed=0) == config
 
 
 NAN, INF = float("nan"), float("inf")
@@ -116,7 +129,7 @@ def test_treatment_rejects_nonfinite_settings(field, value):
 
 
 def test_families_are_orthonormal():
-    space2 = scenario_space(small_config(dims=(20, 24)))
+    space2 = AmbientSpace.unit_domain((20, 24))
     for j in (1, 3, 8):
         fam = make_family(space2, "synthetic2d", j)
         assert fam.phis.shape == (j, space2.size)
@@ -209,19 +222,19 @@ def test_generate_dataset_keyed_by_replicate():
     config = small_config(
         treatment=TreatmentConfig(alpha=0.5, beta=(0.2, -0.2), gamma=(0.5, 0.5))
     )
-    space, fam, sample, x, y, arm = generate_dataset(config, 3)
-    space2, fam2, sample2, x2, y2, arm2 = generate_dataset(config, 3, fam)
-    np.testing.assert_array_equal(sample.factors, sample2.factors)
+    space, fam, factors, x, y, arm = generate_dataset(config, 3)
+    space2, fam2, factors2, x2, y2, arm2 = generate_dataset(config, 3, fam)
+    np.testing.assert_array_equal(factors, factors2)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
     np.testing.assert_array_equal(arm, arm2)
     assert fam2 is fam and space2 is space
-    assert sample.factors.shape == (80, 2)
-    assert (sample.factors @ sample.family.phis).shape == (80, space.size)
+    assert factors.shape == (80, 2)
+    assert (factors @ fam.phis).shape == (80, space.size)
     assert x.shape == (80, 2) and y.shape == (80,)
     assert arm.dtype == bool and 0 < arm.sum() < 80
     other = generate_dataset(config, 4)[2]
-    assert not np.array_equal(sample.factors, other.factors)
+    assert not np.array_equal(factors, other)
     assert generate_dataset(small_config(), 0)[5] is None
 
 
@@ -241,22 +254,22 @@ def test_factored_replicate_matches_dense_fit(family, dims, two_arm):
     if two_arm:
         treatment = TreatmentConfig(alpha=0.5, beta=(0.2, -0.2), gamma=(0.5, 0.5))
     config = small_config(family=family, dims=dims, treatment=treatment, seed=23)
-    study = simulate.Study.build(config, small_options())
-    space, fam, sample, x, y, arm = generate_dataset(config, 5, study.family)
+    study = simulate.Study.build(config)
+    space, fam, factors, x, y, arm = generate_dataset(config, 5, study.family)
 
     rng = replicate_rng(config.seed, 5)
     np.testing.assert_array_equal(
         x, simulate.ar_covariates(config.n, config.d, config.corr, rng)
     )
     rows = kl_sample(fam, config.lambdas, config.n, rng)
-    np.testing.assert_array_equal(rows, sample.factors @ fam.phis)
+    np.testing.assert_array_equal(rows, factors @ fam.phis)
     dense_y = (
         config.alpha0
         + x @ np.array(config.beta0)
         + (rows * space.weights) @ fam.gamma_element(config.gamma0)
     )
     if two_arm:
-        np.testing.assert_array_equal(arm, rng.random(config.n) < treatment.prob)
+        np.testing.assert_array_equal(arm, rng.random(config.n) < 0.5)
         dense_y = dense_y + arm * (
             treatment.alpha
             + x @ np.array(treatment.beta)
@@ -265,7 +278,7 @@ def test_factored_replicate_matches_dense_fit(family, dims, two_arm):
     dense_y = dense_y + config.noise_sd * rng.standard_normal(config.n)
     assert _rel_err(y, dense_y) <= 1e-12
 
-    model = study.fit(sample.factors)
+    model = study.fit(factors)
     dense = fit_subspace_pca(space, study.basis, rows)
     assert model.n_components == dense.n_components == config.n_components
     for name in ("eigenvalues", "coords", "white", "mean"):
@@ -287,7 +300,7 @@ def test_scenario_built_once_per_study(monkeypatch):
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("gridpcr") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
-    table = run_monte_carlo(small_config(n=40), 4, small_options(intervals=PluginSpec()))
+    table = run_monte_carlo(small_config(n=40, intervals=PluginSpec()), 4)
     assert table.completed == 4
     assert calls == {"make_family": 1, "bspline_tensor_basis": 1, "whiten": 1}
 
@@ -305,11 +318,13 @@ def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
         gamma0=(1.5, -1.0),
         n=400,
         seed=7,
+        degree=2,
+        interior_knots=2,
+        intervals=PluginSpec(),
     )
-    options = PipelineOptions(degree=2, interior_knots=2, intervals=PluginSpec())
     tracemalloc.start()
     try:
-        table = run_monte_carlo(config, 2, options)
+        table = run_monte_carlo(config, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,10 +333,9 @@ def test_monte_carlo_memory_does_not_grow_with_the_grid_sample():
 
 
 def test_monte_carlo_reproducible_across_threads():
-    config = small_config(n=60, seed=9)
-    options = small_options(intervals=PluginSpec())
-    one = run_monte_carlo(config, 6, options, threads=1)
-    multi = run_monte_carlo(config, 6, options, threads=3)
+    config = small_config(n=60, seed=9, intervals=PluginSpec())
+    one = run_monte_carlo(config, 6, threads=1)
+    multi = run_monte_carlo(config, 6, threads=3)
     np.testing.assert_array_equal(one.mse, multi.mse)
     np.testing.assert_array_equal(one.coverage, multi.coverage)
     np.testing.assert_array_equal(one.covered_reps, multi.covered_reps)
@@ -334,7 +348,7 @@ def test_metrics_layout_and_truth():
         n=100,
         treatment=TreatmentConfig(alpha=0.5, beta=(0.2, -0.2), gamma=(0.5, 0.5)),
     )
-    table = run_monte_carlo(config, 3, small_options())
+    table = run_monte_carlo(config, 3)
     assert table.names == [
         "lambda1", "lambda2",
         "intercept", "x1", "x2", "z1", "z2",
@@ -353,11 +367,11 @@ def test_metrics_layout_and_truth():
 
 
 def test_coverage_denominators_track_selected_components():
-    # forcing m = 1 leaves the second component unestimated: its squared
-    # error is the squared truth and it never enters a coverage average
-    config = small_config(n=100, seed=11, noise_sd=0.5)
-    options = small_options(m_override=1, intervals=PluginSpec())
-    table = run_monte_carlo(config, 5, options)
+    # tau = 0.5 selects m = 1, which leaves the second component
+    # unestimated: its squared error is the squared truth and it never
+    # enters a coverage average
+    config = small_config(n=100, seed=11, noise_sd=0.5, tau=0.5, intervals=PluginSpec())
+    table = run_monte_carlo(config, 5)
     assert table.mhat_counts == {1: 5}
     i_z2 = table.names.index("z2")
     i_lam2 = table.names.index("lambda2")
@@ -372,22 +386,26 @@ def test_coverage_denominators_track_selected_components():
 
 
 def test_monte_carlo_failure_budget():
-    config = small_config(n=40)
+    # no replicate's components explain tau = 0.999 of its variance
+    config = small_config(n=40, tau=0.999)
     with pytest.raises(StudyError) as excinfo:
-        run_monte_carlo(config, 4, small_options(m_override=10))
+        run_monte_carlo(config, 4)
     assert len(excinfo.value.failures) == 4
+    assert all("explain only" in message for _, message in excinfo.value.failures)
     with pytest.raises(ConfigurationError):
-        run_monte_carlo(config, 0, small_options())
+        run_monte_carlo(config, 0)
 
 
 def test_configuration_error_in_a_replicate_stops_the_study():
     # a setting that fails one replicate fails them all, so it is raised as
     # itself instead of being counted against the failure budget
     config = small_config(
-        n=60, treatment=TreatmentConfig(alpha=0.5, beta=(0.3, 0.0), gamma=(1.0, -0.5))
+        n=60,
+        treatment=TreatmentConfig(alpha=0.5, beta=(0.3, 0.0), gamma=(1.0, -0.5)),
+        intervals=PluginSpec(),
     )
     with pytest.raises(ConfigurationError, match="single-arm"):
-        run_monte_carlo(config, 3, small_options(intervals=PluginSpec(), m_override=2))
+        run_monte_carlo(config, 3)
 
 
 def test_two_arm_intervals_cover_modifier_block():
@@ -397,9 +415,10 @@ def test_two_arm_intervals_cover_modifier_block():
         noise_sd=0.5,
         beta0=(1.0,),
         treatment=TreatmentConfig(alpha=0.5, beta=(0.3,), gamma=(1.0, -0.5)),
+        intervals=JackknifeSpec(),
     )
-    options = small_options(intervals=JackknifeSpec(), m_override=2)
-    table = run_monte_carlo(config, 3, options)
+    table = run_monte_carlo(config, 3)
+    assert table.mhat_counts == {2: 3}
     for name in ("treat", "treat:x1", "treat:z1", "treat:z2"):
         i = table.names.index(name)
         assert table.covered_reps[i] == 3
@@ -423,13 +442,12 @@ def test_signs_from_coordinates_match_grid_inner_products(monkeypatch, family, d
 
     monkeypatch.setattr(simulate, "_fit_to_truth", spy)
     config = small_config(family=family, dims=dims, lambdas=(1.1, 1.0), n=60, seed=17)
-    options = small_options()
     flips = 0
     for rep in range(8):
-        m = run_replicate(config, options, rep)[0]["m"]
-        space, fam, sample, *_ = generate_dataset(config, rep)
-        basis = bspline_tensor_basis(space, options.degree, options.interior_knots)
-        rows = sample.factors @ fam.phis
+        m = run_replicate(config, rep)[0]["m"]
+        space, fam, factors, *_ = generate_dataset(config, rep)
+        basis = bspline_tensor_basis(space, config.degree, config.interior_knots)
+        rows = factors @ fam.phis
         phis = eigenfunctions(space, basis, fit_subspace_pca(space, basis, rows))
         k = min(m, config.n_components)
         inner = np.sum(phis[:k] * fam.phis[:k] * space.weights, axis=1)
@@ -459,11 +477,11 @@ def test_study_model_derives_everything_in_its_frame(family, dims):
     # Scores, eigenvalue SEs and the plug-in covariance of a Study model
     # come from its n x k scores; the n x rank formulas are the oracle.
     config = small_config(family=family, dims=dims, n=120, seed=31)
-    study = simulate.Study.build(config, small_options())
-    _, _, sample, x, y, _ = generate_dataset(config, 2, study.family)
-    model = study.fit(sample.factors)
+    study = simulate.Study.build(config)
+    _, _, factors, x, y, _ = generate_dataset(config, 2, study.family)
+    model = study.fit(factors)
     assert model.right is not None and model.left.shape[1] < model.whitener.rank
-    twin = frame_free_twin(study, sample.factors, model)
+    twin = frame_free_twin(study, factors, model)
     for derive in (component_scores, centered_scores, eigenvalue_se):
         assert _rel_err(derive(model), derive(twin)) <= 1e-12, derive.__name__
     assert _rel_err(model.white, twin.white) <= 1e-12
@@ -481,12 +499,12 @@ def test_frame_row_signs_match_the_grid_sign_pass(family, dims):
     # Study.fit reads each eigenvector's sign from k synthesized frame rows;
     # the grid sign pass over the n x rank scores must agree on every seed.
     config = small_config(family=family, dims=dims, lambdas=(1.1, 1.0), n=60)
-    study = simulate.Study.build(config, small_options())
+    study = simulate.Study.build(config)
     assert study.frame_rows.shape == (
         study.family_frame[1].shape[0], study.family.space.size,
     )
     for seed in range(8):
-        factors = generate_dataset(replace(config, seed=seed), 0, study.family)[2].factors
+        factors = generate_dataset(replace(config, seed=seed), 0, study.family)[2]
         model = study.fit(factors)
         grid = model_from_white(
             study.family.space, study.basis, factors @ study.family_white,
@@ -512,13 +530,12 @@ def test_replicates_keep_their_scores_in_the_study_frame(monkeypatch):
     config = small_config(
         family="quadratic_gauss3d", dims=(12, 14, 10), n=2000, seed=5
     )
+    study = simulate.Study.build(config)
+    assert study.whitener.rank == 125
     for intervals in (PluginSpec(), BootstrapSpec(b_reps=3), JackknifeSpec()):
-        options = small_options(intervals=intervals)
-        study = simulate.Study.build(config, options)
-        assert study.whitener.rank == 125
         tracemalloc.start()
         try:
-            run_replicate(config, options, 0, study)
+            run_replicate(replace(config, intervals=intervals), 0, study)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -539,11 +556,11 @@ def constant_covariate_at(monkeypatch, replicate):
     generate = simulate.generate_dataset
 
     def patched(config, r, family=None):
-        space, fam, sample, x, y, treatment = generate(config, r, family)
+        space, fam, factors, x, y, treatment = generate(config, r, family)
         if r == replicate:
             x = x.copy()
             x[:, 0] = 1.0
-        return space, fam, sample, x, y, treatment
+        return space, fam, factors, x, y, treatment
 
     monkeypatch.setattr(simulate, "generate_dataset", patched)
 
@@ -564,13 +581,12 @@ def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
     # selects (tau = 0.75 gives m = 1 and m = 2 here), keeps the numbers of
     # a range of one.
     constant_covariate_at(monkeypatch, 3)
-    config = small_config(n=60, seed=2)
     intervals = {None: None, "plugin": PluginSpec(), "jackknife": JackknifeSpec()}[inference]
-    options = small_options(tau=0.75, intervals=intervals)
-    study = simulate.Study.build(config, options)
+    config = small_config(n=60, seed=2, tau=0.75, intervals=intervals)
+    study = simulate.Study.build(config)
 
     def solve(indices):
-        return run_replicate(config, options, indices, study)
+        return run_replicate(config, indices, study)
 
     batch = solve_alone_on_failure(solve, range(8))
     alone = [solve_alone_on_failure(solve, range(r, r + 1))[0] for r in range(8)]
@@ -582,14 +598,13 @@ def test_a_failing_replicate_fails_alone_in_its_batch(monkeypatch, inference):
 
 def test_a_failing_replicate_gives_the_failures_of_replicates_solved_alone(monkeypatch):
     constant_covariate_at(monkeypatch, 3)
-    config = small_config(n=60, seed=2)
-    options = small_options(intervals=PluginSpec())
+    config = small_config(n=60, seed=2, intervals=PluginSpec())
     with pytest.raises(StudyError) as batched:
-        run_monte_carlo(config, 10, options, threads=2)
-    study = simulate.Study.build(config, options)
+        run_monte_carlo(config, 10, threads=2)
+    study = simulate.Study.build(config)
     with pytest.raises(StudyError) as alone:
         gridpcr.resampling.run_tolerant(
-            lambda indices: [run_replicate(config, options, r, study)[0] for r in indices],
+            lambda indices: [run_replicate(config, r, study)[0] for r in indices],
             10, 1, "Monte Carlo",
         )
     assert str(batched.value) == str(alone.value)
@@ -599,9 +614,8 @@ def test_a_failing_replicate_gives_the_failures_of_replicates_solved_alone(monke
 
 @pytest.mark.parametrize("reps", [10, 17])
 def test_monte_carlo_output_identical_for_any_thread_count(reps):
-    config = small_config(n=50, seed=13)
-    options = small_options(tau=0.75, intervals=PluginSpec())
-    tables = [run_monte_carlo(config, reps, options, threads=t) for t in (1, 2, 3)]
+    config = small_config(n=50, seed=13, tau=0.75, intervals=PluginSpec())
+    tables = [run_monte_carlo(config, reps, threads=t) for t in (1, 2, 3)]
     for table in tables[1:]:
         for name in ("mse", "coverage", "covered_reps"):
             assert getattr(table, name).tobytes() == getattr(tables[0], name).tobytes()
