@@ -320,7 +320,9 @@ def test_oracle_regression_recovery():
 @pytest.mark.slow
 def test_bootstrap_coverage_2d():
     started = time.perf_counter()
-    config = options_2d(scenario_2d(500, 0), intervals=BootstrapSpec(kind="wild", b_reps=300))
+    config = options_2d(
+        scenario_2d(500, 0), intervals=BootstrapSpec(kind="wild", b_reps=300)
+    )
     table = run_monte_carlo(config, 100, THREADS)
     watched = ["intercept", "x1", "x2", "x3", "x4", "z1", "z2", "z3", "z4", "z5", "z6"]
     rates = {}
